@@ -497,7 +497,8 @@ def realize(c: DiCycle, emb: SpatialEmbedding, reverse: bool = False) -> Oriente
             raise MissingArc(f"no embedded arc for {key}")
         seq = arc.points if c.edge_choices[i] else arc.points[::-1]
         a, _ = c.step(i)
-        assert seq[0] == emb.vertices[a]
+        if seq[0] != emb.vertices[a]:
+            raise ValueError(f"arc of {key} does not join its endpoints")
         pts.extend(seq[:-1])
     points = tuple(pts[::-1]) if reverse else tuple(pts)
     return OrientedLoop(cycle=c, points=points, reverse=reverse)

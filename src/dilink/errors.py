@@ -79,10 +79,13 @@ class SearchBudgetExceeded(DilinkError):
 
 
 class Impossible(DilinkError):
-    """A parity certificate guarantees this search cannot fail, yet it did.
+    """A result that a theorem guarantees came out wrong.
 
-    Raised only when an all-pairs sweep exhausts a family whose odd total
-    forces at least one odd member; carries the full table for inspection.
+    Raised when an all-pairs sweep exhausts a family whose odd total forces
+    at least one odd member (carrying the full table for inspection), and by
+    the result guards: an odd signed crossing sum between two closed
+    curves, a knot Conway polynomial without constant term 1, or a heavy
+    vector that fails its recheck.
     """
 
     def __init__(self, message: str, table: dict | None = None):

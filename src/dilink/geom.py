@@ -214,6 +214,12 @@ def _on_seg2(p, q, r) -> bool:
     return _between1(p[0], q[0], r[0]) and _between1(p[1], q[1], r[1])
 
 
+def _point_on_seg2(pt, a, b):
+    if orient2(a, b, pt) == 0 and _on_seg2(a, b, pt):
+        return ("touch", (pt[0], pt[1]))
+    return ("none", None)
+
+
 def seg2_relation(p, q, r, s):
     """Exact relation of the xy-projections of closed segments pq and rs.
 
@@ -226,6 +232,12 @@ def seg2_relation(p, q, r, s):
                                         through both interiors (integer point)
       ("overlap", None)                 collinear overlap of positive length
     """
+    # a vertical segment projects to a point, and every orientation against
+    # a point is 0, so the collinear branch below would only compare boxes
+    if p[0] == q[0] and p[1] == q[1]:
+        return _point_on_seg2(p, r, s)
+    if r[0] == s[0] and r[1] == s[1]:
+        return _point_on_seg2(r, p, q)
     o1 = orient2(p, q, r)
     o2 = orient2(p, q, s)
     o3 = orient2(r, s, p)
@@ -550,13 +562,8 @@ def _loop_segments(points: tuple[Point3, ...]) -> list[tuple[int, Point3, Point3
     return [(i, points[i], points[(i + 1) % n]) for i in range(n)]
 
 
-def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram:
-    """Project closed loops to a crossing diagram, exactly.
-
-    Raises :class:`DegenerateProjection` when the projection is not generic
-    and :class:`DisjointnessViolated` when the loops meet in space.
-    """
-    loops = tuple(tuple(p for p in lp) for lp in loop_points)
+def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
+    """(loop, index, p, q) for every segment of the closed loops."""
     for li, lp in enumerate(loops):
         if len(lp) < 3:
             raise DisjointnessViolated(f"loop {li} has fewer than 3 points")
@@ -566,25 +573,23 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
             if p == q:
                 raise DisjointnessViolated(f"loop {li} repeats a point")
             all_segs.append((li, i, p, q))
+    return all_segs
 
-    for (li, i, p, q) in all_segs:
-        if p.x == q.x and p.y == q.y:
-            raise DegenerateProjection(
-                f"vertical segment on loop {li}",
-                (Violation("vertical-segment", (li, i)),),
-            )
 
-    def adjacent(sa, sb) -> Optional[Point3]:
-        if sa[0] != sb[0]:
-            return None
-        n = len(loops[sa[0]])
-        i, j = sa[1], sb[1]
-        if (i + 1) % n == j:
-            return sa[3]
-        if (j + 1) % n == i:
-            return sb[3]
+def _shared_corner(loops, sa, sb) -> Optional[Point3]:
+    """The point two consecutive segments of one loop share, else None."""
+    if sa[0] != sb[0]:
         return None
+    n = len(loops[sa[0]])
+    i, j = sa[1], sb[1]
+    if (i + 1) % n == j:
+        return sa[3]
+    if (j + 1) % n == i:
+        return sb[3]
+    return None
 
+
+def _raise_if_loops_meet(loops, all_segs) -> None:
     lo3 = lambda s: (
         min(s[2][0], s[3][0]),
         min(s[2][1], s[3][1]),
@@ -600,7 +605,7 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
         kind, data = seg3_relation(sa[2], sa[3], sb[2], sb[3])
         if kind == "none":
             continue
-        shared = adjacent(sa, sb)
+        shared = _shared_corner(loops, sa, sb)
         if kind == "point" and shared is not None:
             px, py, pz = data
             if px == shared[0] and py == shared[1] and pz == shared[2]:
@@ -608,6 +613,52 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
         )
+
+
+def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
+    """Raise :class:`DisjointnessViolated` unless the closed loops are
+    simple and pairwise disjoint in space."""
+    loops = tuple(tuple(lp) for lp in loop_points)
+    _raise_if_loops_meet(loops, _closed_segments(loops))
+
+
+def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[bool, int]:
+    """Over/under and sign of a proper crossing of the projections of
+    segments pa-qa and pb-qb, at t = t_num/den along the first and
+    u = u_num/den along the second (den > 0, as :func:`seg2_relation`
+    gives them).
+
+    Returns whether the first segment passes over the second, and the
+    crossing's sign under the module's convention; the sign does not depend
+    on the order of the two segments.  Heights are compared as z*den in
+    integers.  Equal heights mean the segments meet in space.
+    """
+    za = pa[2] * den + t_num * (qa[2] - pa[2])
+    zb = pb[2] * den + u_num * (qb[2] - pb[2])
+    if za == zb:
+        raise DisjointnessViolated("segments meet in space where their projections cross")
+    a_over = za > zb
+    s = cross2(qa[0] - pa[0], qa[1] - pa[1], qb[0] - pb[0], qb[1] - pb[1])
+    return a_over, (1 if (s > 0) == a_over else -1)
+
+
+def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram:
+    """Project closed loops to a crossing diagram, exactly.
+
+    Raises :class:`DegenerateProjection` when the projection is not generic
+    and :class:`DisjointnessViolated` when the loops meet in space.
+    """
+    loops = tuple(tuple(p for p in lp) for lp in loop_points)
+    all_segs = _closed_segments(loops)
+
+    for (li, i, p, q) in all_segs:
+        if p.x == q.x and p.y == q.y:
+            raise DegenerateProjection(
+                f"vertical segment on loop {li}",
+                (Violation("vertical-segment", (li, i)),),
+            )
+
+    _raise_if_loops_meet(loops, all_segs)
 
     lo2 = lambda s: (min(s[2][0], s[3][0]), min(s[2][1], s[3][1]))
     hi2 = lambda s: (max(s[2][0], s[3][0]), max(s[2][1], s[3][1]))
@@ -618,8 +669,8 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
         kind, data = seg2_relation(sa[2], sa[3], sb[2], sb[3])
         if kind == "none":
             continue
-        shared = adjacent(sa, sb)
         if kind in ("touch", "overlap"):
+            shared = _shared_corner(loops, sa, sb)
             if kind == "touch" and shared is not None and data == (shared[0], shared[1]):
                 continue
             raise DegenerateProjection(
@@ -628,13 +679,9 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("projection-" + kind, (sa[0], sa[1], sb[0], sb[1])),),
             )
         t_num, u_num, den = data
-        t = Fraction(t_num, den)
-        u = Fraction(u_num, den)
         pa, qa = sa[2], sa[3]
-        pb, qb = sb[2], sb[3]
-        za = pa[2] + t * (qa[2] - pa[2])
-        zb = pb[2] + u * (qb[2] - pb[2])
-        assert za != zb, "equal heights at a crossing of disjoint segments"
+        a_over, sign = crossing_sign(pa, qa, sb[2], sb[3], t_num, u_num, den)
+        t = Fraction(t_num, den)
         px = pa[0] + t * (qa[0] - pa[0])
         py = pa[1] + t * (qa[1] - pa[1])
         key = (px, py)
@@ -644,18 +691,9 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("triple-point", (sa[0], sa[1], sb[0], sb[1])),),
             )
         seen_points[key] = (i, j)
-        if za > zb:
-            over = StrandPos(sa[0], sa[1], t)
-            under = StrandPos(sb[0], sb[1], u)
-            odx, ody = qa[0] - pa[0], qa[1] - pa[1]
-            udx, udy = qb[0] - pb[0], qb[1] - pb[1]
-        else:
-            over = StrandPos(sb[0], sb[1], u)
-            under = StrandPos(sa[0], sa[1], t)
-            odx, ody = qb[0] - pb[0], qb[1] - pb[1]
-            udx, udy = qa[0] - pa[0], qa[1] - pa[1]
-        s = cross2(odx, ody, udx, udy)
-        sign = 1 if s > 0 else -1
+        pos_a = StrandPos(sa[0], sa[1], t)
+        pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
+        over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
         raw.append(Crossing(over=over, under=under, sign=sign, point=(px, py)))
 
     raw.sort(key=lambda c: (c.over, c.under))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateProjection, TooLarge
+from .errors import DegenerateProjection, Impossible, TooLarge
 from .geom import LinkDiagram, Point3, project_to_diagram, shear_points
 
 __all__ = [
@@ -39,6 +39,10 @@ class ProjectionResult(NamedTuple):
     shear: tuple[int, int]
 
 
+# entries of the shear schedule tried before a projection counts as degenerate
+SHEAR_TRIES = 120
+
+
 def shear_schedule(n: int) -> list[tuple[int, int]]:
     """First n slope pairs (kx, ky), sweeping diagonals of the integer
     quadrant so any finite set of bad directions is eventually escaped."""
@@ -53,7 +57,7 @@ def shear_schedule(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def project_with_retry(loops: Sequence, max_tries: int = 120) -> ProjectionResult:
+def project_with_retry(loops: Sequence, max_tries: int = SHEAR_TRIES) -> ProjectionResult:
     """Project loops to a diagram, shearing until the projection is generic.
 
     The shear (x, y, z) -> (x + kx*z, y + ky*z, z) keeps every height, so
@@ -64,6 +68,8 @@ def project_with_retry(loops: Sequence, max_tries: int = 120) -> ProjectionResul
     point_lists = [_loop_points(l) for l in loops]
     if not point_lists:
         raise ValueError("need at least one loop")
+    if max_tries < 1:
+        raise ValueError("need at least one projection attempt")
     last: DegenerateProjection | None = None
     for kx, ky in shear_schedule(max_tries):
         sheared = (
@@ -75,7 +81,6 @@ def project_with_retry(loops: Sequence, max_tries: int = 120) -> ProjectionResul
             return ProjectionResult(project_to_diagram(sheared), (kx, ky))
         except DegenerateProjection as exc:
             last = exc
-    assert last is not None
     raise DegenerateProjection(
         f"no generic projection after {max_tries} shears: {last}", last.violations
     )
@@ -102,7 +107,8 @@ def linking_table(loops: Sequence) -> dict[tuple[int, int], int]:
     for i in range(n):
         for j in range(i + 1, n):
             s = sums.get((i, j), 0)
-            assert s % 2 == 0, "odd signed crossing sum between two components"
+            if s % 2:
+                raise Impossible(f"odd signed crossing sum {s} between components {i} and {j}")
             out[(i, j)] = s // 2
     return out
 
@@ -308,5 +314,6 @@ def a2_skein(knot, max_crossings: int = 16) -> int:
     if len(diagram.loops) != 1:
         raise ValueError("knot invariants need a single closed loop")
     poly = conway_from_diagram(diagram, max_crossings)
-    assert poly.get(0, 0) == 1, "knot Conway polynomial must have constant term 1"
+    if poly.get(0, 0) != 1:
+        raise Impossible("knot Conway polynomial must have constant term 1")
     return poly.get(2, 0)

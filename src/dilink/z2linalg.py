@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadColumn, TooLarge
+from .errors import BadColumn, Impossible, TooLarge
 
 __all__ = [
     "Z2Matrix",
@@ -240,7 +240,8 @@ def heavy_vector(matrix: Z2Matrix) -> HeavyVectorResult:
     check = 0
     for i in rows:
         check ^= matrix.rows[i]
-    assert check == v and 2 * weight(v) > matrix.ncols
+    if check != v or 2 * weight(v) <= matrix.ncols:
+        raise Impossible("heavy vector fails its recheck against the matrix rows")
     return HeavyVectorResult(vector=v, rows=rows, weight=weight(v))
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dilink.errors import (
     CoordinateOverflow,
@@ -142,6 +142,14 @@ def test_seg2_overlap_and_none():
     assert seg2_relation(P(0, 0, 0), P(1, 0, 0), P(5, 5, 0), P(6, 5, 0))[0] == "none"
 
 
+def test_seg2_vertical_segment_is_a_point():
+    up = (P(0, 0, 0), P(0, 0, 1))
+    assert seg2_relation(*up, P(0, 1, 0), P(1, 0, 0)) == ("none", None)
+    assert seg2_relation(P(0, 1, 0), P(1, 0, 0), *up) == ("none", None)
+    assert seg2_relation(*up, P(-1, 1, 4), P(1, -1, 4)) == ("touch", (0, 0))
+    assert seg2_relation(P(-1, 1, 4), P(1, -1, 4), *up) == ("touch", (0, 0))
+
+
 def test_seg2_collinear_single_touch():
     kind, data = seg2_relation(P(0, 0, 0), P(2, 0, 0), P(2, 0, 9), P(6, 0, 9))
     assert kind == "touch" and data == (2, 0)
@@ -171,6 +179,7 @@ def test_orient2_antisymmetry(p, q, r):
         st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)
     ),
 )
+@example((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
 def test_seg2_symmetric_in_arguments(a, b, c, d):
     p, q, r, s = (P(*a), P(*b), P(*c), P(*d))
     if p == q or r == s:

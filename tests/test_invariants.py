@@ -6,9 +6,15 @@ torus knot 5, (2,q) torus family (q^2-1)/8) and every knot case is run
 through both independent routes.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dilink
 from dilink.digraph import realize
 from dilink.errors import TooLarge
 from dilink.geom import shear_points
@@ -183,3 +189,50 @@ def test_retry_keeps_plain_projection(trefoil_points):
 def test_retry_needs_a_loop():
     with pytest.raises(ValueError):
         project_with_retry([])
+
+
+# ---------------------------------------------------------------------------
+# result guards
+
+
+def test_result_guards_survive_python_O():
+    # an odd crossing sum between two components, and a realized arc that
+    # does not start at its cycle's vertex, must still raise under -O
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        import dilink.invariants as inv
+        from dilink.digraph import DiCycle, realize
+        from dilink.errors import Impossible
+        from dilink.geom import Crossing, LinkDiagram, Point3, PolyLine, SpatialEmbedding, StrandPos
+
+        print(sys.flags.optimize)
+        half = Fraction(1, 2)
+        lone = Crossing(StrandPos(0, 0, half), StrandPos(1, 0, half), 1, (half, half))
+        inv.project_with_retry = lambda loops: inv.ProjectionResult(
+            LinkDiagram(loops=((), ()), crossings=(lone,)), (0, 0)
+        )
+        try:
+            inv.linking_table([(), ()])
+        except Impossible:
+            print("Impossible")
+
+        v = {0: Point3(0, 0, 0), 1: Point3(4, 0, 1), 2: Point3(0, 4, 2)}
+        arcs = {(0, 1): PolyLine([v[0], v[1]]), (1, 2): PolyLine([v[1], v[2]]),
+                (2, 0): PolyLine([v[2], v[0]])}
+        emb = SpatialEmbedding(v, arcs, box=8)
+        emb.arcs[(1, 2)] = PolyLine([v[0], v[2]])
+        try:
+            realize(DiCycle((0, 1, 2), (True, True, True)), emb)
+        except ValueError:
+            print("ValueError")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(dilink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["1", "Impossible", "ValueError"]
