@@ -31,7 +31,6 @@ from dilink.engine import (
     BigZResult,
     BiparResult,
     ConstructionCertificate,
-    EngineParams,
     big_z,
     bipar_z,
     conway_gordon_parity,
@@ -84,7 +83,6 @@ __all__ = [
     "ConstructionCertificate",
     "DiCycle",
     "Digraph",
-    "EngineParams",
     "LinkObject",
     "MultipartiteH",
     "OrientedLoop",

@@ -64,7 +64,6 @@ __all__ = [
     "BigZResult",
     "BiparResult",
     "ConstructionCertificate",
-    "EngineParams",
     "Lemma1Result",
     "Prop1Result",
     "SearchReport",
@@ -82,40 +81,6 @@ __all__ = [
     "theorem2_params",
     "verify_lemma6_conclusion",
 ]
-
-
-@dataclass(frozen=True)
-class EngineParams:
-    """Knobs shared by the construction drivers."""
-
-    lam: int = 1
-    delta: int = 1
-    n: int = 1
-    m: int = 1
-    alpha: int = 1
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    q_policy: str = "lex"
-    checked: bool = True
-
-    def __post_init__(self):
-        if self.delta != 1 and (self.delta < 2 or self.delta % 2):
-            raise ValueError("target directionality must be 1 or even")
-        if min(self.lam, self.n, self.m, self.alpha) < 0:
-            raise ValueError("sizes must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "lam": self.lam,
-            "delta": self.delta,
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "budget": self.budget,
-            "seed": self.seed,
-            "q_policy": self.q_policy,
-            "checked": self.checked,
-        }
 
 
 @dataclass(frozen=True)

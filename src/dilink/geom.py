@@ -13,8 +13,9 @@ and -1 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -301,47 +302,67 @@ class ValidationReport:
 _Seg = tuple  # (owner, index, p, q) with owner hashable
 
 
-def _candidate_pairs(segs: list, key_lo, key_hi) -> Iterator[tuple[int, int]]:
-    """Indices of segment pairs whose boxes overlap, cheap prefilter.
+def _candidate_pairs(segs: Sequence[_Seg], dims: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, in ascending order, of segments whose
+    closed bounding boxes meet in the first ``dims`` coordinates (2 for the
+    projection, 3 for space).
 
-    ``key_lo``/``key_hi`` extract per-axis min/max tuples from a segment.
-    Uses numpy for large inputs, a plain double loop otherwise.
+    Sort and sweep: boxes ordered by low x, each scanned against the boxes
+    after it until their low x passes its high x; y and z are compared
+    directly.  A 2D box gets a zero z-extent so one test serves both cases.
     """
-    n = len(segs)
-    if n <= 512:
-        los = [key_lo(s) for s in segs]
-        his = [key_hi(s) for s in segs]
-        dims = len(los[0]) if n else 0
-        for i in range(n):
-            li, hi_ = los[i], his[i]
-            for j in range(i + 1, n):
-                lj, hj = los[j], his[j]
-                ok = True
-                for d in range(dims):
-                    if li[d] > hj[d] or lj[d] > hi_[d]:
-                        ok = False
-                        break
-                if ok:
-                    yield (i, j)
-        return
-    import numpy as np
+    boxes = []
+    for i, (_, _, p, q) in enumerate(segs):
+        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
+        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+        z0, z1 = ((p[2], q[2]) if p[2] <= q[2] else (q[2], p[2])) if dims == 3 else (0, 0)
+        boxes.append((x0, x1, y0, y1, z0, z1, i))
+    boxes.sort()
+    n = len(boxes)
+    pairs = []
+    for a, (_, x1, y0, y1, z0, z1, i) in enumerate(boxes):
+        for b in range(a + 1, n):
+            bx0, _, by0, by1, bz0, bz1, j = boxes[b]
+            if bx0 > x1:
+                break
+            if by0 <= y1 and y0 <= by1 and bz0 <= z1 and z0 <= bz1:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
-    los = np.array([key_lo(s) for s in segs], dtype=np.int64)
-    his = np.array([key_hi(s) for s in segs], dtype=np.int64)
-    dims = los.shape[1]
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        mask = np.ones((stop - start, n), dtype=bool)
-        for d in range(dims):
-            mask &= los[start:stop, d : d + 1] <= his[None, :, d]
-            mask &= los[None, :, d] <= his[start:stop, d : d + 1]
-        ii, jj = np.nonzero(mask)
-        for a, b in zip(ii, jj):
-            i = start + int(a)
-            j = int(b)
-            if i < j:
-                yield (i, j)
+
+def _meetings_3d(segs: Sequence[_Seg], allowed) -> Iterator[tuple[_Seg, _Seg, Optional[tuple]]]:
+    """Segment pairs that meet in space other than at a point the contact
+    rule ``allowed(sa, sb)`` permits, in pair order: ``(sa, sb, point)``,
+    with point ``None`` for a collinear overlap."""
+    for i, j in _candidate_pairs(segs, 3):
+        sa, sb = segs[i], segs[j]
+        kind, pt = seg3_relation(sa[2], sa[3], sb[2], sb[3])
+        if kind == "none" or (kind == "point" and pt in allowed(sa, sb)):
+            continue
+        yield sa, sb, pt
+
+
+def _contacts_2d(segs: Sequence[_Seg], allowed) -> Iterator[tuple]:
+    """Projection events between segment pairs, in pair order:
+    ``(kind, sa, sb, data, point)``.
+
+    ``kind`` is "touch" or "overlap" for a contact the rule ``allowed``
+    does not permit (``point`` is None), or "proper" for a transversal
+    crossing, with ``data = (t_num, u_num, den)`` as :func:`seg2_relation`
+    gives it and ``point`` its exact (x, y).
+    """
+    for i, j in _candidate_pairs(segs, 2):
+        sa, sb = segs[i], segs[j]
+        kind, data = seg2_relation(sa[2], sa[3], sb[2], sb[3])
+        if kind == "none":
+            continue
+        if kind == "proper":
+            t = Fraction(data[0], data[2])
+            pa, qa = sa[2], sa[3]
+            yield kind, sa, sb, data, (pa[0] + t * (qa[0] - pa[0]), pa[1] + t * (qa[1] - pa[1]))
+        elif kind == "overlap" or all(data != (a[0], a[1]) for a in allowed(sa, sb)):
+            yield kind, sa, sb, data, None
 
 
 def _gather_segments(
@@ -356,25 +377,17 @@ def _gather_segments(
 
 
 def _allowed_contacts(
-    sa: _Seg, sb: _Seg, vertices_of_arcs: dict[tuple[int, int], tuple[Point3, Point3]]
+    ends: dict[tuple[int, int], tuple[Point3, Point3]], sa: _Seg, sb: _Seg
 ) -> frozenset[Point3]:
-    """Points where this segment pair may legitimately touch."""
+    """Points where this segment pair of arcs may legitimately touch."""
     (arc_a, ia, pa, qa) = sa
     (arc_b, ib, pb, qb) = sb
     if arc_a == arc_b:
         if abs(ia - ib) == 1:
             return frozenset({qa if ia < ib else pa})
         return frozenset()
-    ends_a = vertices_of_arcs[arc_a]
-    ends_b = vertices_of_arcs[arc_b]
-    shared = set(ends_a) & set(ends_b)
-    if not shared:
-        return frozenset()
-    allowed = set()
-    for pt in shared:
-        if pt in (pa, qa) and pt in (pb, qb):
-            allowed.add(pt)
-    return frozenset(allowed)
+    shared = set(ends[arc_a]) & set(ends[arc_b])
+    return frozenset(pt for pt in shared if pt in (pa, qa) and pt in (pb, qb))
 
 
 def validate_general_position(
@@ -393,7 +406,7 @@ def validate_general_position(
     else:
         arcs = {k: emb.arcs[k] for k in arc_keys}
     segs = _gather_segments(arcs)
-    ends = {k: (a.points[0], a.points[-1]) for k, a in arcs.items()}
+    allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
     violations: list[Violation] = []
 
     # vertical segments are invisible to the projection
@@ -403,45 +416,18 @@ def validate_general_position(
                 Violation("vertical-segment", (arc, i), f"{p}->{q}")
             )
 
-    # 3D pairwise checks
-    lo3 = lambda s: (
-        min(s[2][0], s[3][0]),
-        min(s[2][1], s[3][1]),
-        min(s[2][2], s[3][2]),
-    )
-    hi3 = lambda s: (
-        max(s[2][0], s[3][0]),
-        max(s[2][1], s[3][1]),
-        max(s[2][2], s[3][2]),
-    )
-    for i, j in _candidate_pairs(segs, lo3, hi3):
-        sa, sb = segs[i], segs[j]
-        kind, data = seg3_relation(sa[2], sa[3], sb[2], sb[3])
-        if kind == "none":
-            continue
-        allowed = _allowed_contacts(sa, sb, ends)
-        if kind == "overlap":
-            violations.append(
-                Violation("arc-intersection-3d", (sa[0], sa[1], sb[0], sb[1]), "collinear overlap")
+    for sa, sb, pt in _meetings_3d(segs, allowed):
+        violations.append(
+            Violation(
+                "arc-intersection-3d",
+                (sa[0], sa[1], sb[0], sb[1]),
+                "collinear overlap" if pt is None else f"meet at ({pt[0]},{pt[1]},{pt[2]})",
             )
-        else:
-            px, py, pz = data
-            pt_ok = any(
-                px == ap[0] and py == ap[1] and pz == ap[2] for ap in allowed
-            )
-            if not pt_ok:
-                violations.append(
-                    Violation(
-                        "arc-intersection-3d",
-                        (sa[0], sa[1], sb[0], sb[1]),
-                        f"meet at ({px},{py},{pz})",
-                    )
-                )
+        )
 
     # vertices on non-incident arcs (3D), incl. isolated vertices
-    seg_by_bbox = segs
     for v, pos in sorted(emb.vertices.items()):
-        for (arc, i, p, q) in seg_by_bbox:
+        for (arc, i, p, q) in segs:
             if v in arc:
                 continue
             if not (
@@ -457,38 +443,16 @@ def validate_general_position(
                     Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}")
                 )
 
-    # projection genericity
-    lo2 = lambda s: (min(s[2][0], s[3][0]), min(s[2][1], s[3][1]))
-    hi2 = lambda s: (max(s[2][0], s[3][0]), max(s[2][1], s[3][1]))
+    # projection genericity; proper crossings are kept for the triple-point test
     cross_points: dict[tuple[Fraction, Fraction], list] = {}
-    for i, j in _candidate_pairs(segs, lo2, hi2):
-        sa, sb = segs[i], segs[j]
-        kind, data = seg2_relation(sa[2], sa[3], sb[2], sb[3])
-        if kind == "none":
-            continue
-        allowed = _allowed_contacts(sa, sb, ends)
-        allowed2 = {(a[0], a[1]) for a in allowed}
+    for kind, sa, sb, data, pt in _contacts_2d(segs, allowed):
+        where = (sa[0], sa[1], sb[0], sb[1])
         if kind == "overlap":
-            violations.append(
-                Violation(
-                    "projection-overlap", (sa[0], sa[1], sb[0], sb[1]), "collinear in projection"
-                )
-            )
+            violations.append(Violation("projection-overlap", where, "collinear in projection"))
         elif kind == "touch":
-            if data not in allowed2:
-                violations.append(
-                    Violation(
-                        "projection-tangency",
-                        (sa[0], sa[1], sb[0], sb[1]),
-                        f"touch at {data}",
-                    )
-                )
-        else:  # proper crossing: collect for triple-point detection
-            t_num, u_num, den = data
-            t = Fraction(t_num, den)
-            px = sa[2][0] + t * (sa[3][0] - sa[2][0])
-            py = sa[2][1] + t * (sa[3][1] - sa[2][1])
-            cross_points.setdefault((px, py), []).append((sa[0], sa[1], sb[0], sb[1]))
+            violations.append(Violation("projection-tangency", where, f"touch at {data}"))
+        else:
+            cross_points.setdefault(pt, []).append(where)
 
     for pt, hits in cross_points.items():
         if len(hits) > 1:
@@ -576,40 +540,22 @@ def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
     return all_segs
 
 
-def _shared_corner(loops, sa, sb) -> Optional[Point3]:
-    """The point two consecutive segments of one loop share, else None."""
+def _shared_corner(loops, sa: _Seg, sb: _Seg) -> tuple[Point3, ...]:
+    """Contact rule for closed loops: the corner two consecutive segments
+    of one loop share, as a one-point tuple; otherwise empty."""
     if sa[0] != sb[0]:
-        return None
+        return ()
     n = len(loops[sa[0]])
     i, j = sa[1], sb[1]
     if (i + 1) % n == j:
-        return sa[3]
+        return (sa[3],)
     if (j + 1) % n == i:
-        return sb[3]
-    return None
+        return (sb[3],)
+    return ()
 
 
 def _raise_if_loops_meet(loops, all_segs) -> None:
-    lo3 = lambda s: (
-        min(s[2][0], s[3][0]),
-        min(s[2][1], s[3][1]),
-        min(s[2][2], s[3][2]),
-    )
-    hi3 = lambda s: (
-        max(s[2][0], s[3][0]),
-        max(s[2][1], s[3][1]),
-        max(s[2][2], s[3][2]),
-    )
-    for i, j in _candidate_pairs(all_segs, lo3, hi3):
-        sa, sb = all_segs[i], all_segs[j]
-        kind, data = seg3_relation(sa[2], sa[3], sb[2], sb[3])
-        if kind == "none":
-            continue
-        shared = _shared_corner(loops, sa, sb)
-        if kind == "point" and shared is not None:
-            px, py, pz = data
-            if px == shared[0] and py == shared[1] and pz == shared[2]:
-                continue
+    for sa, sb, _ in _meetings_3d(all_segs, partial(_shared_corner, loops)):
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
         )
@@ -660,41 +606,28 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
 
     _raise_if_loops_meet(loops, all_segs)
 
-    lo2 = lambda s: (min(s[2][0], s[3][0]), min(s[2][1], s[3][1]))
-    hi2 = lambda s: (max(s[2][0], s[3][0]), max(s[2][1], s[3][1]))
     raw: list[Crossing] = []
-    seen_points: dict[tuple[Fraction, Fraction], tuple] = {}
-    for i, j in _candidate_pairs(all_segs, lo2, hi2):
-        sa, sb = all_segs[i], all_segs[j]
-        kind, data = seg2_relation(sa[2], sa[3], sb[2], sb[3])
-        if kind == "none":
-            continue
-        if kind in ("touch", "overlap"):
-            shared = _shared_corner(loops, sa, sb)
-            if kind == "touch" and shared is not None and data == (shared[0], shared[1]):
-                continue
+    seen_points: set[tuple[Fraction, Fraction]] = set()
+    for kind, sa, sb, data, pt in _contacts_2d(all_segs, partial(_shared_corner, loops)):
+        where = (sa[0], sa[1], sb[0], sb[1])
+        if kind != "proper":
             raise DegenerateProjection(
                 f"non-transversal contact between loop {sa[0]} seg {sa[1]} "
                 f"and loop {sb[0]} seg {sb[1]}",
-                (Violation("projection-" + kind, (sa[0], sa[1], sb[0], sb[1])),),
+                (Violation("projection-" + kind, where),),
             )
         t_num, u_num, den = data
-        pa, qa = sa[2], sa[3]
-        a_over, sign = crossing_sign(pa, qa, sb[2], sb[3], t_num, u_num, den)
-        t = Fraction(t_num, den)
-        px = pa[0] + t * (qa[0] - pa[0])
-        py = pa[1] + t * (qa[1] - pa[1])
-        key = (px, py)
-        if key in seen_points:
+        a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
+        if pt in seen_points:
             raise DegenerateProjection(
-                f"triple point at ({px},{py})",
-                (Violation("triple-point", (sa[0], sa[1], sb[0], sb[1])),),
+                f"triple point at ({pt[0]},{pt[1]})",
+                (Violation("triple-point", where),),
             )
-        seen_points[key] = (i, j)
-        pos_a = StrandPos(sa[0], sa[1], t)
+        seen_points.add(pt)
+        pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
         over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
-        raw.append(Crossing(over=over, under=under, sign=sign, point=(px, py)))
+        raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
 
     raw.sort(key=lambda c: (c.over, c.under))
     return LinkDiagram(loops=loops, crossings=tuple(raw))

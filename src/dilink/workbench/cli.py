@@ -122,10 +122,12 @@ def _instance_roles(inst: gens.GeneratedInstance) -> tuple[list[DiCycle], dict]:
     return cycles, roles
 
 
-def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+class ParameterError(DilinkError):
+    """A generator rejected its parameters: a usage error (exit 2)."""
+
+
+def _generate(args, params: dict) -> gens.GeneratedInstance:
     kind = args.kind
-    params = {"kind": kind, "seed": args.seed}
     if kind == "random_complete":
         inst = gens.random_complete(args.p, seed=args.seed)
         params["p"] = args.p
@@ -169,6 +171,17 @@ def _cmd_gen(args) -> int:
         params["lam"] = args.lam
     else:
         raise FormatError(f"unknown generator kind {kind!r}")
+    return inst
+
+
+def _cmd_gen(args) -> int:
+    t0 = time.perf_counter()
+    kind = args.kind
+    params = {"kind": kind, "seed": args.seed}
+    try:
+        inst = _generate(args, params)
+    except ValueError as ex:
+        raise ParameterError(f"{kind}: {ex}") from ex
 
     cycles, roles = _instance_roles(inst)
     if kind == "ring_wrap":
@@ -694,14 +707,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DilinkError as ex:
         err = {
             "command": args.command,
+            "format_version": FORMAT_VERSION,
+            "tool_version": __version__,
             "ok": False,
             "error": {"type": type(ex).__name__, "message": str(ex)},
         }
         extra = getattr(ex, "table", None)
         if extra is not None:
             err["error"]["table"] = extra
-        sys.stdout.write(json.dumps(err, indent=2) + "\n")
-        return 1
+        # gen's --out names the instance file; its reports go to stdout
+        code = _emit(err, None if args.command == "gen" else args.out)
+        return 2 if isinstance(ex, ParameterError) else code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from dilink.engine import (
     ArithmeticOverflow,
     ConstructionCertificate,
     ConstructionFailed,
-    EngineParams,
     HypothesisViolated,
     NotEnoughKeyrings,
     big_z,
@@ -589,31 +588,3 @@ class TestParameters:
             theorem2_params(0, 1)
         with pytest.raises(HypothesisViolated, match="positive"):
             theorem2_params(1, 0)
-
-
-class TestEngineParams:
-    def test_defaults_round_trip(self):
-        p = EngineParams()
-        assert p.lam == 1 and p.delta == 1 and p.budget == 500000
-        assert p.q_policy == "lex" and p.checked is True
-        blob = p.to_json()
-        assert blob == {
-            "lam": 1,
-            "delta": 1,
-            "n": 1,
-            "m": 1,
-            "alpha": 1,
-            "budget": 500000,
-            "seed": 0,
-            "q_policy": "lex",
-            "checked": True,
-        }
-        json.dumps(blob)
-
-    def test_rejects_odd_directionality_above_one(self):
-        with pytest.raises(ValueError, match="1 or even"):
-            EngineParams(delta=3)
-
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            EngineParams(lam=-2)

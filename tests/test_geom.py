@@ -1,9 +1,16 @@
 """Exact predicates, embedding validation, projection, shearing."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import dilink
 
 from dilink.errors import (
     CoordinateOverflow,
@@ -15,6 +22,7 @@ from dilink.geom import (
     Point3,
     PolyLine,
     SpatialEmbedding,
+    _candidate_pairs,
     orient2,
     project_to_diagram,
     seg2_relation,
@@ -256,6 +264,99 @@ def test_validate_subset_of_arcs(grid13):
 def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
     for inst in (grid13, grid22, bigz_n2, wrap45, coil4):
         assert validate_general_position(inst.embedding).ok
+
+
+# ---------------------------------------------------------------------------
+# segment-pair prefilter
+
+
+def _brute_pairs(segs, dims):
+    boxes = [
+        [(min(s[2][d], s[3][d]), max(s[2][d], s[3][d])) for d in range(dims)]
+        for s in segs
+    ]
+    return [
+        (i, j)
+        for i in range(len(segs))
+        for j in range(i + 1, len(segs))
+        if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(boxes[i], boxes[j]))
+    ]
+
+
+def _random_segments(n, seed, half):
+    """Segments in a small cube, so boxes often touch at one coordinate;
+    a third are vertical (a point box in the projection) and a third run
+    along x (zero y and z extent)."""
+    rng = random.Random(seed)
+    segs = []
+    for i in range(n):
+        p = P(*(rng.randint(-half, half) for _ in range(3)))
+        shape = i % 3
+        if shape == 0:
+            q = P(p.x, p.y, p.z + rng.randint(1, half))
+        elif shape == 1:
+            q = P(p.x + rng.randint(1, half), p.y, p.z)
+        else:
+            q = P(*(rng.randint(-half, half) for _ in range(3)))
+        segs.append(("s", i, p, q))
+    return segs
+
+
+@given(
+    n=st.sampled_from([0, 1, 2, 17, 300, 511, 512, 513, 700]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    half=st.sampled_from([2, 6, 60]),
+    dims=st.sampled_from([2, 3]),
+)
+@settings(max_examples=25, deadline=None)
+def test_candidate_pairs_match_brute_force(n, seed, half, dims):
+    segs = _random_segments(n, seed, half)
+    assert _candidate_pairs(segs, dims) == _brute_pairs(segs, dims)
+
+
+_small_pt = st.builds(
+    P, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)
+)
+
+
+@given(
+    ends=st.lists(st.tuples(_small_pt, _small_pt), max_size=30),
+    dims=st.sampled_from([2, 3]),
+)
+@example(ends=[(P(0, 0, 0), P(1, 0, 0)), (P(1, 0, 0), P(2, 3, 0))], dims=3)
+@example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))], dims=2)
+@example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))], dims=3)
+@example(
+    ends=[(P(0, 0, 0), P(0, 0, 3)), (P(0, 0, 1), P(0, 0, 2)), (P(-1, 0, 2), P(1, 0, 2))],
+    dims=2,
+)
+def test_candidate_pairs_small_sets(ends, dims):
+    segs = [("s", i, p, q) for i, (p, q) in enumerate(ends)]
+    assert _candidate_pairs(segs, dims) == _brute_pairs(segs, dims)
+
+
+def test_validation_does_not_import_numpy():
+    # lemma1_dk6m(3) has 612 segments, past the size where a numpy path
+    # used to take over the prefilter
+    script = textwrap.dedent(
+        """
+        import sys
+        from dilink.geom import validate_general_position
+        from dilink.workbench.generators import lemma1_dk6m
+        emb = lemma1_dk6m(3, seed=5).embedding
+        print(emb.segment_count(), validate_general_position(emb).ok)
+        print("numpy" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(dilink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    count, ok, numpy_loaded = out.stdout.split()
+    assert int(count) > 512 and ok == "True"
+    assert numpy_loaded == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dilink
 from dilink.digraph import DiCycle, connector_cycle, directionality
 from dilink.errors import FormatError, GenerationFailed
 from dilink.geom import validate_general_position
@@ -523,6 +524,37 @@ class TestCliFailureShapes:
         assert capsys.readouterr().out == ""
         rep = json.loads(out.read_text())
         assert rep["command"] == "validate" and rep["ok"]
+
+    def test_error_report_honours_out(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["validate", str(tmp_path / "absent.json"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        rep = json.loads(out.read_text())
+        assert rep["command"] == "validate" and rep["ok"] is False
+        assert rep["format_version"] == FORMAT_VERSION
+        assert rep["tool_version"] == dilink.__version__
+        assert rep["error"]["type"] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "bipar", "--lambda", "1"],
+            ["--kind", "prop1", "--n", "2"],
+            ["--kind", "ring_wrap", "--rings", "4", "--keys", "0"],
+        ],
+    )
+    def test_generator_parameter_errors_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "inst.json"
+        code = main(["gen", *argv, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        rep = json.loads(captured.out)  # exactly one JSON object
+        assert rep["command"] == "gen" and rep["ok"] is False
+        assert rep["error"]["type"] == "ParameterError"
+        assert rep["format_version"] == FORMAT_VERSION
+        assert "Traceback" not in captured.err
+        assert not path.exists()
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
