@@ -18,7 +18,6 @@ from dilink import errors
 from dilink.digraph import (
     ConnectorResult,
     DiCycle,
-    Digraph,
     OrientedLoop,
     connector_cycle,
     direction_change_vertices,
@@ -82,7 +81,6 @@ __all__ = [
     "ConnectorResult",
     "ConstructionCertificate",
     "DiCycle",
-    "Digraph",
     "LinkObject",
     "MultipartiteH",
     "OrientedLoop",

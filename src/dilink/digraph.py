@@ -1,4 +1,4 @@
-"""Directed graphs, directed cycles, directionality, and cycle surgery.
+"""Directed cycles, directionality, cycle surgery, and realization.
 
 A cycle in a digraph is a cyclic vertex sequence together with a choice, for
 every step, of which of the two possible directed edges realizes it.  The
@@ -11,8 +11,8 @@ cycle's directionality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .errors import (
     DisjointnessViolated,
@@ -23,7 +23,6 @@ from .errors import (
 from .geom import Point3, SpatialEmbedding
 
 __all__ = [
-    "Digraph",
     "DiCycle",
     "OrientedLoop",
     "ConnectorResult",
@@ -36,48 +35,6 @@ __all__ = [
     "connector_cycle",
     "realize",
 ]
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Vertex set 0..n-1 with either an explicit arc set or all arcs.
-
-    ``complete`` means every ordered pair (u, v), u != v, is an arc (the
-    doubled complete graph).  Explicit arc sets model sub-digraphs such as a
-    tournament orientation of a complete graph.
-    """
-
-    n: int
-    complete: bool = True
-    arc_set: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
-        if not self.complete:
-            for (u, v) in self.arc_set:
-                if u == v:
-                    raise ValueError("loop arcs are not allowed")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValueError(f"arc ({u},{v}) out of range")
-
-    @classmethod
-    def complete_symmetric(cls, n: int) -> "Digraph":
-        return cls(n=n, complete=True)
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        return cls(n=n, complete=False, arc_set=frozenset(arcs))
-
-    def has_arc(self, u: int, v: int) -> bool:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return True if self.complete else (u, v) in self.arc_set
-
-    def is_symmetric(self) -> bool:
-        if self.complete:
-            return True
-        return all((v, u) in self.arc_set for (u, v) in self.arc_set)
 
 
 @dataclass(frozen=True)
@@ -142,11 +99,6 @@ class DiCycle:
         verts = (self.vertices[0],) + self.vertices[:0:-1]
         ecs = tuple(not self.edge_choices[(k - 1 - i) % k] for i in range(k))
         return DiCycle(verts, ecs)
-
-    def check_in(self, g: Digraph) -> None:
-        for a in self.arcs():
-            if not g.has_arc(*a):
-                raise MissingArc(f"arc {a} is not in the ambient digraph")
 
     def to_json(self) -> dict:
         return {

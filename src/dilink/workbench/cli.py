@@ -1,10 +1,12 @@
 """Command-line harness: generate, validate, measure, construct, verify.
 
-Every subcommand wraps one library operation and emits a RunReport as JSON
-(stdout by default, ``--out`` to a file; ``gen`` uses ``--out`` for the
-generated instance instead).  Exit status 0 means every check in the
-report passed; domain failures exit 1 with a structured error object in
-the report, usage errors exit 2.
+Every subcommand wraps one library operation.  ``main`` runs it and emits
+its RunReport as JSON (stdout by default, ``--out`` to a file; ``gen`` uses
+``--out`` for the generated instance instead).  A handler only fills the
+report's ``params`` and body; ``main`` owns the envelope, the timer, the
+output and the exit status.  Exit status 0 means every check in the report
+passed; domain failures exit 1 with a structured error object added to the
+report, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ def _emit(rep: dict, out: Optional[str]) -> int:
     return 0 if rep["ok"] else 1
 
 
-def _load(path: str) -> ParsedInstance:
-    return load_instance(path)
-
-
 def _role_or(inst: ParsedInstance, name: str, alt: str = "") -> tuple[DiCycle, ...]:
     if name in inst.roles:
         return inst.role_cycles(name)
@@ -126,73 +124,53 @@ class ParameterError(DilinkError):
     """A generator rejected its parameters: a usage error (exit 2)."""
 
 
-def _generate(args, params: dict) -> gens.GeneratedInstance:
-    kind = args.kind
-    if kind == "random_complete":
-        inst = gens.random_complete(args.p, seed=args.seed)
-        params["p"] = args.p
-    elif kind == "lemma1_dk6m":
-        inst = gens.lemma1_dk6m(args.m, seed=args.seed)
-        params["m"] = args.m
-    elif kind == "torus_style":
-        inst = gens.torus_style(args.p, args.q)
-        params.update(p=args.p, q=args.q)
-    elif kind == "braid":
-        word = [int(w) for w in args.word.split(",") if w.strip()]
-        inst = gens.braid_instance(word, args.p)
-        params.update(word=word, strands=args.p)
-    elif kind == "grid_link":
-        inst = gens.grid_link(
-            args.rings, [(0, args.rings - 1)] * args.keys
-        )
-        params.update(rings=args.rings, keys=args.keys)
-    elif kind == "big_z":
-        inst = gens.big_z_instance(args.n, target_delta=args.delta, seed=args.seed)
-        params.update(n=args.n, delta=args.delta)
-    elif kind == "bipar":
-        inst = gens.bipar_instance(
-            args.m, args.n, args.lam, args.r, args.q, target_delta=args.delta
-        )
-        params.update(m=args.m, n=args.n, lam=args.lam, r=args.r, q=args.q,
-                      delta=args.delta)
-    elif kind == "prop1":
-        inst = gens.prop1_instance(args.n, args.rings, target_delta=args.delta)
-        params.update(n=args.n, rings=args.rings, delta=args.delta)
-    elif kind == "theorem1":
-        inst = gens.theorem1_instance(
-            args.m, args.lam, n=args.n, target_delta=args.delta
-        )
-        params.update(m=args.m, lam=args.lam, n=args.n, delta=args.delta)
-    elif kind == "ring_wrap":
-        inst = gens.ring_wrap_instance(key_count=args.keys, wrap_turns=args.wrap)
-        params.update(keys=args.keys, wrap=args.wrap)
-    elif kind == "coiled_braid":
-        inst = gens.coiled_braid_pair(args.lam)
-        params["lam"] = args.lam
-    else:
-        raise FormatError(f"unknown generator kind {kind!r}")
-    return inst
+# gen --kind: the params each kind records from the parsed flags, and its
+# builder, called with exactly those params and the seed
+GENERATORS = {
+    "random_complete": (lambda a: {"p": a.p}, gens.random_complete),
+    "lemma1_dk6m": (lambda a: {"m": a.m}, gens.lemma1_dk6m),
+    "torus_style": (lambda a: {"p": a.p, "q": a.q},
+                    lambda p, q, seed: gens.torus_style(p, q)),
+    "braid": (lambda a: {"word": [int(w) for w in a.word.split(",") if w.strip()],
+                         "strands": a.p},
+              lambda word, strands, seed: gens.braid_instance(word, strands)),
+    "grid_link": (lambda a: {"rings": a.rings, "keys": a.keys},
+                  lambda rings, keys, seed: gens.grid_link(
+                      rings, [(0, rings - 1)] * keys)),
+    "big_z": (lambda a: {"n": a.n, "delta": a.delta},
+              lambda n, delta, seed: gens.big_z_instance(
+                  n, target_delta=delta, seed=seed)),
+    "bipar": (lambda a: {"m": a.m, "n": a.n, "lam": a.lam, "r": a.r, "q": a.q,
+                         "delta": a.delta},
+              lambda m, n, lam, r, q, delta, seed: gens.bipar_instance(
+                  m, n, lam, r, q, target_delta=delta)),
+    "prop1": (lambda a: {"n": a.n, "rings": a.rings, "delta": a.delta},
+              lambda n, rings, delta, seed: gens.prop1_instance(
+                  n, rings, target_delta=delta)),
+    "theorem1": (lambda a: {"m": a.m, "lam": a.lam, "n": a.n, "delta": a.delta},
+                 lambda m, lam, n, delta, seed: gens.theorem1_instance(
+                     m, lam, n=n, target_delta=delta)),
+    "ring_wrap": (lambda a: {"keys": a.keys, "wrap": a.wrap},
+                  lambda keys, wrap, seed: gens.ring_wrap_instance(
+                      key_count=keys, wrap_turns=wrap)),
+    "coiled_braid": (lambda a: {"lam": a.lam},
+                     lambda lam, seed: gens.coiled_braid_pair(lam)),
+}
 
 
-def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
-    kind = args.kind
-    params = {"kind": kind, "seed": args.seed}
+def _cmd_gen(args, rep: dict) -> None:
+    record, build = GENERATORS[args.kind]
+    params = rep["params"]
+    params.update(kind=args.kind, seed=args.seed)
     try:
-        inst = _generate(args, params)
+        own = record(args)
+        params.update(own)
+        inst = build(seed=args.seed, **own)
     except ValueError as ex:
-        raise ParameterError(f"{kind}: {ex}") from ex
+        raise ParameterError(f"{args.kind}: {ex}") from ex
 
     cycles, roles = _instance_roles(inst)
-    if kind == "ring_wrap":
-        # store the closed walk the surgery family verifier starts from
-        keys = list(inst.role("keys"))
-        base = connector_cycle(keys, "one_directional", q_policy="opposite").cycle
-        roles["base"] = [len(cycles)]
-        cycles.append(base)
     save_instance(args.out, inst.embedding, cycles, roles=roles)
-
-    rep = _report("gen", params)
     rep["out"] = args.out
     rep["resamples"] = inst.resamples
     rep["stats"] = {
@@ -205,19 +183,15 @@ def _cmd_gen(args) -> int:
             - set().union(*(c.vertex_set() for c in cycles))
         ) if cycles else [],
     }
-    _check(rep, "generated", True, f"{kind} written to {args.out}")
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, None)
+    _check(rep, "generated", True, f"{args.kind} written to {args.out}")
 
 
 # ---------------------------------------------------------------------------
 # measurement
 
 
-def _cmd_validate(args) -> int:
-    t0 = time.perf_counter()
-    rep = _report("validate", {"file": args.file})
-    inst = _load(args.file)
+def _cmd_validate(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     result = validate_general_position(inst.embedding)
     _check(
         rep,
@@ -231,8 +205,6 @@ def _cmd_validate(args) -> int:
         "segments": inst.embedding.segment_count(),
         "cycles": len(inst.cycles),
     }
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
 def _realized(inst: ParsedInstance):
@@ -242,13 +214,8 @@ def _realized(inst: ParsedInstance):
     return loops
 
 
-def _cmd_invariants(args) -> int:
-    t0 = time.perf_counter()
-    path = args.file or args.loop
-    if not path:
-        raise FormatError("give an instance file (positional or --loop)")
-    rep = _report("invariants", {"file": path})
-    inst = _load(path)
+def _cmd_invariants(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles to measure")
     loops = _realized(inst)
@@ -271,14 +238,10 @@ def _cmd_invariants(args) -> int:
         knots.append({"cycle": k, "a2": va, "a2_skein": vs})
         _check(rep, f"a2-routes-agree-{k}", va == vs, f"{va} vs {vs}")
     rep["knotting"] = knots
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_pattern(args) -> int:
-    t0 = time.perf_counter()
-    rep = _report("pattern", {"file": args.file})
-    inst = _load(args.file)
+def _cmd_pattern(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
     labels = tuple(f"c{i}" for i in range(len(inst.cycles)))
@@ -289,43 +252,33 @@ def _cmd_pattern(args) -> int:
     )
     rep["pattern"] = pat.to_json()
     _check(rep, "pattern-computed", True, f"{pat.n} components")
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def _cmd_lemma1(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_lemma1(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     m = args.m or len(inst.embedding.vertices) // 6
-    rep = _report("lemma1", {"file": args.file, "m": m})
+    rep["params"]["m"] = m
     res = lemma1_find_odd_links(inst.embedding, m)
     rep["certificates"] = [res.certificate.to_json()]
     for bi, par in enumerate(res.certificate.checks["parities"]):
         _check(rep, f"block-{bi}-parity", par == 1, f"sum mod 2 = {par}")
     _check(rep, "pairs-found", len(res.pairs) == m)
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_bigz(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_bigz(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     js = _role_or(inst, "js", "keys")
     xs = _role_or(inst, "xs", "rings")
     extras = _extras_for_delta(inst, args.delta)
-    rep = _report(
-        "bigz",
-        {
-            "file": args.file,
-            "delta": args.delta,
-            "q_policy": args.q_policy,
-            "extras": extras,
-            "checked": not args.unchecked,
-        },
+    rep["params"].update(
+        delta=args.delta,
+        q_policy=args.q_policy,
+        extras=extras,
+        checked=not args.unchecked,
     )
     res = big_z(
         js,
@@ -351,13 +304,10 @@ def _cmd_bigz(args) -> int:
     )
     replay_certificate(res.certificate, inst.embedding)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_bipar(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_bipar(args, rep: dict) -> None:
+    inst = load_instance(args.file)
     keys = _role_or(inst, "keys")
     rings = _role_or(inst, "rings")
     m, n, lam = args.m, args.n, args.lam
@@ -367,19 +317,15 @@ def _cmd_bipar(args) -> int:
     if len(keys) <= r:
         raise FormatError(f"need more than {r} keys, file has {len(keys)}")
     extras = _extras_for_delta(inst, args.delta)
-    rep = _report(
-        "bipar",
-        {
-            "file": args.file,
-            "m": m,
-            "n": n,
-            "lam": lam,
-            "r": r,
-            "q": len(keys) - r,
-            "delta": args.delta,
-            "extras": extras,
-            "checked": not args.unchecked,
-        },
+    rep["params"].update(
+        m=m,
+        n=n,
+        lam=lam,
+        r=r,
+        q=len(keys) - r,
+        delta=args.delta,
+        extras=extras,
+        checked=not args.unchecked,
     )
     res = bipar_z(
         keys[:r],
@@ -403,8 +349,6 @@ def _cmd_bipar(args) -> int:
     _check(rep, "directionality", directionality(res.z) == args.delta)
     replay_certificate(res.certificate, inst.embedding)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
 def _prop1_candidates(inst: ParsedInstance) -> list[int]:
@@ -416,23 +360,17 @@ def _prop1_candidates(inst: ParsedInstance) -> list[int]:
     return list(range(len(inst.cycles)))
 
 
-def _cmd_prop1(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_prop1(args, rep: dict) -> None:
+    rep["params"].update(
+        n=args.n,
+        delta=args.delta,
+        budget=args.budget,
+        checked=not args.unchecked,
+    )
+    inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
     order = _prop1_candidates(inst)
-    rep = _report(
-        "prop1",
-        {
-            "file": args.file,
-            "n": args.n,
-            "delta": args.delta,
-            "budget": args.budget,
-            "checked": not args.unchecked,
-        },
-    )
-    rep["candidate_order"] = order
     res = prop1_step(
         inst.embedding,
         [inst.cycles[i] for i in order],
@@ -441,6 +379,7 @@ def _cmd_prop1(args) -> int:
         budget=args.budget,
         checked=not args.unchecked,
     )
+    rep["candidate_order"] = order
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
     rep["witness"] = res.witness
@@ -455,28 +394,21 @@ def _cmd_prop1(args) -> int:
             for w in row
         ),
     )
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_thm1_step(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_thm1_step(args, rep: dict) -> None:
+    rep["params"].update(
+        m=args.m,
+        lam=args.lam,
+        delta=args.delta,
+        checked=not args.unchecked,
+    )
+    inst = load_instance(args.file)
     p1 = list(inst.roles.get("P1", inst.roles.get("rings", ())))
     p2 = list(inst.roles.get("P2", inst.roles.get("keys", ())))
     qs = list(inst.roles.get("Q", ()))
     if not p1 or not p2:
         raise FormatError("instance file lacks the two class roles")
-    rep = _report(
-        "thm1-step",
-        {
-            "file": args.file,
-            "m": args.m,
-            "lam": args.lam,
-            "delta": args.delta,
-            "checked": not args.unchecked,
-        },
-    )
     res = theorem1_step(
         inst.embedding,
         inst.cycles,
@@ -494,21 +426,28 @@ def _cmd_thm1_step(args) -> int:
     _check(rep, "new-singleton-weights", all(w > args.lam for w in flat),
            f"|lk| values {flat}, threshold {args.lam}")
     _check(rep, "directionality", directionality(res.z) == args.delta)
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_verify_l6(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
-    base = _role_or(inst, "base")
+def _cmd_verify_l6(args, rep: dict) -> None:
+    rep["params"]["lam"] = args.lam
+    inst = load_instance(args.file)
     c_cycles = _role_or(inst, "surgeries", "keys")
     a_cycles = _role_or(inst, "targets", "rings")
-    rep = _report(
-        "verify-l6", {"file": args.file, "lam": args.lam}
-    )
+    if "base" in inst.roles:
+        base = inst.role_cycles("base")[0]
+    elif len(c_cycles) >= 2:
+        # the closed walk the surgery family starts from: the connector
+        # over the surgery cycles, taking each one's path against its loop
+        base = connector_cycle(
+            c_cycles, "one_directional", q_policy="opposite"
+        ).cycle
+    else:
+        raise FormatError(
+            "instance file lacks a 'base' role and has too few surgery "
+            "cycles to derive one"
+        )
     report = verify_lemma6_conclusion(
-        base[0], c_cycles, a_cycles, inst.embedding, args.lam
+        base, c_cycles, a_cycles, inst.embedding, args.lam
     )
     rep["verification"] = report.to_json()
     for c in report.checks:
@@ -520,19 +459,13 @@ def _cmd_verify_l6(args) -> int:
         not bad,
         f"{len(report.eps_table) - len(bad)}/{len(report.eps_table)} pass",
     )
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_search_l7(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load(args.file)
+def _cmd_search_l7(args, rep: dict) -> None:
+    rep["params"].update(lam=args.lam, budget=args.budget)
+    inst = load_instance(args.file)
     a_cycles = _role_or(inst, "targets", "rings")
     b_cycles = _role_or(inst, "loops", "keys")
-    rep = _report(
-        "search-l7",
-        {"file": args.file, "lam": args.lam, "budget": args.budget},
-    )
     sr = search_lemma7_knot(
         a_cycles, b_cycles, inst.embedding, args.lam, budget=args.budget
     )
@@ -543,24 +476,18 @@ def _cmd_search_l7(args) -> int:
         sr.status == "found",
         f"{sr.status} after {sr.candidates_tried} candidates",
     )
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_thm2_params(args) -> int:
-    t0 = time.perf_counter()
-    rep = _report("thm2-params", {"alpha": args.alpha, "n": args.n})
+def _cmd_thm2_params(args, rep: dict) -> None:
+    rep["params"].update(alpha=args.alpha, n=args.n)
     lam, m = theorem2_params(args.alpha, args.n)
     rep["lam"] = lam
     rep["m"] = m
     _check(rep, "threshold-strength", lam >= args.alpha and lam * lam >= 16 * args.alpha)
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
-def _cmd_cgtest(args) -> int:
-    t0 = time.perf_counter()
-    rep = _report("cgtest", {"count": args.count, "seed": args.seed})
+def _cmd_cgtest(args, rep: dict) -> None:
+    rep["params"].update(count=args.count, seed=args.seed)
     results = []
     passed = 0
     for k in range(args.count):
@@ -576,8 +503,6 @@ def _cmd_cgtest(args) -> int:
         passed == args.count,
         f"{passed}/{args.count} embeddings have odd total parity",
     )
-    rep["timing_s"] = round(time.perf_counter() - t0, 6)
-    return _emit(rep, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("--kind", required=True, choices=[
-        "random_complete", "lemma1_dk6m", "torus_style", "braid",
-        "grid_link", "big_z", "bipar", "prop1", "theorem1", "ring_wrap",
-        "coiled_braid",
-    ])
+    g.add_argument("--kind", required=True, choices=list(GENERATORS))
     g.add_argument("--p", type=int, default=2)
     g.add_argument("--q", type=int, default=2)
     g.add_argument("--r", type=int, default=6)
@@ -637,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_validate)
 
     iv = sub.add_parser("invariants", help="linking and knotting measures")
-    iv.add_argument("file", nargs="?")
-    iv.add_argument("--loop", help="instance file holding the loops")
+    iv.add_argument("file")
     _add_common(iv)
     iv.set_defaults(func=_cmd_invariants)
 
@@ -702,22 +622,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # the parser is built per call, so it binds the handlers' current
+    # module-level names; a command that reads a file records it first
+    rep = _report(args.command, {"file": args.file} if "file" in args else {})
+    usage_error = False
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        args.func(args, rep)
     except DilinkError as ex:
-        err = {
-            "command": args.command,
-            "format_version": FORMAT_VERSION,
-            "tool_version": __version__,
-            "ok": False,
-            "error": {"type": type(ex).__name__, "message": str(ex)},
-        }
-        extra = getattr(ex, "table", None)
-        if extra is not None:
-            err["error"]["table"] = extra
-        # gen's --out names the instance file; its reports go to stdout
-        code = _emit(err, None if args.command == "gen" else args.out)
-        return 2 if isinstance(ex, ParameterError) else code
+        rep["ok"] = False
+        rep["error"] = {"type": type(ex).__name__, "message": str(ex)}
+        table = getattr(ex, "table", None)
+        if table is not None:
+            rep["error"]["table"] = table
+        usage_error = isinstance(ex, ParameterError)
+    rep["timing_s"] = round(time.perf_counter() - t0, 6)
+    # gen's --out names the instance file; its reports go to stdout
+    code = _emit(rep, None if args.command == "gen" else args.out)
+    return 2 if usage_error else code
 
 
 if __name__ == "__main__":

@@ -27,14 +27,11 @@ from dilink.invariants import linking_table
 
 __all__ = [
     "GeneratedInstance",
-    "GeneratorSpec",
-    "KINDS",
     "big_z_instance",
     "bipar_instance",
     "braid_closure",
     "braid_instance",
     "coiled_braid_pair",
-    "generate",
     "grid_link",
     "lemma1_dk6m",
     "prop1_instance",
@@ -48,8 +45,6 @@ __all__ = [
 
 MAX_RESAMPLES = 64
 
-KINDS = ("random_complete", "lemma1_dk6m", "grid_link", "torus_style")
-
 
 def split_seed(seed: int, label: str) -> int:
     """Derive an independent 64-bit stream seed for one labeled purpose."""
@@ -57,18 +52,6 @@ def split_seed(seed: int, label: str) -> int:
         raise ValueError("seed must be a 64-bit unsigned integer")
     digest = hashlib.sha256(seed.to_bytes(8, "big") + label.encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A reproducible recipe: which builder to run and with what parameters."""
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 @dataclass
@@ -1013,35 +996,3 @@ def coiled_braid_pair(lam: int = 4) -> GeneratedInstance:
         resamples=0,
         meta={"kind": "coiled_braid_pair", "lam": lam},
     )
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-
-
-def generate(spec: GeneratorSpec) -> GeneratedInstance:
-    """Run one of the named builders from a declarative recipe."""
-    p = dict(spec.params)
-    if spec.kind == "random_complete":
-        return random_complete(
-            int(p["p"]), int(p["seed"]), box=int(p.get("box", 2**20))
-        )
-    if spec.kind == "lemma1_dk6m":
-        return lemma1_dk6m(int(p["m"]), int(p["seed"]), box=int(p.get("box", 2**20)))
-    if spec.kind == "torus_style":
-        return torus_style(int(p["p"]), int(p["q"]))
-    inst = grid_link(
-        int(p["rings"]),
-        [tuple(iv) for iv in p["keys"]],
-        ring_eps=p.get("ring_eps"),
-        wrap_reserve=int(p.get("wrap_reserve", 0)),
-    )
-    if p.get("chain"):
-        inst = with_chain(
-            inst,
-            [tuple(e) for e in p["chain"]],
-            closure=p.get("closure", "one_directional"),
-            extra_count=int(p.get("extra_count", 0)),
-            wrap_turns=int(p.get("wrap_turns", 0)),
-        )
-    return inst

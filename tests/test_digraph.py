@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from dilink.digraph import (
     DiCycle,
-    Digraph,
     connector_cycle,
     direction_change_vertices,
     directionality,
@@ -72,15 +71,6 @@ def test_reversal_keeps_arcs():
 def test_json_round_trip():
     c = cyc((0, 3, 7, 5), (T, F, F, T))
     assert DiCycle.from_json(c.to_json()) == c
-
-
-def test_check_in_digraph():
-    full = Digraph.complete_symmetric(3)
-    one_way = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    cyc((0, 1, 2), (T, T, T)).check_in(full)
-    cyc((0, 1, 2), (T, T, T)).check_in(one_way)
-    with pytest.raises(MissingArc):
-        cyc((0, 1, 2), (T, F, T)).check_in(one_way)
 
 
 # ---------------------------------------------------------------------------

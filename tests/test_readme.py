@@ -1,0 +1,41 @@
+"""The README runs as written: every fenced ``dilink`` command and the
+Python quickstart."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from dilink.workbench.cli import GENERATORS, main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README, flags=re.S)
+
+
+def test_every_fenced_command_succeeds(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)[1:]
+        for block in _blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("dilink ")
+    ]
+    assert len(commands) == 18
+    for argv in commands:
+        code = main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        assert (code, rep["ok"]) == (0, True), (argv, rep.get("error"))
+
+
+def test_python_quickstart_runs(capsys):
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(0, 1, 2, 3) [1, 1, 1, 1]\n"
+
+
+def test_listed_kinds_match_the_generator_table():
+    (listed,) = re.findall(r"`--kind` one of (.*?)\)", README)
+    assert re.findall(r"`(\w+)`", listed) == list(GENERATORS)

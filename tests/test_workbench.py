@@ -12,12 +12,11 @@ from dilink.errors import FormatError, GenerationFailed
 from dilink.geom import validate_general_position
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
-    GeneratorSpec,
     braid_instance,
     grid_link,
     lemma1_dk6m,
-    generate,
     random_complete,
+    ring_wrap_instance,
     split_seed,
     torus_style,
     with_chain,
@@ -125,21 +124,6 @@ class TestWithChain:
             with_chain(g, pair, extra_count=2)
         with pytest.raises(ValueError, match="wrap_reserve"):
             with_chain(g, pair, wrap_turns=1)
-
-
-class TestGenerateDispatcher:
-    def test_named_recipes_dispatch(self):
-        inst = generate(
-            GeneratorSpec(kind="grid_link", params={"rings": 1, "keys": [(0, 0), (0, 0)]})
-        )
-        assert len(inst.role("keys")) == 2
-        assert len(inst.role("rings")) == 1
-        rc = generate(GeneratorSpec(kind="random_complete", params={"p": 4, "seed": 1}))
-        assert len(rc.embedding.vertices) == 4
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            GeneratorSpec(kind="nope", params={})
 
 
 # file format
@@ -435,7 +419,7 @@ class TestCliPipelines:
             "--out", path,
         )
         assert code == 0
-        assert rep["stats"]["roles"] == {"base": 1, "keys": 4, "rings": 1}
+        assert rep["stats"]["roles"] == {"keys": 4, "rings": 1}
         code, rep = run_cli(capsys, "verify-l6", path, "--lambda", "1")
         assert code == 0 and rep["ok"]
         assert rep["checks"][-1]["name"] == "all-surgery-combinations"
@@ -443,6 +427,33 @@ class TestCliPipelines:
         code, rep = run_cli(capsys, "verify-l6", path, "--lambda", "2")
         assert code == 1 and not rep["ok"]
         assert rep["checks"][-1]["detail"] == "15/16 pass"
+
+    def test_verify_l6_derives_a_missing_base(self, capsys, tmp_path):
+        # files written before the base was derived store it as a role
+        inst = ring_wrap_instance(key_count=4, wrap_turns=5)
+        keys, rings = inst.role("keys"), inst.role("rings")
+        base = connector_cycle(keys, "one_directional", q_policy="opposite").cycle
+        stored, bare = str(tmp_path / "stored.json"), str(tmp_path / "bare.json")
+        save_instance(stored, inst.embedding, [*keys, *rings, base],
+                      roles={"keys": [0, 1, 2, 3], "rings": [4], "base": [5]})
+        save_instance(bare, inst.embedding, [*keys, *rings],
+                      roles={"keys": [0, 1, 2, 3], "rings": [4]})
+        code, with_base = run_cli(capsys, "verify-l6", stored, "--lambda", "1")
+        assert code == 0
+        code, derived = run_cli(capsys, "verify-l6", bare, "--lambda", "1")
+        assert code == 0
+        assert derived["verification"] == with_base["verification"]
+        assert derived["checks"] == with_base["checks"]
+
+    def test_verify_l6_without_base_needs_two_surgery_cycles(self, capsys, tmp_path):
+        inst = grid_link(1, [(0, 0)])
+        path = str(tmp_path / "one_key.json")
+        save_instance(path, inst.embedding, [*inst.role("keys"), *inst.role("rings")],
+                      roles={"keys": [0], "rings": [1]})
+        code, rep = run_cli(capsys, "verify-l6", path)
+        assert code == 1
+        assert rep["error"]["type"] == "FormatError"
+        assert "'base' role" in rep["error"]["message"]
 
     def test_gen_search_l7(self, capsys, tmp_path):
         path = str(tmp_path / "cb.json")
@@ -472,7 +483,7 @@ class TestCliPipelines:
             "--out", path,
         )
         assert code == 0
-        code, rep = run_cli(capsys, "invariants", "--loop", path)
+        code, rep = run_cli(capsys, "invariants", path)
         assert code == 0
         assert rep["knotting"] == [{"cycle": 0, "a2": 1, "a2_skein": 1}]
         assert rep["delta"] == [1]
@@ -537,6 +548,27 @@ class TestCliFailureShapes:
         assert rep["error"]["type"] == "FormatError"
 
     @pytest.mark.parametrize(
+        "command",
+        ["validate", "invariants", "pattern", "lemma1", "bigz", "bipar",
+         "prop1", "thm1-step", "verify-l6", "search-l7"],
+    )
+    def test_error_report_carries_the_full_envelope(self, capsys, tmp_path, command):
+        absent = str(tmp_path / "absent.json")
+        out = tmp_path / "report.json"
+        for argv in ([command, absent], [command, absent, "--out", str(out)]):
+            code = main(argv)
+            text = capsys.readouterr().out
+            rep = json.loads(out.read_text() if "--out" in argv else text)
+            assert code == 1
+            assert rep["command"] == command
+            assert rep["format_version"] == FORMAT_VERSION
+            assert rep["tool_version"] == dilink.__version__
+            assert rep["params"]["file"] == absent
+            assert rep["ok"] is False
+            assert rep["error"]["type"] == "FormatError"
+        assert text == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--kind", "bipar", "--lambda", "1"],
@@ -552,6 +584,7 @@ class TestCliFailureShapes:
         rep = json.loads(captured.out)  # exactly one JSON object
         assert rep["command"] == "gen" and rep["ok"] is False
         assert rep["error"]["type"] == "ParameterError"
+        assert rep["params"]["kind"] == argv[1]
         assert rep["format_version"] == FORMAT_VERSION
         assert "Traceback" not in captured.err
         assert not path.exists()
