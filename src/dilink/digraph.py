@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DisjointnessViolated,
+    Impossible,
     MissingArc,
     NotACycle,
     NotApplicable,
@@ -290,7 +291,8 @@ def nabla(j: DiCycle, l: Optional[DiCycle]) -> DiCycle:
         if j.arc(i) == probe:
             j_dir = j.step(i)
             break
-    assert j_dir is not None
+    if j_dir is None:
+        raise Impossible(f"cycle j does not run its own arc {probe}")
     for i in range(len(out)):
         if out.arc(i) == probe:
             if out.step(i) != j_dir:

@@ -42,11 +42,9 @@ from dilink.errors import (
 )
 from dilink.geom import (
     SpatialEmbedding,
-    Violation,
+    arc_pair_crossings,
+    arc_strands,
     check_loops_disjoint,
-    crossing_sign,
-    seg2_relation,
-    seg3_relation,
     shear_points,
 )
 from dilink.invariants import SHEAR_TRIES, a2, a2_skein, shear_schedule
@@ -153,7 +151,7 @@ class _LkTable:
                 cause.violations,
             )
         self.shear = shear
-        # per arc: its segments with their xy boxes, and the arc's xy box
+        # per arc: its strands under the current shear (geom.arc_strands)
         self._arcs: dict[tuple[int, int], tuple] = {}
         # (e, f) with e < f -> S(e, f)
         self._pairs: dict[tuple, int] = {}
@@ -180,23 +178,7 @@ class _LkTable:
             kx, ky = self.shear
             if kx or ky:
                 pts = shear_points(pts, kx, ky)
-            segs = []
-            for p, q in zip(pts, pts[1:]):
-                if p[0] == q[0] and p[1] == q[1]:
-                    raise DegenerateProjection(
-                        f"vertical segment on arc {key}",
-                        (Violation("vertical-segment", (key,)),),
-                    )
-                segs.append(
-                    (p, q, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
-                )
-            box = (
-                min(s[2] for s in segs),
-                min(s[3] for s in segs),
-                max(s[4] for s in segs),
-                max(s[5] for s in segs),
-            )
-            got = (segs, box)
+            got = arc_strands(key, pts)
             self._arcs[key] = got
         return got
 
@@ -204,28 +186,10 @@ class _LkTable:
         """S(e, f) for arcs with no common endpoint."""
         key = (e, f) if e < f else (f, e)
         got = self._pairs.get(key)
-        if got is not None:
-            return got
-        segs_e, (ex0, ey0, ex1, ey1) = self._arc(e)
-        segs_f, (fx0, fy0, fx1, fy1) = self._arc(f)
-        total = 0
-        if not (ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1):
-            for pa, qa, ax0, ay0, ax1, ay1 in segs_e:
-                for pb, qb, bx0, by0, bx1, by1 in segs_f:
-                    if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
-                        continue
-                    kind, data = seg2_relation(pa, qa, pb, qb)
-                    if kind == "proper":
-                        total += crossing_sign(pa, qa, pb, qb, *data)[1]
-                    elif kind != "none":
-                        if seg3_relation(pa, qa, pb, qb)[0] != "none":
-                            raise DisjointnessViolated(f"arcs {e} and {f} meet in space")
-                        raise DegenerateProjection(
-                            f"arcs {e} and {f} {kind} in projection",
-                            (Violation("projection-" + kind, (e, f)),),
-                        )
-        self._pairs[key] = total
-        return total
+        if got is None:
+            got = arc_pair_crossings(self._arc(e), self._arc(f))
+            self._pairs[key] = got
+        return got
 
     def lk(self, a: DiCycle, b: DiCycle) -> int:
         shared = a.vertex_set() & b.vertex_set()
@@ -1291,7 +1255,8 @@ def theorem2_params(alpha: int, n: int) -> tuple[int, int]:
     if root * root < 16 * alpha:
         root += 1
     lam = max(alpha, root)
-    assert lam >= alpha and lam * lam >= 16 * alpha
+    if lam < alpha or lam * lam < 16 * alpha:
+        raise Impossible(f"threshold {lam} is too weak for alpha = {alpha}")
     m = n
     for step in range(n):
         if m >= _GROWTH_LIMIT:

@@ -84,8 +84,10 @@ class Impossible(DilinkError):
     Raised when an all-pairs sweep exhausts a family whose odd total forces
     at least one odd member (carrying the full table for inspection), and by
     the result guards: an odd signed crossing sum between two closed
-    curves, a knot Conway polynomial without constant term 1, or a heavy
-    vector that fails its recheck.
+    curves, a knot Conway polynomial without constant term 1, a crossing
+    not passed exactly twice, a nabla result with no arc to orient it by,
+    a theorem-2 threshold below its bounds, or a heavy vector that fails
+    its recheck or one of the weight bounds of its recursion.
     """
 
     def __init__(self, message: str, table: dict | None = None):

@@ -1,9 +1,12 @@
 """Exact piecewise-linear geometry for spatial digraph embeddings.
 
-All positions are integer lattice points and every predicate is evaluated in
-exact integer or rational arithmetic; floating point is never consulted for a
-geometric decision.  Diagrams use the standard projection (x, y, z) -> (x, y),
-with z as the height that decides over/under at a crossing.
+All positions are integer lattice points and every predicate is decided by
+the sign of an exact integer expression; floating point is never consulted
+for a geometric decision.  Rationals appear only where a diagram records
+them, in :class:`StrandPos` and :class:`Crossing`, and in the text of a
+violation at a point off the lattice.  Diagrams use the standard projection
+(x, y, z) -> (x, y), with z as the height that decides over/under at a
+crossing.
 
 Crossing sign convention (fixed here, used everywhere): a crossing counts +1
 when the under-strand direction is counterclockwise from the over-strand
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -171,8 +175,10 @@ def orient2(p, q, r) -> int:
 def seg3_relation(p: Point3, q: Point3, r: Point3, s: Point3):
     """Exact intersection of closed 3D segments pq and rs.
 
-    Returns ("none", None), ("point", (Fraction, Fraction, Fraction)), or
-    ("overlap", None) for a positive-length collinear overlap.
+    Returns ("none", None), ("point", pt), or ("overlap", None) for a
+    positive-length collinear overlap.  A meet at an endpoint of either
+    segment returns that endpoint itself; only a meet interior to both
+    segments has a point of Fractions, and it is always a violation.
     """
     d1 = _sub(q, p)
     d2 = _sub(s, r)
@@ -185,23 +191,25 @@ def seg3_relation(p: Point3, q: Point3, r: Point3, s: Point3):
         length = _dot3(d1, d1)
         t_r = _dot3(d1, w)
         t_s = _dot3(d1, _sub(s, p))
-        lo2, hi2 = (t_r, t_s) if t_r <= t_s else (t_s, t_r)
-        lo = max(0, lo2)
-        hi = min(length, hi2)
+        lo = max(0, min(t_r, t_s))
+        hi = min(length, max(t_r, t_s))
         if lo > hi:
             return ("none", None)
-        if lo == hi:
-            t = Fraction(lo, length)
-            return ("point", (p[0] + t * d1[0], p[1] + t * d1[1], p[2] + t * d1[2]))
-        return ("overlap", None)
+        if lo < hi:
+            return ("overlap", None)
+        # a single common point is p or q, unless rs is the point r = s
+        return ("point", p if lo == 0 else q if lo == length else r)
     if _dot3(w, c) != 0:
         return ("none", None)  # skew lines
     den = _dot3(c, c)
     t_num = _dot3(_cross3(w, d2), c)
     u_num = _dot3(_cross3(w, d1), c)
-    if den > 0:
-        if not (0 <= t_num <= den and 0 <= u_num <= den):
-            return ("none", None)
+    if not (0 <= t_num <= den and 0 <= u_num <= den):
+        return ("none", None)
+    if t_num == 0 or t_num == den:
+        return ("point", p if t_num == 0 else q)
+    if u_num == 0 or u_num == den:
+        return ("point", r if u_num == 0 else s)
     t = Fraction(t_num, den)
     return ("point", (p[0] + t * d1[0], p[1] + t * d1[1], p[2] + t * d1[2]))
 
@@ -239,11 +247,17 @@ def seg2_relation(p, q, r, s):
         return _point_on_seg2(p, r, s)
     if r[0] == s[0] and r[1] == s[1]:
         return _point_on_seg2(r, p, q)
-    o1 = orient2(p, q, r)
-    o2 = orient2(p, q, s)
-    o3 = orient2(r, s, p)
-    o4 = orient2(r, s, q)
-    if o1 == 0 and o2 == 0:
+    d1x, d1y = q[0] - p[0], q[1] - p[1]
+    d2x, d2y = s[0] - r[0], s[1] - r[1]
+    wx, wy = r[0] - p[0], r[1] - p[1]
+    # twice the signed areas of (p, q, r), (p, q, s), (r, s, p), (r, s, q),
+    # from three cross products, as s - p = w + d2 and q - r = d1 - w
+    den = cross2(d1x, d1y, d2x, d2y)
+    o_r = cross2(d1x, d1y, wx, wy)
+    o_s = o_r + den
+    o_p = cross2(wx, wy, d2x, d2y)
+    o_q = o_p - den
+    if o_r == 0 and o_s == 0:
         # all four points collinear in projection
         touches = []
         for pt, a, b in ((r, p, q), (s, p, q), (p, r, s), (q, r, s)):
@@ -254,24 +268,19 @@ def seg2_relation(p, q, r, s):
         if len(touches) == 1:
             return ("touch", touches[0])
         return ("overlap", None)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        d1x, d1y = q[0] - p[0], q[1] - p[1]
-        d2x, d2y = s[0] - r[0], s[1] - r[1]
-        den = cross2(d1x, d1y, d2x, d2y)
-        wx, wy = r[0] - p[0], r[1] - p[1]
-        t_num = cross2(wx, wy, d2x, d2y)
-        u_num = cross2(wx, wy, d1x, d1y)
+    if o_r * o_s < 0 and o_p * o_q < 0:
+        # t = t_num/den along pq and u = u_num/den along rs
         if den < 0:
-            den, t_num, u_num = -den, -t_num, -u_num
-        return ("proper", (t_num, u_num, den))
+            return ("proper", (-o_p, o_r, -den))
+        return ("proper", (o_p, -o_r, den))
     # boundary contact: some endpoint sits on the other segment
-    if o1 == 0 and _on_seg2(p, q, r):
+    if o_r == 0 and _on_seg2(p, q, r):
         return ("touch", (r[0], r[1]))
-    if o2 == 0 and _on_seg2(p, q, s):
+    if o_s == 0 and _on_seg2(p, q, s):
         return ("touch", (s[0], s[1]))
-    if o3 == 0 and _on_seg2(r, s, p):
+    if o_p == 0 and _on_seg2(r, s, p):
         return ("touch", (p[0], p[1]))
-    if o4 == 0 and _on_seg2(r, s, q):
+    if o_q == 0 and _on_seg2(r, s, q):
         return ("touch", (q[0], q[1]))
     return ("none", None)
 
@@ -310,6 +319,7 @@ def _candidate_pairs(segs: Sequence[_Seg], dims: int) -> list[tuple[int, int]]:
     Sort and sweep: boxes ordered by low x, each scanned against the boxes
     after it until their low x passes its high x; y and z are compared
     directly.  A 2D box gets a zero z-extent so one test serves both cases.
+    A point enters as a segment from itself to itself, a zero-size box.
     """
     boxes = []
     for i, (_, _, p, q) in enumerate(segs):
@@ -331,38 +341,90 @@ def _candidate_pairs(segs: Sequence[_Seg], dims: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _meetings_3d(segs: Sequence[_Seg], allowed) -> Iterator[tuple[_Seg, _Seg, Optional[tuple]]]:
-    """Segment pairs that meet in space other than at a point the contact
-    rule ``allowed(sa, sb)`` permits, in pair order: ``(sa, sb, point)``,
-    with point ``None`` for a collinear overlap."""
-    for i, j in _candidate_pairs(segs, 3):
+def _split_pairs(pairs: list[tuple[int, int]], n: int) -> tuple[list, list]:
+    """Split sweep pairs over n segments followed by points (zero-size
+    boxes at indices >= n) into the segment pairs, in order, and the
+    (point, segment) pairs, ordered by point and then segment."""
+    seg_pairs, hits = [], []
+    for i, j in pairs:
+        if j < n:
+            seg_pairs.append((i, j))
+        elif i < n:
+            hits.append((j, i))
+    hits.sort()
+    return seg_pairs, hits
+
+
+def _fork(pa, qa, pb, qb):
+    """The end c two segments share, with the other end of each, or None."""
+    if pa == pb:
+        return pa, qa, qb
+    if pa == qb:
+        return pa, qa, pb
+    if qa == pb:
+        return qa, pa, qb
+    if qa == qb:
+        return qa, pa, pb
+    return None
+
+
+def _meetings_3d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple[_Seg, _Seg, Optional[tuple]]]:
+    """Candidate pairs of segments that meet in space other than at a point
+    the contact rule ``allowed(sa, sb)`` permits, in pair order:
+    ``(sa, sb, point)``, with point ``None`` for a collinear overlap."""
+    for i, j in pairs:
         sa, sb = segs[i], segs[j]
-        kind, pt = seg3_relation(sa[2], sa[3], sb[2], sb[3])
+        pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
+        fork = _fork(pa, qa, pb, qb)
+        # two segments leaving a shared end in different directions meet
+        # only there
+        if (
+            fork is not None
+            and _cross3(_sub(fork[1], fork[0]), _sub(fork[2], fork[0])) != (0, 0, 0)
+            and fork[0] in allowed(sa, sb)
+        ):
+            continue
+        kind, pt = seg3_relation(pa, qa, pb, qb)
         if kind == "none" or (kind == "point" and pt in allowed(sa, sb)):
             continue
         yield sa, sb, pt
 
 
-def _contacts_2d(segs: Sequence[_Seg], allowed) -> Iterator[tuple]:
-    """Projection events between segment pairs, in pair order:
-    ``(kind, sa, sb, data, point)``.
+def _contacts_2d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple]:
+    """Projection events between candidate pairs of segments, in pair
+    order: ``(kind, sa, sb, data, point)``.
 
     ``kind`` is "touch" or "overlap" for a contact the rule ``allowed``
     does not permit (``point`` is None), or "proper" for a transversal
     crossing, with ``data = (t_num, u_num, den)`` as :func:`seg2_relation`
-    gives it and ``point`` its exact (x, y).
+    gives it and ``point`` its exact (x, y) as the integer triple
+    (x*d, y*d, d) with the least d > 0, which :func:`_rational_point`
+    turns into Fractions.
     """
-    for i, j in _candidate_pairs(segs, 2):
+    for i, j in pairs:
         sa, sb = segs[i], segs[j]
-        kind, data = seg2_relation(sa[2], sa[3], sb[2], sb[3])
+        pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
+        fork = _fork(pa, qa, pb, qb)
+        # projections leaving a shared end in different directions meet
+        # only there
+        if fork is not None and orient2(*fork) != 0 and fork[0] in allowed(sa, sb):
+            continue
+        kind, data = seg2_relation(pa, qa, pb, qb)
         if kind == "none":
             continue
         if kind == "proper":
-            t = Fraction(data[0], data[2])
-            pa, qa = sa[2], sa[3]
-            yield kind, sa, sb, data, (pa[0] + t * (qa[0] - pa[0]), pa[1] + t * (qa[1] - pa[1]))
+            t_num, _, den = data
+            x = pa[0] * den + t_num * (qa[0] - pa[0])
+            y = pa[1] * den + t_num * (qa[1] - pa[1])
+            g = gcd(x, y, den)
+            yield kind, sa, sb, data, (x // g, y // g, den // g)
         elif kind == "overlap" or all(data != (a[0], a[1]) for a in allowed(sa, sb)):
             yield kind, sa, sb, data, None
+
+
+def _rational_point(key: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    x, y, d = key
+    return (Fraction(x, d), Fraction(y, d))
 
 
 def _gather_segments(
@@ -378,16 +440,18 @@ def _gather_segments(
 
 def _allowed_contacts(
     ends: dict[tuple[int, int], tuple[Point3, Point3]], sa: _Seg, sb: _Seg
-) -> frozenset[Point3]:
-    """Points where this segment pair of arcs may legitimately touch."""
+) -> tuple[Point3, ...]:
+    """Points where this segment pair of arcs may legitimately touch: the
+    joint of consecutive segments of one arc, or an end vertex of both
+    arcs where both segments end."""
     (arc_a, ia, pa, qa) = sa
     (arc_b, ib, pb, qb) = sb
     if arc_a == arc_b:
         if abs(ia - ib) == 1:
-            return frozenset({qa if ia < ib else pa})
-        return frozenset()
-    shared = set(ends[arc_a]) & set(ends[arc_b])
-    return frozenset(pt for pt in shared if pt in (pa, qa) and pt in (pb, qb))
+            return (qa if ia < ib else pa,)
+        return ()
+    ea, eb = ends[arc_a], ends[arc_b]
+    return tuple(pt for pt in (pa, qa) if (pt == pb or pt == qb) and pt in ea and pt in eb)
 
 
 def validate_general_position(
@@ -406,6 +470,8 @@ def validate_general_position(
     else:
         arcs = {k: emb.arcs[k] for k in arc_keys}
     segs = _gather_segments(arcs)
+    # vertices join the box sweeps as zero-size boxes after the segments
+    items = segs + [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
     allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
     violations: list[Violation] = []
 
@@ -416,7 +482,8 @@ def validate_general_position(
                 Violation("vertical-segment", (arc, i), f"{p}->{q}")
             )
 
-    for sa, sb, pt in _meetings_3d(segs, allowed):
+    pairs, hits = _split_pairs(_candidate_pairs(items, 3), len(segs))
+    for sa, sb, pt in _meetings_3d(segs, pairs, allowed):
         violations.append(
             Violation(
                 "arc-intersection-3d",
@@ -426,26 +493,16 @@ def validate_general_position(
         )
 
     # vertices on non-incident arcs (3D), incl. isolated vertices
-    for v, pos in sorted(emb.vertices.items()):
-        for (arc, i, p, q) in segs:
-            if v in arc:
-                continue
-            if not (
-                _between1(p[0], q[0], pos[0])
-                and _between1(p[1], q[1], pos[1])
-                and _between1(p[2], q[2], pos[2])
-            ):
-                continue
-            d = _sub(q, p)
-            w = _sub(pos, p)
-            if _cross3(d, w) == (0, 0, 0):
-                violations.append(
-                    Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}")
-                )
+    for k, s in hits:
+        v, _, pos, _ = items[k]
+        arc, i, p, q = segs[s]
+        if v not in arc and _cross3(_sub(q, p), _sub(pos, p)) == (0, 0, 0):
+            violations.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
 
     # projection genericity; proper crossings are kept for the triple-point test
-    cross_points: dict[tuple[Fraction, Fraction], list] = {}
-    for kind, sa, sb, data, pt in _contacts_2d(segs, allowed):
+    pairs, hits = _split_pairs(_candidate_pairs(items, 2), len(segs))
+    cross_points: dict[tuple[int, int, int], list] = {}
+    for kind, sa, sb, data, pt in _contacts_2d(segs, pairs, allowed):
         where = (sa[0], sa[1], sb[0], sb[1])
         if kind == "overlap":
             violations.append(Violation("projection-overlap", where, "collinear in projection"))
@@ -454,23 +511,20 @@ def validate_general_position(
         else:
             cross_points.setdefault(pt, []).append(where)
 
-    for pt, hits in cross_points.items():
-        if len(hits) > 1:
+    for pt, where in cross_points.items():
+        if len(where) > 1:
             violations.append(
-                Violation("triple-point", tuple(hits[0] + hits[1]), f"at {pt}")
+                Violation("triple-point", tuple(where[0] + where[1]), f"at {_rational_point(pt)}")
             )
 
     # projected vertices on non-incident strands
-    for v, pos in sorted(emb.vertices.items()):
-        for (arc, i, p, q) in segs:
-            if v in arc:
-                continue
-            if not (_between1(p[0], q[0], pos[0]) and _between1(p[1], q[1], pos[1])):
-                continue
-            if orient2(p, q, pos) == 0:
-                violations.append(
-                    Violation("vertex-on-strand", (v, arc, i), f"vertex {v} in projection")
-                )
+    for k, s in hits:
+        v, _, pos, _ = items[k]
+        arc, i, p, q = segs[s]
+        if v not in arc and orient2(p, q, pos) == 0:
+            violations.append(
+                Violation("vertex-on-strand", (v, arc, i), f"vertex {v} in projection")
+            )
 
     return ValidationReport(tuple(violations))
 
@@ -555,7 +609,8 @@ def _shared_corner(loops, sa: _Seg, sb: _Seg) -> tuple[Point3, ...]:
 
 
 def _raise_if_loops_meet(loops, all_segs) -> None:
-    for sa, sb, _ in _meetings_3d(all_segs, partial(_shared_corner, loops)):
+    pairs = _candidate_pairs(all_segs, 3)
+    for sa, sb, _ in _meetings_3d(all_segs, pairs, partial(_shared_corner, loops)):
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
         )
@@ -588,6 +643,60 @@ def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[boo
     return a_over, (1 if (s > 0) == a_over else -1)
 
 
+def arc_strands(label, points: Sequence[Point3]) -> tuple:
+    """An arc prepared for :func:`arc_pair_crossings`: ``(label, segments,
+    box)``, each segment with its xy box and ``box`` the whole arc's.
+
+    Raises :class:`DegenerateProjection` on a vertical segment.
+    """
+    segs = []
+    for p, q in zip(points, points[1:]):
+        if p[0] == q[0] and p[1] == q[1]:
+            raise DegenerateProjection(
+                f"vertical segment on arc {label}",
+                (Violation("vertical-segment", (label,)),),
+            )
+        segs.append((p, q, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1])))
+    box = (
+        min(s[2] for s in segs),
+        min(s[3] for s in segs),
+        max(s[4] for s in segs),
+        max(s[5] for s in segs),
+    )
+    return label, segs, box
+
+
+def arc_pair_crossings(a: tuple, b: tuple) -> int:
+    """Signed count of the crossings between the projections of two arcs
+    (from :func:`arc_strands`) with no common end, each run from its first
+    point to its last.
+
+    Raises :class:`DisjointnessViolated` when the arcs meet in space, and
+    :class:`DegenerateProjection` on any other touch or overlap of their
+    projections.
+    """
+    e, segs_e, (ex0, ey0, ex1, ey1) = a
+    f, segs_f, (fx0, fy0, fx1, fy1) = b
+    total = 0
+    if ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1:
+        return total
+    for pa, qa, ax0, ay0, ax1, ay1 in segs_e:
+        for pb, qb, bx0, by0, bx1, by1 in segs_f:
+            if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+                continue
+            kind, data = seg2_relation(pa, qa, pb, qb)
+            if kind == "proper":
+                total += crossing_sign(pa, qa, pb, qb, *data)[1]
+            elif kind != "none":
+                if seg3_relation(pa, qa, pb, qb)[0] != "none":
+                    raise DisjointnessViolated(f"arcs {e} and {f} meet in space")
+                raise DegenerateProjection(
+                    f"arcs {e} and {f} {kind} in projection",
+                    (Violation("projection-" + kind, (e, f)),),
+                )
+    return total
+
+
 def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram:
     """Project closed loops to a crossing diagram, exactly.
 
@@ -607,8 +716,9 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
     _raise_if_loops_meet(loops, all_segs)
 
     raw: list[Crossing] = []
-    seen_points: set[tuple[Fraction, Fraction]] = set()
-    for kind, sa, sb, data, pt in _contacts_2d(all_segs, partial(_shared_corner, loops)):
+    seen_points: set[tuple[int, int, int]] = set()
+    pairs = _candidate_pairs(all_segs, 2)
+    for kind, sa, sb, data, key in _contacts_2d(all_segs, pairs, partial(_shared_corner, loops)):
         where = (sa[0], sa[1], sb[0], sb[1])
         if kind != "proper":
             raise DegenerateProjection(
@@ -618,12 +728,13 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
             )
         t_num, u_num, den = data
         a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
-        if pt in seen_points:
+        pt = _rational_point(key)
+        if key in seen_points:
             raise DegenerateProjection(
                 f"triple point at ({pt[0]},{pt[1]})",
                 (Violation("triple-point", where),),
             )
-        seen_points.add(pt)
+        seen_points.add(key)
         pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
         over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)

@@ -259,7 +259,8 @@ def _conway(passes: tuple[PassList, ...], memo: dict) -> Poly:
         for pi, e in enumerate(comp)
         if e[0] == cid0
     ]
-    assert len(locs) == 2
+    if len(locs) != 2:
+        raise Impossible(f"crossing {cid0} is passed {len(locs)} times, not twice")
     (c1, p1), (c2, p2) = locs
     sign0 = key[c1][p1][2]
 

@@ -124,48 +124,66 @@ class ParameterError(DilinkError):
     """A generator rejected its parameters: a usage error (exit 2)."""
 
 
-# gen --kind: the params each kind records from the parsed flags, and its
-# builder, called with exactly those params and the seed
+# gen's shared flags: option -> (dest, parser, value when the flag is not given)
+_GEN_FLAGS = {
+    "--p": ("p", int, 2),
+    "--q": ("q", int, 2),
+    "--r": ("r", int, 6),
+    "--rings": ("rings", int, 1),
+    "--keys": ("keys", int, 3),
+    "--wrap": ("wrap", int, 5),
+    "--word": ("word", str, "1"),
+    "--seed": ("seed", int, 0),
+    "--lambda": ("lam", int, 1),
+    "--delta": ("delta", int, 1),
+    "--n": ("n", int, 1),
+    "--m": ("m", int, 1),
+}
+
+# gen --kind: the params each kind records, in report order, each read from
+# the flag of the same dest (braid's strands from --p, and its word parsed
+# into a list), and its builder, called with exactly those values in that
+# order; only kinds whose builder uses a seed read --seed
 GENERATORS = {
-    "random_complete": (lambda a: {"p": a.p}, gens.random_complete),
-    "lemma1_dk6m": (lambda a: {"m": a.m}, gens.lemma1_dk6m),
-    "torus_style": (lambda a: {"p": a.p, "q": a.q},
-                    lambda p, q, seed: gens.torus_style(p, q)),
-    "braid": (lambda a: {"word": [int(w) for w in a.word.split(",") if w.strip()],
-                         "strands": a.p},
-              lambda word, strands, seed: gens.braid_instance(word, strands)),
-    "grid_link": (lambda a: {"rings": a.rings, "keys": a.keys},
-                  lambda rings, keys, seed: gens.grid_link(
-                      rings, [(0, rings - 1)] * keys)),
-    "big_z": (lambda a: {"n": a.n, "delta": a.delta},
-              lambda n, delta, seed: gens.big_z_instance(
-                  n, target_delta=delta, seed=seed)),
-    "bipar": (lambda a: {"m": a.m, "n": a.n, "lam": a.lam, "r": a.r, "q": a.q,
-                         "delta": a.delta},
-              lambda m, n, lam, r, q, delta, seed: gens.bipar_instance(
+    "random_complete": (("seed", "p"), lambda seed, p: gens.random_complete(p, seed)),
+    "lemma1_dk6m": (("seed", "m"), lambda seed, m: gens.lemma1_dk6m(m, seed)),
+    "torus_style": (("p", "q"), gens.torus_style),
+    "braid": (("word", "strands"), gens.braid_instance),
+    "grid_link": (("rings", "keys"),
+                  lambda rings, keys: gens.grid_link(rings, [(0, rings - 1)] * keys)),
+    "big_z": (("seed", "n", "delta"),
+              lambda seed, n, delta: gens.big_z_instance(n, target_delta=delta, seed=seed)),
+    "bipar": (("m", "n", "lam", "r", "q", "delta"),
+              lambda m, n, lam, r, q, delta: gens.bipar_instance(
                   m, n, lam, r, q, target_delta=delta)),
-    "prop1": (lambda a: {"n": a.n, "rings": a.rings, "delta": a.delta},
-              lambda n, rings, delta, seed: gens.prop1_instance(
-                  n, rings, target_delta=delta)),
-    "theorem1": (lambda a: {"m": a.m, "lam": a.lam, "n": a.n, "delta": a.delta},
-                 lambda m, lam, n, delta, seed: gens.theorem1_instance(
+    "prop1": (("n", "rings", "delta"),
+              lambda n, rings, delta: gens.prop1_instance(n, rings, target_delta=delta)),
+    "theorem1": (("m", "lam", "n", "delta"),
+                 lambda m, lam, n, delta: gens.theorem1_instance(
                      m, lam, n=n, target_delta=delta)),
-    "ring_wrap": (lambda a: {"keys": a.keys, "wrap": a.wrap},
-                  lambda keys, wrap, seed: gens.ring_wrap_instance(
-                      key_count=keys, wrap_turns=wrap)),
-    "coiled_braid": (lambda a: {"lam": a.lam},
-                     lambda lam, seed: gens.coiled_braid_pair(lam)),
+    "ring_wrap": (("keys", "wrap"),
+                  lambda keys, wrap: gens.ring_wrap_instance(key_count=keys, wrap_turns=wrap)),
+    "coiled_braid": (("lam",), gens.coiled_braid_pair),
 }
 
 
 def _cmd_gen(args, rep: dict) -> None:
-    record, build = GENERATORS[args.kind]
+    names, build = GENERATORS[args.kind]
     params = rep["params"]
-    params.update(kind=args.kind, seed=args.seed)
+    params["kind"] = args.kind
+    dests = ["p" if name == "strands" else name for name in names]
+    unread = [opt for opt, (dest, _, _) in _GEN_FLAGS.items()
+              if dest not in dests and getattr(args, dest) is not None]
+    if unread:
+        raise ParameterError(f"{args.kind} does not read {', '.join(unread)}")
+    default = {dest: value for dest, _, value in _GEN_FLAGS.values()}
+    for name, dest in zip(names, dests):
+        value = getattr(args, dest)
+        params[name] = default[dest] if value is None else value
     try:
-        own = record(args)
-        params.update(own)
-        inst = build(seed=args.seed, **own)
+        if "word" in params:
+            params["word"] = [int(w) for w in params["word"].split(",") if w.strip()]
+        inst = build(*(params[name] for name in names))
     except ValueError as ex:
         raise ParameterError(f"{args.kind}: {ex}") from ex
 
@@ -537,18 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance file")
     g.add_argument("--kind", required=True, choices=list(GENERATORS))
-    g.add_argument("--p", type=int, default=2)
-    g.add_argument("--q", type=int, default=2)
-    g.add_argument("--r", type=int, default=6)
-    g.add_argument("--rings", type=int, default=1)
-    g.add_argument("--keys", type=int, default=3)
-    g.add_argument("--wrap", type=int, default=5)
-    g.add_argument("--word", default="1")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--lambda", dest="lam", type=int, default=1)
-    g.add_argument("--delta", type=int, default=1)
-    g.add_argument("--n", type=int, default=1)
-    g.add_argument("--m", type=int, default=1)
+    for opt, (dest, parse, _) in _GEN_FLAGS.items():
+        g.add_argument(opt, dest=dest, type=parse, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen)
 
@@ -621,6 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with "-" for a flag, so a braid
+    # word such as -1,2 is glued to its flag
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--word":
+            argv[i:i + 2] = ["--word=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     # the parser is built per call, so it binds the handlers' current
     # module-level names; a command that reads a file records it first

@@ -171,7 +171,8 @@ def _heavy(rows: tuple[int, ...], ncols: int) -> tuple[int, int]:
     Returns (vector, mask of original row indices)."""
     basis, masks = _eliminate(rows)
     r = len(basis)
-    assert r > 0
+    if r == 0:
+        raise Impossible("a matrix with no zero column has rank 0")
     if r <= EXHAUSTIVE_RANK_LIMIT:
         return _exhaustive_best(basis, masks)
 
@@ -197,7 +198,8 @@ def _heavy(rows: tuple[int, ...], ncols: int) -> tuple[int, int]:
         # which beats ncols/2; otherwise v + x is strictly heavier than v.
         zero_cols = [j for j in range(ncols) if not (v >> j) & 1]
         sub_ncols = len(zero_cols)
-        assert sub_ncols > 0
+        if sub_ncols == 0:
+            raise Impossible("a vector of weight at most ncols/2 has no zero column")
         sub_rows = tuple(
             sum(((row >> j) & 1) << t for t, j in enumerate(zero_cols)) for row in rows
         )
@@ -212,13 +214,16 @@ def _heavy(rows: tuple[int, ...], ncols: int) -> tuple[int, int]:
             i += 1
         x_out = weight(x & ~v)
         x_in = weight(x & v)
-        assert 2 * x_out > sub_ncols
+        if 2 * x_out <= sub_ncols:
+            raise Impossible("heavy vector on the zero columns is not heavy there")
         if x_in >= x_out:
-            assert 2 * weight(x) > ncols
+            if 2 * weight(x) <= ncols:
+                raise Impossible("heavy vector on the zero columns is not heavy overall")
             return x, x_mask
         v ^= x
         m ^= x_mask
-        assert weight(v) > k
+        if weight(v) <= k:
+            raise Impossible("heavy-vector step did not increase the weight")
 
 
 def heavy_vector(matrix: Z2Matrix) -> HeavyVectorResult:

@@ -1,0 +1,231 @@
+"""Reference geometry kernel: the rational-arithmetic predicates that
+``dilink.geom`` replaced with integer ones, kept as an independent route.
+
+The projected relation is decided by four orientation signs, every
+segment pair is tested (no box prefilter), a meeting point is a tuple of
+Fractions, proper crossings are keyed by their Fraction point, and the
+vertex checks loop over every vertex and segment.  ``validate_reference``
+and ``diagram_reference`` must agree exactly with
+``validate_general_position`` and ``project_to_diagram``.
+"""
+
+from fractions import Fraction
+from functools import partial
+
+from dilink.errors import DegenerateProjection, DisjointnessViolated
+from dilink.geom import (
+    Crossing,
+    LinkDiagram,
+    StrandPos,
+    ValidationReport,
+    Violation,
+    _allowed_contacts,
+    _closed_segments,
+    _gather_segments,
+    _shared_corner,
+    crossing_sign,
+)
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _cross3(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _between(lo, hi, v):
+    return min(lo, hi) <= v <= max(lo, hi)
+
+
+def orient2(p, q, r):
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_seg2(p, q, r):
+    return _between(p[0], q[0], r[0]) and _between(p[1], q[1], r[1])
+
+
+def seg2_relation_reference(p, q, r, s):
+    """The projected relation of closed segments pq and rs, from four
+    orientation signs; the same return values as ``geom.seg2_relation``."""
+    if p[0] == q[0] and p[1] == q[1]:
+        return ("touch", (p[0], p[1])) if orient2(r, s, p) == 0 and _on_seg2(r, s, p) else ("none", None)
+    if r[0] == s[0] and r[1] == s[1]:
+        return ("touch", (r[0], r[1])) if orient2(p, q, r) == 0 and _on_seg2(p, q, r) else ("none", None)
+    o1 = orient2(p, q, r)
+    o2 = orient2(p, q, s)
+    o3 = orient2(r, s, p)
+    o4 = orient2(r, s, q)
+    if o1 == 0 and o2 == 0:
+        touches = []
+        for pt, a, b in ((r, p, q), (s, p, q), (p, r, s), (q, r, s)):
+            if _on_seg2(a, b, pt) and (pt[0], pt[1]) not in touches:
+                touches.append((pt[0], pt[1]))
+        if not touches:
+            return ("none", None)
+        return ("touch", touches[0]) if len(touches) == 1 else ("overlap", None)
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        d1x, d1y = q[0] - p[0], q[1] - p[1]
+        d2x, d2y = s[0] - r[0], s[1] - r[1]
+        wx, wy = r[0] - p[0], r[1] - p[1]
+        den = d1x * d2y - d1y * d2x
+        t_num = wx * d2y - wy * d2x
+        u_num = wx * d1y - wy * d1x
+        if den < 0:
+            den, t_num, u_num = -den, -t_num, -u_num
+        return ("proper", (t_num, u_num, den))
+    for o, pt, a, b in ((o1, r, p, q), (o2, s, p, q), (o3, p, r, s), (o4, q, r, s)):
+        if o == 0 and _on_seg2(a, b, pt):
+            return ("touch", (pt[0], pt[1]))
+    return ("none", None)
+
+
+def seg3_relation_reference(p, q, r, s):
+    """("none", None), ("point", (Fraction, Fraction, Fraction)) or
+    ("overlap", None) for closed 3D segments pq and rs."""
+    d1 = _sub(q, p)
+    d2 = _sub(s, r)
+    w = _sub(r, p)
+    c = _cross3(d1, d2)
+    if c == (0, 0, 0):
+        if _cross3(d1, w) != (0, 0, 0):
+            return ("none", None)
+        length = _dot3(d1, d1)
+        t_r = _dot3(d1, w)
+        t_s = _dot3(d1, _sub(s, p))
+        lo = max(0, min(t_r, t_s))
+        hi = min(length, max(t_r, t_s))
+        if lo > hi:
+            return ("none", None)
+        if lo < hi:
+            return ("overlap", None)
+        t = Fraction(lo, length)
+        return ("point", tuple(p[k] + t * d1[k] for k in range(3)))
+    if _dot3(w, c) != 0:
+        return ("none", None)
+    den = _dot3(c, c)
+    t_num = _dot3(_cross3(w, d2), c)
+    u_num = _dot3(_cross3(w, d1), c)
+    if not (0 <= t_num <= den and 0 <= u_num <= den):
+        return ("none", None)
+    t = Fraction(t_num, den)
+    return ("point", tuple(p[k] + t * d1[k] for k in range(3)))
+
+
+def _all_pairs(segs):
+    return [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))]
+
+
+def meetings_3d_reference(segs, allowed):
+    for i, j in _all_pairs(segs):
+        sa, sb = segs[i], segs[j]
+        kind, pt = seg3_relation_reference(sa[2], sa[3], sb[2], sb[3])
+        if kind == "none" or (kind == "point" and pt in allowed(sa, sb)):
+            continue
+        yield sa, sb, pt
+
+
+def contacts_2d_reference(segs, allowed):
+    """Like ``geom._contacts_2d``, with a proper crossing's point as a
+    tuple of Fractions."""
+    for i, j in _all_pairs(segs):
+        sa, sb = segs[i], segs[j]
+        kind, data = seg2_relation_reference(sa[2], sa[3], sb[2], sb[3])
+        if kind == "none":
+            continue
+        if kind == "proper":
+            t = Fraction(data[0], data[2])
+            pa, qa = sa[2], sa[3]
+            yield kind, sa, sb, data, (pa[0] + t * (qa[0] - pa[0]), pa[1] + t * (qa[1] - pa[1]))
+        elif kind == "overlap" or all(data != (a[0], a[1]) for a in allowed(sa, sb)):
+            yield kind, sa, sb, data, None
+
+
+def validate_reference(emb):
+    arcs = emb.arcs
+    segs = _gather_segments(arcs)
+    allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
+    out = []
+    for (arc, i, p, q) in segs:
+        if p.x == q.x and p.y == q.y:
+            out.append(Violation("vertical-segment", (arc, i), f"{p}->{q}"))
+    for sa, sb, pt in meetings_3d_reference(segs, allowed):
+        out.append(Violation(
+            "arc-intersection-3d",
+            (sa[0], sa[1], sb[0], sb[1]),
+            "collinear overlap" if pt is None else f"meet at ({pt[0]},{pt[1]},{pt[2]})",
+        ))
+    for v, pos in sorted(emb.vertices.items()):
+        for (arc, i, p, q) in segs:
+            if v in arc or not all(_between(p[k], q[k], pos[k]) for k in range(3)):
+                continue
+            if _cross3(_sub(q, p), _sub(pos, p)) == (0, 0, 0):
+                out.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
+    cross_points = {}
+    for kind, sa, sb, data, pt in contacts_2d_reference(segs, allowed):
+        where = (sa[0], sa[1], sb[0], sb[1])
+        if kind == "overlap":
+            out.append(Violation("projection-overlap", where, "collinear in projection"))
+        elif kind == "touch":
+            out.append(Violation("projection-tangency", where, f"touch at {data}"))
+        else:
+            cross_points.setdefault(pt, []).append(where)
+    for pt, hits in cross_points.items():
+        if len(hits) > 1:
+            out.append(Violation("triple-point", tuple(hits[0] + hits[1]), f"at {pt}"))
+    for v, pos in sorted(emb.vertices.items()):
+        for (arc, i, p, q) in segs:
+            if v in arc or not all(_between(p[k], q[k], pos[k]) for k in range(2)):
+                continue
+            if orient2(p, q, pos) == 0:
+                out.append(Violation("vertex-on-strand", (v, arc, i), f"vertex {v} in projection"))
+    return ValidationReport(tuple(out))
+
+
+def diagram_reference(loop_points):
+    loops = tuple(tuple(lp) for lp in loop_points)
+    all_segs = _closed_segments(loops)
+    for (li, i, p, q) in all_segs:
+        if p.x == q.x and p.y == q.y:
+            raise DegenerateProjection(
+                f"vertical segment on loop {li}", (Violation("vertical-segment", (li, i)),)
+            )
+    rule = partial(_shared_corner, loops)
+    for sa, sb, _ in meetings_3d_reference(all_segs, rule):
+        raise DisjointnessViolated(
+            f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
+        )
+    raw = []
+    seen = set()
+    for kind, sa, sb, data, pt in contacts_2d_reference(all_segs, rule):
+        where = (sa[0], sa[1], sb[0], sb[1])
+        if kind != "proper":
+            raise DegenerateProjection(
+                f"non-transversal contact between loop {sa[0]} seg {sa[1]} "
+                f"and loop {sb[0]} seg {sb[1]}",
+                (Violation("projection-" + kind, where),),
+            )
+        t_num, u_num, den = data
+        a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
+        if pt in seen:
+            raise DegenerateProjection(
+                f"triple point at ({pt[0]},{pt[1]})", (Violation("triple-point", where),)
+            )
+        seen.add(pt)
+        pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
+        pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
+        over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
+        raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
+    raw.sort(key=lambda c: (c.over, c.under))
+    return LinkDiagram(loops=loops, crossings=tuple(raw))

@@ -12,17 +12,22 @@ from hypothesis import example, given, settings, strategies as st
 
 import dilink
 
+from dilink import geom
 from dilink.errors import (
     CoordinateOverflow,
     DegenerateProjection,
+    DilinkError,
     DisjointnessViolated,
 )
 from dilink.geom import (
     COORD_LIMIT,
+    LinkDiagram,
     Point3,
     PolyLine,
     SpatialEmbedding,
     _candidate_pairs,
+    arc_pair_crossings,
+    arc_strands,
     orient2,
     project_to_diagram,
     seg2_relation,
@@ -31,8 +36,10 @@ from dilink.geom import (
     shear_points,
     validate_general_position,
 )
+from dilink.workbench.generators import lemma1_dk6m
 
 from conftest import hand_hopf, square_loop, tiny_embedding
+from geom_reference import diagram_reference, validate_reference
 
 P = Point3
 
@@ -357,6 +364,101 @@ def test_validation_does_not_import_numpy():
     count, ok, numpy_loaded = out.stdout.split()
     assert int(count) > 512 and ok == "True"
     assert numpy_loaded == "False"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the rational reference (tests/geom_reference.py)
+
+
+@st.composite
+def _cube_embeddings(draw):
+    """Up to 7 vertices and 10 arcs with up to 2 bends each, all in a cube
+    of side 2 to 4: arcs share ends, run collinear or vertical, and cross
+    three at a point in projection."""
+    side = draw(st.integers(2, 4))
+    coord = st.builds(P, *[st.integers(0, side - 1)] * 3)
+    verts = dict(enumerate(draw(st.lists(coord, min_size=2, max_size=7, unique=True))))
+    index = st.integers(0, len(verts) - 1)
+    arcs = {}
+    for t, h, bends in draw(st.lists(st.tuples(index, index, st.lists(coord, max_size=2)), max_size=10)):
+        if t == h or (t, h) in arcs:
+            continue
+        pts = [verts[t], *bends, verts[h]]
+        arcs[(t, h)] = PolyLine([p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]])
+    return SpatialEmbedding(verts, arcs, box=8)
+
+
+_triple = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(2, 2, 0), 2: P(0, 2, 1), 3: P(2, 0, 1), 4: P(1, 0, 2), 5: P(1, 2, 2)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(2, 2, 0)]), (2, 3): PolyLine([P(0, 2, 1), P(2, 0, 1)]),
+     (4, 5): PolyLine([P(1, 0, 2), P(1, 2, 2)])},
+    box=8,
+)
+_fan = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(3, 0, 0), 2: P(0, 3, 1), 3: P(3, 3, 3), 4: P(1, 0, 0)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(3, 0, 0)]), (0, 2): PolyLine([P(0, 0, 0), P(0, 3, 1)]),
+     (0, 3): PolyLine([P(0, 0, 0), P(1, 1, 0), P(1, 1, 2), P(3, 3, 3)]),
+     (2, 0): PolyLine([P(0, 3, 1), P(0, 0, 0)])},
+    box=8,
+)
+
+
+@given(emb=_cube_embeddings())
+@example(emb=_triple)
+@example(emb=_fan)
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_rational_reference(emb):
+    assert validate_general_position(emb) == validate_reference(emb)
+
+
+def _outcome(fn, loops):
+    try:
+        return fn(loops)
+    except DilinkError as ex:
+        return type(ex), str(ex), getattr(ex, "violations", None)
+
+
+@given(loops=st.lists(st.lists(_small_pt, min_size=3, max_size=6), min_size=1, max_size=3))
+@example(loops=[[P(0, 0, 0), P(2, 2, 0), P(2, 0, 0)], [P(0, 2, 1), P(2, 0, 1), P(0, 0, 1)],
+                [P(1, -1, 2), P(1, 3, 2), P(3, 3, 2)]])
+@settings(max_examples=300, deadline=None)
+def test_diagram_matches_rational_reference(loops):
+    assert _outcome(project_to_diagram, loops) == _outcome(diagram_reference, loops)
+
+
+def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bigz_n2):
+    def refuse(*args):
+        raise AssertionError("Fraction built while validating a valid embedding")
+
+    monkeypatch.setattr(geom, "Fraction", refuse)
+    for emb in (grid13.embedding, bigz_n2.embedding, lemma1_dk6m(2, seed=5).embedding):
+        assert validate_general_position(emb).ok
+
+
+def test_seg3_endpoint_meets_return_the_endpoint():
+    # interior of one segment against an end of the other, both ways, and
+    # a shared corner: the point is the lattice end itself
+    for args, end in (
+        ((P(0, 0, 0), P(4, 0, 0), P(2, 0, 0), P(2, 3, 1)), P(2, 0, 0)),
+        ((P(2, 0, 0), P(2, 3, 1), P(0, 0, 0), P(4, 0, 0)), P(2, 0, 0)),
+        ((P(0, 0, 0), P(3, 1, 0), P(3, 1, 0), P(3, 5, 2)), P(3, 1, 0)),
+        ((P(0, 0, 0), P(2, 0, 0), P(5, 0, 0), P(2, 0, 0)), P(2, 0, 0)),
+    ):
+        kind, pt = seg3_relation(*args)
+        assert kind == "point" and pt == end
+        assert all(type(c) is int for c in pt)
+
+
+@given(loops=st.lists(st.lists(_small_pt, min_size=3, max_size=6), min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_arc_pair_crossings_match_the_diagram(loops):
+    # each closed loop run as one arc from its first point back to it
+    diagram = _outcome(project_to_diagram, loops)
+    if not isinstance(diagram, LinkDiagram):
+        return
+    arcs = [arc_strands(k, lp + [lp[0]]) for k, lp in enumerate(loops)]
+    between = sum(c.sign for c in diagram.crossings if c.over.loop != c.under.loop)
+    assert arc_pair_crossings(*arcs) == between
 
 
 # ---------------------------------------------------------------------------

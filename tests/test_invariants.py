@@ -196,13 +196,16 @@ def test_retry_needs_a_loop():
 
 
 def test_result_guards_survive_python_O():
-    # an odd crossing sum between two components, and a realized arc that
-    # does not start at its cycle's vertex, must still raise under -O
+    # an odd crossing sum between two components, a realized arc that
+    # does not start at its cycle's vertex, and a heavy-vector search whose
+    # elimination lost every row must still raise under -O (heavy_vector's
+    # final recheck would hide a missing guard, so _heavy is called directly)
     script = textwrap.dedent(
         """
         import sys
         from fractions import Fraction
         import dilink.invariants as inv
+        import dilink.z2linalg as z2
         from dilink.digraph import DiCycle, realize
         from dilink.errors import Impossible
         from dilink.geom import Crossing, LinkDiagram, Point3, PolyLine, SpatialEmbedding, StrandPos
@@ -227,6 +230,12 @@ def test_result_guards_survive_python_O():
             realize(DiCycle((0, 1, 2), (True, True, True)), emb)
         except ValueError:
             print("ValueError")
+
+        z2._eliminate = lambda rows: ([], [])
+        try:
+            z2._heavy((1,), 1)
+        except Impossible:
+            print("Impossible")
         """
     )
     src = os.path.dirname(os.path.dirname(dilink.__file__))
@@ -235,4 +244,4 @@ def test_result_guards_survive_python_O():
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.split() == ["1", "Impossible", "ValueError"]
+    assert out.stdout.split() == ["1", "Impossible", "ValueError", "Impossible"]

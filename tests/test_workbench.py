@@ -574,6 +574,8 @@ class TestCliFailureShapes:
             ["--kind", "bipar", "--lambda", "1"],
             ["--kind", "prop1", "--n", "2"],
             ["--kind", "ring_wrap", "--rings", "4", "--keys", "0"],
+            ["--kind", "ring_wrap", "--keys", "0"],
+            ["--kind", "braid", "--word", "1,x"],
         ],
     )
     def test_generator_parameter_errors_exit_two(self, capsys, tmp_path, argv):
@@ -588,6 +590,43 @@ class TestCliFailureShapes:
         assert rep["format_version"] == FORMAT_VERSION
         assert "Traceback" not in captured.err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--kind", "coiled_braid", "--wrap", "4"], "--wrap"),
+            (["--kind", "ring_wrap", "--rings", "4"], "--rings"),
+            (["--kind", "torus_style", "--seed", "1"], "--seed"),
+            (["--kind", "braid", "--lambda", "1"], "--lambda"),
+        ],
+    )
+    def test_gen_rejects_flags_its_kind_does_not_read(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "inst.json"
+        code, rep = run_cli(capsys, "gen", *argv, "--out", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "ParameterError"
+        assert rep["error"]["message"] == f"{argv[1]} does not read {flag}"
+        assert rep["params"] == {"kind": argv[1]}
+        assert not path.exists()
+
+    def test_gen_records_seed_only_where_the_builder_uses_it(self, capsys, tmp_path):
+        path = str(tmp_path / "inst.json")
+        _, rep = run_cli(capsys, "gen", "--kind", "random_complete", "--p", "4", "--out", path)
+        assert rep["params"] == {"kind": "random_complete", "seed": 0, "p": 4}
+        _, rep = run_cli(capsys, "gen", "--kind", "big_z", "--seed", "3", "--out", path)
+        assert rep["params"] == {"kind": "big_z", "seed": 3, "n": 1, "delta": 1}
+        _, rep = run_cli(capsys, "gen", "--kind", "torus_style", "--out", path)
+        assert rep["params"] == {"kind": "torus_style", "p": 2, "q": 2}
+
+    def test_gen_word_may_start_with_a_minus(self, capsys, tmp_path):
+        glued, spaced = tmp_path / "glued.json", tmp_path / "spaced.json"
+        _, a = run_cli(capsys, "gen", "--kind", "braid", "--word=-1,-1,-1", "--p", "2",
+                       "--out", str(glued))
+        code, b = run_cli(capsys, "gen", "--kind", "braid", "--word", "-1,-1,-1", "--p", "2",
+                          "--out", str(spaced))
+        assert code == 0
+        assert b["params"] == a["params"] == {"kind": "braid", "word": [-1, -1, -1], "strands": 2}
+        assert spaced.read_text() == glued.read_text()
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
