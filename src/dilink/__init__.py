@@ -9,7 +9,7 @@ certificate that can be replayed and re-verified.  Subpackages:
 - ``digraph``: directed cycles, directionality, surgery, connector cycles
 - ``invariants``: linking numbers, Conway polynomial, second coefficient
 - ``z2linalg``: GF(2) row spaces and heavy vectors
-- ``patterns``: weighted linking patterns and template search
+- ``patterns``: weighted linking patterns and keyring search
 - ``engine``: the certified constructions and verifiers
 - ``workbench``: generators, the instance file format, and the CLI
 """
@@ -50,26 +50,21 @@ from dilink.geom import (
     validate_general_position,
 )
 from dilink.invariants import (
+    LinkTable,
     a2,
     a2_skein,
-    conway_polynomial,
     linking_number,
     linking_table,
     omega,
 )
 from dilink.patterns import (
     CompleteBipartiteMod2,
-    CompleteWeighted,
-    LinkObject,
-    MultipartiteH,
-    Star,
     WeightedPattern,
     check_witness,
     compute_pattern,
-    contains_template,
     find_disjoint_keyrings,
 )
-from dilink.z2linalg import Z2Matrix, heavy_vector, row_space_brute_force
+from dilink.z2linalg import Z2Matrix, heavy_vector
 
 __version__ = "0.1.0"
 
@@ -77,17 +72,14 @@ __all__ = [
     "BigZResult",
     "BiparResult",
     "CompleteBipartiteMod2",
-    "CompleteWeighted",
     "ConnectorResult",
     "ConstructionCertificate",
     "DiCycle",
-    "LinkObject",
-    "MultipartiteH",
+    "LinkTable",
     "OrientedLoop",
     "Point3",
     "PolyLine",
     "SpatialEmbedding",
-    "Star",
     "WeightedPattern",
     "Z2Matrix",
     "__version__",
@@ -98,9 +90,7 @@ __all__ = [
     "check_witness",
     "compute_pattern",
     "connector_cycle",
-    "contains_template",
     "conway_gordon_parity",
-    "conway_polynomial",
     "direction_change_vertices",
     "directionality",
     "errors",
@@ -116,7 +106,6 @@ __all__ = [
     "prop1_step",
     "realize",
     "replay_certificate",
-    "row_space_brute_force",
     "search_lemma7_knot",
     "shear",
     "theorem1_step",

@@ -19,18 +19,14 @@ from typing import Optional, Sequence
 
 from dilink.digraph import (
     DiCycle,
-    OrientedLoop,
     connector_cycle,
     directionality,
     nabla,
     nabla_eps,
-    realize,
 )
 from dilink.errors import (
     ArithmeticOverflow,
     ConstructionFailed,
-    DegenerateProjection,
-    DisjointnessViolated,
     HypothesisViolated,
     Impossible,
     MonotonicityBroken,
@@ -40,18 +36,11 @@ from dilink.errors import (
     SurgeryFailed,
     TooLarge,
 )
-from dilink.geom import (
-    SpatialEmbedding,
-    arc_pair_crossings,
-    arc_strands,
-    check_loops_disjoint,
-    shear_points,
-)
-from dilink.invariants import SHEAR_TRIES, a2, a2_skein, shear_schedule
+from dilink.geom import SpatialEmbedding
+from dilink.invariants import LinkTable, a2, a2_skein
 from dilink.patterns import (
     DEFAULT_BUDGET,
     CompleteBipartiteMod2,
-    LinkObject,
     check_witness,
     compute_pattern,
     find_disjoint_keyrings,
@@ -119,100 +108,6 @@ class ConstructionCertificate:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-class _LkTable:
-    """Linking numbers of cycles in one embedding, read from a table of
-    arc-pair crossing counts that is filled in on first use.
-
-    lk(A, B) = 1/2 * sum over arcs e of A and f of B of
-    sigma_A(e) * sigma_B(f) * S(e, f).  Here sigma is +1 where the cycle
-    runs along the arc and -1 where it runs against it, and S(e, f) is the
-    signed count of crossings between arcs e and f, each run tail to head,
-    in the projection under the table's current shear.  A queried arc with
-    a vertical segment, or a touch or overlap in projection between arcs of
-    the two cycles, moves the whole table to the next shear and redoes the
-    query; lk does not depend on the shear.  Each queried cycle is checked
-    once for self-intersection in space, and cycles that share a vertex or
-    arcs that meet in space raise DisjointnessViolated.
-    """
-
-    def __init__(self, emb: SpatialEmbedding):
-        self.emb = emb
-        self._shears = iter(shear_schedule(SHEAR_TRIES))
-        self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
-        self._next_shear(None)
-
-    def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
-        shear = next(self._shears, None)
-        if shear is None:
-            raise DegenerateProjection(
-                f"no generic projection after {SHEAR_TRIES} shears: {cause}",
-                cause.violations,
-            )
-        self.shear = shear
-        # per arc: its strands under the current shear (geom.arc_strands)
-        self._arcs: dict[tuple[int, int], tuple] = {}
-        # (e, f) with e < f -> S(e, f)
-        self._pairs: dict[tuple, int] = {}
-
-    def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple]:
-        got = self._cycles.get(c)
-        if got is None:
-            loop = realize(c, self.emb)
-            check_loops_disjoint([loop.points])
-            signed = tuple(
-                (c.arc(i), 1 if along else -1) for i, along in enumerate(c.edge_choices)
-            )
-            got = (loop, signed)
-            self._cycles[c] = got
-        return got
-
-    def loop(self, c: DiCycle) -> OrientedLoop:
-        return self._cycle(c)[0]
-
-    def _arc(self, key: tuple[int, int]) -> tuple:
-        got = self._arcs.get(key)
-        if got is None:
-            pts = self.emb.arcs[key].points
-            kx, ky = self.shear
-            if kx or ky:
-                pts = shear_points(pts, kx, ky)
-            got = arc_strands(key, pts)
-            self._arcs[key] = got
-        return got
-
-    def _crossings(self, e: tuple[int, int], f: tuple[int, int]) -> int:
-        """S(e, f) for arcs with no common endpoint."""
-        key = (e, f) if e < f else (f, e)
-        got = self._pairs.get(key)
-        if got is None:
-            got = arc_pair_crossings(self._arc(e), self._arc(f))
-            self._pairs[key] = got
-        return got
-
-    def lk(self, a: DiCycle, b: DiCycle) -> int:
-        shared = a.vertex_set() & b.vertex_set()
-        if shared:
-            raise DisjointnessViolated(f"cycles share vertices {sorted(shared)}")
-        arcs_a = self._cycle(a)[1]
-        arcs_b = self._cycle(b)[1]
-        while True:
-            try:
-                total = sum(
-                    sa * sb * self._crossings(e, f)
-                    for e, sa in arcs_a
-                    for f, sb in arcs_b
-                )
-                break
-            except DegenerateProjection as ex:
-                self._next_shear(ex)
-        if total % 2:
-            raise Impossible(f"odd signed crossing sum {total} between two cycles")
-        return total // 2
-
-    def omega(self, a: DiCycle, b: DiCycle) -> int:
-        return self.lk(a, b) & 1
 
 
 def _cycles_json(cycles: Sequence[DiCycle]) -> list[dict]:
@@ -294,7 +189,7 @@ def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
         raise HypothesisViolated(
             f"need exactly 6*m vertices, got {len(ids)} for m={m}"
         )
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     chosen: list[tuple[DiCycle, DiCycle]] = []
     blocks_json = []
     for bi in range(m):
@@ -344,7 +239,7 @@ def conway_gordon_parity(emb: SpatialEmbedding) -> tuple[list, int]:
     ids = sorted(emb.vertices)
     if len(ids) != 6:
         raise HypothesisViolated("parity sweep needs exactly 6 vertices")
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     table = []
     for tri, comp in _block_pairs(ids):
         w = cache.omega(_block_triangle(ids, tri), _block_triangle(ids, comp))
@@ -391,7 +286,7 @@ def big_z(
         for i, j in enumerate(js):
             if directionality(j) != 2:
                 raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     if checked:
         for i in range(n):
             if cache.omega(js[i], xs[i]) != 1:
@@ -467,7 +362,7 @@ def _replay_big_z(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCyc
         z = _surgery_chain(z, [js[i] for i in ch["witness_rows"]])
     if z.to_json() != cert.outputs["z"]:
         raise ConstructionFailed("replay produced a different cycle")
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     parities = [cache.omega(z, x) for x in xs]
     if parities != cert.checks["z_parities"]:
         raise ConstructionFailed("replay parity table differs")
@@ -565,7 +460,7 @@ def bipar_z(
                         f"{name}-family cycle {i} is not 2-directional"
                     )
 
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     lk_jx = {(i, a): cache.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
     lk_ly = {(j, b): cache.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
     lk_lx = {(j, a): cache.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
@@ -761,7 +656,7 @@ def _replay_bipar(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCyc
     z = _surgery_chain(z, [ls[j] for j in ch["kept_l"][: ch["t_star"]]])
     if z.to_json() != cert.outputs["z"]:
         raise ConstructionFailed("replay produced a different cycle")
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     final_x = [cache.lk(z, x) for x in xs]
     final_y = [cache.lk(z, y) for y in ys]
     if final_x != cert.checks["final_x"] or final_y != cert.checks["final_y"]:
@@ -809,7 +704,7 @@ def prop1_step(
     candidates = list(candidates)
     if extra_sets and len(extra_sets) != n:
         raise HypothesisViolated("one extra-vertex set per round, or none")
-    pattern = compute_pattern(LinkObject(tuple(candidates)), emb)
+    pattern = compute_pattern(candidates, emb)
     stars = find_disjoint_keyrings(pattern, count=2 * n, keys=n, budget=budget)
     if stars is None:
         raise NotEnoughKeyrings(
@@ -846,10 +741,9 @@ def prop1_step(
 
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     witness_pattern = compute_pattern(
-        LinkObject(tuple(zs) + tuple(candidates[centers[i]] for i in picked)),
-        emb,
+        list(zs) + [candidates[centers[i]] for i in picked], emb
     )
     witness = {f"x{j}": j for j in range(n)}
     witness.update({f"y{i}": n + i for i in range(n)})
@@ -939,7 +833,7 @@ def theorem1_step(
 
     # verify the incoming parity pattern on the named components
     used = [candidates[i] for i in all_idx]
-    pattern = compute_pattern(LinkObject(tuple(used)), emb)
+    pattern = compute_pattern(used, emb)
     pos = {orig: k for k, orig in enumerate(all_idx)}
     for i in p1:
         for j in p2:
@@ -975,7 +869,7 @@ def theorem1_step(
     )
     z = sub.z
 
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     out_witness = {
         "P1": p1[:m],
         "P2": p2[:m],
@@ -1075,7 +969,7 @@ def verify_lemma6_conclusion(
             }
         )
 
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     eps_rows: list[dict] = []
     for eps in product((0, 1), repeat=len(c_cycles)):
         row: dict = {"eps": list(eps)}
@@ -1143,7 +1037,7 @@ def search_lemma7_knot(
     b_cycles = list(b_cycles)
     if len(b_cycles) < 2:
         raise HypothesisViolated("need at least two loops to chain")
-    cache = _LkTable(emb)
+    cache = LinkTable(emb)
     for h, a in enumerate(a_cycles):
         for i, b in enumerate(b_cycles):
             v = cache.lk(a, b)

@@ -135,9 +135,6 @@ class SpatialEmbedding:
                 if max(abs(p.x), abs(p.y), abs(p.z)) > self.box:
                     raise CoordinateOverflow(f"arc of ({t},{h}) leaves box")
 
-    def has_arc(self, tail: int, head: int) -> bool:
-        return (tail, head) in self.arcs
-
     def segment_count(self) -> int:
         return sum(len(a) - 1 for a in self.arcs.values())
 
@@ -311,31 +308,30 @@ class ValidationReport:
 _Seg = tuple  # (owner, index, p, q) with owner hashable
 
 
-def _candidate_pairs(segs: Sequence[_Seg], dims: int) -> list[tuple[int, int]]:
+def _candidate_pairs(segs: Sequence[_Seg]) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in ascending order, of segments whose
-    closed bounding boxes meet in the first ``dims`` coordinates (2 for the
-    projection, 3 for space).
+    closed xy bounding boxes meet.  Segments that meet in space meet in
+    projection, so the pairs serve the 3D checks too, which compare
+    z-extents themselves.
 
     Sort and sweep: boxes ordered by low x, each scanned against the boxes
-    after it until their low x passes its high x; y and z are compared
-    directly.  A 2D box gets a zero z-extent so one test serves both cases.
+    after it until their low x passes its high x; y is compared directly.
     A point enters as a segment from itself to itself, a zero-size box.
     """
     boxes = []
     for i, (_, _, p, q) in enumerate(segs):
         x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
         y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
-        z0, z1 = ((p[2], q[2]) if p[2] <= q[2] else (q[2], p[2])) if dims == 3 else (0, 0)
-        boxes.append((x0, x1, y0, y1, z0, z1, i))
+        boxes.append((x0, x1, y0, y1, i))
     boxes.sort()
     n = len(boxes)
     pairs = []
-    for a, (_, x1, y0, y1, z0, z1, i) in enumerate(boxes):
+    for a, (_, x1, y0, y1, i) in enumerate(boxes):
         for b in range(a + 1, n):
-            bx0, _, by0, by1, bz0, bz1, j = boxes[b]
+            bx0, _, by0, by1, j = boxes[b]
             if bx0 > x1:
                 break
-            if by0 <= y1 and y0 <= by1 and bz0 <= z1 and z0 <= bz1:
+            if by0 <= y1 and y0 <= by1:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
@@ -371,8 +367,14 @@ def _fork(pa, qa, pb, qb):
 def _meetings_3d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple[_Seg, _Seg, Optional[tuple]]]:
     """Candidate pairs of segments that meet in space other than at a point
     the contact rule ``allowed(sa, sb)`` permits, in pair order:
-    ``(sa, sb, point)``, with point ``None`` for a collinear overlap."""
+    ``(sa, sb, point)``, with point ``None`` for a collinear overlap.
+    The pairs come from the xy sweep, so pairs with disjoint z-extents are
+    skipped here."""
+    zs = [(p[2], q[2]) if p[2] <= q[2] else (q[2], p[2]) for _, _, p, q in segs]
     for i, j in pairs:
+        (alo, ahi), (blo, bhi) = zs[i], zs[j]
+        if ahi < blo or bhi < alo:
+            continue
         sa, sb = segs[i], segs[j]
         pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
         fork = _fork(pa, qa, pb, qb)
@@ -482,7 +484,7 @@ def validate_general_position(
                 Violation("vertical-segment", (arc, i), f"{p}->{q}")
             )
 
-    pairs, hits = _split_pairs(_candidate_pairs(items, 3), len(segs))
+    pairs, hits = _split_pairs(_candidate_pairs(items), len(segs))
     for sa, sb, pt in _meetings_3d(segs, pairs, allowed):
         violations.append(
             Violation(
@@ -496,11 +498,14 @@ def validate_general_position(
     for k, s in hits:
         v, _, pos, _ = items[k]
         arc, i, p, q = segs[s]
-        if v not in arc and _cross3(_sub(q, p), _sub(pos, p)) == (0, 0, 0):
+        if (
+            v not in arc
+            and min(p[2], q[2]) <= pos[2] <= max(p[2], q[2])
+            and _cross3(_sub(q, p), _sub(pos, p)) == (0, 0, 0)
+        ):
             violations.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
 
     # projection genericity; proper crossings are kept for the triple-point test
-    pairs, hits = _split_pairs(_candidate_pairs(items, 2), len(segs))
     cross_points: dict[tuple[int, int, int], list] = {}
     for kind, sa, sb, data, pt in _contacts_2d(segs, pairs, allowed):
         where = (sa[0], sa[1], sb[0], sb[1])
@@ -608,8 +613,7 @@ def _shared_corner(loops, sa: _Seg, sb: _Seg) -> tuple[Point3, ...]:
     return ()
 
 
-def _raise_if_loops_meet(loops, all_segs) -> None:
-    pairs = _candidate_pairs(all_segs, 3)
+def _raise_if_loops_meet(loops, all_segs, pairs) -> None:
     for sa, sb, _ in _meetings_3d(all_segs, pairs, partial(_shared_corner, loops)):
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
@@ -620,7 +624,8 @@ def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
     """Raise :class:`DisjointnessViolated` unless the closed loops are
     simple and pairwise disjoint in space."""
     loops = tuple(tuple(lp) for lp in loop_points)
-    _raise_if_loops_meet(loops, _closed_segments(loops))
+    all_segs = _closed_segments(loops)
+    _raise_if_loops_meet(loops, all_segs, _candidate_pairs(all_segs))
 
 
 def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[bool, int]:
@@ -713,11 +718,11 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("vertical-segment", (li, i)),),
             )
 
-    _raise_if_loops_meet(loops, all_segs)
+    pairs = _candidate_pairs(all_segs)
+    _raise_if_loops_meet(loops, all_segs, pairs)
 
     raw: list[Crossing] = []
     seen_points: set[tuple[int, int, int]] = set()
-    pairs = _candidate_pairs(all_segs, 2)
     for kind, sa, sb, data, key in _contacts_2d(all_segs, pairs, partial(_shared_corner, loops)):
         where = (sa[0], sa[1], sb[0], sb[1])
         if kind != "proper":

@@ -1,60 +1,33 @@
-"""Weighted linking patterns and template containment.
+"""Weighted linking patterns, witness checks and keyring search.
 
 A pattern is the summary graph of a link: one vertex per component, an
 edge weighted |lk| wherever that is nonzero, optionally a knotting weight
-|a2| and a directionality per vertex.  Templates are the shapes searched
-for inside patterns: complete graphs above a weight threshold, complete
-bipartite graphs and stars in the mod-2 reduction, and the complete
-multipartite graphs with n singleton classes and two classes of size m.
+|a2| and a directionality per vertex.  In its mod-2 reduction,
+:func:`check_witness` re-verifies a complete bipartite graph and
+:func:`find_disjoint_keyrings` searches for vertex-disjoint stars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .digraph import DiCycle, OrientedLoop, directionality, realize
+from .digraph import DiCycle, directionality
 from .errors import SearchBudgetExceeded
 from .geom import SpatialEmbedding
-from .invariants import a2, linking_table
+from .invariants import LinkTable, a2
 
 __all__ = [
-    "LinkObject",
     "WeightedPattern",
-    "CompleteWeighted",
     "CompleteBipartiteMod2",
-    "MultipartiteH",
-    "Star",
     "compute_pattern",
-    "contains_template",
     "check_witness",
     "find_disjoint_keyrings",
     "DEFAULT_BUDGET",
 ]
 
 DEFAULT_BUDGET = 500_000
-
-
-@dataclass(frozen=True)
-class LinkObject:
-    """Labeled disjoint closed curves.  Components may be realized loops or
-    bare point tuples; bare DiCycles are allowed when an embedding is
-    supplied at pattern time."""
-
-    components: tuple
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("a link needs at least one component")
-        labels = self.labels or tuple(f"c{i}" for i in range(len(self.components)))
-        if len(labels) != len(self.components):
-            raise ValueError("one label per component")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -114,19 +87,37 @@ class WeightedPattern:
 
 
 # ---------------------------------------------------------------------------
-# templates
+# pattern computation
 
 
-@dataclass(frozen=True)
-class CompleteWeighted:
-    """Complete graph on n vertices, every edge weight at least lam."""
+def compute_pattern(
+    cycles: Sequence[DiCycle],
+    emb: SpatialEmbedding,
+    with_knotting: bool = False,
+) -> WeightedPattern:
+    """Pairwise |lk| summary of cycles in one embedding, labelled c0, c1, ...
 
-    n: int
-    lam: int
+    Every linking number comes from one :class:`LinkTable`, which also
+    checks each cycle for self-intersection.  When ``with_knotting`` is
+    set, each cycle also gets |a2|.
+    """
+    table = LinkTable(emb)
+    loops = [table.loop(c) for c in cycles]
+    edges = {}
+    for i, j in combinations(range(len(cycles)), 2):
+        v = table.lk(cycles[i], cycles[j])
+        if v:
+            edges[(i, j)] = abs(v)
+    return WeightedPattern(
+        labels=tuple(f"c{i}" for i in range(len(cycles))),
+        edges=edges,
+        knot_weights={i: abs(a2(loop)) for i, loop in enumerate(loops)} if with_knotting else None,
+        delta={i: directionality(c) for i, c in enumerate(cycles)},
+    )
 
-    def __post_init__(self):
-        if self.n < 1 or self.lam < 1:
-            raise ValueError("template parameters must be positive")
+
+# ---------------------------------------------------------------------------
+# witnesses and keyring search
 
 
 @dataclass(frozen=True)
@@ -140,76 +131,17 @@ class CompleteBipartiteMod2:
             raise ValueError("template parameters must be positive")
 
 
-@dataclass(frozen=True)
-class MultipartiteH:
-    """Complete multipartite graph with n singleton classes and two classes
-    of size m, in the mod-2 pattern."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("template parameters must be positive")
-
-
-@dataclass(frozen=True)
-class Star:
-    """One center joined to n keys in the mod-2 pattern (generalized keyring)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("template parameters must be positive")
-
-
-PatternTemplate = CompleteWeighted | CompleteBipartiteMod2 | MultipartiteH | Star
-
-
-# ---------------------------------------------------------------------------
-# pattern computation
-
-
-def compute_pattern(
-    link: LinkObject,
-    emb: Optional[SpatialEmbedding] = None,
-    with_knotting: bool = False,
-) -> WeightedPattern:
-    """Pairwise |lk| summary of a link, one shared projection for all pairs.
-
-    Components given as DiCycles are realized against ``emb``.  When
-    ``with_knotting`` is set, each component also gets |a2|.
-    """
-    loops = []
-    for comp in link.components:
-        if isinstance(comp, DiCycle):
-            if emb is None:
-                raise ValueError("bare cycles need an embedding to realize")
-            loops.append(realize(comp, emb))
-        else:
-            loops.append(comp)
-
-    table = linking_table(loops)
-    edges = {key: abs(v) for key, v in table.items() if v != 0}
-
-    knot_weights = None
-    if with_knotting:
-        knot_weights = {i: abs(a2(loop)) for i, loop in enumerate(loops)}
-
-    delta: dict[int, int] = {}
-    for i, loop in enumerate(loops):
-        cyc = getattr(loop, "cycle", None)
-        if cyc is not None:
-            delta[i] = directionality(cyc)
-
-    return WeightedPattern(
-        labels=link.labels, edges=edges, knot_weights=knot_weights, delta=delta
-    )
-
-
-# ---------------------------------------------------------------------------
-# containment search
+def check_witness(p: WeightedPattern, t: CompleteBipartiteMod2, witness: dict[str, int]) -> bool:
+    """Re-verify a witness map from slots x0.., y0.. to distinct vertices:
+    every x-y edge must be odd."""
+    xs = [f"x{i}" for i in range(t.n)]
+    ys = [f"y{i}" for i in range(t.n)]
+    if sorted(witness) != sorted(xs + ys):
+        return False
+    vals = list(witness.values())
+    if len(set(vals)) != len(vals) or not all(0 <= v < p.n for v in vals):
+        return False
+    return all(p.weight(witness[a], witness[b]) % 2 == 1 for a in xs for b in ys)
 
 
 class _Budget:
@@ -225,115 +157,13 @@ class _Budget:
             )
 
 
-def _template_slots(t: PatternTemplate) -> tuple[list[str], dict[str, int], list[tuple[str, str]]]:
-    """Slots in assignment order, symmetry classes (slots in one class are
-    interchangeable, so candidates are forced ascending within a class),
-    and the constraint edges between slots."""
-    if isinstance(t, CompleteWeighted):
-        slots = [f"v{i}" for i in range(t.n)]
-        classes = {s: 0 for s in slots}
-        edges = [(slots[i], slots[j]) for i in range(t.n) for j in range(i + 1, t.n)]
-    elif isinstance(t, CompleteBipartiteMod2):
-        xs = [f"x{i}" for i in range(t.n)]
-        ys = [f"y{i}" for i in range(t.n)]
-        slots = xs + ys
-        classes = {**{s: 0 for s in xs}, **{s: 1 for s in ys}}
-        edges = [(a, b) for a in xs for b in ys]
-    elif isinstance(t, Star):
-        keys = [f"k{i}" for i in range(t.n)]
-        slots = ["center"] + keys
-        classes = {"center": 0, **{s: 1 for s in keys}}
-        edges = [("center", k) for k in keys]
-    elif isinstance(t, MultipartiteH):
-        singles = [f"s{i}" for i in range(t.n)]
-        ps = [f"p{j}" for j in range(t.m)]
-        qs = [f"q{j}" for j in range(t.m)]
-        slots = singles + ps + qs
-        # singleton classes are mutually adjacent, hence interchangeable
-        classes = {**{s: 0 for s in singles}, **{s: 1 for s in ps}, **{s: 2 for s in qs}}
-        edges = []
-        groups = [[s] for s in singles] + [ps, qs]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                edges += [(a, b) for a in groups[gi] for b in groups[gj]]
-    else:
-        raise TypeError(f"unknown template {t!r}")
-    return slots, classes, edges
-
-
-def _edge_ok(p: WeightedPattern, t: PatternTemplate, i: int, j: int) -> bool:
-    w = p.weight(i, j)
-    if isinstance(t, CompleteWeighted):
-        return w >= t.lam
-    return w % 2 == 1
-
-
-def contains_template(
-    p: WeightedPattern, t: PatternTemplate, budget: int = DEFAULT_BUDGET
-) -> Optional[dict[str, int]]:
-    """Backtracking subgraph search.  Returns a slot-to-vertex witness, or
-    None when the template is provably absent.  Raises
-    SearchBudgetExceeded when the node budget runs out first, so an
-    inconclusive search is never reported as absence.
-    """
-    slots, classes, edges = _template_slots(t)
-    if len(slots) > p.n:
-        return None
-    constraints: dict[str, list[str]] = {s: [] for s in slots}
-    order_index = {s: k for k, s in enumerate(slots)}
-    for a, b in edges:
-        # check each constraint as soon as both endpoints are placed
-        late = a if order_index[a] > order_index[b] else b
-        other = b if late == a else a
-        constraints[late].append(other)
-
-    bud = _Budget(budget)
-    assign: dict[str, int] = {}
-    used: set[int] = set()
-
-    def place(k: int) -> bool:
-        if k == len(slots):
-            return True
-        slot = slots[k]
-        lo = 0
-        # interchangeable slots are forced ascending to kill permuted repeats
-        for prev in slots[:k]:
-            if classes[prev] == classes[slot]:
-                lo = max(lo, assign[prev] + 1)
-        for v in range(lo, p.n):
-            if v in used:
-                continue
-            bud.spend()
-            if all(_edge_ok(p, t, v, assign[o]) for o in constraints[slot]):
-                assign[slot] = v
-                used.add(v)
-                if place(k + 1):
-                    return True
-                used.remove(v)
-                del assign[slot]
-        return False
-
-    return dict(assign) if place(0) else None
-
-
-def check_witness(p: WeightedPattern, t: PatternTemplate, witness: dict[str, int]) -> bool:
-    """Re-verify a containment witness edge by edge."""
-    slots, _, edges = _template_slots(t)
-    if sorted(witness) != sorted(slots):
-        return False
-    vals = list(witness.values())
-    if len(set(vals)) != len(vals) or not all(0 <= v < p.n for v in vals):
-        return False
-    return all(_edge_ok(p, t, witness[a], witness[b]) for a, b in edges)
-
-
 def find_disjoint_keyrings(
     p: WeightedPattern, count: int, keys: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[list[dict[str, int]]]:
     """Search for ``count`` vertex-disjoint mod-2 stars with ``keys`` keys.
 
-    Greedy in center order with full backtracking; witnesses come back as
-    Star assignments.  None means provably absent; running out of budget
+    Greedy in center order with full backtracking; each witness maps
+    "center" and "k0", "k1", ... to vertices.  None means provably absent; running out of budget
     raises instead.
     """
     if count < 1 or keys < 1:

@@ -15,10 +15,11 @@ import argparse
 import json
 import sys
 import time
+from itertools import combinations
 from typing import Optional, Sequence
 
 from dilink import __version__
-from dilink.digraph import DiCycle, connector_cycle, directionality, realize
+from dilink.digraph import DiCycle, connector_cycle, directionality
 from dilink.engine import (
     big_z,
     bipar_z,
@@ -33,8 +34,8 @@ from dilink.engine import (
 )
 from dilink.errors import DilinkError, FormatError, TooLarge
 from dilink.geom import validate_general_position
-from dilink.invariants import a2, a2_skein, linking_table
-from dilink.patterns import LinkObject, compute_pattern
+from dilink.invariants import LinkTable, a2, a2_skein
+from dilink.patterns import compute_pattern
 from dilink.workbench import generators as gens
 from dilink.workbench.serialization import (
     FORMAT_VERSION,
@@ -225,28 +226,25 @@ def _cmd_validate(args, rep: dict) -> None:
     }
 
 
-def _realized(inst: ParsedInstance):
-    loops = []
-    for c, o in zip(inst.cycles, inst.orientations):
-        loops.append(realize(c, inst.embedding, reverse=o < 0))
-    return loops
-
-
 def _cmd_invariants(args, rep: dict) -> None:
     inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles to measure")
-    loops = _realized(inst)
-    deltas = [directionality(c) for c in inst.cycles]
-    table = linking_table(loops)
+    cycles, signs = inst.cycles, inst.orientations
+    table = LinkTable(inst.embedding)
+    linking = []
+    for i, j in combinations(range(len(cycles)), 2):
+        v = signs[i] * signs[j] * table.lk(cycles[i], cycles[j])
+        if v:
+            linking.append([i, j, v])
+    deltas = [directionality(c) for c in cycles]
     rep["delta"] = deltas
-    rep["linking"] = [
-        [i, j, v] for (i, j), v in sorted(table.items()) if v
-    ]
+    rep["linking"] = linking
     knots = []
-    for k, (c, loop) in enumerate(zip(inst.cycles, loops)):
-        if deltas[k] != 1 and len(inst.cycles) > 1:
+    for k, c in enumerate(cycles):
+        if deltas[k] != 1 and len(cycles) > 1:
             continue
+        loop = table.loop(c)
         try:
             va = a2(loop)
             vs = a2_skein(loop)
@@ -262,12 +260,7 @@ def _cmd_pattern(args, rep: dict) -> None:
     inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
-    labels = tuple(f"c{i}" for i in range(len(inst.cycles)))
-    pat = compute_pattern(
-        LinkObject(inst.cycles, labels=labels),
-        inst.embedding,
-        with_knotting=args.with_knots,
-    )
+    pat = compute_pattern(inst.cycles, inst.embedding, with_knotting=args.with_knots)
     rep["pattern"] = pat.to_json()
     _check(rep, "pattern-computed", True, f"{pat.n} components")
 

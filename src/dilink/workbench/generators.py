@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
-from dilink.digraph import DiCycle, direction_change_vertices, realize
+from dilink.digraph import DiCycle, direction_change_vertices
 from dilink.errors import GenerationFailed
 from dilink.geom import (
     Point3,
@@ -23,7 +24,7 @@ from dilink.geom import (
     SpatialEmbedding,
     validate_general_position,
 )
-from dilink.invariants import linking_table
+from dilink.invariants import LinkTable
 
 __all__ = [
     "GeneratedInstance",
@@ -456,22 +457,24 @@ def grid_link(
 def _verify_grid_pattern(inst: GeneratedInstance) -> dict:
     """Recompute all pairwise linking numbers and check them against intent."""
     rings = inst.cycles["rings"]
-    keys = inst.cycles["keys"]
-    loops = [realize(c, inst.embedding) for c in rings + keys]
-    table = linking_table(loops)
+    cycles = rings + inst.cycles["keys"]
+    links = LinkTable(inst.embedding)
+    table = {
+        (i, j): links.lk(cycles[i], cycles[j]) for i, j in combinations(range(len(cycles)), 2)
+    }
     nr = len(rings)
     intended = {}
     for k, (lo, hi) in enumerate(inst.meta["threading"]):
         for i in range(nr):
             intended[(i, nr + k)] = 1 if lo <= i <= hi else 0
-    for (i, j), lk in sorted(table.items()):
-        want = intended.get((min(i, j), max(i, j)), 0)
+    for (i, j), lk in table.items():
+        want = intended.get((i, j), 0)
         if abs(lk) != want:
             raise GenerationFailed(
                 f"grid_link: pair {(i, j)} has linking number {lk}, "
                 f"expected magnitude {want}"
             )
-    return dict(table)
+    return table
 
 
 # chain arcs ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadColumn, Impossible, TooLarge
+from .errors import BadColumn, Impossible
 
 __all__ = [
     "Z2Matrix",
@@ -21,7 +21,6 @@ __all__ = [
     "vector_to_bits",
     "bits_to_vector",
     "heavy_vector",
-    "row_space_brute_force",
     "EXHAUSTIVE_RANK_LIMIT",
 ]
 
@@ -80,9 +79,6 @@ class Z2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def column_support(self, j: int) -> bool:
-        return any((r >> j) & 1 for r in self.rows)
 
     def zero_columns(self) -> list[int]:
         used = 0
@@ -248,31 +244,3 @@ def heavy_vector(matrix: Z2Matrix) -> HeavyVectorResult:
     if check != v or 2 * weight(v) <= matrix.ncols:
         raise Impossible("heavy vector fails its recheck against the matrix rows")
     return HeavyVectorResult(vector=v, rows=rows, weight=weight(v))
-
-
-def row_space_brute_force(matrix: Z2Matrix) -> HeavyVectorResult:
-    """Maximum-weight row-space vector by full enumeration, with witness.
-
-    Deliberately naive (each combination rebuilt from scratch) so it can
-    serve as an oracle for heavy_vector's bound.  Exponential in the rank;
-    ranks above EXHAUSTIVE_RANK_LIMIT are refused.
-    """
-    basis, masks = _eliminate(matrix.rows)
-    r = len(basis)
-    if r > EXHAUSTIVE_RANK_LIMIT:
-        raise TooLarge(f"rank {r} row space is too big to enumerate")
-    best = HeavyVectorResult(vector=0, rows=(), weight=0)
-    best_key: tuple | None = None
-    for combo in range(1, 1 << r):
-        v = 0
-        m = 0
-        for b in range(r):
-            if (combo >> b) & 1:
-                v ^= basis[b]
-                m ^= masks[b]
-        rows = _mask_to_rows(m)
-        key = (-weight(v), rows)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = HeavyVectorResult(vector=v, rows=rows, weight=weight(v))
-    return best

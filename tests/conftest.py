@@ -3,6 +3,7 @@ instances that several test modules reuse."""
 
 import pytest
 
+from dilink.digraph import DiCycle
 from dilink.geom import Point3, PolyLine, SpatialEmbedding
 from dilink.workbench.generators import (
     big_z_instance,
@@ -44,6 +45,33 @@ def hand_hopf():
         Point3(1, -6, -4),
     )
     return a, b
+
+
+def clasped_triangles(bend):
+    """Triangle A = (0, 1, 2) in the plane z = 0, and triangle B = (3, 4, 5)
+    that passes once through A's disk.  Arc (4, 5) runs through the bend
+    points ``bend``; with the default bend its corner at (5, 0, -5) lies
+    under A's edge (0, 1), a touch in the identity projection."""
+    v = {
+        0: Point3(0, 0, 0),
+        1: Point3(10, 0, 0),
+        2: Point3(0, 10, 0),
+        3: Point3(1, 2, 5),
+        4: Point3(3, 2, -5),
+        5: Point3(5, -8, -5),
+    }
+    arcs = {
+        (0, 1): PolyLine([v[0], v[1]]),
+        (1, 2): PolyLine([v[1], v[2]]),
+        (2, 0): PolyLine([v[2], v[0]]),
+        (3, 4): PolyLine([v[3], v[4]]),
+        (4, 5): PolyLine([v[4], *bend, v[5]]),
+        (5, 3): PolyLine([v[5], v[3]]),
+    }
+    emb = SpatialEmbedding(vertices=v, arcs=arcs, box=64)
+    tri_a = DiCycle((0, 1, 2), (True, True, True))
+    tri_b = DiCycle((3, 4, 5), (True, True, True))
+    return emb, tri_a, tri_b
 
 
 @pytest.fixture(scope="session")

@@ -30,12 +30,7 @@ from dilink.engine import (
 )
 from dilink.geom import shear_points
 from dilink.invariants import a2, a2_skein, linking_number, omega
-from dilink.patterns import (
-    CompleteBipartiteMod2,
-    LinkObject,
-    compute_pattern,
-    contains_template,
-)
+from dilink.patterns import CompleteBipartiteMod2, check_witness, compute_pattern
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
     big_z_instance,
@@ -95,7 +90,8 @@ def test_criterion_2_odd_pair_finder_never_fails():
 
 
 def test_criterion_3_heavy_vector_exhaustive_and_random():
-    from dilink.z2linalg import Z2Matrix, heavy_vector, row_space_brute_force, weight
+    from dilink.z2linalg import Z2Matrix, heavy_vector, weight
+    from z2_oracle import row_space_brute_force
 
     count = 0
     for m in range(1, 5):
@@ -233,9 +229,10 @@ def test_criterion_7_orchestration_steps():
         res = prop1_step(inst.embedding, cands, n=n)
         assert len(res.index_set) >= n
         ring_cycles = list(inst.role("rings"))[:n]
-        obj = LinkObject(tuple(res.zs) + tuple(ring_cycles))
-        pat = compute_pattern(obj, inst.embedding)
-        assert contains_template(pat, CompleteBipartiteMod2(n)) is not None
+        pat = compute_pattern(list(res.zs) + ring_cycles, inst.embedding)
+        witness = {f"x{j}": j for j in range(n)}
+        witness.update({f"y{i}": n + i for i in range(n)})
+        assert check_witness(pat, CompleteBipartiteMod2(n), witness)
 
     t1 = theorem1_instance(1, 1)
     cands = list(t1.role("keys")) + list(t1.role("rings"))

@@ -27,55 +27,26 @@ from dilink.engine import (
     theorem1_step,
     theorem2_params,
     verify_lemma6_conclusion,
-    _LkTable,
 )
 from dilink.errors import DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, shear
-from dilink.invariants import linking_number, omega
+from dilink.invariants import LinkTable, linking_number, omega
 from dilink.workbench.generators import (
     big_z_instance,
-    bipar_instance,
-    coiled_braid_pair,
     lemma1_dk6m,
     prop1_instance,
     random_complete,
-    ring_wrap_instance,
     theorem1_instance,
 )
+
+from conftest import clasped_triangles
 
 
 def loops_of(emb, *cycles):
     return [realize(c, emb) for c in cycles]
 
 
-# the engine's arc-pair lk table against the diagram route
-
-
-def clasped_triangles(bend):
-    """Triangle A = (0, 1, 2) in the plane z = 0, and triangle B = (3, 4, 5)
-    that passes once through A's disk.  Arc (4, 5) runs through the bend
-    points ``bend``; with the default bend its corner at (5, 0, -5) lies
-    under A's edge (0, 1), a touch in the identity projection."""
-    v = {
-        0: Point3(0, 0, 0),
-        1: Point3(10, 0, 0),
-        2: Point3(0, 10, 0),
-        3: Point3(1, 2, 5),
-        4: Point3(3, 2, -5),
-        5: Point3(5, -8, -5),
-    }
-    arcs = {
-        (0, 1): PolyLine([v[0], v[1]]),
-        (1, 2): PolyLine([v[1], v[2]]),
-        (2, 0): PolyLine([v[2], v[0]]),
-        (3, 4): PolyLine([v[3], v[4]]),
-        (4, 5): PolyLine([v[4], *bend, v[5]]),
-        (5, 3): PolyLine([v[5], v[3]]),
-    }
-    emb = SpatialEmbedding(vertices=v, arcs=arcs, box=64)
-    tri_a = DiCycle((0, 1, 2), (True, True, True))
-    tri_b = DiCycle((3, 4, 5), (True, True, True))
-    return emb, tri_a, tri_b
+# the arc-pair lk table against the diagram route
 
 
 class TestLkTable:
@@ -91,7 +62,7 @@ class TestLkTable:
         ]
         assert any(want) and not all(want)
         for kx, ky in [(0, 0), (1, 0), (0, -1), (2, 3), (-3, 1)]:
-            table = _LkTable(shear(inst.embedding, kx, ky))
+            table = LinkTable(shear(inst.embedding, kx, ky))
             assert [table.lk(k, r) for k, r in pairs] == want
             assert [table.lk(r, k) for k, r in pairs] == want
             assert [table.lk(k.reversed(), r) for k, r in pairs] == [-w for w in want]
@@ -100,7 +71,7 @@ class TestLkTable:
         emb, tri_a, tri_b = clasped_triangles([Point3(5, 0, -5)])
         want = linking_number(realize(tri_a, emb), realize(tri_b, emb))
         assert abs(want) == 1
-        table = _LkTable(emb)
+        table = LinkTable(emb)
         assert table.lk(tri_a, tri_b) == want
         assert table.shear != (0, 0)
         assert table.lk(tri_b, tri_a.reversed()) == -want
@@ -115,12 +86,12 @@ class TestLkTable:
     def test_arcs_meeting_in_space_raise(self, bend):
         emb, tri_a, tri_b = clasped_triangles(bend)
         with pytest.raises(DisjointnessViolated):
-            _LkTable(emb).lk(tri_a, tri_b)
+            LinkTable(emb).lk(tri_a, tri_b)
 
     def test_cycles_sharing_a_vertex_raise(self):
         emb = random_complete(6, seed=0).embedding
         with pytest.raises(DisjointnessViolated):
-            _LkTable(emb).lk(
+            LinkTable(emb).lk(
                 DiCycle((0, 1, 2), (True, True, False)),
                 DiCycle((0, 3, 4), (True, True, False)),
             )
@@ -132,7 +103,7 @@ class TestLkTable:
         arcs[(1, 2)] = PolyLine([Point3(10, 0, 0), Point3(2, 4, 1), Point3(3, 0, 0), Point3(0, 10, 0)])
         bad = SpatialEmbedding(vertices=emb.vertices, arcs=arcs, box=64)
         with pytest.raises(DisjointnessViolated):
-            _LkTable(bad).lk(tri_a, tri_b)
+            LinkTable(bad).lk(tri_a, tri_b)
 
 
 # parity sweep over complete graphs on six vertices

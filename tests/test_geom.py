@@ -277,9 +277,10 @@ def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
 # segment-pair prefilter
 
 
-def _brute_pairs(segs, dims):
+def _brute_pairs(segs):
+    # closed xy boxes, compared pair by pair
     boxes = [
-        [(min(s[2][d], s[3][d]), max(s[2][d], s[3][d])) for d in range(dims)]
+        [(min(s[2][d], s[3][d]), max(s[2][d], s[3][d])) for d in range(2)]
         for s in segs
     ]
     return [
@@ -313,12 +314,11 @@ def _random_segments(n, seed, half):
     n=st.sampled_from([0, 1, 2, 17, 300, 511, 512, 513, 700]),
     seed=st.integers(min_value=0, max_value=2**32),
     half=st.sampled_from([2, 6, 60]),
-    dims=st.sampled_from([2, 3]),
 )
 @settings(max_examples=25, deadline=None)
-def test_candidate_pairs_match_brute_force(n, seed, half, dims):
+def test_candidate_pairs_match_brute_force(n, seed, half):
     segs = _random_segments(n, seed, half)
-    assert _candidate_pairs(segs, dims) == _brute_pairs(segs, dims)
+    assert _candidate_pairs(segs) == _brute_pairs(segs)
 
 
 _small_pt = st.builds(
@@ -326,20 +326,13 @@ _small_pt = st.builds(
 )
 
 
-@given(
-    ends=st.lists(st.tuples(_small_pt, _small_pt), max_size=30),
-    dims=st.sampled_from([2, 3]),
-)
-@example(ends=[(P(0, 0, 0), P(1, 0, 0)), (P(1, 0, 0), P(2, 3, 0))], dims=3)
-@example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))], dims=2)
-@example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))], dims=3)
-@example(
-    ends=[(P(0, 0, 0), P(0, 0, 3)), (P(0, 0, 1), P(0, 0, 2)), (P(-1, 0, 2), P(1, 0, 2))],
-    dims=2,
-)
-def test_candidate_pairs_small_sets(ends, dims):
+@given(ends=st.lists(st.tuples(_small_pt, _small_pt), max_size=30))
+@example(ends=[(P(0, 0, 0), P(1, 0, 0)), (P(1, 0, 0), P(2, 3, 0))])
+@example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))])
+@example(ends=[(P(0, 0, 0), P(0, 0, 3)), (P(0, 0, 1), P(0, 0, 2)), (P(-1, 0, 2), P(1, 0, 2))])
+def test_candidate_pairs_small_sets(ends):
     segs = [("s", i, p, q) for i, (p, q) in enumerate(ends)]
-    assert _candidate_pairs(segs, dims) == _brute_pairs(segs, dims)
+    assert _candidate_pairs(segs) == _brute_pairs(segs)
 
 
 def test_validation_does_not_import_numpy():

@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 import dilink
 from dilink.digraph import realize
 from dilink.errors import TooLarge
-from dilink.geom import shear_points
+from dilink.geom import shear, shear_points
 from dilink.invariants import (
+    LinkTable,
     a2,
     a2_skein,
-    conway_polynomial,
+    conway_from_diagram,
     interleaved_pair_sums,
     linking_number,
     linking_table,
@@ -29,7 +30,16 @@ from dilink.invariants import (
     project_with_retry,
     shear_schedule,
 )
-from dilink.workbench.generators import braid_closure, torus_style
+from dilink.workbench.generators import (
+    big_z_instance,
+    braid_closure,
+    braid_instance,
+    coiled_braid_pair,
+    grid_link,
+    prop1_instance,
+    ring_wrap_instance,
+    torus_style,
+)
 
 from conftest import hand_hopf, square_loop
 
@@ -100,6 +110,33 @@ def test_linking_is_reversal_antisymmetric():
 
 
 # ---------------------------------------------------------------------------
+# the arc-pair table against the diagram route
+
+
+STORED_CYCLE_FILES = {
+    "grid_link": lambda: grid_link(2, [(0, 1), (1, 1)]),
+    "big_z": lambda: big_z_instance(4, seed=1),
+    "prop1": lambda: prop1_instance(2, rings=4),
+    "ring_wrap": lambda: ring_wrap_instance(4, 5),
+    "coiled_braid": lambda: coiled_braid_pair(4),
+    "braid_link": lambda: braid_instance([1, 1, 1, 1, 2, -1, 2], 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_CYCLE_FILES))
+def test_table_matches_linking_table_on_stored_cycles(kind):
+    inst = STORED_CYCLE_FILES[kind]()
+    cycles = [c for role in inst.cycles.values() for c in role]
+    for kx, ky in [(0, 0), (1, 2), (-3, 1)]:
+        emb = shear(inst.embedding, kx, ky)
+        want = linking_table([realize(c, emb) for c in cycles])
+        assert any(want.values())
+        table = LinkTable(emb)
+        for (i, j), lk in want.items():
+            assert table.lk(cycles[i], cycles[j]) == lk
+
+
+# ---------------------------------------------------------------------------
 # a2, both routes
 
 
@@ -138,18 +175,22 @@ def test_a2_square_is_planar():
 # Conway polynomials
 
 
+def conway(loops, max_crossings=16):
+    return conway_from_diagram(project_with_retry(loops).diagram, max_crossings)
+
+
 def test_conway_known_polynomials(trefoil_points, figure8_points, hopf_points):
-    assert conway_polynomial([square_loop()]) == {0: 1}
-    assert conway_polynomial([trefoil_points]) == {0: 1, 2: 1}
-    assert conway_polynomial([figure8_points]) == {0: 1, 2: -1}
-    assert conway_polynomial(list(hopf_points)) == {1: 1}
+    assert conway([square_loop()]) == {0: 1}
+    assert conway([trefoil_points]) == {0: 1, 2: 1}
+    assert conway([figure8_points]) == {0: 1, 2: -1}
+    assert conway(list(hopf_points)) == {1: 1}
     split = [square_loop(z=0), square_loop(z=7, dx=40)]
-    assert conway_polynomial(split) == {}
+    assert conway(split) == {}
 
 
 def test_conway_respects_crossing_bound(trefoil_points):
     with pytest.raises(TooLarge):
-        conway_polynomial([trefoil_points], max_crossings=2)
+        conway([trefoil_points], max_crossings=2)
     with pytest.raises(TooLarge):
         a2_skein(trefoil_points, max_crossings=2)
 
@@ -158,7 +199,7 @@ def test_conway_of_two_strand_torus_links():
     # the (2,4) torus link has Conway polynomial z^3 + 2z
     inst = torus_style(2, 4)
     loops = [realize(c, inst.embedding) for c in inst.role("components")]
-    poly = conway_polynomial(loops)
+    poly = conway(loops)
     assert set(poly) <= {1, 3}
     assert abs(poly.get(1, 0)) == 2 and abs(poly.get(3, 0)) == 1
 

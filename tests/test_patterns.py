@@ -1,4 +1,4 @@
-"""Link summaries and template containment search."""
+"""Link summaries, witness checks and keyring search."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,32 +7,16 @@ from dilink.digraph import directionality
 from dilink.errors import SearchBudgetExceeded
 from dilink.patterns import (
     CompleteBipartiteMod2,
-    CompleteWeighted,
-    LinkObject,
-    MultipartiteH,
-    Star,
     WeightedPattern,
     check_witness,
     compute_pattern,
-    contains_template,
     find_disjoint_keyrings,
 )
-from dilink.workbench.generators import braid_closure
+from dilink.workbench.generators import braid_instance
 
 
 # ---------------------------------------------------------------------------
 # containers
-
-
-def test_link_object_labels():
-    lo = LinkObject(components=((), ()) , labels=())
-    assert lo.labels == ("c0", "c1")
-    with pytest.raises(ValueError):
-        LinkObject(components=())
-    with pytest.raises(ValueError):
-        LinkObject(components=((),), labels=("a", "b"))
-    with pytest.raises(ValueError):
-        LinkObject(components=((), ()), labels=("a", "a"))
 
 
 def test_pattern_validation():
@@ -74,32 +58,25 @@ def test_pattern_json_round_trip():
 
 def test_compute_pattern_grid(grid13):
     cycles = grid13.role("rings") + grid13.role("keys")
-    link = LinkObject(components=cycles, labels=("ring", "k0", "k1", "k2"))
-    p = compute_pattern(link, emb=grid13.embedding)
-    assert p.labels == ("ring", "k0", "k1", "k2")
+    p = compute_pattern(cycles, grid13.embedding)
+    assert p.labels == ("c0", "c1", "c2", "c3")
     assert p.edges == {(0, 1): 1, (0, 2): 1, (0, 3): 1}
     assert p.knot_weights is None
     assert p.delta == {i: directionality(c) for i, c in enumerate(cycles)}
 
 
-def test_compute_pattern_needs_embedding_for_cycles(grid13):
-    link = LinkObject(components=grid13.role("rings"))
-    with pytest.raises(ValueError):
-        compute_pattern(link)
-
-
 def test_compute_pattern_with_knotting():
-    (trefoil,) = braid_closure([1, 1, 1], 2)
-    (unknot,) = braid_closure([1, 1, -1], 2)
-    far = tuple(type(p)(p.x + 600, p.y, p.z) for p in unknot)
-    p = compute_pattern(LinkObject(components=(trefoil, far)), with_knotting=True)
+    # a trefoil on strands 1-2 and an unlinked unknot on strand 3
+    inst = braid_instance([1, 1, 1], 3)
+    cycles = inst.role("components")
+    p = compute_pattern(cycles, inst.embedding, with_knotting=True)
     assert p.edges == {}
     assert p.knot_weights == {0: 1, 1: 0}
-    assert p.delta == {}  # bare point loops carry no cycle
+    assert p.delta == {0: 1, 1: 1}
 
 
 # ---------------------------------------------------------------------------
-# template containment
+# witnesses
 
 
 def triangle_mod2():
@@ -109,54 +86,39 @@ def triangle_mod2():
     )
 
 
-def test_complete_weighted_containment():
-    p = triangle_mod2()
-    w = contains_template(p, CompleteWeighted(3, 1))
-    assert w == {"v0": 0, "v1": 1, "v2": 2}
-    assert check_witness(p, CompleteWeighted(3, 1), w)
-    assert contains_template(p, CompleteWeighted(3, 2)) is None
-    # threshold 2 keeps edges (0,2) and (0,3) only; search picks the smaller
-    assert contains_template(p, CompleteWeighted(2, 2)) == {"v0": 0, "v1": 2}
-
-
-def test_bipartite_and_multipartite_containment():
-    p = triangle_mod2()
-    assert contains_template(p, CompleteBipartiteMod2(1)) == {"x0": 0, "y0": 1}
-    assert contains_template(p, MultipartiteH(1, 1)) == {"s0": 0, "p0": 1, "q0": 2}
-    assert contains_template(p, MultipartiteH(2, 1)) is None
-    even_only = WeightedPattern(labels=("a", "b"), edges={(0, 1): 2})
-    assert contains_template(even_only, CompleteBipartiteMod2(1)) is None
-
-
 def test_star_containment(grid13):
+    # the ring is threaded by all three keys: stars of up to three keys
     cycles = grid13.role("rings") + grid13.role("keys")
-    p = compute_pattern(LinkObject(components=cycles), emb=grid13.embedding)
-    w = contains_template(p, Star(3))
-    assert w == {"center": 0, "k0": 1, "k1": 2, "k2": 3}
-    assert check_witness(p, Star(3), w)
-    assert contains_template(p, Star(4)) is None
+    p = compute_pattern(cycles, grid13.embedding)
+    for k in (1, 2, 3):
+        (w,) = find_disjoint_keyrings(p, count=1, keys=k)
+        assert w == {"center": 0, **{f"k{i}": i + 1 for i in range(k)}}
+    assert find_disjoint_keyrings(p, count=1, keys=4) is None
 
 
 def test_oversized_template_is_absent_without_search():
     p = triangle_mod2()
-    # more slots than vertices: provably absent, no budget needed
-    assert contains_template(p, CompleteWeighted(5, 1), budget=0) is None
+    # no vertex has four odd neighbours: provably absent, no budget needed
+    assert find_disjoint_keyrings(p, count=1, keys=4, budget=0) is None
 
 
 def test_budget_exhaustion_raises():
     p = triangle_mod2()
     with pytest.raises(SearchBudgetExceeded):
-        contains_template(p, CompleteWeighted(3, 1), budget=2)
+        find_disjoint_keyrings(p, count=2, keys=1, budget=2)
 
 
 def test_check_witness_rejects_bad_maps():
     p = triangle_mod2()
-    t = CompleteWeighted(3, 1)
-    assert not check_witness(p, t, {"v0": 0, "v1": 1})
-    assert not check_witness(p, t, {"v0": 0, "v1": 1, "v2": 1})
-    assert not check_witness(p, t, {"v0": 0, "v1": 1, "v2": 9})
-    assert not check_witness(p, t, {"v0": 0, "v1": 1, "v2": 3})
-    assert not check_witness(p, t, {"v0": 0, "v1": 1, "wrong": 2})
+    t = CompleteBipartiteMod2(1)
+    assert check_witness(p, t, {"x0": 0, "y0": 1})
+    assert check_witness(p, t, {"x0": 2, "y0": 0})
+    assert not check_witness(p, t, {"x0": 0})
+    assert not check_witness(p, t, {"x0": 0, "y0": 0})
+    assert not check_witness(p, t, {"x0": 0, "y0": 9})
+    assert not check_witness(p, t, {"x0": 0, "y0": 3})  # even edge
+    assert not check_witness(p, t, {"x0": 0, "wrong": 1})
+    assert not check_witness(p, CompleteBipartiteMod2(2), {"x0": 0, "x1": 1, "y0": 2, "y1": 3})
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +127,11 @@ def test_check_witness_rejects_bad_maps():
 
 def test_find_disjoint_keyrings(grid22):
     cycles = grid22.role("rings") + grid22.role("keys")
-    p = compute_pattern(LinkObject(components=cycles), emb=grid22.embedding)
+    p = compute_pattern(cycles, grid22.embedding)
     rings = find_disjoint_keyrings(p, count=2, keys=1)
     assert rings == [{"center": 0, "k0": 2}, {"center": 1, "k0": 3}]
     for w in rings:
-        assert check_witness(p, Star(1), w)
+        assert p.weight(w["center"], w["k0"]) % 2 == 1
     assert find_disjoint_keyrings(p, count=3, keys=1) is None
     assert find_disjoint_keyrings(p, count=1, keys=2) is None
     with pytest.raises(ValueError):
@@ -180,7 +142,7 @@ def test_find_disjoint_keyrings(grid22):
 
 def test_keyrings_share_nothing(grid13):
     cycles = grid13.role("rings") + grid13.role("keys")
-    p = compute_pattern(LinkObject(components=cycles), emb=grid13.embedding)
+    p = compute_pattern(cycles, grid13.embedding)
     # the one ring is the only possible center, so two stars cannot coexist
     assert find_disjoint_keyrings(p, count=2, keys=1) is None
     assert find_disjoint_keyrings(p, count=1, keys=3) == [
@@ -206,22 +168,26 @@ small_pattern = st.integers(2, 6).flatmap(
 @settings(max_examples=80)
 @given(small_pattern, st.integers(1, 4))
 def test_star_found_iff_degree_reaches(p, k):
-    witness = contains_template(p, Star(k))
+    found = find_disjoint_keyrings(p, count=1, keys=k)
     best = max((len(p.mod2_neighbors(i)) for i in range(p.n)), default=0)
-    if witness is None:
+    if found is None:
         assert best < k
     else:
-        assert check_witness(p, Star(k), witness)
-        assert len(p.mod2_neighbors(witness["center"])) >= k
+        (witness,) = found
+        keys = [witness[f"k{i}"] for i in range(k)]
+        assert sorted(witness) == sorted(["center"] + [f"k{i}" for i in range(k)])
+        assert len(set(keys)) == k and witness["center"] not in keys
+        assert set(keys) <= p.mod2_neighbors(witness["center"])
 
 
 @settings(max_examples=60)
-@given(small_pattern)
-def test_bipartite_witness_verifies(p):
+@given(small_pattern, st.data())
+def test_bipartite_witness_verifies(p, data):
+    # check_witness against the definition on random maps of the 4 slots
     t = CompleteBipartiteMod2(2)
-    try:
-        witness = contains_template(p, t, budget=10_000)
-    except SearchBudgetExceeded:
-        return
-    if witness is not None:
-        assert check_witness(p, t, witness)
+    vals = data.draw(st.lists(st.integers(0, p.n - 1), min_size=4, max_size=4))
+    witness = dict(zip(["x0", "x1", "y0", "y1"], vals))
+    want = len(set(vals)) == 4 and all(
+        p.weight(witness[a], witness[b]) % 2 == 1 for a in ("x0", "x1") for b in ("y0", "y1")
+    )
+    assert check_witness(p, t, witness) == want

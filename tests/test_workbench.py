@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import dilink
 from dilink.digraph import DiCycle, connector_cycle, directionality
 from dilink.errors import FormatError, GenerationFailed
-from dilink.geom import validate_general_position
+from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
     braid_instance,
@@ -28,6 +28,8 @@ from dilink.workbench.serialization import (
     save_instance,
     serialize_instance,
 )
+
+from conftest import clasped_triangles
 
 
 class TestSplitSeed:
@@ -476,6 +478,16 @@ class TestCliPipelines:
         assert code == 1
         assert rep["error"]["type"] == "HypothesisViolated"
 
+    def test_invariants_apply_stored_orientations(self, capsys, tmp_path, grid13):
+        # keys first, then the ring every key threads; reversing one key
+        # and the ring flips the sign of each pair that has one of them
+        path = str(tmp_path / "oriented.json")
+        cycles = list(grid13.role("keys")) + list(grid13.role("rings"))
+        save_instance(path, grid13.embedding, cycles, orientations=[-1, 1, 1, -1])
+        code, rep = run_cli(capsys, "invariants", path)
+        assert code == 0
+        assert rep["linking"] == [[0, 3, 1], [1, 3, -1], [2, 3, -1]]
+
     def test_knot_measures_on_braid_file(self, capsys, tmp_path):
         path = str(tmp_path / "tref.json")
         code, rep = run_cli(
@@ -524,6 +536,30 @@ class TestCliFailureShapes:
         assert code == 1
         assert rep["error"]["type"] == "FormatError"
         assert "no cycles" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["invariants", "pattern"])
+    def test_cycles_sharing_a_vertex_are_an_error(self, capsys, tmp_path, command):
+        path = str(tmp_path / "shared.json")
+        cycles = [DiCycle((0, 1, 2), (True, True, False)), DiCycle((0, 3, 4), (True, True, False))]
+        save_instance(path, random_complete(6, seed=0).embedding, cycles)
+        code, rep = run_cli(capsys, command, path)
+        assert code == 1 and rep["ok"] is False
+        assert rep["error"] == {
+            "type": "DisjointnessViolated",
+            "message": "cycles share vertices [0]",
+        }
+
+    def test_pattern_checks_a_lone_cycle_for_self_intersection(self, capsys, tmp_path):
+        emb, tri_a, _ = clasped_triangles([Point3(5, 0, -5)])
+        # arc (1, 2) dips onto the cycle's own edge (0, 1)
+        arcs = dict(emb.arcs)
+        arcs[(1, 2)] = PolyLine([Point3(10, 0, 0), Point3(2, 4, 1), Point3(3, 0, 0), Point3(0, 10, 0)])
+        path = str(tmp_path / "self.json")
+        save_instance(path, SpatialEmbedding(emb.vertices, arcs, box=64), [tri_a])
+        code, rep = run_cli(capsys, "pattern", path)
+        assert code == 1
+        assert rep["error"]["type"] == "DisjointnessViolated"
+        assert rep["error"]["message"].startswith("loops 0 and 0 intersect in space")
 
     def test_report_written_to_out_file(self, capsys, tmp_path):
         inst = str(tmp_path / "g.json")

@@ -12,10 +12,10 @@ from dilink.z2linalg import (
     Z2Matrix,
     bits_to_vector,
     heavy_vector,
-    row_space_brute_force,
     vector_to_bits,
     weight,
 )
+from z2_oracle import row_space_brute_force
 
 
 def test_weight():
