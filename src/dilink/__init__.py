@@ -52,6 +52,8 @@ from dilink.geom import (
 from dilink.invariants import (
     LinkTable,
     a2,
+    a2_alexander,
+    a2_routes,
     a2_skein,
     linking_number,
     linking_table,
@@ -84,6 +86,8 @@ __all__ = [
     "Z2Matrix",
     "__version__",
     "a2",
+    "a2_alexander",
+    "a2_routes",
     "a2_skein",
     "big_z",
     "bipar_z",

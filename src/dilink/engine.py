@@ -34,10 +34,9 @@ from dilink.errors import (
     NotEnoughKeyrings,
     NoValidColumn,
     SurgeryFailed,
-    TooLarge,
 )
 from dilink.geom import SpatialEmbedding
-from dilink.invariants import LinkTable, a2, a2_skein
+from dilink.invariants import LinkTable, a2_routes
 from dilink.patterns import (
     DEFAULT_BUDGET,
     CompleteBipartiteMod2,
@@ -741,7 +740,6 @@ def prop1_step(
 
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
-    cache = LinkTable(emb)
     witness_pattern = compute_pattern(
         list(zs) + [candidates[centers[i]] for i in picked], emb
     )
@@ -751,7 +749,7 @@ def prop1_step(
         raise ConstructionFailed("bipartite parity witness fails re-verification")
 
     omega_table = [
-        [cache.omega(z, candidates[centers[i]]) for i in picked] for z in zs
+        [witness_pattern.weight(j, n + i) % 2 for i in range(n)] for j in range(n)
     ]
     cert = ConstructionCertificate(
         kind="prop1",
@@ -1029,9 +1027,10 @@ def search_lemma7_knot(
     Candidates are connector cycles over the loops (both path policies)
     with every surgery subset applied.  A hit must be consistently
     directed, have second Conway coefficient at least lam^2/16 in magnitude
-    (computed by both the pair-count and the skein route, which must
-    agree), and link every target with magnitude at least lam.  Exhausting
-    the budget is reported as inconclusive, never as absence.
+    (computed by the pair-count and the Alexander route on one projection,
+    which must agree; neither caps the crossing count), and link every
+    target with magnitude at least lam.  Exhausting the budget is reported
+    as inconclusive, never as absence.
     """
     a_cycles = list(a_cycles)
     b_cycles = list(b_cycles)
@@ -1086,17 +1085,10 @@ def search_lemma7_knot(
                     continue
                 lks = [cache.lk(k, a) for a in a_cycles]
                 row["lk"] = lks
-                loop = cache.loop(k)
-                try:
-                    v_pairs = a2(loop)
-                    v_skein = a2_skein(loop)
-                except TooLarge as ex:
-                    row.update(passed=False, error=str(ex))
-                    rows.append(row)
-                    continue
-                if v_pairs != v_skein:
+                v_pairs, v_alexander = a2_routes(cache.loop(k))
+                if v_pairs != v_alexander:
                     raise ConstructionFailed(
-                        f"knotting routes disagree: {v_pairs} vs {v_skein}"
+                        f"knotting routes disagree: {v_pairs} vs {v_alexander}"
                     )
                 row["a2"] = v_pairs
                 row["passed"] = (

@@ -4,10 +4,13 @@ Linking numbers of cycles in an embedding come from :class:`LinkTable`,
 which sums arc-pair crossing counts.  :func:`linking_table` projects whole
 loops at once; it is the independent route tests check the table against.
 
-Two independent routes are provided for the knot coefficient: a signed
-count of interleaved crossing pairs read off the diagram, and a skein
-evaluator that resolves crossings recursively.  They share nothing beyond
-the projection code, so tests can play them against each other.
+The knot coefficient a2 has three routes that share nothing beyond the
+projection: a signed count of interleaved crossing pairs, the first
+Taylor coefficients of the Alexander matrix's determinant at t = 1, and a
+skein recursion.  :func:`a2_routes` reads the first two off one
+projection; they are polynomial in the crossing count and every
+production path compares them.  The skein is exponential and is kept as
+a test oracle for small diagrams.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "ChordSums",
     "interleaved_pair_sums",
     "a2",
+    "a2_alexander",
+    "a2_routes",
     "a2_skein",
     "conway_from_diagram",
 ]
@@ -233,7 +238,7 @@ def omega(a, b) -> int:
 
 
 # ---------------------------------------------------------------------------
-# second Conway coefficient, route 1: interleaved crossing pairs
+# second Conway coefficient: interleaved crossing pairs and the Alexander matrix
 
 
 class ChordSums(NamedTuple):
@@ -281,19 +286,82 @@ def interleaved_pair_sums(diagram: LinkDiagram) -> ChordSums:
     return ChordSums(**sums)
 
 
+def _knot_diagram(knot) -> LinkDiagram:
+    # a knot given as its diagram is read as it is; a loop is projected
+    if isinstance(knot, LinkDiagram):
+        return knot
+    return project_with_retry([knot]).diagram
+
+
 def a2(knot) -> int:
     """Second Conway coefficient of a knot via the interleaved-pair count.
 
-    This is the bucket of pairs whose earlier crossing is first met over
-    and whose later crossing is first met under; the value is independent
-    of where the walk starts and of the knot's orientation.
+    ``knot`` is a closed loop or its one-loop :class:`LinkDiagram`.  The
+    value is the bucket of pairs whose earlier crossing is first met over
+    and whose later crossing is first met under; it is independent of
+    where the walk starts and of the knot's orientation.
     """
-    diagram, _ = project_with_retry([knot])
-    return interleaved_pair_sums(diagram).ou
+    return interleaved_pair_sums(_knot_diagram(knot)).ou
+
+
+def a2_alexander(knot) -> int:
+    """Second Conway coefficient of a knot from its Alexander matrix, in
+    O(c^2) exact integer steps for c crossings.
+
+    ``knot`` is a closed loop or its one-loop :class:`LinkDiagram`.  Arc k
+    of the walk ends at the k-th under-pass, and that crossing gives row k
+    of M(t): (1 - t) at its over arc, t at arc k and -1 at arc k + 1 when
+    positive; (t - 1), 1 and -t when negative.  Dropping the last row and
+    column leaves D(t) = t^m * Delta(t), with Delta(1) = 1, Delta'(1) = 0
+    and Delta''(1) = 2*a2, so D(1) = 1, D'(1) = m and
+    D''(1) = m(m - 1) + 2*a2.  With M(1 + s) = M0 + s*M1, the kept part
+    of M0 is I - N for the shift N onto the superdiagonal, so
+    A = (I - N)^-1 * M1 holds suffix sums of M1's rows and
+    D(1 + s) = det(I + s*A) = 1 + s*tr(A) + s^2*(tr(A)^2 - tr(A^2))/2
+    modulo s^3.
+    """
+    passes = _single_loop_passes(_knot_diagram(knot))
+    c = len(passes) // 2
+    if c < 2:
+        return 0
+    # per crossing, in the order of its under-pass: (over arc, sign)
+    rows: list[tuple[int, int]] = []
+    over_arc: dict[int, int] = {}
+    for cid, over, sign in passes:
+        if over:
+            over_arc[cid] = len(rows) % c
+        else:
+            rows.append((cid, sign))
+    # rows of A, bottom up: running sums of M1's rows (-1 over and +1
+    # incoming when positive, +1 over and -1 outgoing when negative); the
+    # dropped last column is carried along and never read
+    a: list[list[int]] = []
+    acc = [0] * c
+    for k in range(c - 2, -1, -1):
+        cid, sign = rows[k]
+        acc = acc[:]
+        acc[over_arc[cid]] -= sign
+        acc[k if sign > 0 else k + 1] += sign
+        a.append(acc)
+    a.reverse()
+    n = c - 1
+    m = sum(a[i][i] for i in range(n))
+    cols = list(zip(*a))
+    tr_sq = sum(sum(x * y for x, y in zip(a[i], cols[i])) for i in range(n))
+    twice_e2 = m * m - tr_sq
+    if twice_e2 % 2:
+        raise Impossible(f"odd tr(A)^2 - tr(A^2) = {twice_e2} in the Alexander route")
+    return twice_e2 // 2 - m * (m - 1) // 2
+
+
+def a2_routes(knot) -> tuple[int, int]:
+    """(a2, a2_alexander) of a knot, both read off one projection."""
+    diagram = _knot_diagram(knot)
+    return a2(diagram), a2_alexander(diagram)
 
 
 # ---------------------------------------------------------------------------
-# second Conway coefficient, route 2: skein recursion
+# second Conway coefficient, test oracle: skein recursion
 
 PassEntry = tuple[int, bool, int]
 PassList = tuple[PassEntry, ...]
@@ -412,9 +480,10 @@ def conway_from_diagram(diagram: LinkDiagram, max_crossings: int = 16) -> Poly:
 
 
 def a2_skein(knot, max_crossings: int = 16) -> int:
-    """Second Conway coefficient by skein recursion.  Slow but independent
-    of the pair-count route."""
-    diagram, _ = project_with_retry([knot])
+    """Second Conway coefficient by skein recursion, for a closed loop or
+    its one-loop :class:`LinkDiagram`.  Exponential in the crossing count;
+    tests use it as an oracle for the other two routes."""
+    diagram = _knot_diagram(knot)
     if len(diagram.loops) != 1:
         raise ValueError("knot invariants need a single closed loop")
     poly = conway_from_diagram(diagram, max_crossings)

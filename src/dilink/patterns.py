@@ -14,9 +14,9 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .digraph import DiCycle, directionality
-from .errors import SearchBudgetExceeded
+from .errors import Impossible, SearchBudgetExceeded
 from .geom import SpatialEmbedding
-from .invariants import LinkTable, a2
+from .invariants import LinkTable, a2_routes
 
 __all__ = [
     "WeightedPattern",
@@ -99,7 +99,8 @@ def compute_pattern(
 
     Every linking number comes from one :class:`LinkTable`, which also
     checks each cycle for self-intersection.  When ``with_knotting`` is
-    set, each cycle also gets |a2|.
+    set, each cycle also gets |a2|, read off one projection by the
+    pair-count and the Alexander route, which must agree.
     """
     table = LinkTable(emb)
     loops = [table.loop(c) for c in cycles]
@@ -108,10 +109,18 @@ def compute_pattern(
         v = table.lk(cycles[i], cycles[j])
         if v:
             edges[(i, j)] = abs(v)
+    knot_weights = None
+    if with_knotting:
+        knot_weights = {}
+        for i, loop in enumerate(loops):
+            v_pairs, v_alexander = a2_routes(loop)
+            if v_pairs != v_alexander:
+                raise Impossible(f"a2 routes disagree on c{i}: {v_pairs} vs {v_alexander}")
+            knot_weights[i] = abs(v_pairs)
     return WeightedPattern(
         labels=tuple(f"c{i}" for i in range(len(cycles))),
         edges=edges,
-        knot_weights={i: abs(a2(loop)) for i, loop in enumerate(loops)} if with_knotting else None,
+        knot_weights=knot_weights,
         delta={i: directionality(c) for i, c in enumerate(cycles)},
     )
 

@@ -32,9 +32,9 @@ from dilink.engine import (
     theorem2_params,
     verify_lemma6_conclusion,
 )
-from dilink.errors import DilinkError, FormatError, TooLarge
+from dilink.errors import DilinkError, FormatError
 from dilink.geom import validate_general_position
-from dilink.invariants import LinkTable, a2, a2_skein
+from dilink.invariants import LinkTable, a2_routes
 from dilink.patterns import compute_pattern
 from dilink.workbench import generators as gens
 from dilink.workbench.serialization import (
@@ -244,15 +244,9 @@ def _cmd_invariants(args, rep: dict) -> None:
     for k, c in enumerate(cycles):
         if deltas[k] != 1 and len(cycles) > 1:
             continue
-        loop = table.loop(c)
-        try:
-            va = a2(loop)
-            vs = a2_skein(loop)
-        except TooLarge as ex:
-            knots.append({"cycle": k, "skipped": str(ex)})
-            continue
-        knots.append({"cycle": k, "a2": va, "a2_skein": vs})
-        _check(rep, f"a2-routes-agree-{k}", va == vs, f"{va} vs {vs}")
+        va, vx = a2_routes(table.loop(c))
+        knots.append({"cycle": k, "a2": va, "a2_alexander": vx})
+        _check(rep, f"a2-routes-agree-{k}", va == vx, f"{va} vs {vx}")
     rep["knotting"] = knots
 
 

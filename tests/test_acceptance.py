@@ -29,7 +29,7 @@ from dilink.engine import (
     verify_lemma6_conclusion,
 )
 from dilink.geom import shear_points
-from dilink.invariants import a2, a2_skein, linking_number, omega
+from dilink.invariants import a2, a2_routes, a2_skein, linking_number, omega
 from dilink.patterns import CompleteBipartiteMod2, check_witness, compute_pattern
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
@@ -157,7 +157,8 @@ def test_criterion_4_invariants_agree_and_survive_shears():
         assert a2(loop) == expected, name
         assert a2_skein(loop) == expected, name
         for kx, ky in shears():
-            assert a2(shear_points(loop, kx, ky)) == expected, (name, kx, ky)
+            routes = a2_routes(shear_points(loop, kx, ky))
+            assert routes == (expected, expected), (name, kx, ky)
 
     a, b = hand_hopf()
     assert abs(linking_number(a, b)) == 1
@@ -172,7 +173,7 @@ def test_criterion_4_invariants_agree_and_survive_shears():
         for kx, ky in shears():
             sa, sb = shear_points(la, kx, ky), shear_points(lb, kx, ky)
             assert abs(linking_number(sa, sb)) == k
-    passline(4, "a2 both routes on 8 knots, lk on 5 links, 20 shears each")
+    passline(4, "a2 three routes on 8 knots, lk on 5 links, 20 shears each")
 
 
 def test_criterion_5_big_z_matrix_of_instances():

@@ -376,6 +376,12 @@ class TestProp1Step:
             zl = realize(z, inst.embedding)
             for r in rings:
                 assert omega(zl, realize(r, inst.embedding)) == 1
+        picked = [cands[res.certificate.choices["centers"][i]]
+                  for i in res.certificate.choices["picked"]]
+        assert res.certificate.checks["omega_table"] == [
+            [omega(realize(z, inst.embedding), realize(x, inst.embedding)) for x in picked]
+            for z in res.zs
+        ]
 
     def test_not_enough_keyrings(self):
         inst = prop1_instance(2, rings=4)

@@ -1,12 +1,14 @@
 """Linking numbers and the second Conway coefficient against known links.
 
 Expected values were fixed ahead of time from standard knot tables
-(unknot 0, trefoil 1, figure-eight -1, granny/square family 2, (3,4)
-torus knot 5, (2,q) torus family (q^2-1)/8) and every knot case is run
-through both independent routes.
+(unknot 0, trefoil 1, figure-eight -1, 5_2 and the granny/square family
+2, (3,4) torus knot 5, (2,q) torus family (q^2-1)/8, (3,q) torus family
+(q^2-1)/3) and every knot case is run through all three independent
+routes: pair count, Alexander matrix and skein.
 """
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -21,6 +23,8 @@ from dilink.geom import shear, shear_points
 from dilink.invariants import (
     LinkTable,
     a2,
+    a2_alexander,
+    a2_routes,
     a2_skein,
     conway_from_diagram,
     interleaved_pair_sums,
@@ -53,6 +57,7 @@ KNOT_CORPUS = [
     ("(2,7) torus", [1] * 7, 2, 6),
     ("square knot", [1, 1, 1, -2, -2, -2], 3, 2),
     ("(3,4) torus", [1, 2] * 4, 3, 5),
+    ("5_2 twist knot", [1, 1, 1, 2, -1, 2], 3, 2),
 ]
 
 
@@ -137,37 +142,95 @@ def test_table_matches_linking_table_on_stored_cycles(kind):
 
 
 # ---------------------------------------------------------------------------
-# a2, both routes
+# a2, all three routes
 
 
 @pytest.mark.parametrize("name,word,strands,expected", KNOT_CORPUS)
 def test_a2_corpus(name, word, strands, expected):
     (loop,) = braid_closure(word, strands)
     assert a2(loop) == expected, name
+    assert a2_alexander(loop) == expected, name
     assert a2_skein(loop) == expected, name
 
 
 def test_a2_orientation_and_start_invariance(trefoil_points):
-    assert a2(trefoil_points[::-1]) == 1
     rotated = trefoil_points[5:] + trefoil_points[:5]
-    assert a2(rotated) == 1
+    for route in (a2, a2_alexander):
+        assert route(trefoil_points[::-1]) == 1
+        assert route(rotated) == 1
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(-6, 6), st.integers(-6, 6))
 def test_a2_shear_invariance(figure8_points, kx, ky):
-    assert a2(shear_points(figure8_points, kx, ky)) == -1
+    assert a2_routes(shear_points(figure8_points, kx, ky)) == (-1, -1)
+
+
+def _braid_knot_words(rng, count):
+    """Seeded braid words on 2-4 strands whose closure is one loop."""
+    out = []
+    while len(out) < count:
+        strands = rng.choice((2, 3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 10))]
+        perm = list(range(strands))
+        for g in word:
+            perm[abs(g) - 1], perm[abs(g)] = perm[abs(g)], perm[abs(g) - 1]
+        i, cycle = perm[0], 1
+        while i != 0:
+            i, cycle = perm[i], cycle + 1
+        if cycle == strands:
+            out.append((word, strands))
+    return out
+
+
+def test_a2_routes_agree_on_braid_and_torus_knots_under_shears():
+    # torus knots carry a known value at every size; random braid knots
+    # only the agreement of the routes.  The skein, whose cost grows about
+    # 2.5x per crossing, checks every diagram of at most 12 crossings and
+    # the first one of each size from 13 to 16.
+    rng = random.Random(8)
+    corpus = [([1] * q, 2, (q * q - 1) // 8) for q in range(3, 16, 2)]
+    corpus += [([1, 2] * q, 3, (q * q - 1) // 3) for q in (1, 2, 4, 5, 7)]
+    corpus += [(w, p, None) for w, p in _braid_knot_words(rng, 30)]
+    skein_sizes: set[int] = set()
+    above_16 = 0
+    for word, strands, expected in corpus:
+        (loop,) = braid_closure(word, strands)
+        for kx, ky in [(0, 0)] + [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(3)]:
+            diagram = project_with_retry([shear_points(loop, kx, ky)]).diagram
+            value = a2(diagram)
+            assert a2_alexander(diagram) == value, (word, kx, ky)
+            if expected is not None:
+                assert value == expected, (word, kx, ky)
+            crossings = len(diagram.crossings)
+            if crossings > 16:
+                above_16 += 1
+            elif crossings <= 12 or crossings not in skein_sizes:
+                assert a2_skein(diagram) == value, (word, kx, ky)
+                skein_sizes.add(crossings)
+    assert skein_sizes >= set(range(3, 17)) and above_16 >= 40, (skein_sizes, above_16)
+
+
+def test_a2_routes_project_once(monkeypatch, trefoil_points):
+    import dilink.invariants as inv
+
+    calls = []
+    real = inv.project_to_diagram
+    monkeypatch.setattr(inv, "project_to_diagram", lambda loops: calls.append(1) or real(loops))
+    assert a2_routes(trefoil_points) == (1, 1)
+    assert len(calls) == 1
 
 
 def test_interleaved_sums_need_single_loop():
     a, b = hand_hopf()
     diagram, _ = project_with_retry([a, b])
-    with pytest.raises(ValueError):
-        interleaved_pair_sums(diagram)
+    for route in (interleaved_pair_sums, a2_alexander, a2_skein):
+        with pytest.raises(ValueError):
+            route(diagram)
 
 
 def test_a2_square_is_planar():
-    assert a2(square_loop()) == 0
+    assert a2_routes(square_loop()) == (0, 0)
     assert a2_skein(square_loop()) == 0
 
 

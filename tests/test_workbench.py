@@ -497,11 +497,53 @@ class TestCliPipelines:
         assert code == 0
         code, rep = run_cli(capsys, "invariants", path)
         assert code == 0
-        assert rep["knotting"] == [{"cycle": 0, "a2": 1, "a2_skein": 1}]
+        assert rep["knotting"] == [{"cycle": 0, "a2": 1, "a2_alexander": 1}]
         assert rep["delta"] == [1]
         code, rep = run_cli(capsys, "pattern", path, "--with-knots")
         assert code == 0
         assert rep["pattern"]["knot_weights"] == [[0, 1]]
+
+    def test_invariants_crosscheck_knots_past_sixteen_crossings(self, capsys, tmp_path):
+        # the (2,17) torus knot: 17 crossings, a2 = (17^2 - 1)/8
+        path = str(tmp_path / "t217.json")
+        code, rep = run_cli(
+            capsys, "gen", "--kind", "braid", "--word", ",".join(["1"] * 17), "--p", "2",
+            "--out", path,
+        )
+        assert code == 0
+        code, rep = run_cli(capsys, "invariants", path)
+        assert code == 0 and rep["ok"]
+        assert rep["knotting"] == [{"cycle": 0, "a2": 36, "a2_alexander": 36}]
+        assert {"name": "a2-routes-agree-0", "passed": True, "detail": "36 vs 36"} in rep["checks"]
+
+    @pytest.mark.parametrize("lam,expected", [(8, 28), (12, 66), (16, 120)])
+    def test_search_l7_finds_knots_past_sixteen_crossings(self, capsys, tmp_path, lam, expected):
+        path = str(tmp_path / "cb.json")
+        code, rep = run_cli(
+            capsys, "gen", "--kind", "coiled_braid", "--lambda", str(lam), "--out", path
+        )
+        assert code == 0
+        code, rep = run_cli(capsys, "search-l7", path, "--lambda", str(lam))
+        assert code == 0 and rep["ok"]
+        assert rep["search"]["status"] == "found"
+        (row,) = rep["search"]["table"]
+        assert row["a2"] == expected and row["passed"] is True
+
+    def test_disagreeing_knot_routes_fail_every_command(self, capsys, tmp_path, monkeypatch):
+        import dilink.invariants as inv
+
+        tref = str(tmp_path / "tref.json")
+        coil = str(tmp_path / "cb.json")
+        run_cli(capsys, "gen", "--kind", "braid", "--word", "1,1,1", "--p", "2", "--out", tref)
+        run_cli(capsys, "gen", "--kind", "coiled_braid", "--lambda", "4", "--out", coil)
+        monkeypatch.setattr(inv, "a2_alexander", lambda knot: 99)
+        code, rep = run_cli(capsys, "invariants", tref)
+        assert code == 1 and not rep["ok"]
+        assert {"name": "a2-routes-agree-0", "passed": False, "detail": "1 vs 99"} in rep["checks"]
+        code, rep = run_cli(capsys, "pattern", tref, "--with-knots")
+        assert code == 1 and rep["error"]["type"] == "Impossible"
+        code, rep = run_cli(capsys, "search-l7", coil, "--lambda", "4")
+        assert code == 1 and rep["error"]["type"] == "ConstructionFailed"
 
     def test_thm2_params(self, capsys):
         code, rep = run_cli(capsys, "thm2-params", "--alpha", "2", "--n", "2")
