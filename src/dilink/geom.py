@@ -678,13 +678,12 @@ def arc_pair_crossings(a: tuple, b: tuple) -> int:
 
     Raises :class:`DisjointnessViolated` when the arcs meet in space, and
     :class:`DegenerateProjection` on any other touch or overlap of their
-    projections.
+    projections.  Only segment boxes are tested here: callers skip the
+    pairs whose arc boxes miss.
     """
-    e, segs_e, (ex0, ey0, ex1, ey1) = a
-    f, segs_f, (fx0, fy0, fx1, fy1) = b
+    e, segs_e, _ = a
+    f, segs_f, _ = b
     total = 0
-    if ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1:
-        return total
     for pa, qa, ax0, ay0, ax1, ay1 in segs_e:
         for pb, qb, bx0, by0, bx1, by1 in segs_f:
             if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:

@@ -117,12 +117,14 @@ class LinkTable:
     sigma_A(e) * sigma_B(f) * S(e, f).  Here sigma is +1 where the cycle
     runs along the arc and -1 where it runs against it, and S(e, f) is the
     signed count of crossings between arcs e and f, each run tail to head,
-    in the projection under the table's current shear.  A queried arc with
-    a vertical segment, or a touch or overlap in projection between arcs of
-    the two cycles, moves the whole table to the next shear and redoes the
-    query; lk does not depend on the shear.  Each queried cycle is checked
-    once for self-intersection in space, and cycles that share a vertex or
-    arcs that meet in space raise DisjointnessViolated.
+    in the projection under the table's current shear.  Only pairs whose
+    xy boxes meet can cross, so only those are visited and remembered.  A
+    queried arc with a vertical segment, or a touch or overlap in
+    projection between arcs of the two cycles, moves the whole table to the
+    next shear and redoes the query; lk does not depend on the shear.  Each
+    queried cycle is checked once for self-intersection in space, and
+    cycles that share a vertex or arcs that meet in space raise
+    DisjointnessViolated.
     """
 
     def __init__(self, emb: SpatialEmbedding):
@@ -141,7 +143,9 @@ class LinkTable:
         self.shear = shear
         # per arc: its strands under the current shear (geom.arc_strands)
         self._arcs: dict[tuple[int, int], tuple] = {}
-        # (e, f) with e < f -> S(e, f)
+        # per cycle with every arc prepared: ((strands, sign) per arc, xy box)
+        self._placed: dict[DiCycle, tuple[tuple, tuple]] = {}
+        # (e, f) with e < f and meeting xy boxes -> S(e, f)
         self._pairs: dict[tuple, int] = {}
 
     def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple]:
@@ -170,28 +174,79 @@ class LinkTable:
             self._arcs[key] = got
         return got
 
-    def _crossings(self, e: tuple[int, int], f: tuple[int, int]) -> int:
-        """S(e, f) for arcs with no common endpoint."""
-        key = (e, f) if e < f else (f, e)
-        got = self._pairs.get(key)
+    def _strands(self, c: DiCycle):
+        """c's (strands, sign) per arc, each arc prepared when reached."""
+        for key, sign in self._cycle(c)[1]:
+            yield self._arc(key), sign
+
+    def _place(self, c: DiCycle) -> tuple[tuple, tuple]:
+        """c's (strands, sign) per arc and the xy box of the whole cycle."""
+        got = self._placed.get(c)
         if got is None:
-            got = arc_pair_crossings(self._arc(e), self._arc(f))
-            self._pairs[key] = got
+            arcs = tuple(self._strands(c))
+            boxes = [s[2] for s, _ in arcs]
+            box = (
+                min(b[0] for b in boxes),
+                min(b[1] for b in boxes),
+                max(b[2] for b in boxes),
+                max(b[3] for b in boxes),
+            )
+            got = (arcs, box)
+            self._placed[c] = got
         return got
+
+    def _sum(self, a: DiCycle, b: DiCycle) -> int:
+        """Sum of sigma_A(e) * sigma_B(f) * S(e, f) over the arc pairs whose
+        xy boxes meet.
+
+        Pairs are visited e over A, f over B, and an arc is prepared when
+        first reached, so a query raises what the full product of arc pairs
+        would raise first.  A cycle's box prunes only once all its arcs are
+        prepared under the current shear.
+        """
+        placed_a = self._placed.get(a)
+        placed_b = self._placed.get(b)
+        if placed_b is not None:
+            bx0, by0, bx1, by1 = placed_b[1]
+            if placed_a is not None:
+                ax0, ay0, ax1, ay1 = placed_a[1]
+                if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+                    return 0
+        total = 0
+        for se, sa in placed_a[0] if placed_a is not None else self._strands(a):
+            ex0, ey0, ex1, ey1 = se[2]
+            if placed_b is None:
+                row = self._strands(b)
+            elif ex0 > bx1 or bx0 > ex1 or ey0 > by1 or by0 > ey1:
+                continue
+            else:
+                row = placed_b[0]
+            e = se[0]
+            for sf, sb in row:
+                fx0, fy0, fx1, fy1 = sf[2]
+                if ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1:
+                    continue
+                f = sf[0]
+                key = (e, f) if e < f else (f, e)
+                s = self._pairs.get(key)
+                if s is None:
+                    s = self._pairs[key] = arc_pair_crossings(se, sf)
+                total += sa * sb * s
+            if placed_b is None:
+                placed_b = self._place(b)
+                bx0, by0, bx1, by1 = placed_b[1]
+        self._place(a)
+        return total
 
     def lk(self, a: DiCycle, b: DiCycle) -> int:
         shared = a.vertex_set() & b.vertex_set()
         if shared:
             raise DisjointnessViolated(f"cycles share vertices {sorted(shared)}")
-        arcs_a = self._cycle(a)[1]
-        arcs_b = self._cycle(b)[1]
+        self._cycle(a)
+        self._cycle(b)
         while True:
             try:
-                total = sum(
-                    sa * sb * self._crossings(e, f)
-                    for e, sa in arcs_a
-                    for f, sb in arcs_b
-                )
+                total = self._sum(a, b)
                 break
             except DegenerateProjection as ex:
                 self._next_shear(ex)

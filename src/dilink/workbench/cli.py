@@ -122,7 +122,7 @@ def _instance_roles(inst: gens.GeneratedInstance) -> tuple[list[DiCycle], dict]:
 
 
 class ParameterError(DilinkError):
-    """A generator rejected its parameters: a usage error (exit 2)."""
+    """A command rejected its parameters: a usage error (exit 2)."""
 
 
 # gen's shared flags: option -> (dest, parser, value when the flag is not given)
@@ -615,6 +615,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# per command: the options (flag -> dest) whose value must be at least 1
+_POSITIVE = {
+    "prop1": {"--budget": "budget"},
+    "search-l7": {"--lambda": "lam", "--budget": "budget"},
+    "thm2-params": {"--alpha": "alpha", "--n": "n"},
+    "cgtest": {"--count": "count"},
+}
+
+
+def _check_positive(args) -> None:
+    for flag, dest in _POSITIVE.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value < 1:
+            raise ParameterError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value that starts with "-" for a flag, so a braid
@@ -629,6 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     usage_error = False
     t0 = time.perf_counter()
     try:
+        _check_positive(args)
         args.func(args, rep)
     except DilinkError as ex:
         rep["ok"] = False

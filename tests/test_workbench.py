@@ -468,15 +468,18 @@ class TestCliPipelines:
         assert code == 0 and rep["ok"]
         assert rep["search"]["status"] == "found"
         assert rep["search"]["candidates_tried"] == 1
+        code, rep = run_cli(capsys, "search-l7", path, "--lambda", "5")
+        assert code == 1
+        assert rep["error"]["type"] == "HypothesisViolated"
+        # at lambda = 1 the first candidate has a2 = 0, so a budget of one
+        # candidate runs out
+        run_cli(capsys, "gen", "--kind", "coiled_braid", "--lambda", "1", "--out", path)
         code, rep = run_cli(
-            capsys, "search-l7", path, "--lambda", "4", "--budget", "0"
+            capsys, "search-l7", path, "--lambda", "1", "--budget", "1"
         )
         assert code == 1 and not rep["ok"]
         assert rep["search"]["status"] == "inconclusive"
         assert rep["search"]["reason"] == "budget exhausted"
-        code, rep = run_cli(capsys, "search-l7", path, "--lambda", "5")
-        assert code == 1
-        assert rep["error"]["type"] == "HypothesisViolated"
 
     def test_invariants_apply_stored_orientations(self, capsys, tmp_path, grid13):
         # keys first, then the ring every key threads; reversing one key
@@ -668,6 +671,37 @@ class TestCliFailureShapes:
         assert rep["format_version"] == FORMAT_VERSION
         assert "Traceback" not in captured.err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["search-l7", "l7.json", "--lambda", "0"], "--lambda must be at least 1, got 0"),
+            (["search-l7", "l7.json", "--budget", "0"], "--budget must be at least 1, got 0"),
+            (["prop1", "p1.json", "--n", "2", "--budget", "0"], "--budget must be at least 1, got 0"),
+            (["cgtest", "--count", "-1"], "--count must be at least 1, got -1"),
+            (["thm2-params", "--alpha", "0"], "--alpha must be at least 1, got 0"),
+        ],
+    )
+    def test_command_parameter_errors_exit_two(self, capsys, tmp_path, argv, message):
+        # unchecked, these report "found", "inconclusive", a spent budget,
+        # "0/-1 embeddings" or a failed hypothesis
+        files = {
+            "l7.json": ["--kind", "coiled_braid", "--lambda", "2"],
+            "p1.json": ["--kind", "prop1", "--n", "2", "--rings", "4"],
+        }
+        argv = list(argv)
+        if argv[1] in files:
+            path = str(tmp_path / argv[1])
+            assert main(["gen", *files[argv[1]], "--out", path]) == 0
+            capsys.readouterr()
+            argv[1] = path
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        rep = json.loads(captured.out)  # exactly one JSON object
+        assert rep["command"] == argv[0] and rep["ok"] is False
+        assert rep["error"] == {"type": "ParameterError", "message": message}
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv,flag",
