@@ -242,6 +242,7 @@ class LinkTable:
         shared = a.vertex_set() & b.vertex_set()
         if shared:
             raise DisjointnessViolated(f"cycles share vertices {sorted(shared)}")
+        # realize and self-check both cycles before any arc is projected
         self._cycle(a)
         self._cycle(b)
         while True:
