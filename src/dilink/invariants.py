@@ -184,14 +184,8 @@ class LinkTable:
         got = self._placed.get(c)
         if got is None:
             arcs = tuple(self._strands(c))
-            boxes = [s[2] for s, _ in arcs]
-            box = (
-                min(b[0] for b in boxes),
-                min(b[1] for b in boxes),
-                max(b[2] for b in boxes),
-                max(b[3] for b in boxes),
-            )
-            got = (arcs, box)
+            x0, y0, x1, y1 = zip(*(s[2] for s, _ in arcs))
+            got = (arcs, (min(x0), min(y0), max(x1), max(y1)))
             self._placed[c] = got
         return got
 
