@@ -54,8 +54,6 @@ def tangles(draw):
             for p in draw(st.lists(coord, max_size=2)) + [verts[h]]:
                 if p != pts[-1]:
                     pts.append(p)
-            if len(pts) > 2 and pts[-2] == verts[h]:
-                pts.pop()
             arcs[(t, h)] = PolyLine(pts)
     query = st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans())
     queries = draw(st.lists(query.filter(lambda q: q[0] != q[1]), min_size=1, max_size=6))
