@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DisjointnessViolated,
+    HypothesisViolated,
     Impossible,
     MissingArc,
     NotACycle,
@@ -33,6 +34,8 @@ __all__ = [
     "u_to_w_paths",
     "nabla",
     "nabla_eps",
+    "check_closure",
+    "closure_for_delta",
     "connector_cycle",
     "realize",
 ]
@@ -322,6 +325,34 @@ class ConnectorResult:
 CLOSURES = ("one_directional", "two_directional", "extra_path")
 
 
+def check_closure(closure: str, extra_count: int) -> None:
+    """Raise ValueError unless ``closure`` is a known closure that can run
+    through ``extra_count`` extra vertices."""
+    if closure not in CLOSURES:
+        raise ValueError(f"unknown closure {closure!r}")
+    if closure == "extra_path":
+        if extra_count < 2 or extra_count % 2:
+            raise ValueError(
+                f"extra_path needs a positive even extra_count, got {extra_count}"
+            )
+    elif extra_count:
+        raise ValueError("extra vertices only apply to extra_path closures")
+
+
+def closure_for_delta(delta: int) -> tuple[str, int]:
+    """The connector closure that yields directionality ``delta``, and the
+    number of extra vertices it runs through."""
+    if delta == 1:
+        return "one_directional", 0
+    if delta == 2:
+        return "two_directional", 0
+    if delta >= 4 and delta % 2 == 0:
+        return "extra_path", delta - 2
+    raise HypothesisViolated(
+        "target directionality must be 1 or an even number >= 2"
+    )
+
+
 def connector_cycle(
     cycles: Sequence[DiCycle],
     closure: str = "one_directional",
@@ -352,8 +383,7 @@ def connector_cycle(
     """
     if len(cycles) < 2:
         raise ValueError("need at least two cycles to chain")
-    if closure not in CLOSURES:
-        raise ValueError(f"unknown closure {closure!r}")
+    check_closure(closure, len(extra_vertices))
     if q_policy not in ("lex", "opposite"):
         raise ValueError(f"unknown q policy {q_policy!r}")
     if orientations is None:
@@ -370,14 +400,9 @@ def connector_cycle(
             raise DisjointnessViolated(f"cycles share vertex {min(overlap)}")
         seen |= c.vertex_set()
 
-    if closure == "extra_path":
-        extras = tuple(int(v) for v in extra_vertices)
-        if len(extras) < 2 or len(extras) % 2:
-            raise ValueError("extra_path needs a positive even number of extra vertices")
-        if len(set(extras)) != len(extras) or seen & set(extras):
-            raise DisjointnessViolated("extra vertices must be fresh and distinct")
-    elif extra_vertices:
-        raise ValueError("extra vertices only make sense with the extra_path closure")
+    extras = tuple(int(v) for v in extra_vertices)
+    if len(set(extras)) != len(extras) or seen & set(extras):
+        raise DisjointnessViolated("extra vertices must be fresh and distinct")
 
     junctions: list[tuple[int, int]] = []
     q_paths: list[tuple[int, ...]] = []

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from dilink.digraph import (
     DiCycle,
+    closure_for_delta,
     connector_cycle,
     directionality,
     nabla,
@@ -118,15 +119,7 @@ def _cycles_from_json(objs: Sequence[dict]) -> list[DiCycle]:
 
 
 def _closure_for(target_delta: int, extra_vertices: Sequence[int]) -> str:
-    if target_delta == 1:
-        closure = "one_directional"
-    elif target_delta == 2:
-        closure = "two_directional"
-    elif target_delta >= 4 and target_delta % 2 == 0:
-        closure = "extra_path"
-    else:
-        raise HypothesisViolated("target directionality must be 1 or even")
-    need = target_delta - 2 if closure == "extra_path" else 0
+    closure, need = closure_for_delta(target_delta)
     if len(extra_vertices) != need:
         raise HypothesisViolated(
             f"target directionality {target_delta} needs exactly {need} "
@@ -149,22 +142,23 @@ def _surgery_chain(base: DiCycle, pieces: Sequence[DiCycle]) -> DiCycle:
 # odd-pair finder on six-vertex blocks
 
 
-def _block_triangle(block: Sequence[int], tri: Sequence[int]) -> DiCycle:
+def _triangle(tri: Sequence[int]) -> DiCycle:
     # arcs run from the lower id to the higher, so a sorted triangle
     # traversal uses two along-steps and one against-step
     a, b, c = sorted(tri)
     return DiCycle((a, b, c), (True, True, False))
 
 
-def _block_pairs(block: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    rest = sorted(block)[1:]
-    lead = min(block)
-    out = []
+def _block_table(cache: LinkTable, block: Sequence[int]) -> list[list]:
+    """ω of the 10 disjoint triangle pairs of a 6-vertex block, one row
+    [triangle, complement, ω] per pair, the triangle holding the lowest id."""
+    lead, *rest = sorted(block)
+    table = []
     for two in combinations(rest, 2):
-        tri = (lead,) + two
-        comp = tuple(v for v in sorted(block) if v not in tri)
-        out.append((tri, comp))
-    return out
+        tri = [lead, *two]
+        comp = [v for v in rest if v not in two]
+        table.append([tri, comp, cache.omega(_triangle(tri), _triangle(comp))])
+    return table
 
 
 @dataclass(frozen=True)
@@ -193,14 +187,11 @@ def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
     blocks_json = []
     for bi in range(m):
         block = ids[6 * bi : 6 * bi + 6]
-        table = []
-        winner: Optional[tuple[DiCycle, DiCycle]] = None
-        for tri, comp in _block_pairs(block):
-            c1, c2 = _block_triangle(block, tri), _block_triangle(block, comp)
-            w = cache.omega(c1, c2)
-            table.append([list(tri), list(comp), w])
-            if w == 1 and winner is None:
-                winner = (c1, c2)
+        table = _block_table(cache, block)
+        winner = next(
+            ((_triangle(tri), _triangle(comp)) for tri, comp, w in table if w == 1),
+            None,
+        )
         parity = sum(row[2] for row in table) % 2
         if winner is None:
             raise Impossible(
@@ -238,11 +229,7 @@ def conway_gordon_parity(emb: SpatialEmbedding) -> tuple[list, int]:
     ids = sorted(emb.vertices)
     if len(ids) != 6:
         raise HypothesisViolated("parity sweep needs exactly 6 vertices")
-    cache = LinkTable(emb)
-    table = []
-    for tri, comp in _block_pairs(ids):
-        w = cache.omega(_block_triangle(ids, tri), _block_triangle(ids, comp))
-        table.append([list(tri), list(comp), w])
+    table = _block_table(LinkTable(emb), ids)
     return table, sum(row[2] for row in table) % 2
 
 
@@ -264,7 +251,6 @@ def big_z(
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
     q_policy: str = "lex",
-    checked: bool = True,
 ) -> BigZResult:
     """Build one cycle of the target directionality that links at least half
     of the target cycles mod 2.
@@ -281,17 +267,15 @@ def big_z(
         raise HypothesisViolated("need 2n chained cycles and 2n targets")
     n = len(js) // 2
     closure = _closure_for(target_delta, extra_vertices)
-    if checked:
-        for i, j in enumerate(js):
-            if directionality(j) != 2:
-                raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
+    for i, j in enumerate(js):
+        if directionality(j) != 2:
+            raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
     cache = LinkTable(emb)
-    if checked:
-        for i in range(n):
-            if cache.omega(js[i], xs[i]) != 1:
-                raise HypothesisViolated(
-                    f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
-                )
+    for i in range(n):
+        if cache.omega(js[i], xs[i]) != 1:
+            raise HypothesisViolated(
+                f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
+            )
 
     res = connector_cycle(
         js, closure, q_policy=q_policy, extra_vertices=extra_vertices
@@ -419,7 +403,6 @@ def bipar_z(
     lam: int,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
-    checked: bool = True,
 ) -> BiparResult:
     """Build one cycle whose linking number with every X and Y target
     exceeds ``lam`` in magnitude.
@@ -441,35 +424,32 @@ def bipar_z(
     closure = _closure_for(target_delta, extra_vertices)
     keep_j_count = m * (2 * lam + 1)
     keep_l_count = (m + n_y) * (2 * lam + 1)
-    if checked:
-        if r < keep_j_count * 2**m:
-            raise HypothesisViolated(
-                f"r = {r} < {keep_j_count * 2**m} chained cycles of the "
-                f"first family"
-            )
-        if q < keep_l_count * 3**m * 2**n_y:
-            raise HypothesisViolated(
-                f"q = {q} < {keep_l_count * 3**m * 2**n_y} chained cycles "
-                f"of the second family"
-            )
-        for fam, name in ((js, "first"), (ls, "second")):
-            for i, c in enumerate(fam):
-                if directionality(c) != 2:
-                    raise HypothesisViolated(
-                        f"{name}-family cycle {i} is not 2-directional"
-                    )
+    if r < keep_j_count * 2**m:
+        raise HypothesisViolated(
+            f"r = {r} < {keep_j_count * 2**m} chained cycles of the first family"
+        )
+    if q < keep_l_count * 3**m * 2**n_y:
+        raise HypothesisViolated(
+            f"q = {q} < {keep_l_count * 3**m * 2**n_y} chained cycles "
+            f"of the second family"
+        )
+    for fam, name in ((js, "first"), (ls, "second")):
+        for i, c in enumerate(fam):
+            if directionality(c) != 2:
+                raise HypothesisViolated(
+                    f"{name}-family cycle {i} is not 2-directional"
+                )
 
     cache = LinkTable(emb)
     lk_jx = {(i, a): cache.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
     lk_ly = {(j, b): cache.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
     lk_lx = {(j, a): cache.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
-    if checked:
-        for (i, a), v in sorted(lk_jx.items()):
-            if v == 0:
-                raise HypothesisViolated(f"lk(J_{i}, X_{a}) = 0")
-        for (j, b), v in sorted(lk_ly.items()):
-            if v == 0:
-                raise HypothesisViolated(f"lk(L_{j}, Y_{b}) = 0")
+    for (i, a), v in sorted(lk_jx.items()):
+        if v == 0:
+            raise HypothesisViolated(f"lk(J_{i}, X_{a}) = 0")
+    for (j, b), v in sorted(lk_ly.items()):
+        if v == 0:
+            raise HypothesisViolated(f"lk(L_{j}, Y_{b}) = 0")
 
     # phase 1: halve the J's over the X targets
     sign_x = [1] * m
@@ -688,7 +668,6 @@ def prop1_step(
     extra_sets: Sequence[Sequence[int]] = (),
     q_policy: str = "lex",
     budget: int = DEFAULT_BUDGET,
-    checked: bool = True,
 ) -> Prop1Result:
     """Build n disjoint cycles that all link the same n cycles oddly.
 
@@ -726,7 +705,6 @@ def prop1_step(
             target_delta=target_delta,
             extra_vertices=extras,
             q_policy=q_policy,
-            checked=checked,
         )
         zs.append(sub.z)
         round_certs.append(sub.certificate.to_json())
@@ -796,7 +774,6 @@ def theorem1_step(
     lam: int,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
-    checked: bool = True,
 ) -> Theorem1Result:
     """Grow a multipartite witness by one singleton class.
 
@@ -824,7 +801,7 @@ def theorem1_step(
         raise HypothesisViolated("both big classes need size s = m + q > m")
     q_count = s - m
     expected_q = (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
-    if checked and q_count != expected_q:
+    if q_count != expected_q:
         raise HypothesisViolated(
             f"class size {s} = m + {q_count}, expected m + {expected_q}"
         )
@@ -840,15 +817,14 @@ def theorem1_step(
                     f"input classes are not fully parity-linked: "
                     f"components {i} and {j}"
                 )
-    if checked and n:
-        lam_pairs = [(a, b) for a in qs for b in p1[:m] + p2[:m] + qs if a != b]
-        for a, b in lam_pairs:
-            w = pattern.weight(pos[a], pos[b])
-            if w <= lam:
-                raise HypothesisViolated(
-                    f"singleton weight |lk| = {w} <= {lam} between "
-                    f"components {a} and {b}"
-                )
+    lam_pairs = [(a, b) for a in qs for b in p1[:m] + p2[:m] + qs if a != b]
+    for a, b in lam_pairs:
+        w = pattern.weight(pos[a], pos[b])
+        if w <= lam:
+            raise HypothesisViolated(
+                f"singleton weight |lk| = {w} <= {lam} between "
+                f"components {a} and {b}"
+            )
 
     x_cycles = [candidates[i] for i in p1[:m]]
     l_cycles = [candidates[i] for i in p1[m:]]
@@ -863,7 +839,6 @@ def theorem1_step(
         lam,
         target_delta=target_delta,
         extra_vertices=extra_vertices,
-        checked=checked,
     )
     z = sub.z
 

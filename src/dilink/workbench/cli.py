@@ -19,7 +19,12 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from dilink import __version__
-from dilink.digraph import DiCycle, connector_cycle, directionality
+from dilink.digraph import (
+    DiCycle,
+    closure_for_delta,
+    connector_cycle,
+    directionality,
+)
 from dilink.engine import (
     big_z,
     bipar_z,
@@ -32,7 +37,7 @@ from dilink.engine import (
     theorem2_params,
     verify_lemma6_conclusion,
 )
-from dilink.errors import DilinkError, FormatError
+from dilink.errors import DilinkError, FormatError, HypothesisViolated
 from dilink.geom import validate_general_position
 from dilink.invariants import LinkTable, a2_routes
 from dilink.patterns import compute_pattern
@@ -94,15 +99,19 @@ def _free_vertices(inst: ParsedInstance) -> list[int]:
     return sorted(set(inst.embedding.vertices) - used)
 
 
-def _extras_for_delta(inst: ParsedInstance, delta: int) -> list[int]:
-    need = delta - 2 if delta >= 4 else 0
+def _extras_for_delta(
+    inst: ParsedInstance, delta: int, rounds: int = 1
+) -> list[list[int]]:
+    # one group of extra vertices per connector closure, in the order the
+    # generators laid the closures out
+    _, need = closure_for_delta(delta)
     free = _free_vertices(inst)
-    if len(free) < need:
+    if len(free) < need * rounds:
         raise FormatError(
-            f"directionality {delta} needs {need} spare vertices, "
+            f"directionality {delta} needs {need * rounds} spare vertices, "
             f"file has {len(free)}"
         )
-    return free[:need]
+    return [free[k * need:(k + 1) * need] for k in range(rounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def _cmd_gen(args, rep: dict) -> None:
         if "word" in params:
             params["word"] = [int(w) for w in params["word"].split(",") if w.strip()]
         inst = build(*(params[name] for name in names))
-    except ValueError as ex:
+    except (ValueError, HypothesisViolated) as ex:
         raise ParameterError(f"{args.kind}: {ex}") from ex
 
     cycles, roles = _instance_roles(inst)
@@ -278,13 +287,9 @@ def _cmd_bigz(args, rep: dict) -> None:
     inst = load_instance(args.file)
     js = _role_or(inst, "js", "keys")
     xs = _role_or(inst, "xs", "rings")
-    extras = _extras_for_delta(inst, args.delta)
-    rep["params"].update(
-        delta=args.delta,
-        q_policy=args.q_policy,
-        extras=extras,
-        checked=not args.unchecked,
-    )
+    rep["params"].update(delta=args.delta, q_policy=args.q_policy)
+    (extras,) = _extras_for_delta(inst, args.delta)
+    rep["params"]["extras"] = extras
     res = big_z(
         js,
         xs,
@@ -292,7 +297,6 @@ def _cmd_bigz(args, rep: dict) -> None:
         target_delta=args.delta,
         extra_vertices=extras,
         q_policy=args.q_policy,
-        checked=not args.unchecked,
     )
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
@@ -321,17 +325,9 @@ def _cmd_bipar(args, rep: dict) -> None:
         raise FormatError(f"need {m + n} rings, file has {len(rings)}")
     if len(keys) <= r:
         raise FormatError(f"need more than {r} keys, file has {len(keys)}")
-    extras = _extras_for_delta(inst, args.delta)
-    rep["params"].update(
-        m=m,
-        n=n,
-        lam=lam,
-        r=r,
-        q=len(keys) - r,
-        delta=args.delta,
-        extras=extras,
-        checked=not args.unchecked,
-    )
+    rep["params"].update(m=m, n=n, lam=lam, r=r, q=len(keys) - r, delta=args.delta)
+    (extras,) = _extras_for_delta(inst, args.delta)
+    rep["params"]["extras"] = extras
     res = bipar_z(
         keys[:r],
         keys[r:],
@@ -341,7 +337,6 @@ def _cmd_bipar(args, rep: dict) -> None:
         lam,
         target_delta=args.delta,
         extra_vertices=extras,
-        checked=not args.unchecked,
     )
     rep["certificates"] = [res.certificate.to_json()]
     final = res.certificate.checks["final_x"] + res.certificate.checks["final_y"]
@@ -366,23 +361,20 @@ def _prop1_candidates(inst: ParsedInstance) -> list[int]:
 
 
 def _cmd_prop1(args, rep: dict) -> None:
-    rep["params"].update(
-        n=args.n,
-        delta=args.delta,
-        budget=args.budget,
-        checked=not args.unchecked,
-    )
+    rep["params"].update(n=args.n, delta=args.delta, budget=args.budget)
     inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
+    extra_sets = _extras_for_delta(inst, args.delta, rounds=args.n)
+    rep["params"]["extras"] = extra_sets
     order = _prop1_candidates(inst)
     res = prop1_step(
         inst.embedding,
         [inst.cycles[i] for i in order],
         args.n,
         target_delta=args.delta,
+        extra_sets=extra_sets,
         budget=args.budget,
-        checked=not args.unchecked,
     )
     rep["candidate_order"] = order
     rep["certificates"] = [res.certificate.to_json()]
@@ -402,12 +394,7 @@ def _cmd_prop1(args, rep: dict) -> None:
 
 
 def _cmd_thm1_step(args, rep: dict) -> None:
-    rep["params"].update(
-        m=args.m,
-        lam=args.lam,
-        delta=args.delta,
-        checked=not args.unchecked,
-    )
+    rep["params"].update(m=args.m, lam=args.lam, delta=args.delta)
     inst = load_instance(args.file)
     p1 = list(inst.roles.get("P1", inst.roles.get("rings", ())))
     p2 = list(inst.roles.get("P2", inst.roles.get("keys", ())))
@@ -421,8 +408,7 @@ def _cmd_thm1_step(args, rep: dict) -> None:
         args.m,
         args.lam,
         target_delta=args.delta,
-        extra_vertices=_extras_for_delta(inst, args.delta),
-        checked=not args.unchecked,
+        extra_vertices=_extras_for_delta(inst, args.delta)[0],
     )
     rep["certificates"] = [res.certificate.to_json()]
     rep["witness"] = res.witness
@@ -527,8 +513,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--m", type=int, default=0)
     if "budget" in names:
         p.add_argument("--budget", type=int, default=500_000)
-    if "unchecked" in names:
-        p.add_argument("--unchecked", action="store_true")
     p.add_argument("--out", default=None)
 
 
@@ -571,24 +555,24 @@ def build_parser() -> argparse.ArgumentParser:
     bz = sub.add_parser("bigz", help="build a cycle linking half the targets")
     bz.add_argument("file")
     bz.add_argument("--q-policy", default="lex", choices=["lex", "opposite"])
-    _add_common(bz, "delta", "unchecked")
+    _add_common(bz, "delta")
     bz.set_defaults(func=_cmd_bigz)
 
     bp = sub.add_parser("bipar", help="build a cycle past a linking threshold")
     bp.add_argument("file")
     bp.add_argument("--r", type=int, default=0)
-    _add_common(bp, "m", "n", "lam", "delta", "unchecked")
+    _add_common(bp, "m", "n", "lam", "delta")
     bp.set_defaults(func=_cmd_bipar)
     bp.set_defaults(m=1, n=1)
 
     p1 = sub.add_parser("prop1", help="keyring rounds toward a parity pattern")
     p1.add_argument("file")
-    _add_common(p1, "n", "delta", "budget", "unchecked")
+    _add_common(p1, "n", "delta", "budget")
     p1.set_defaults(func=_cmd_prop1)
 
     t1 = sub.add_parser("thm1-step", help="grow a witness by one singleton")
     t1.add_argument("file")
-    _add_common(t1, "m", "lam", "delta", "unchecked")
+    _add_common(t1, "m", "lam", "delta")
     t1.set_defaults(func=_cmd_thm1_step)
     t1.set_defaults(m=1)
 

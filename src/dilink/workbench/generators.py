@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from dilink.digraph import DiCycle, direction_change_vertices
+from dilink.digraph import (
+    DiCycle,
+    check_closure,
+    closure_for_delta,
+    direction_change_vertices,
+)
 from dilink.errors import GenerationFailed
 from dilink.geom import (
     Point3,
@@ -45,6 +50,11 @@ __all__ = [
 ]
 
 MAX_RESAMPLES = 64
+
+# largest s (rings, and as many keys, each threading every ring) that
+# theorem1_instance builds; s = 434 takes about 10 s and 250 MiB on a
+# 2-vCPU machine, and time and memory grow about quadratically in s
+MAX_THEOREM1_SIZE = 512
 
 
 def split_seed(seed: int, label: str) -> int:
@@ -648,13 +658,7 @@ def with_chain(
     """
     if len(order) < 2:
         raise ValueError("a chain needs at least two cycles")
-    if closure not in ("one_directional", "two_directional", "extra_path"):
-        raise ValueError(f"unknown closure {closure!r}")
-    if closure == "extra_path":
-        if extra_count < 2 or extra_count % 2:
-            raise ValueError("extra_path needs a positive even extra_count")
-    elif extra_count:
-        raise ValueError("extra vertices only apply to extra_path closures")
+    check_closure(closure, extra_count)
     if wrap_turns and closure != "one_directional":
         raise ValueError("wrapped closures are one-directional only")
     if wrap_turns > inst.meta.get("wrap_reserve", 0):
@@ -770,23 +774,13 @@ def big_z_instance(
     ):
         raise ValueError("need one interval per key, each containing its index")
     inst = grid_link(count, intervals)
-    closure, extras = _closure_for_delta(target_delta)
+    closure, extras = closure_for_delta(target_delta)
     inst = with_chain(
         inst, [("key", i) for i in range(count)], closure, extra_count=extras
     )
     inst.meta["target_delta"] = target_delta
     inst.meta["n"] = n
     return inst
-
-
-def _closure_for_delta(delta: int) -> tuple[str, int]:
-    if delta == 1:
-        return "one_directional", 0
-    if delta == 2:
-        return "two_directional", 0
-    if delta >= 4 and delta % 2 == 0:
-        return "extra_path", delta - 2
-    raise ValueError("target directionality must be 1 or an even number >= 2")
 
 
 def bipar_instance(
@@ -813,7 +807,7 @@ def bipar_instance(
         raise ValueError("r or q too small for the requested m, n, lam")
     order = [("key", i) for i in range(keep_j)]
     order += [("key", r + j) for j in range(keep_l)]
-    closure, extras = _closure_for_delta(target_delta)
+    closure, extras = closure_for_delta(target_delta)
     inst = with_chain(inst, order, closure, extra_count=extras)
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "r": r, "q": q, "target_delta": target_delta}
@@ -838,7 +832,7 @@ def prop1_instance(
     for j in range(n):
         intervals += [(i, i) for i in range(rings)]
     inst = grid_link(rings, intervals, ring_eps=[ring_eps] * rings)
-    closure, extras = _closure_for_delta(target_delta)
+    closure, extras = closure_for_delta(target_delta)
     for j in range(n):
         order = [("key", j * rings + i) for i in range(rings)]
         inst = with_chain(inst, order, closure, extra_count=extras)
@@ -857,6 +851,10 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Ge
         raise ValueError("need m, lam >= 1 and n >= 0")
     q = (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
     s = m + q
+    if s > MAX_THEOREM1_SIZE:
+        raise ValueError(
+            f"s = m + q = {s} rings exceeds the limit of {MAX_THEOREM1_SIZE}"
+        )
     intervals = [(0, s - 1)] * s
     inst = grid_link(s, intervals)
     keep_j = m * (2 * lam + 1)
@@ -865,7 +863,7 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Ge
     # the second (ring 0..m-1 and key 0..m-1 are the X and Y cycles).
     order = [("key", m + i) for i in range(keep_j)]
     order += [("ring", m + j) for j in range(keep_l)]
-    closure, extras = _closure_for_delta(target_delta)
+    closure, extras = closure_for_delta(target_delta)
     inst = with_chain(inst, order, closure, extra_count=extras)
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "q": q, "target_delta": target_delta}

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dilink.digraph import (
     DiCycle,
+    closure_for_delta,
     connector_cycle,
     direction_change_vertices,
     directionality,
@@ -16,6 +17,7 @@ from dilink.digraph import (
 )
 from dilink.errors import (
     DisjointnessViolated,
+    HypothesisViolated,
     MissingArc,
     NotACycle,
     NotApplicable,
@@ -226,6 +228,20 @@ def test_connector_extra_path():
         extra_vertices=(6, 7, 8, 9),
     )
     assert directionality(res6.cycle) == 6
+
+
+@pytest.mark.parametrize("delta", [1, 2, 4, 6, 8])
+def test_closure_for_delta_reaches_its_directionality(delta):
+    closure, count = closure_for_delta(delta)
+    cycles = [two_dir(3 * i, 3 * i + 1, 3 * i + 2) for i in range(3)]
+    res = connector_cycle(cycles, closure, extra_vertices=range(9, 9 + count))
+    assert directionality(res.cycle) == delta
+
+
+@pytest.mark.parametrize("delta", [-2, 0, 3, 5])
+def test_closure_for_delta_rejects_unreachable_directionality(delta):
+    with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
+        closure_for_delta(delta)
 
 
 def test_connector_lex_policy_picks_smaller_path():

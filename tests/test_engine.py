@@ -33,6 +33,7 @@ from dilink.geom import Point3, PolyLine, SpatialEmbedding, shear
 from dilink.invariants import LinkTable, linking_number, omega
 from dilink.workbench.generators import (
     big_z_instance,
+    grid_link,
     lemma1_dk6m,
     prop1_instance,
     random_complete,
@@ -44,6 +45,11 @@ from conftest import clasped_triangles
 
 def loops_of(emb, *cycles):
     return [realize(c, emb) for c in cycles]
+
+
+def one_directional(c):
+    # the same vertex sequence with every step along the traversal
+    return DiCycle(c.vertices, (True,) * len(c))
 
 
 # the arc-pair lk table against the diagram route
@@ -239,6 +245,12 @@ class TestBigZ:
         with pytest.raises(HypothesisViolated, match=r"ω\(J_0, X_0\) = 0"):
             big_z(js, list(reversed(xs)), bigz_n2.embedding)
 
+    def test_rejects_chained_cycle_that_is_not_two_directional(self, bigz_n2):
+        js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
+        js[1] = one_directional(js[1])
+        with pytest.raises(HypothesisViolated, match="chained cycle 1 is not 2-directional"):
+            big_z(js, xs, bigz_n2.embedding)
+
     def test_rejects_missing_extra_vertices(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         with pytest.raises(HypothesisViolated, match="extra vertices"):
@@ -336,6 +348,25 @@ class TestBiparZ:
         # swapping the target families breaks every J-X linking
         with pytest.raises(HypothesisViolated, match=r"lk\(J_0, X_0\) = 0"):
             bipar_z(js, ls, ys, xs, bipar111.embedding, lam=1)
+
+    def test_rejects_undersized_second_family(self, bipar111):
+        js, ls, xs, ys = self.families(bipar111)
+        with pytest.raises(HypothesisViolated, match="q = 35 < 36 chained cycles of the second"):
+            bipar_z(js, ls[:35], xs, ys, bipar111.embedding, lam=1)
+
+    def test_rejects_unlinked_second_family(self, bipar111):
+        js, ls, xs, _ = self.families(bipar111)
+        # the L's thread only the second ring, so none links X_0 as a Y
+        with pytest.raises(HypothesisViolated, match=r"lk\(L_0, Y_0\) = 0"):
+            bipar_z(js, ls, xs, xs, bipar111.embedding, lam=1)
+
+    @pytest.mark.parametrize("family", ["first", "second"])
+    def test_rejects_chained_cycle_that_is_not_two_directional(self, bipar111, family):
+        js, ls, xs, ys = self.families(bipar111)
+        fam = js if family == "first" else ls
+        fam[0] = one_directional(fam[0])
+        with pytest.raises(HypothesisViolated, match=f"{family}-family cycle 0 is not 2-dir"):
+            bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1)
 
     def test_rejects_negative_threshold(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
@@ -435,6 +466,32 @@ class TestTheorem1Step:
         witness = {"P1": [s], "P2": [0], "Q": []}
         with pytest.raises(HypothesisViolated, match="s = m \\+ q > m"):
             theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+
+    def test_rejects_classes_not_fully_parity_linked(self):
+        inst, cands, s, _ = self.setup_instance()
+        # key 0 joins P1 and the last ring joins P2; rings do not link rings
+        witness = {
+            "P1": list(range(s, 2 * s - 1)) + [0],
+            "P2": list(range(1, s)) + [2 * s - 1],
+            "Q": [],
+        }
+        with pytest.raises(
+            HypothesisViolated,
+            match=f"not fully parity-linked: components {s} and {2 * s - 1}",
+        ):
+            theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+
+    def test_rejects_weak_singleton(self):
+        # 37 rings and 38 keys, every key through every ring: with lam = 0
+        # and one singleton key, s = 37 fits, but keys do not link keys
+        inst = grid_link(37, [(0, 36)] * 38)
+        cands = list(inst.role("keys")) + list(inst.role("rings"))
+        witness = {"P1": list(range(38, 75)), "P2": list(range(37)), "Q": [37]}
+        with pytest.raises(
+            HypothesisViolated,
+            match=r"singleton weight \|lk\| = 0 <= 0 between components 37 and 0",
+        ):
+            theorem1_step(inst.embedding, cands, witness, m=1, lam=0)
 
 
 # sign-pattern verification over a wrapped connector

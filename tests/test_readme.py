@@ -1,12 +1,13 @@
 """The README runs as written: every fenced ``dilink`` command and the
 Python quickstart."""
 
+import argparse
 import json
 import re
 import shlex
 from pathlib import Path
 
-from dilink.workbench.cli import GENERATORS, main
+from dilink.workbench.cli import GENERATORS, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -23,7 +24,7 @@ def test_every_fenced_command_succeeds(capsys, monkeypatch, tmp_path):
         for line in block.splitlines()
         if line.startswith("dilink ")
     ]
-    assert len(commands) == 18
+    assert len(commands) == 20
     for argv in commands:
         code = main(argv)
         rep = json.loads(capsys.readouterr().out)
@@ -39,3 +40,10 @@ def test_python_quickstart_runs(capsys):
 def test_listed_kinds_match_the_generator_table():
     (listed,) = re.findall(r"`--kind` one of (.*?)\)", README)
     assert re.findall(r"`(\w+)`", listed) == list(GENERATORS)
+
+
+def test_subcommand_table_matches_the_parser():
+    (table,) = re.findall(r"\| Subcommand .*?\n\n", README, flags=re.S)
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert re.findall(r"^\| `([\w-]+)`", table, flags=re.M) == list(sub.choices)

@@ -1,6 +1,7 @@
 """Generators, the canonical file format, and the command-line harness."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +377,29 @@ class TestCliPipelines:
         assert rep["witness"] == {"x0": 0, "y0": 1}
         assert rep["index_set"] == [0, 1]
 
+    def test_gen_prop1_four_directional(self, capsys, tmp_path):
+        # each round's closure runs through its own pair of spare vertices,
+        # laid out in ascending id order round after round
+        path = str(tmp_path / "p4.json")
+        code, rep = run_cli(
+            capsys, "gen", "--kind", "prop1", "--n", "2", "--rings", "4",
+            "--delta", "4", "--out", path,
+        )
+        assert code == 0
+        assert rep["stats"]["spare_vertices"] == [48, 49, 50, 51]
+        code, rep = run_cli(capsys, "prop1", path, "--n", "2", "--delta", "4")
+        assert code == 0 and rep["ok"]
+        assert rep["params"]["extras"] == [[48, 49], [50, 51]]
+        rounds = rep["certificates"][0]["choices"]["rounds"]
+        assert [r["inputs"]["extra_vertices"] for r in rounds] == [[48, 49], [50, 51]]
+        assert [r["checks"]["delta"] for r in rounds] == [4, 4]
+        code, rep = run_cli(capsys, "prop1", path, "--n", "2", "--delta", "6")
+        assert code == 1
+        assert rep["error"] == {
+            "type": "FormatError",
+            "message": "directionality 6 needs 8 spare vertices, file has 4",
+        }
+
     def test_gen_lemma1_infers_block_count(self, capsys, tmp_path):
         path = str(tmp_path / "dk.json")
         code, rep = run_cli(
@@ -702,6 +726,52 @@ class TestCliFailureShapes:
         assert rep["command"] == argv[0] and rep["ok"] is False
         assert rep["error"] == {"type": "ParameterError", "message": message}
         assert "Traceback" not in captured.err
+
+    def test_gen_theorem1_rejects_oversized_lattice_at_once(self, capsys, tmp_path):
+        # m=2, lambda=2, n=1 asks for s = 1802 rings and as many keys
+        path = tmp_path / "t1.json"
+        t0 = time.perf_counter()
+        code, rep = run_cli(
+            capsys, "gen", "--kind", "theorem1", "--m", "2", "--lambda", "2",
+            "--n", "1", "--out", str(path),
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert rep["error"] == {
+            "type": "ParameterError",
+            "message": "theorem1: s = m + q = 1802 rings exceeds the limit of 512",
+        }
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["bigz", "bipar", "prop1", "thm1-step"])
+    def test_constructions_have_no_unchecked_mode(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "any.json"), "--unchecked"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,command,flags",
+        [
+            (["big_z", "--n", "2"], "bigz", []),
+            (["bipar", "--lambda", "1", "--q", "36"], "bipar", ["--lambda", "1"]),
+            (["prop1", "--n", "2", "--rings", "4"], "prop1", ["--n", "2"]),
+            (["theorem1", "--n", "0"], "thm1-step", []),
+        ],
+    )
+    def test_unreachable_directionality_is_a_hypothesis_error(
+        self, capsys, tmp_path, kind, command, flags
+    ):
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--kind", *kind, "--out", path]) == 0
+        capsys.readouterr()
+        code, rep = run_cli(capsys, command, path, *flags, "--delta", "3")
+        assert code == 1
+        assert rep["error"] == {
+            "type": "HypothesisViolated",
+            "message": "target directionality must be 1 or an even number >= 2",
+        }
+        assert rep["params"]["delta"] == 3
 
     @pytest.mark.parametrize(
         "argv,flag",
