@@ -12,6 +12,7 @@ report, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -516,7 +517,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="dilink",
         description="Exact linking and knotting workbench for directed "
@@ -529,72 +532,60 @@ def build_parser() -> argparse.ArgumentParser:
     for opt, (dest, parse, _) in _GEN_FLAGS.items():
         g.add_argument(opt, dest=dest, type=parse, default=None)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=_cmd_gen)
 
     v = sub.add_parser("validate", help="check general position of a file")
     v.add_argument("file")
     _add_common(v)
-    v.set_defaults(func=_cmd_validate)
 
     iv = sub.add_parser("invariants", help="linking and knotting measures")
     iv.add_argument("file")
     _add_common(iv)
-    iv.set_defaults(func=_cmd_invariants)
 
     pt = sub.add_parser("pattern", help="weighted linking pattern of a file")
     pt.add_argument("file")
     pt.add_argument("--with-knots", action="store_true")
     _add_common(pt)
-    pt.set_defaults(func=_cmd_pattern)
 
     l1 = sub.add_parser("lemma1", help="find odd-linked triangle pairs")
     l1.add_argument("file")
     _add_common(l1, "m")
-    l1.set_defaults(func=_cmd_lemma1)
 
     bz = sub.add_parser("bigz", help="build a cycle linking half the targets")
     bz.add_argument("file")
     bz.add_argument("--q-policy", default="lex", choices=["lex", "opposite"])
     _add_common(bz, "delta")
-    bz.set_defaults(func=_cmd_bigz)
 
     bp = sub.add_parser("bipar", help="build a cycle past a linking threshold")
     bp.add_argument("file")
     bp.add_argument("--r", type=int, default=0)
     _add_common(bp, "m", "n", "lam", "delta")
-    bp.set_defaults(func=_cmd_bipar)
     bp.set_defaults(m=1, n=1)
 
     p1 = sub.add_parser("prop1", help="keyring rounds toward a parity pattern")
     p1.add_argument("file")
     _add_common(p1, "n", "delta", "budget")
-    p1.set_defaults(func=_cmd_prop1)
 
     t1 = sub.add_parser("thm1-step", help="grow a witness by one singleton")
     t1.add_argument("file")
     _add_common(t1, "m", "lam", "delta")
-    t1.set_defaults(func=_cmd_thm1_step)
     t1.set_defaults(m=1)
 
     v6 = sub.add_parser("verify-l6", help="check all surgery combinations")
     v6.add_argument("file")
     _add_common(v6, "lam")
-    v6.set_defaults(func=_cmd_verify_l6)
 
     s7 = sub.add_parser("search-l7", help="bounded search for a knotted cycle")
     s7.add_argument("file")
     _add_common(s7, "lam", "budget")
-    s7.set_defaults(func=_cmd_search_l7, budget=64)
+    s7.set_defaults(budget=64)
 
     tp = sub.add_parser("thm2-params", help="threshold and start size")
     tp.add_argument("--alpha", type=int, required=True)
     _add_common(tp, "n")
-    tp.set_defaults(func=_cmd_thm2_params)
 
     cg = sub.add_parser("cgtest", help="parity sweep over random embeddings")
     cg.add_argument("--count", type=int, default=10)
     _add_common(cg, "seed")
-    cg.set_defaults(func=_cmd_cgtest)
 
     return ap
 
@@ -623,14 +614,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if argv[i] == "--word":
             argv[i:i + 2] = ["--word=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
-    # the parser is built per call, so it binds the handlers' current
-    # module-level names; a command that reads a file records it first
+    # a command that reads a file records it first
     rep = _report(args.command, {"file": args.file} if "file" in args else {})
     usage_error = False
     t0 = time.perf_counter()
     try:
         _check_positive(args)
-        args.func(args, rep)
+        # the handler is looked up by its module-level name at each call
+        globals()["_cmd_" + args.command.replace("-", "_")](args, rep)
     except DilinkError as ex:
         rep["ok"] = False
         rep["error"] = {"type": type(ex).__name__, "message": str(ex)}

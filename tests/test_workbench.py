@@ -11,6 +11,7 @@ import dilink
 from dilink.digraph import DiCycle, connector_cycle, directionality
 from dilink.errors import FormatError, GenerationFailed
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
+from dilink.workbench import cli
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
     braid_instance,
@@ -819,3 +820,20 @@ class TestCliFailureShapes:
             main(["gen", "--kind", "nope", "--out", "/tmp/x.json"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "g.json")
+        run_cli(capsys, "gen", "--kind", "grid_link", "--keys", "2", "--out", path)
+        reports = []
+        for _ in range(2):
+            code, rep = run_cli(capsys, "validate", path)
+            assert code == 0
+            rep.pop("timing_s")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert cli.build_parser() is cli.build_parser()
+        # the handler is found by name at call time, so a patched one runs
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_validate", lambda args, rep: seen.append(args.file))
+        code, rep = run_cli(capsys, "validate", path)
+        assert (code, rep["ok"], seen) == (0, True, [path])
