@@ -211,13 +211,9 @@ def seg3_relation(p: Point3, q: Point3, r: Point3, s: Point3):
     return ("point", (p[0] + t * d1[0], p[1] + t * d1[1], p[2] + t * d1[2]))
 
 
-def _between1(lo: int, hi: int, v: int) -> bool:
-    return min(lo, hi) <= v <= max(lo, hi)
-
-
 def _on_seg2(p, q, r) -> bool:
     """r collinear with pq: is r within the closed 2D segment pq?"""
-    return _between1(p[0], q[0], r[0]) and _between1(p[1], q[1], r[1])
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
 
 
 def _point_on_seg2(pt, a, b):
@@ -249,10 +245,10 @@ def seg2_relation(p, q, r, s):
     wx, wy = r[0] - p[0], r[1] - p[1]
     # twice the signed areas of (p, q, r), (p, q, s), (r, s, p), (r, s, q),
     # from three cross products, as s - p = w + d2 and q - r = d1 - w
-    den = cross2(d1x, d1y, d2x, d2y)
-    o_r = cross2(d1x, d1y, wx, wy)
+    den = d1x * d2y - d1y * d2x
+    o_r = d1x * wy - d1y * wx
     o_s = o_r + den
-    o_p = cross2(wx, wy, d2x, d2y)
+    o_p = wx * d2y - wy * d2x
     o_q = o_p - den
     if o_r == 0 and o_s == 0:
         # all four points collinear in projection
@@ -392,36 +388,50 @@ def _meetings_3d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple[_Seg, _
         yield sa, sb, pt
 
 
-def _contacts_2d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple]:
-    """Projection events between candidate pairs of segments, in pair
-    order: ``(kind, sa, sb, data, point)``.
+def _pair_walk(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple]:
+    """Space meets and projection events of candidate pairs of segments,
+    in one pass and in pair order, as ``(kind, sa, sb, data, key)``:
+      "meet"     the segments meet in space off the points the contact rule
+                 ``allowed(sa, sb)`` permits; ``data`` is the point, None
+                 for a collinear overlap; it precedes the pair's other event
+      "touch"    a contact of the projections that the rule does not
+      "overlap"  permit, ``data`` as :func:`seg2_relation` gives it
+      "proper"   a transversal crossing, ``data = (t_num, u_num, den)`` as
+                 :func:`seg2_relation` gives it and ``key`` its (x, y) as
+                 the integer triple (x*d, y*d, d) with the least d > 0
 
-    ``kind`` is "touch" or "overlap" for a contact the rule ``allowed``
-    does not permit (``point`` is None), or "proper" for a transversal
-    crossing, with ``data = (t_num, u_num, den)`` as :func:`seg2_relation`
-    gives it and ``point`` its exact (x, y) as the integer triple
-    (x*d, y*d, d) with the least d > 0, which :func:`_rational_point`
-    turns into Fractions.
+    One :func:`seg2_relation` call per pair decides the 3D question too.
+    Disjoint projections cannot meet in space.  A fork skipped for
+    ``orient2 != 0`` at a permitted shared end has ``cross3 != 0`` as well,
+    so it meets only there.  Properly crossing projections meet in space
+    only above the crossing, interior to both segments, and do iff the
+    heights z*den there agree (the test of :func:`crossing_sign`); only
+    then does :func:`seg3_relation` run, for the point.  A touch or overlap
+    goes to :func:`seg3_relation` and the rule.  So a valid embedding
+    builds no Fraction here.
     """
     for i, j in pairs:
         sa, sb = segs[i], segs[j]
         pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
         fork = _fork(pa, qa, pb, qb)
-        # projections leaving a shared end in different directions meet
-        # only there
         if fork is not None and orient2(*fork) != 0 and fork[0] in allowed(sa, sb):
             continue
         kind, data = seg2_relation(pa, qa, pb, qb)
-        if kind == "none":
-            continue
         if kind == "proper":
-            t_num, _, den = data
+            t_num, u_num, den = data
+            if pa[2] * den + t_num * (qa[2] - pa[2]) == pb[2] * den + u_num * (qb[2] - pb[2]):
+                yield "meet", sa, sb, seg3_relation(pa, qa, pb, qb)[1], None
             x = pa[0] * den + t_num * (qa[0] - pa[0])
             y = pa[1] * den + t_num * (qa[1] - pa[1])
             g = gcd(x, y, den)
             yield kind, sa, sb, data, (x // g, y // g, den // g)
-        elif kind == "overlap" or all(data != (a[0], a[1]) for a in allowed(sa, sb)):
-            yield kind, sa, sb, data, None
+        elif kind != "none":
+            ok = allowed(sa, sb)
+            kind3, pt = seg3_relation(pa, qa, pb, qb)
+            if kind3 != "none" and not (kind3 == "point" and pt in ok):
+                yield "meet", sa, sb, pt, None
+            if kind == "overlap" or all(data != (a[0], a[1]) for a in ok):
+                yield kind, sa, sb, data, None
 
 
 def _rational_point(key: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
@@ -467,32 +477,33 @@ def validate_general_position(
     vertical, and the z-projection has only transversal double points away
     from vertices and bends.
     """
-    if arc_keys is None:
-        arcs = emb.arcs
-    else:
-        arcs = {k: emb.arcs[k] for k in arc_keys}
+    arcs = emb.arcs if arc_keys is None else {k: emb.arcs[k] for k in arc_keys}
     segs = _gather_segments(arcs)
     # vertices join the box sweeps as zero-size boxes after the segments
     items = segs + [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
     allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
-    violations: list[Violation] = []
-
     # vertical segments are invisible to the projection
-    for (arc, i, p, q) in segs:
-        if p.x == q.x and p.y == q.y:
-            violations.append(
-                Violation("vertical-segment", (arc, i), f"{p}->{q}")
-            )
+    violations = [Violation("vertical-segment", (arc, i), f"{p}->{q}")
+                  for arc, i, p, q in segs if p.x == q.x and p.y == q.y]
 
     pairs, hits = _split_pairs(_candidate_pairs(items), len(segs))
-    for sa, sb, pt in _meetings_3d(segs, pairs, allowed):
-        violations.append(
-            Violation(
-                "arc-intersection-3d",
-                (sa[0], sa[1], sb[0], sb[1]),
-                "collinear overlap" if pt is None else f"meet at ({pt[0]},{pt[1]},{pt[2]})",
-            )
-        )
+    # one walk gives both the 3D meets and the projection contacts; proper
+    # crossings are kept for the triple-point test
+    meets: list[Violation] = []
+    contacts: list[Violation] = []
+    cross_points: dict[tuple[int, int, int], list] = {}
+    for kind, sa, sb, data, key in _pair_walk(segs, pairs, allowed):
+        where = (sa[0], sa[1], sb[0], sb[1])
+        if kind == "proper":
+            cross_points.setdefault(key, []).append(where)
+        elif kind == "meet":
+            text = f"meet at ({data[0]},{data[1]},{data[2]})" if data else "collinear overlap"
+            meets.append(Violation("arc-intersection-3d", where, text))
+        elif kind == "overlap":
+            contacts.append(Violation("projection-overlap", where, "collinear in projection"))
+        else:
+            contacts.append(Violation("projection-tangency", where, f"touch at {data}"))
+    violations += meets
 
     # vertices on non-incident arcs (3D), incl. isolated vertices
     for k, s in hits:
@@ -505,17 +516,7 @@ def validate_general_position(
         ):
             violations.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
 
-    # projection genericity; proper crossings are kept for the triple-point test
-    cross_points: dict[tuple[int, int, int], list] = {}
-    for kind, sa, sb, data, pt in _contacts_2d(segs, pairs, allowed):
-        where = (sa[0], sa[1], sb[0], sb[1])
-        if kind == "overlap":
-            violations.append(Violation("projection-overlap", where, "collinear in projection"))
-        elif kind == "touch":
-            violations.append(Violation("projection-tangency", where, f"touch at {data}"))
-        else:
-            cross_points.setdefault(pt, []).append(where)
-
+    violations += contacts
     for pt, where in cross_points.items():
         if len(where) > 1:
             violations.append(
@@ -580,11 +581,6 @@ class LinkDiagram:
         return out
 
 
-def _loop_segments(points: tuple[Point3, ...]) -> list[tuple[int, Point3, Point3]]:
-    n = len(points)
-    return [(i, points[i], points[(i + 1) % n]) for i in range(n)]
-
-
 def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
     """(loop, index, p, q) for every segment of the closed loops."""
     for li, lp in enumerate(loops):
@@ -592,7 +588,7 @@ def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
             raise DisjointnessViolated(f"loop {li} has fewer than 3 points")
     all_segs: list[tuple[int, int, Point3, Point3]] = []
     for li, lp in enumerate(loops):
-        for i, p, q in _loop_segments(lp):
+        for i, (p, q) in enumerate(zip(lp, lp[1:] + lp[:1])):
             if p == q:
                 raise DisjointnessViolated(f"loop {li} repeats a point")
             all_segs.append((li, i, p, q))
@@ -613,19 +609,18 @@ def _shared_corner(loops, sa: _Seg, sb: _Seg) -> tuple[Point3, ...]:
     return ()
 
 
-def _raise_if_loops_meet(loops, all_segs, pairs) -> None:
-    for sa, sb, _ in _meetings_3d(all_segs, pairs, partial(_shared_corner, loops)):
-        raise DisjointnessViolated(
-            f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
-        )
-
-
 def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
     """Raise :class:`DisjointnessViolated` unless the closed loops are
     simple and pairwise disjoint in space."""
     loops = tuple(tuple(lp) for lp in loop_points)
     all_segs = _closed_segments(loops)
-    _raise_if_loops_meet(loops, all_segs, _candidate_pairs(all_segs))
+    rule = partial(_shared_corner, loops)
+    for sa, sb, _ in _meetings_3d(all_segs, _candidate_pairs(all_segs), rule):
+        raise DisjointnessViolated(_meet_message(sa, sb))
+
+
+def _meet_message(sa: _Seg, sb: _Seg) -> str:
+    return f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
 
 
 def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[bool, int]:
@@ -717,32 +712,41 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("vertical-segment", (li, i)),),
             )
 
-    pairs = _candidate_pairs(all_segs)
-    _raise_if_loops_meet(loops, all_segs, pairs)
-
+    # a space meet is raised at once; the first degenerate contact is held
+    # until the walk ends, since a later pair that meets in space wins
+    held: Optional[DegenerateProjection] = None
     raw: list[Crossing] = []
     seen_points: set[tuple[int, int, int]] = set()
-    for kind, sa, sb, data, key in _contacts_2d(all_segs, pairs, partial(_shared_corner, loops)):
+    rule = partial(_shared_corner, loops)
+    for kind, sa, sb, data, key in _pair_walk(all_segs, _candidate_pairs(all_segs), rule):
+        if kind == "meet":
+            raise DisjointnessViolated(_meet_message(sa, sb))
+        if held is not None:
+            continue
         where = (sa[0], sa[1], sb[0], sb[1])
         if kind != "proper":
-            raise DegenerateProjection(
+            held = DegenerateProjection(
                 f"non-transversal contact between loop {sa[0]} seg {sa[1]} "
                 f"and loop {sb[0]} seg {sb[1]}",
                 (Violation("projection-" + kind, where),),
             )
+            continue
         t_num, u_num, den = data
         a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
         pt = _rational_point(key)
         if key in seen_points:
-            raise DegenerateProjection(
+            held = DegenerateProjection(
                 f"triple point at ({pt[0]},{pt[1]})",
                 (Violation("triple-point", where),),
             )
+            continue
         seen_points.add(key)
         pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
         over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
         raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
+    if held is not None:
+        raise held
 
     raw.sort(key=lambda c: (c.over, c.under))
     return LinkDiagram(loops=loops, crossings=tuple(raw))

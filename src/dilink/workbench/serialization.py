@@ -161,7 +161,10 @@ def parse_instance(text: str) -> ParsedInstance:
             + [_point(p, f"edge {k} bend {j}") for j, p in enumerate(bends)]
             + [vertices[h]]
         )
-        arcs[(t, h)] = PolyLine(pts)
+        try:
+            arcs[(t, h)] = PolyLine(pts)
+        except ValueError as ex:
+            raise FormatError(f"edge {k} ({t},{h}): {ex}") from ex
 
     try:
         emb = SpatialEmbedding(

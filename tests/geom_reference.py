@@ -137,8 +137,8 @@ def meetings_3d_reference(segs, allowed):
 
 
 def contacts_2d_reference(segs, allowed):
-    """Like ``geom._contacts_2d``, with a proper crossing's point as a
-    tuple of Fractions."""
+    """The projection events of ``geom._pair_walk``, with a proper
+    crossing's point as a tuple of Fractions."""
     for i, j in _all_pairs(segs):
         sa, sb = segs[i], segs[j]
         kind, data = seg2_relation_reference(sa[2], sa[3], sb[2], sb[3])

@@ -395,13 +395,38 @@ _fan = SpatialEmbedding(
     box=8,
 )
 
+# arcs (0,1) and (2,3) cross properly in projection and meet in space
+# there, at an interior point of both; (4,5) crosses them at that point
+_meet_at_crossing = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(3, 3, 3), 2: P(0, 3, 3), 3: P(3, 0, 0), 4: P(1, 0, 5), 5: P(2, 3, 5)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(3, 3, 3)]), (2, 3): PolyLine([P(0, 3, 3), P(3, 0, 0)]),
+     (4, 5): PolyLine([P(1, 0, 5), P(2, 3, 5)])},
+    box=8,
+)
+# a bend of (2,3) lies on (0,1): both its segments touch (0,1) in
+# projection and meet it in space at a point no rule permits
+_touch_meet = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(4, 0, 0), 2: P(0, 4, 1), 3: P(3, 4, 2)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(4, 0, 0)]),
+     (2, 3): PolyLine([P(0, 4, 1), P(2, 0, 0), P(3, 4, 2)])},
+    box=8,
+)
+
 
 @given(emb=_cube_embeddings())
 @example(emb=_triple)
 @example(emb=_fan)
+@example(emb=_meet_at_crossing)
+@example(emb=_touch_meet)
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_rational_reference(emb):
     assert validate_general_position(emb) == validate_reference(emb)
+
+
+def test_a_space_meet_at_a_crossing_still_counts_for_triple_points():
+    meet, triple = validate_general_position(_meet_at_crossing).violations
+    assert (meet.kind, meet.detail) == ("arc-intersection-3d", "meet at (3/2,3/2,3/2)")
+    assert triple.kind == "triple-point"
 
 
 def _outcome(fn, loops):
@@ -414,9 +439,21 @@ def _outcome(fn, loops):
 @given(loops=st.lists(st.lists(_small_pt, min_size=3, max_size=6), min_size=1, max_size=3))
 @example(loops=[[P(0, 0, 0), P(2, 2, 0), P(2, 0, 0)], [P(0, 2, 1), P(2, 0, 1), P(0, 0, 1)],
                 [P(1, -1, 2), P(1, 3, 2), P(3, 3, 2)]])
+# the first two segments meet in space where their projections cross
+@example(loops=[[P(0, 0, 0), P(3, 3, 3), P(3, 0, 3)], [P(0, 3, 3), P(3, 0, 0), P(0, 0, -2)]])
+# a tangency (loop 1's corner over loop 0's first side) comes before, in
+# pair order, a space meet (loop 1's corner (2,4,0) on loop 0's third side)
+@example(loops=[[P(0, 0, 0), P(4, 0, 0), P(4, 4, 0), P(0, 4, 0)],
+                [P(2, 0, 5), P(6, 2, 5), P(2, 4, 0)]])
 @settings(max_examples=300, deadline=None)
 def test_diagram_matches_rational_reference(loops):
     assert _outcome(project_to_diagram, loops) == _outcome(diagram_reference, loops)
+
+
+def test_a_later_space_meet_wins_over_an_earlier_tangency():
+    loops = [[P(0, 0, 0), P(4, 0, 0), P(4, 4, 0), P(0, 4, 0)], [P(2, 0, 5), P(6, 2, 5), P(2, 4, 0)]]
+    with pytest.raises(DisjointnessViolated, match=r"\(segments 2,1\)"):
+        project_to_diagram(loops)
 
 
 def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bigz_n2):

@@ -1,10 +1,13 @@
 """Generators, the canonical file format, and the command-line harness."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dilink
@@ -15,6 +18,7 @@ from dilink.workbench import cli
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
     braid_instance,
+    coiled_braid_pair,
     grid_link,
     lemma1_dk6m,
     random_complete,
@@ -279,6 +283,26 @@ class TestSerialization:
 
 
 # command-line harness
+
+_FILE_COMMANDS = ["validate", "invariants", "pattern", "lemma1", "bigz", "bipar",
+                  "prop1", "thm1-step", "verify-l6", "search-l7"]
+
+
+def _json_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _coiled_braid_doc():
+    inst = coiled_braid_pair(1)
+    cycles, roles = cli._instance_roles(inst)
+    return json.loads(serialize_instance(inst.embedding, cycles, roles=roles))
+
+
+_COILED_DOC = _coiled_braid_doc()
+_DELETE = object()
 
 
 def run_cli(capsys, *argv):
@@ -653,11 +677,7 @@ class TestCliFailureShapes:
         assert rep["tool_version"] == dilink.__version__
         assert rep["error"]["type"] == "FormatError"
 
-    @pytest.mark.parametrize(
-        "command",
-        ["validate", "invariants", "pattern", "lemma1", "bigz", "bipar",
-         "prop1", "thm1-step", "verify-l6", "search-l7"],
-    )
+    @pytest.mark.parametrize("command", _FILE_COMMANDS)
     def test_error_report_carries_the_full_envelope(self, capsys, tmp_path, command):
         absent = str(tmp_path / "absent.json")
         out = tmp_path / "report.json"
@@ -673,6 +693,35 @@ class TestCliFailureShapes:
             assert rep["ok"] is False
             assert rep["error"]["type"] == "FormatError"
         assert text == ""
+
+    @given(
+        path=st.sampled_from(list(_json_paths(_COILED_DOC))),
+        value=st.sampled_from([_DELETE, None, -1, 0, 10**30, "x", [1], {"a": 1}, 0.5, True]),
+    )
+    # vertex 0 moved onto the first bend of its own arc (0, 1)
+    @example(path=("vertices", 0, 0), value=0)
+    @settings(max_examples=20, deadline=None)
+    def test_a_corrupted_file_gets_the_report_envelope(self, tmp_path_factory, path, value):
+        doc = copy.deepcopy(_COILED_DOC)
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        file = str(tmp_path_factory.mktemp("fuzz") / "inst.json")
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _FILE_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, file])
+            rep = json.loads(out.getvalue())
+            assert (rep["command"], rep["params"]["file"]) == (command, file)
+            assert code == (0 if rep["ok"] else 1)
+            assert rep["ok"] or "error" in rep or any(not c["passed"] for c in rep["checks"])
 
     @pytest.mark.parametrize(
         "argv",
