@@ -10,8 +10,8 @@ crossing.
 
 Crossing sign convention (fixed here, used everywhere): a crossing counts +1
 when the under-strand direction is counterclockwise from the over-strand
-direction in the projection plane, i.e. ``cross2(over_dir, under_dir) > 0``,
-and -1 otherwise.
+direction in the projection plane, i.e. the z-component of
+``over_dir x under_dir`` is positive, and -1 otherwise.
 """
 
 from __future__ import annotations
@@ -157,10 +157,6 @@ def _cross3(a, b) -> tuple[int, int, int]:
 
 def _dot3(a, b) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross2(ax: int, ay: int, bx: int, by: int) -> int:
-    return ax * by - ay * bx
 
 
 def orient2(p, q, r) -> int:
@@ -482,9 +478,14 @@ def validate_general_position(
     # vertices join the box sweeps as zero-size boxes after the segments
     items = segs + [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
     allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
+    violations: list[Violation] = []
+
     # vertical segments are invisible to the projection
-    violations = [Violation("vertical-segment", (arc, i), f"{p}->{q}")
-                  for arc, i, p, q in segs if p.x == q.x and p.y == q.y]
+    for (arc, i, p, q) in segs:
+        if p.x == q.x and p.y == q.y:
+            violations.append(
+                Violation("vertical-segment", (arc, i), f"{p}->{q}")
+            )
 
     pairs, hits = _split_pairs(_candidate_pairs(items), len(segs))
     # one walk gives both the 3D meets and the projection contacts; proper
@@ -639,7 +640,7 @@ def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[boo
     if za == zb:
         raise DisjointnessViolated("segments meet in space where their projections cross")
     a_over = za > zb
-    s = cross2(qa[0] - pa[0], qa[1] - pa[1], qb[0] - pb[0], qb[1] - pb[1])
+    s = (qa[0] - pa[0]) * (qb[1] - pb[1]) - (qa[1] - pa[1]) * (qb[0] - pb[0])
     return a_over, (1 if (s > 0) == a_over else -1)
 
 

@@ -620,7 +620,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         _check_positive(args)
-        # the handler is looked up by its module-level name at each call
+        # looked up by name at each call, so a handler replaced on the
+        # module after the parser was built is the one that runs
         globals()["_cmd_" + args.command.replace("-", "_")](args, rep)
     except DilinkError as ex:
         rep["ok"] = False
