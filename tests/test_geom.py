@@ -423,12 +423,6 @@ def test_validation_matches_rational_reference(emb):
     assert validate_general_position(emb) == validate_reference(emb)
 
 
-def test_a_space_meet_at_a_crossing_still_counts_for_triple_points():
-    meet, triple = validate_general_position(_meet_at_crossing).violations
-    assert (meet.kind, meet.detail) == ("arc-intersection-3d", "meet at (3/2,3/2,3/2)")
-    assert triple.kind == "triple-point"
-
-
 def _outcome(fn, loops):
     try:
         return fn(loops)
@@ -448,12 +442,6 @@ def _outcome(fn, loops):
 @settings(max_examples=300, deadline=None)
 def test_diagram_matches_rational_reference(loops):
     assert _outcome(project_to_diagram, loops) == _outcome(diagram_reference, loops)
-
-
-def test_a_later_space_meet_wins_over_an_earlier_tangency():
-    loops = [[P(0, 0, 0), P(4, 0, 0), P(4, 4, 0), P(0, 4, 0)], [P(2, 0, 5), P(6, 2, 5), P(2, 4, 0)]]
-    with pytest.raises(DisjointnessViolated, match=r"\(segments 2,1\)"):
-        project_to_diagram(loops)
 
 
 def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bigz_n2):
