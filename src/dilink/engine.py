@@ -251,6 +251,8 @@ def big_z(
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
     q_policy: str = "lex",
+    *,
+    table: Optional[LinkTable] = None,
 ) -> BigZResult:
     """Build one cycle of the target directionality that links at least half
     of the target cycles mod 2.
@@ -259,7 +261,8 @@ def big_z(
     the diagonal hypothesis ω(J_i, X_i) = 1 for i < n.  The connector cycle
     C over all J's is returned directly when it already links at least n/2
     targets; otherwise a heavy row-space vector of the parity matrix picks
-    the J's to surger into C, which lifts the count above n/2.
+    the J's to surger into C, which lifts the count above n/2.  Linking
+    numbers come from ``table`` when given; it must be built on ``emb``.
     """
     js = list(js)
     xs = list(xs)
@@ -270,7 +273,7 @@ def big_z(
     for i, j in enumerate(js):
         if directionality(j) != 2:
             raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
-    cache = LinkTable(emb)
+    cache = LinkTable.shared(emb, table)
     for i in range(n):
         if cache.omega(js[i], xs[i]) != 1:
             raise HypothesisViolated(
@@ -332,7 +335,7 @@ def big_z(
     return BigZResult(z=z, index_set=index_set, certificate=cert)
 
 
-def _replay_big_z(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCycle:
+def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     xs = _cycles_from_json(ins["xs"])
@@ -345,7 +348,6 @@ def _replay_big_z(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCyc
         z = _surgery_chain(z, [js[i] for i in ch["witness_rows"]])
     if z.to_json() != cert.outputs["z"]:
         raise ConstructionFailed("replay produced a different cycle")
-    cache = LinkTable(emb)
     parities = [cache.omega(z, x) for x in xs]
     if parities != cert.checks["z_parities"]:
         raise ConstructionFailed("replay parity table differs")
@@ -403,6 +405,8 @@ def bipar_z(
     lam: int,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
+    *,
+    table: Optional[LinkTable] = None,
 ) -> BiparResult:
     """Build one cycle whose linking number with every X and Y target
     exceeds ``lam`` in magnitude.
@@ -413,7 +417,8 @@ def bipar_z(
     climbing the J-surgery ladder until a column of the X-linking matrix
     clears the threshold, then the L-surgery ladder for the Y's and the
     sign-carrying X's.  Strict ladder monotonicity and the final table are
-    recomputed from geometry on every run.
+    recomputed from geometry on every run.  Linking numbers come from
+    ``table`` when given; it must be built on ``emb``.
     """
     js, ls, xs, ys = list(js), list(ls), list(xs), list(ys)
     m, n_y, r, q = len(xs), len(ys), len(js), len(ls)
@@ -440,7 +445,7 @@ def bipar_z(
                     f"{name}-family cycle {i} is not 2-directional"
                 )
 
-    cache = LinkTable(emb)
+    cache = LinkTable.shared(emb, table)
     lk_jx = {(i, a): cache.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
     lk_ly = {(j, b): cache.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
     lk_lx = {(j, a): cache.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
@@ -619,7 +624,7 @@ def bipar_z(
     return BiparResult(z=z, certificate=cert)
 
 
-def _replay_bipar(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCycle:
+def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     ls = _cycles_from_json(ins["ls"])
@@ -635,7 +640,6 @@ def _replay_bipar(cert: ConstructionCertificate, emb: SpatialEmbedding) -> DiCyc
     z = _surgery_chain(z, [ls[j] for j in ch["kept_l"][: ch["t_star"]]])
     if z.to_json() != cert.outputs["z"]:
         raise ConstructionFailed("replay produced a different cycle")
-    cache = LinkTable(emb)
     final_x = [cache.lk(z, x) for x in xs]
     final_y = [cache.lk(z, y) for y in ys]
     if final_x != cert.checks["final_x"] or final_y != cert.checks["final_y"]:
@@ -682,7 +686,8 @@ def prop1_step(
     candidates = list(candidates)
     if extra_sets and len(extra_sets) != n:
         raise HypothesisViolated("one extra-vertex set per round, or none")
-    pattern = compute_pattern(candidates, emb)
+    cache = LinkTable(emb)
+    pattern = compute_pattern(candidates, emb, table=cache)
     stars = find_disjoint_keyrings(pattern, count=2 * n, keys=n, budget=budget)
     if stars is None:
         raise NotEnoughKeyrings(
@@ -705,6 +710,7 @@ def prop1_step(
             target_delta=target_delta,
             extra_vertices=extras,
             q_policy=q_policy,
+            table=cache,
         )
         zs.append(sub.z)
         round_certs.append(sub.certificate.to_json())
@@ -719,7 +725,7 @@ def prop1_step(
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
     witness_pattern = compute_pattern(
-        list(zs) + [candidates[centers[i]] for i in picked], emb
+        list(zs) + [candidates[centers[i]] for i in picked], emb, table=cache
     )
     witness = {f"x{j}": j for j in range(n)}
     witness.update({f"y{i}": n + i for i in range(n)})
@@ -808,7 +814,8 @@ def theorem1_step(
 
     # verify the incoming parity pattern on the named components
     used = [candidates[i] for i in all_idx]
-    pattern = compute_pattern(used, emb)
+    cache = LinkTable(emb)
+    pattern = compute_pattern(used, emb, table=cache)
     pos = {orig: k for k, orig in enumerate(all_idx)}
     for i in p1:
         for j in p2:
@@ -839,10 +846,10 @@ def theorem1_step(
         lam,
         target_delta=target_delta,
         extra_vertices=extra_vertices,
+        table=cache,
     )
     z = sub.z
 
-    cache = LinkTable(emb)
     out_witness = {
         "P1": p1[:m],
         "P2": p2[:m],
@@ -1134,17 +1141,24 @@ def theorem2_params(alpha: int, n: int) -> tuple[int, int]:
 
 
 def replay_certificate(
-    cert: ConstructionCertificate | dict, emb: SpatialEmbedding
+    cert: ConstructionCertificate | dict,
+    emb: SpatialEmbedding,
+    *,
+    table: Optional[LinkTable] = None,
 ) -> DiCycle:
     """Re-execute a certificate's recorded choices and re-verify its checks.
 
     Returns the reconstructed output cycle; any divergence from the
-    recorded output or invariant table raises ConstructionFailed.
+    recorded output or invariant table raises ConstructionFailed.  Every
+    linking number is recomputed through ``table`` when given (it must be
+    built on ``emb``), so the construction's own table can serve: it
+    memoizes only geometry, never a certificate's claims.
     """
     if isinstance(cert, dict):
         cert = ConstructionCertificate.from_json(cert)
+    cache = LinkTable.shared(emb, table)
     if cert.kind == "big_z":
-        return _replay_big_z(cert, emb)
+        return _replay_big_z(cert, cache)
     if cert.kind == "bipar_z":
-        return _replay_bipar(cert, emb)
+        return _replay_bipar(cert, cache)
     raise ValueError(f"certificate kind {cert.kind!r} has no replay flow")

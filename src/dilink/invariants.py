@@ -125,6 +125,12 @@ class LinkTable:
     queried cycle is checked once for self-intersection in space, and
     cycles that share a vertex or arcs that meet in space raise
     DisjointnessViolated.
+
+    Engine entry points and the CLI create the tables, one per embedding.
+    Constructions, pattern search and certificate replay take the caller's
+    table through :meth:`shared`, so a command realizes, checks and
+    projects each cycle once.  Every memo holds a pure function of the
+    embedding and the shear, so sharing changes no answer.
     """
 
     def __init__(self, emb: SpatialEmbedding):
@@ -132,6 +138,15 @@ class LinkTable:
         self._shears = iter(shear_schedule(SHEAR_TRIES))
         self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
         self._next_shear(None)
+
+    @classmethod
+    def shared(cls, emb: SpatialEmbedding, table: Optional[LinkTable]) -> LinkTable:
+        """``table`` when it was built on ``emb``, a new table when it is None."""
+        if table is None:
+            return cls(emb)
+        if table.emb is not emb:
+            raise ValueError("the link table was built on a different embedding")
+        return table
 
     def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
         shear = next(self._shears, None)

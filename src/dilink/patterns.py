@@ -94,15 +94,18 @@ def compute_pattern(
     cycles: Sequence[DiCycle],
     emb: SpatialEmbedding,
     with_knotting: bool = False,
+    *,
+    table: Optional[LinkTable] = None,
 ) -> WeightedPattern:
     """Pairwise |lk| summary of cycles in one embedding, labelled c0, c1, ...
 
-    Every linking number comes from one :class:`LinkTable`, which also
-    checks each cycle for self-intersection.  When ``with_knotting`` is
-    set, each cycle also gets |a2|, read off one projection by the
-    pair-count and the Alexander route, which must agree.
+    Every linking number comes from one :class:`LinkTable`, the caller's
+    ``table`` if given (it must be built on ``emb``), which also checks
+    each cycle for self-intersection.  When ``with_knotting`` is set, each
+    cycle also gets |a2|, read off one projection by the pair-count and
+    the Alexander route, which must agree.
     """
-    table = LinkTable(emb)
+    table = LinkTable.shared(emb, table)
     loops = [table.loop(c) for c in cycles]
     edges = {}
     for i, j in combinations(range(len(cycles)), 2):

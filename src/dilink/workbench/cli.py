@@ -291,6 +291,7 @@ def _cmd_bigz(args, rep: dict) -> None:
     rep["params"].update(delta=args.delta, q_policy=args.q_policy)
     (extras,) = _extras_for_delta(inst, args.delta)
     rep["params"]["extras"] = extras
+    table = LinkTable(inst.embedding)
     res = big_z(
         js,
         xs,
@@ -298,6 +299,7 @@ def _cmd_bigz(args, rep: dict) -> None:
         target_delta=args.delta,
         extra_vertices=extras,
         q_policy=args.q_policy,
+        table=table,
     )
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
@@ -312,7 +314,7 @@ def _cmd_bigz(args, rep: dict) -> None:
         "directionality",
         directionality(res.z) == args.delta,
     )
-    replay_certificate(res.certificate, inst.embedding)
+    replay_certificate(res.certificate, inst.embedding, table=table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
@@ -329,6 +331,7 @@ def _cmd_bipar(args, rep: dict) -> None:
     rep["params"].update(m=m, n=n, lam=lam, r=r, q=len(keys) - r, delta=args.delta)
     (extras,) = _extras_for_delta(inst, args.delta)
     rep["params"]["extras"] = extras
+    table = LinkTable(inst.embedding)
     res = bipar_z(
         keys[:r],
         keys[r:],
@@ -338,6 +341,7 @@ def _cmd_bipar(args, rep: dict) -> None:
         lam,
         target_delta=args.delta,
         extra_vertices=extras,
+        table=table,
     )
     rep["certificates"] = [res.certificate.to_json()]
     final = res.certificate.checks["final_x"] + res.certificate.checks["final_y"]
@@ -348,7 +352,7 @@ def _cmd_bipar(args, rep: dict) -> None:
         f"linking values {final}, threshold {lam}",
     )
     _check(rep, "directionality", directionality(res.z) == args.delta)
-    replay_certificate(res.certificate, inst.embedding)
+    replay_certificate(res.certificate, inst.embedding, table=table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
