@@ -31,6 +31,7 @@ from dilink.engine import (
 from dilink.errors import DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, shear
 from dilink.invariants import LinkTable, linking_number, omega
+from dilink.patterns import compute_pattern
 from dilink.workbench.generators import (
     big_z_instance,
     grid_link,
@@ -281,6 +282,28 @@ class TestBigZ:
         with pytest.raises(ConstructionFailed):
             replay_certificate(cert, inst.embedding)
 
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("checks", "z_parities", [1, 1, 1, 0], "replay parity table differs"),
+            ("outputs", "index_set", [0, 1, 2], "replay index set differs"),
+            ("checks", "delta", 2, "replay directionality differs"),
+        ],
+        ids=["z_parities", "index_set", "delta"],
+    )
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm-table", "fresh-table"])
+    def test_replay_catches_tampered_checks(self, bigz_n2, section, key, value, message, warm):
+        # the construction's own table must not let a tampered claim through
+        js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
+        table = LinkTable(bigz_n2.embedding)
+        res = big_z(js, xs, bigz_n2.embedding, table=table)
+        assert replay_certificate(res.certificate, bigz_n2.embedding, table=table) == res.z
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        assert cert[section][key] != value
+        cert[section][key] = value
+        with pytest.raises(ConstructionFailed, match=message):
+            replay_certificate(cert, bigz_n2.embedding, table=table if warm else None)
+
     def test_replay_rejects_unknown_kind(self, bigz_n2):
         stub = {"kind": "lemma1", "inputs": {}, "choices": {}, "outputs": {}, "checks": {}}
         with pytest.raises(ValueError, match="no replay flow"):
@@ -338,6 +361,28 @@ class TestBiparZ:
         with pytest.raises(ConstructionFailed):
             replay_certificate(bad, bipar111.embedding)
 
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("checks", "final_x", [3], "replay linking table differs"),
+            ("inputs", "lam", 2, "replayed table violates the threshold"),
+            ("checks", "delta", 2, "replay directionality differs"),
+        ],
+        ids=["final_x", "lam", "delta"],
+    )
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm-table", "fresh-table"])
+    def test_replay_catches_tampered_checks(self, bipar111, section, key, value, message, warm):
+        # the construction's own table must not let a tampered claim through
+        js, ls, xs, ys = self.families(bipar111)
+        table = LinkTable(bipar111.embedding)
+        res = bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1, table=table)
+        assert replay_certificate(res.certificate, bipar111.embedding, table=table) == res.z
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        assert cert[section][key] != value
+        cert[section][key] = value
+        with pytest.raises(ConstructionFailed, match=message):
+            replay_certificate(cert, bipar111.embedding, table=table if warm else None)
+
     def test_rejects_undersized_first_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="r = 2 < 6"):
@@ -377,6 +422,31 @@ class TestBiparZ:
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="nonempty"):
             bipar_z(js, ls, [], ys, bipar111.embedding, lam=1)
+
+
+# one table per embedding
+
+
+@pytest.mark.parametrize(
+    "call", ["big_z", "bipar_z", "compute_pattern", "replay_certificate"]
+)
+def test_a_table_of_another_embedding_is_rejected(bigz_n2, bipar111, call):
+    # lk values read from another embedding's table would certify nothing
+    js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
+    rings, keys = list(bipar111.role("rings")), list(bipar111.role("keys"))
+    runs = {
+        "big_z": (bigz_n2, lambda emb, t: big_z(js, xs, emb, table=t)),
+        "bipar_z": (bipar111, lambda emb, t: bipar_z(
+            keys[:6], keys[6:], rings[:1], rings[1:], emb, lam=1, table=t)),
+        "compute_pattern": (bigz_n2, lambda emb, t: compute_pattern(js + xs, emb, table=t)),
+        "replay_certificate": (bigz_n2, lambda emb, t: replay_certificate(
+            big_z(js, xs, emb).certificate, emb, table=t)),
+    }
+    inst, run = runs[call]
+    run(inst.embedding, LinkTable(inst.embedding))
+    other = random_complete(6, seed=0).embedding
+    with pytest.raises(ValueError, match="different embedding"):
+        run(inst.embedding, LinkTable(other))
 
 
 # keyring propagation

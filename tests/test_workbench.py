@@ -14,6 +14,7 @@ import dilink
 from dilink.digraph import DiCycle, connector_cycle, directionality
 from dilink.errors import FormatError, GenerationFailed
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
+from dilink.invariants import LinkTable
 from dilink.workbench import cli
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
@@ -449,6 +450,37 @@ class TestCliPipelines:
         code, rep = run_cli(capsys, "thm1-step", path, "--m", "1", "--lambda", "1")
         assert code == 0 and rep["ok"]
         assert rep["witness"] == {"P1": [37], "P2": [0], "Q": ["new"]}
+
+    @pytest.mark.parametrize(
+        "kind,command",
+        [
+            (["big_z", "--n", "2"], ["bigz"]),
+            (["bipar", "--lambda", "1", "--q", "36"], ["bipar", "--lambda", "1"]),
+            (["prop1", "--n", "2", "--rings", "4"], ["prop1", "--n", "2"]),
+            (["theorem1", "--n", "0"], ["thm1-step"]),
+            (["lemma1_dk6m", "--m", "1"], ["lemma1"]),
+            (["ring_wrap", "--keys", "3"], ["invariants"]),
+            (["ring_wrap", "--keys", "3"], ["pattern", "--with-knots"]),
+            (["coiled_braid", "--lambda", "4"], ["search-l7", "--lambda", "4", "--budget", "1000"]),
+        ],
+        ids=["bigz", "bipar", "prop1", "thm1-step", "lemma1", "invariants", "pattern", "search-l7"],
+    )
+    def test_one_link_table_per_command(self, capsys, tmp_path, monkeypatch, kind, command):
+        # constructions, pattern search and replay share the command's table
+        path = str(tmp_path / "in.json")
+        code, _ = run_cli(capsys, "gen", "--kind", *kind, "--out", path)
+        assert code == 0
+        built = []
+        init = LinkTable.__init__
+
+        def counting_init(table, emb):
+            built.append(emb)
+            init(table, emb)
+
+        monkeypatch.setattr(LinkTable, "__init__", counting_init)
+        code, rep = run_cli(capsys, command[0], path, *command[1:])
+        assert (code, rep["ok"]) == (0, True)
+        assert len(built) == 1
 
     def test_theorem1_size_mismatch_reported(self, capsys, tmp_path):
         # the n=1 file is larger than an empty-Q witness allows
