@@ -16,11 +16,13 @@ direction in the projection plane, i.e. the z-component of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CoordinateOverflow,
@@ -298,16 +300,17 @@ class ValidationReport:
 
 
 _Seg = tuple  # (owner, index, p, q) with owner hashable
+_pair = itemgetter(0, 1)  # the (i, j) of a pair walk entry
 
 
-def _candidate_pairs(segs: Sequence[_Seg]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in ascending order, of segments whose
-    closed xy bounding boxes meet.  Segments that meet in space meet in
-    projection, so the pairs serve the 3D checks too, which compare
-    z-extents themselves.
+def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of segments whose closed xy bounding boxes
+    meet, each once, in sweep order; callers that need pair order sort what
+    they keep.  Segments that meet in space meet in projection, so the
+    pairs serve the 3D checks too.
 
     Sort and sweep: boxes ordered by low x, each scanned against the boxes
-    after it until their low x passes its high x; y is compared directly.
+    after it whose low x is at most its high x; y is compared directly.
     A point enters as a segment from itself to itself, a zero-size box.
     """
     boxes = []
@@ -316,118 +319,123 @@ def _candidate_pairs(segs: Sequence[_Seg]) -> list[tuple[int, int]]:
         y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
         boxes.append((x0, x1, y0, y1, i))
     boxes.sort()
-    n = len(boxes)
-    pairs = []
+    lows = [b[0] for b in boxes]
     for a, (_, x1, y0, y1, i) in enumerate(boxes):
-        for b in range(a + 1, n):
-            bx0, _, by0, by1, j = boxes[b]
-            if bx0 > x1:
-                break
+        for _, _, by0, by1, j in boxes[a + 1:bisect_right(lows, x1, a + 1)]:
             if by0 <= y1 and y0 <= by1:
-                pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
+                yield (i, j) if i < j else (j, i)
 
 
-def _split_pairs(pairs: list[tuple[int, int]], n: int) -> tuple[list, list]:
-    """Split sweep pairs over n segments followed by points (zero-size
-    boxes at indices >= n) into the segment pairs, in order, and the
-    (point, segment) pairs, ordered by point and then segment."""
-    seg_pairs, hits = [], []
-    for i, j in pairs:
-        if j < n:
-            seg_pairs.append((i, j))
-        elif i < n:
-            hits.append((j, i))
-    hits.sort()
-    return seg_pairs, hits
+def _pair_walk(
+    segs: Sequence[_Seg], points: Sequence[_Seg], allowed, ends: dict
+) -> tuple[list, list, list]:
+    """Space meets and projection events of the segment pairs whose xy
+    boxes meet, and the (point, segment) pairs whose boxes meet, in one
+    sweep.  Returns three lists, in no particular order:
+      crossings  ``(i, j, t_num, u_num, den, key)`` for each transversal
+                 crossing of segments i < j, parameters as
+                 :func:`seg2_relation` gives them and ``key`` the crossing's
+                 (x, y) as the integer triple (x*d, y*d, d) with the least d
+      events     ``(i, j, kind, data)`` with kind
+                   "meet"     the segments meet in space off the points the
+                              contact rule ``allowed(sa, sb)`` permits;
+                              ``data`` is the point, None for an overlap
+                   "touch"    a contact of the projections that the rule
+                   "overlap"  does not permit, ``data`` as
+                              :func:`seg2_relation` gives it
+      hits       ``(k, i)``: point k's box meets segment i's
 
+    Each owner's segments come in order along it, each starting where the
+    one before ends; an owner whose last segment ends where its first
+    starts is closed.  ``ends`` maps an owner to the points where it may
+    touch another owner.  ``allowed`` must permit the joint of an owner's
+    consecutive segments, the last and first of a closed one included,
+    and a fork of two owners at a shared end exactly when that end is in
+    both owners' ``ends``.
 
-def _fork(pa, qa, pb, qb):
-    """The end c two segments share, with the other end of each, or None."""
-    if pa == pb:
-        return pa, qa, qb
-    if pa == qb:
-        return pa, qa, pb
-    if qa == pb:
-        return qa, pa, qb
-    if qa == qb:
-        return qa, pa, pb
-    return None
-
-
-def _meetings_3d(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple[_Seg, _Seg, Optional[tuple]]]:
-    """Candidate pairs of segments that meet in space other than at a point
-    the contact rule ``allowed(sa, sb)`` permits, in pair order:
-    ``(sa, sb, point)``, with point ``None`` for a collinear overlap.
-    The pairs come from the xy sweep, so pairs with disjoint z-extents are
-    skipped here."""
-    zs = [(p[2], q[2]) if p[2] <= q[2] else (q[2], p[2]) for _, _, p, q in segs]
-    for i, j in pairs:
-        (alo, ahi), (blo, bhi) = zs[i], zs[j]
-        if ahi < blo or bhi < alo:
-            continue
-        sa, sb = segs[i], segs[j]
-        pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
-        fork = _fork(pa, qa, pb, qb)
-        # two segments leaving a shared end in different directions meet
-        # only there
-        if (
-            fork is not None
-            and _cross3(_sub(fork[1], fork[0]), _sub(fork[2], fork[0])) != (0, 0, 0)
-            and fork[0] in allowed(sa, sb)
-        ):
-            continue
-        kind, pt = seg3_relation(pa, qa, pb, qb)
-        if kind == "none" or (kind == "point" and pt in allowed(sa, sb)):
-            continue
-        yield sa, sb, pt
-
-
-def _pair_walk(segs: Sequence[_Seg], pairs, allowed) -> Iterator[tuple]:
-    """Space meets and projection events of candidate pairs of segments,
-    in one pass and in pair order, as ``(kind, sa, sb, data, key)``:
-      "meet"     the segments meet in space off the points the contact rule
-                 ``allowed(sa, sb)`` permits; ``data`` is the point, None
-                 for a collinear overlap; it precedes the pair's other event
-      "touch"    a contact of the projections that the rule does not
-      "overlap"  permit, ``data`` as :func:`seg2_relation` gives it
-      "proper"   a transversal crossing, ``data = (t_num, u_num, den)`` as
-                 :func:`seg2_relation` gives it and ``key`` its (x, y) as
-                 the integer triple (x*d, y*d, d) with the least d > 0
-
-    One :func:`seg2_relation` call per pair decides the 3D question too.
-    Disjoint projections cannot meet in space.  A fork skipped for
-    ``orient2 != 0`` at a permitted shared end has ``cross3 != 0`` as well,
-    so it meets only there.  Properly crossing projections meet in space
-    only above the crossing, interior to both segments, and do iff the
-    heights z*den there agree (the test of :func:`crossing_sign`); only
-    then does :func:`seg3_relation` run, for the point.  A touch or overlap
-    goes to :func:`seg3_relation` and the rule.  So a valid embedding
-    builds no Fraction here.
+    Each pair is decided from the four orientations of its ends in
+    projection.  Ends of one segment strictly on one side of the other's
+    line: the pair is disjoint.  Properly crossing projections meet in
+    space only above the crossing, interior to both segments, and do iff
+    the heights z*den there agree; only then does :func:`seg3_relation`
+    run, for the point.  Two segments leaving a permitted shared end in
+    directions that differ in projection meet only there, and so do
+    consecutive segments running on in one direction.  Every other pair
+    is a touch, an overlap or a vertical segment, and goes to
+    :func:`seg2_relation`, :func:`seg3_relation` and the rule.  So a valid
+    embedding builds no Fraction here.
     """
-    for i, j in pairs:
-        sa, sb = segs[i], segs[j]
-        pa, qa, pb, qb = sa[2], sa[3], sb[2], sb[3]
-        fork = _fork(pa, qa, pb, qb)
-        if fork is not None and orient2(*fork) != 0 and fork[0] in allowed(sa, sb):
+    n = len(segs)
+    recs = []
+    first = 0  # the current owner's first segment
+    for k, (owner, _, p, q) in enumerate(segs):
+        # the segment after this one along its owner, or -1
+        if k + 1 < n and segs[k + 1][0] == owner:
+            nxt = k + 1
+        else:
+            nxt = first if segs[first][2] == q else -1
+            first = k + 1
+        near = ends.get(owner, ())
+        recs.append((
+            p[0], p[1], p[2], q[0] - p[0], q[1] - p[1], q[2] - p[2],
+            owner, nxt, p, q, p in near, q in near,
+        ))
+    crossings, events, hits = [], [], []
+    for i, j in _candidate_pairs([*segs, *points]):
+        if j >= n:
+            if i < n:
+                hits.append((j - n, i))
             continue
-        kind, data = seg2_relation(pa, qa, pb, qb)
-        if kind == "proper":
-            t_num, u_num, den = data
-            if pa[2] * den + t_num * (qa[2] - pa[2]) == pb[2] * den + u_num * (qb[2] - pb[2]):
-                yield "meet", sa, sb, seg3_relation(pa, qa, pb, qb)[1], None
-            x = pa[0] * den + t_num * (qa[0] - pa[0])
-            y = pa[1] * den + t_num * (qa[1] - pa[1])
+        pax, pay, paz, dxa, dya, dza, oa, na, pa, qa, fpa, fqa = recs[i]
+        pbx, pby, pbz, dxb, dyb, dzb, ob, nb, pb, qb, fpb, fqb = recs[j]
+        wx, wy = pbx - pax, pby - pay
+        # twice the signed areas of (pa, qa, pb), (pa, qa, qb), (pb, qb, pa)
+        # and (pb, qb, qa), as qb - pa = w + db and qa - pb = da - w
+        o_r = dxa * wy - dya * wx
+        o_s = dxa * (wy + dyb) - dya * (wx + dxb)
+        if (o_r > 0 and o_s > 0) or (o_r < 0 and o_s < 0):
+            continue
+        o_p = wx * dyb - wy * dxb
+        o_q = o_p - o_s + o_r
+        if (o_p > 0 and o_q > 0) or (o_p < 0 and o_q < 0):
+            continue
+        if o_r and o_s and o_p and o_q:
+            # a proper crossing, at t = t_num/den along a and u = u_num/den
+            # along b
+            den = o_s - o_r
+            t_num, u_num = (-o_p, o_r) if den < 0 else (o_p, -o_r)
+            if den < 0:
+                den = -den
+            if paz * den + t_num * dza == pbz * den + u_num * dzb:
+                events.append((i, j, "meet", seg3_relation(pa, qa, pb, qb)[1]))
+            x = pax * den + t_num * dxa
+            y = pay * den + t_num * dya
             g = gcd(x, y, den)
-            yield kind, sa, sb, data, (x // g, y // g, den // g)
-        elif kind != "none":
-            ok = allowed(sa, sb)
-            kind3, pt = seg3_relation(pa, qa, pb, qb)
-            if kind3 != "none" and not (kind3 == "point" and pt in ok):
-                yield "meet", sa, sb, pt, None
-            if kind == "overlap" or all(data != (a[0], a[1]) for a in ok):
-                yield kind, sa, sb, data, None
+            crossings.append((i, j, t_num, u_num, den, (x // g, y // g, den // g)))
+            continue
+        if j == na or i == nb:
+            # consecutive segments: at their joint, not folding back on
+            # one line in projection
+            if o_r or o_s or dxa * dxb + dya * dyb > 0:
+                continue
+        elif (o_r or o_s) and oa != ob:
+            # the ends are not all collinear in projection, so a shared end
+            # is the only one
+            if (fpa and (pa == pb and fpb or pa == qb and fqb)) or (
+                fqa and (qa == pb and fpb or qa == qb and fqb)
+            ):
+                continue
+        kind, data = seg2_relation(pa, qa, pb, qb)
+        if kind == "none":
+            continue
+        sa, sb = segs[i], segs[j]
+        ok = allowed(sa, sb)
+        kind3, pt = seg3_relation(pa, qa, pb, qb)
+        if kind3 != "none" and not (kind3 == "point" and pt in ok):
+            events.append((i, j, "meet", pt))
+        if kind == "overlap" or all(data != (a[0], a[1]) for a in ok):
+            events.append((i, j, kind, data))
+    return crossings, events, hits
 
 
 def _rational_point(key: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
@@ -462,22 +470,21 @@ def _allowed_contacts(
     return tuple(pt for pt in (pa, qa) if (pt == pb or pt == qb) and pt in ea and pt in eb)
 
 
-def validate_general_position(
-    emb: SpatialEmbedding,
-    arc_keys: Optional[Iterable[tuple[int, int]]] = None,
-) -> ValidationReport:
+def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
     """Check 3D disjointness and projection genericity.
 
-    An empty report means the (sub-)embedding is accepted by every downstream
+    An empty report means the embedding is accepted by every downstream
     operation: arcs meet only at shared endpoint vertices, no segment is
     vertical, and the z-projection has only transversal double points away
     from vertices and bends.
     """
-    arcs = emb.arcs if arc_keys is None else {k: emb.arcs[k] for k in arc_keys}
-    segs = _gather_segments(arcs)
-    # vertices join the box sweeps as zero-size boxes after the segments
-    items = segs + [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
-    allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
+    segs = _gather_segments(emb.arcs)
+    # vertices join the box sweep as zero-size boxes
+    points = [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
+    ends = {k: (a.points[0], a.points[-1]) for k, a in emb.arcs.items()}
+    crossings, events, hits = _pair_walk(segs, points, partial(_allowed_contacts, ends), ends)
+    events.sort(key=_pair)
+    hits.sort()
     violations: list[Violation] = []
 
     # vertical segments are invisible to the projection
@@ -487,28 +494,20 @@ def validate_general_position(
                 Violation("vertical-segment", (arc, i), f"{p}->{q}")
             )
 
-    pairs, hits = _split_pairs(_candidate_pairs(items), len(segs))
-    # one walk gives both the 3D meets and the projection contacts; proper
-    # crossings are kept for the triple-point test
-    meets: list[Violation] = []
     contacts: list[Violation] = []
-    cross_points: dict[tuple[int, int, int], list] = {}
-    for kind, sa, sb, data, key in _pair_walk(segs, pairs, allowed):
-        where = (sa[0], sa[1], sb[0], sb[1])
-        if kind == "proper":
-            cross_points.setdefault(key, []).append(where)
-        elif kind == "meet":
+    for i, j, kind, data in events:
+        where = (*segs[i][:2], *segs[j][:2])
+        if kind == "meet":
             text = f"meet at ({data[0]},{data[1]},{data[2]})" if data else "collinear overlap"
-            meets.append(Violation("arc-intersection-3d", where, text))
+            violations.append(Violation("arc-intersection-3d", where, text))
         elif kind == "overlap":
             contacts.append(Violation("projection-overlap", where, "collinear in projection"))
         else:
             contacts.append(Violation("projection-tangency", where, f"touch at {data}"))
-    violations += meets
 
     # vertices on non-incident arcs (3D), incl. isolated vertices
     for k, s in hits:
-        v, _, pos, _ = items[k]
+        v, _, pos, _ = points[k]
         arc, i, p, q = segs[s]
         if (
             v not in arc
@@ -518,15 +517,16 @@ def validate_general_position(
             violations.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
 
     violations += contacts
-    for pt, where in cross_points.items():
-        if len(where) > 1:
-            violations.append(
-                Violation("triple-point", tuple(where[0] + where[1]), f"at {_rational_point(pt)}")
-            )
+    for first, second in _repeated_points(crossings):
+        violations.append(Violation(
+            "triple-point",
+            (*segs[first[0]][:2], *segs[first[1]][:2], *segs[second[0]][:2], *segs[second[1]][:2]),
+            f"at {_rational_point(first[5])}",
+        ))
 
     # projected vertices on non-incident strands
     for k, s in hits:
-        v, _, pos, _ = items[k]
+        v, _, pos, _ = points[k]
         arc, i, p, q = segs[s]
         if v not in arc and orient2(p, q, pos) == 0:
             violations.append(
@@ -534,6 +534,19 @@ def validate_general_position(
             )
 
     return ValidationReport(tuple(violations))
+
+
+def _repeated_points(crossings: list) -> list[list[tuple]]:
+    """For each point where more than one crossing of :func:`_pair_walk`
+    lies, its first two crossings in pair order, ordered by the first."""
+    first: dict[tuple[int, int, int], tuple] = {}
+    more: dict[tuple[int, int, int], list] = {}
+    for c in crossings:
+        f = first.setdefault(c[5], c)
+        if f is not c:
+            more.setdefault(c[5], [f]).append(c)
+    # pairs are distinct, so crossings sort by pair
+    return sorted(sorted(cs)[:2] for cs in more.values())
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +628,19 @@ def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
     simple and pairwise disjoint in space."""
     loops = tuple(tuple(lp) for lp in loop_points)
     all_segs = _closed_segments(loops)
-    rule = partial(_shared_corner, loops)
-    for sa, sb, _ in _meetings_3d(all_segs, _candidate_pairs(all_segs), rule):
-        raise DisjointnessViolated(_meet_message(sa, sb))
+    _raise_first_meet(all_segs, _pair_walk(all_segs, (), partial(_shared_corner, loops), {})[1])
 
 
-def _meet_message(sa: _Seg, sb: _Seg) -> str:
-    return f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
+def _raise_first_meet(all_segs: Sequence[_Seg], events: list) -> None:
+    """Raise :class:`DisjointnessViolated` for the first meet of
+    :func:`_pair_walk`'s events in pair order, if there is one."""
+    meets = [e for e in events if e[2] == "meet"]
+    if meets:
+        i, j = _pair(min(meets, key=_pair))
+        sa, sb = all_segs[i], all_segs[j]
+        raise DisjointnessViolated(
+            f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
+        )
 
 
 def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[bool, int]:
@@ -713,42 +732,34 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("vertical-segment", (li, i)),),
             )
 
-    # a space meet is raised at once; the first degenerate contact is held
-    # until the walk ends, since a later pair that meets in space wins
-    held: Optional[DegenerateProjection] = None
+    crossings, events, _ = _pair_walk(all_segs, (), partial(_shared_corner, loops), {})
+    # a space meet wins over any degenerate contact; of those, the first in
+    # pair order is raised: a touch or overlap, or the second crossing at
+    # one point
+    _raise_first_meet(all_segs, events)
+    bad = [(i, j, "projection-" + kind, None) for i, j, kind, _ in events]
+    bad += [(c[0], c[1], "triple-point", c[5]) for _, c in _repeated_points(crossings)]
+    if bad:
+        i, j, kind, key = min(bad)
+        where = (*all_segs[i][:2], *all_segs[j][:2])
+        if key is None:
+            text = (
+                f"non-transversal contact between loop {where[0]} seg {where[1]} "
+                f"and loop {where[2]} seg {where[3]}"
+            )
+        else:
+            pt = _rational_point(key)
+            text = f"triple point at ({pt[0]},{pt[1]})"
+        raise DegenerateProjection(text, (Violation(kind, where),))
+
     raw: list[Crossing] = []
-    seen_points: set[tuple[int, int, int]] = set()
-    rule = partial(_shared_corner, loops)
-    for kind, sa, sb, data, key in _pair_walk(all_segs, _candidate_pairs(all_segs), rule):
-        if kind == "meet":
-            raise DisjointnessViolated(_meet_message(sa, sb))
-        if held is not None:
-            continue
-        where = (sa[0], sa[1], sb[0], sb[1])
-        if kind != "proper":
-            held = DegenerateProjection(
-                f"non-transversal contact between loop {sa[0]} seg {sa[1]} "
-                f"and loop {sb[0]} seg {sb[1]}",
-                (Violation("projection-" + kind, where),),
-            )
-            continue
-        t_num, u_num, den = data
+    for i, j, t_num, u_num, den, key in crossings:
+        sa, sb = all_segs[i], all_segs[j]
         a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
-        pt = _rational_point(key)
-        if key in seen_points:
-            held = DegenerateProjection(
-                f"triple point at ({pt[0]},{pt[1]})",
-                (Violation("triple-point", where),),
-            )
-            continue
-        seen_points.add(key)
         pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
         over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
-        raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
-    if held is not None:
-        raise held
-
+        raw.append(Crossing(over=over, under=under, sign=sign, point=_rational_point(key)))
     raw.sort(key=lambda c: (c.over, c.under))
     return LinkDiagram(loops=loops, crossings=tuple(raw))
 

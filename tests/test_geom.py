@@ -262,12 +262,6 @@ def test_validate_flags_vertex_on_arc():
     assert "vertex-on-arc-3d" in validate_general_position(emb).kinds()
 
 
-def test_validate_subset_of_arcs(grid13):
-    emb = grid13.embedding
-    some = list(emb.arcs)[:4]
-    assert validate_general_position(emb, arc_keys=some).ok
-
-
 def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
     for inst in (grid13, grid22, bigz_n2, wrap45, coil4):
         assert validate_general_position(inst.embedding).ok
@@ -277,8 +271,15 @@ def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
 # segment-pair prefilter
 
 
+def _assert_pairs_match(segs):
+    # the sweep yields each pair once, in no set order
+    pairs = list(_candidate_pairs(segs))
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(pairs) == _brute_pairs(segs)
+
+
 def _brute_pairs(segs):
-    # closed xy boxes, compared pair by pair
+    # closed xy boxes, compared pair by pair, in ascending order
     boxes = [
         [(min(s[2][d], s[3][d]), max(s[2][d], s[3][d])) for d in range(2)]
         for s in segs
@@ -318,7 +319,7 @@ def _random_segments(n, seed, half):
 @settings(max_examples=25, deadline=None)
 def test_candidate_pairs_match_brute_force(n, seed, half):
     segs = _random_segments(n, seed, half)
-    assert _candidate_pairs(segs) == _brute_pairs(segs)
+    _assert_pairs_match(segs)
 
 
 _small_pt = st.builds(
@@ -332,7 +333,7 @@ _small_pt = st.builds(
 @example(ends=[(P(0, 0, 0), P(0, 0, 3)), (P(0, 0, 1), P(0, 0, 2)), (P(-1, 0, 2), P(1, 0, 2))])
 def test_candidate_pairs_small_sets(ends):
     segs = [("s", i, p, q) for i, (p, q) in enumerate(ends)]
-    assert _candidate_pairs(segs) == _brute_pairs(segs)
+    _assert_pairs_match(segs)
 
 
 def test_validation_does_not_import_numpy():
@@ -412,12 +413,40 @@ _touch_meet = SpatialEmbedding(
     box=8,
 )
 
+# arcs (0,1) and (0,2) leave vertex 0 in opposite directions along one
+# line in projection, (0,1) and (0,3) in the same direction
+_collinear_fork = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(2, 0, 0), 2: P(-2, 0, 1), 3: P(3, 0, 2)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(2, 0, 0)]), (0, 2): PolyLine([P(0, 0, 0), P(-2, 0, 1)]),
+     (0, 3): PolyLine([P(0, 0, 0), P(3, 0, 2)])},
+    box=8,
+)
+# the bends of (0,1) and (2,3) are one point, an end of no arc
+_bend_on_bend = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(2, 0, 0), 2: P(0, 2, 0), 3: P(2, 2, 0)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(1, 1, 1), P(2, 0, 0)]),
+     (2, 3): PolyLine([P(0, 2, 0), P(1, 1, 1), P(2, 2, 0)])},
+    box=8,
+)
+# the third bend of (0,1) is at its own tail: an arc end, but not one its
+# first segment may share with its third or fourth; (0,2) may meet all
+# three there
+_bend_at_tail = SpatialEmbedding(
+    {0: P(0, 0, 0), 1: P(2, 2, 2), 2: P(-2, 1, 0)},
+    {(0, 1): PolyLine([P(0, 0, 0), P(2, 1, 1), P(1, 2, 1), P(0, 0, 0), P(2, 2, 2)]),
+     (0, 2): PolyLine([P(0, 0, 0), P(-2, 1, 0)])},
+    box=8,
+)
+
 
 @given(emb=_cube_embeddings())
 @example(emb=_triple)
 @example(emb=_fan)
 @example(emb=_meet_at_crossing)
 @example(emb=_touch_meet)
+@example(emb=_collinear_fork)
+@example(emb=_bend_on_bend)
+@example(emb=_bend_at_tail)
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_rational_reference(emb):
     assert validate_general_position(emb) == validate_reference(emb)
@@ -439,6 +468,10 @@ def _outcome(fn, loops):
 # pair order, a space meet (loop 1's corner (2,4,0) on loop 0's third side)
 @example(loops=[[P(0, 0, 0), P(4, 0, 0), P(4, 4, 0), P(0, 4, 0)],
                 [P(2, 0, 5), P(6, 2, 5), P(2, 4, 0)]])
+# the loop's last and first segments run on one line in projection, on
+# in one direction, then folding back
+@example(loops=[[P(0, 0, 0), P(2, 0, 1), P(1, 1, 0), P(-2, 0, 2)]])
+@example(loops=[[P(0, 0, 0), P(2, 0, 1), P(1, 1, 0), P(3, 0, 2)]])
 @settings(max_examples=300, deadline=None)
 def test_diagram_matches_rational_reference(loops):
     assert _outcome(project_to_diagram, loops) == _outcome(diagram_reference, loops)
@@ -451,6 +484,22 @@ def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bi
     monkeypatch.setattr(geom, "Fraction", refuse)
     for emb in (grid13.embedding, bigz_n2.embedding, lemma1_dk6m(2, seed=5).embedding):
         assert validate_general_position(emb).ok
+
+    # on a complete digraph's embedding every pair is decided by the
+    # walk's fast path: a strict side, a proper crossing, a joint or a fork
+    # at a permitted end
+    calls = []
+
+    def counted(name, fn):
+        def run(*args):
+            calls.append(name)
+            return fn(*args)
+        return run
+
+    for name in ("seg2_relation", "seg3_relation", "_allowed_contacts"):
+        monkeypatch.setattr(geom, name, counted(name, getattr(geom, name)))
+    assert validate_general_position(lemma1_dk6m(2, seed=5).embedding).ok
+    assert calls == []
 
 
 def test_seg3_endpoint_meets_return_the_endpoint():
