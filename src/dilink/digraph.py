@@ -357,7 +357,6 @@ def connector_cycle(
     cycles: Sequence[DiCycle],
     closure: str = "one_directional",
     q_policy: str = "lex",
-    orientations: Optional[Sequence[int]] = None,
     extra_vertices: Sequence[int] = (),
 ) -> ConnectorResult:
     """Chain 2-directional cycles into one cycle of chosen directionality.
@@ -375,8 +374,7 @@ def connector_cycle(
 
     q_policy "lex" picks the u-to-w path with the lexicographically
     smaller vertex sequence; "opposite" picks the one whose arcs point
-    against the cycle's loop orientation (per-cycle orientation signs may
-    be supplied, +1 meaning the traversal order as built).
+    against the cycle's traversal.
 
     The ambient digraph is assumed complete symmetric, so every joining
     edge exists.
@@ -386,10 +384,6 @@ def connector_cycle(
     check_closure(closure, len(extra_vertices))
     if q_policy not in ("lex", "opposite"):
         raise ValueError(f"unknown q policy {q_policy!r}")
-    if orientations is None:
-        orientations = [1] * len(cycles)
-    if len(orientations) != len(cycles) or any(o not in (1, -1) for o in orientations):
-        raise ValueError("orientations must be +1/-1 per cycle")
 
     seen: set[int] = set()
     for idx, c in enumerate(cycles):
@@ -404,19 +398,11 @@ def connector_cycle(
     if len(set(extras)) != len(extras) or seen & set(extras):
         raise DisjointnessViolated("extra vertices must be fresh and distinct")
 
-    junctions: list[tuple[int, int]] = []
+    junctions = tuple(tuple(direction_change_vertices(c)) for c in cycles)
     q_paths: list[tuple[int, ...]] = []
-    for c, o in zip(cycles, orientations):
-        u, w = direction_change_vertices(c)
+    for c in cycles:
         along, against = u_to_w_paths(c)
-        if q_policy == "lex":
-            q = min(along, against)
-        else:
-            # "along" runs with the traversal, so it opposes the loop
-            # orientation exactly when the loop is reversed
-            q = against if o == 1 else along
-        junctions.append((u, w))
-        q_paths.append(q)
+        q_paths.append(min(along, against) if q_policy == "lex" else against)
 
     verts: list[int] = []
     ecs: list[bool] = []
@@ -439,7 +425,7 @@ def connector_cycle(
             else:
                 ecs.append(False)  # x_last -> u_1 via arc (u_1, x_last)
     cycle = DiCycle(tuple(verts), tuple(ecs))
-    return ConnectorResult(cycle=cycle, junctions=tuple(junctions), q_paths=tuple(q_paths))
+    return ConnectorResult(cycle=cycle, junctions=junctions, q_paths=tuple(q_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +437,17 @@ class OrientedLoop:
     """A cycle's closed polyline in a specific embedding.
 
     ``points`` is the closed traversal (last point joins the first) in the
-    direction actually used for invariants: the cycle's traversal order, or
-    its reverse when ``reverse`` is set.
+    cycle's traversal order, the direction invariants use.
     """
 
     cycle: DiCycle
     points: tuple[Point3, ...]
-    reverse: bool = False
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def reversed(self) -> "OrientedLoop":
-        return OrientedLoop(cycle=self.cycle, points=self.points[::-1], reverse=not self.reverse)
 
-
-def realize(c: DiCycle, emb: SpatialEmbedding, reverse: bool = False) -> OrientedLoop:
+def realize(c: DiCycle, emb: SpatialEmbedding) -> OrientedLoop:
     """Concatenate the embedded arcs of a cycle into a closed polyline."""
     pts: list[Point3] = []
     for i in range(len(c)):
@@ -479,5 +460,4 @@ def realize(c: DiCycle, emb: SpatialEmbedding, reverse: bool = False) -> Oriente
         if seq[0] != emb.vertices[a]:
             raise ValueError(f"arc of {key} does not join its endpoints")
         pts.extend(seq[:-1])
-    points = tuple(pts[::-1]) if reverse else tuple(pts)
-    return OrientedLoop(cycle=c, points=points, reverse=reverse)
+    return OrientedLoop(cycle=c, points=tuple(pts))

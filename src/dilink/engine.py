@@ -247,12 +247,10 @@ class BigZResult:
 def big_z(
     js: Sequence[DiCycle],
     xs: Sequence[DiCycle],
-    emb: SpatialEmbedding,
+    table: LinkTable,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
     q_policy: str = "lex",
-    *,
-    table: Optional[LinkTable] = None,
 ) -> BigZResult:
     """Build one cycle of the target directionality that links at least half
     of the target cycles mod 2.
@@ -262,7 +260,8 @@ def big_z(
     C over all J's is returned directly when it already links at least n/2
     targets; otherwise a heavy row-space vector of the parity matrix picks
     the J's to surger into C, which lifts the count above n/2.  Linking
-    numbers come from ``table`` when given; it must be built on ``emb``.
+    numbers come from ``table``, the caller's table on the cycles'
+    embedding.
     """
     js = list(js)
     xs = list(xs)
@@ -273,9 +272,8 @@ def big_z(
     for i, j in enumerate(js):
         if directionality(j) != 2:
             raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
-    cache = LinkTable.shared(emb, table)
     for i in range(n):
-        if cache.omega(js[i], xs[i]) != 1:
+        if table.omega(js[i], xs[i]) != 1:
             raise HypothesisViolated(
                 f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
             )
@@ -283,7 +281,7 @@ def big_z(
     res = connector_cycle(
         js, closure, q_policy=q_policy, extra_vertices=extra_vertices
     )
-    c_parities = [cache.omega(res.cycle, x) for x in xs]
+    c_parities = [table.omega(res.cycle, x) for x in xs]
     shortcut = 2 * sum(c_parities) >= n
 
     witness_rows: tuple[int, ...] = ()
@@ -291,7 +289,7 @@ def big_z(
     if shortcut:
         z = res.cycle
     else:
-        matrix_lists = [[cache.omega(j, x) for x in xs] for j in js]
+        matrix_lists = [[table.omega(j, x) for x in xs] for j in js]
         for i in range(len(js)):
             if matrix_lists[i][i] != 1:
                 raise HypothesisViolated(
@@ -301,7 +299,7 @@ def big_z(
         witness_rows = hv.rows
         z = _surgery_chain(res.cycle, [js[i] for i in witness_rows])
 
-    z_parities = [cache.omega(z, x) for x in xs]
+    z_parities = [table.omega(z, x) for x in xs]
     index_set = tuple(i for i, w in enumerate(z_parities) if w == 1)
     if 2 * len(index_set) < n:
         raise ConstructionFailed(
@@ -401,12 +399,10 @@ def bipar_z(
     ls: Sequence[DiCycle],
     xs: Sequence[DiCycle],
     ys: Sequence[DiCycle],
-    emb: SpatialEmbedding,
+    table: LinkTable,
     lam: int,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
-    *,
-    table: Optional[LinkTable] = None,
 ) -> BiparResult:
     """Build one cycle whose linking number with every X and Y target
     exceeds ``lam`` in magnitude.
@@ -418,7 +414,7 @@ def bipar_z(
     clears the threshold, then the L-surgery ladder for the Y's and the
     sign-carrying X's.  Strict ladder monotonicity and the final table are
     recomputed from geometry on every run.  Linking numbers come from
-    ``table`` when given; it must be built on ``emb``.
+    ``table``, the caller's table on the cycles' embedding.
     """
     js, ls, xs, ys = list(js), list(ls), list(xs), list(ys)
     m, n_y, r, q = len(xs), len(ys), len(js), len(ls)
@@ -445,10 +441,9 @@ def bipar_z(
                     f"{name}-family cycle {i} is not 2-directional"
                 )
 
-    cache = LinkTable.shared(emb, table)
-    lk_jx = {(i, a): cache.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
-    lk_ly = {(j, b): cache.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
-    lk_lx = {(j, a): cache.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
+    lk_jx = {(i, a): table.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
+    lk_ly = {(j, b): table.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
+    lk_lx = {(j, a): table.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
     for (i, a), v in sorted(lk_jx.items()):
         if v == 0:
             raise HypothesisViolated(f"lk(J_{i}, X_{a}) = 0")
@@ -499,7 +494,7 @@ def bipar_z(
     for s in range(keep_j_count):
         ladder_c.append(_surgery_chain(ladder_c[-1], [js[kept_j[s]]]))
     a_matrix = [
-        [sign_x[a] * cache.lk(c, xs[a]) for c in ladder_c] for a in range(m)
+        [sign_x[a] * table.lk(c, xs[a]) for c in ladder_c] for a in range(m)
     ]
     for a in range(m):
         for s in range(keep_j_count):
@@ -539,7 +534,7 @@ def bipar_z(
     def row_value(kind: str, idx: int, cyc: DiCycle) -> int:
         sgn = sign_y[idx] if kind == "y" else sign_x[idx]
         tgt = ys[idx] if kind == "y" else xs[idx]
-        return sgn * cache.lk(cyc, tgt)
+        return sgn * table.lk(cyc, tgt)
 
     b_matrix = [
         [row_value(kind, idx, d) for d in ladder_d] for kind, idx in s_rows
@@ -566,11 +561,11 @@ def bipar_z(
     z = ladder_d[t_star]
 
     # final table, all recomputed raw (orientation flips cannot hide here)
-    final_x = [cache.lk(z, x) for x in xs]
-    final_y = [cache.lk(z, y) for y in ys]
+    final_x = [table.lk(z, x) for x in xs]
+    final_y = [table.lk(z, y) for y in ys]
     for a in range(m):
         if cats[a] == "0":
-            base = cache.lk(d0, xs[a])
+            base = table.lk(d0, xs[a])
             if final_x[a] != base:
                 raise ConstructionFailed(
                     f"lk against X_{a} drifted from {base} to {final_x[a]} "
@@ -670,7 +665,6 @@ def prop1_step(
     n: int,
     target_delta: int = 1,
     extra_sets: Sequence[Sequence[int]] = (),
-    q_policy: str = "lex",
     budget: int = DEFAULT_BUDGET,
 ) -> Prop1Result:
     """Build n disjoint cycles that all link the same n cycles oddly.
@@ -687,7 +681,7 @@ def prop1_step(
     if extra_sets and len(extra_sets) != n:
         raise HypothesisViolated("one extra-vertex set per round, or none")
     cache = LinkTable(emb)
-    pattern = compute_pattern(candidates, emb, table=cache)
+    pattern = compute_pattern(candidates, cache)
     stars = find_disjoint_keyrings(pattern, count=2 * n, keys=n, budget=budget)
     if stars is None:
         raise NotEnoughKeyrings(
@@ -703,15 +697,7 @@ def prop1_step(
     for j in range(n):
         round_js = [candidates[st[f"k{j}"]] for st in stars]
         extras = list(extra_sets[j]) if extra_sets else []
-        sub = big_z(
-            round_js,
-            xs,
-            emb,
-            target_delta=target_delta,
-            extra_vertices=extras,
-            q_policy=q_policy,
-            table=cache,
-        )
+        sub = big_z(round_js, xs, cache, target_delta=target_delta, extra_vertices=extras)
         zs.append(sub.z)
         round_certs.append(sub.certificate.to_json())
         got = set(sub.index_set)
@@ -725,7 +711,7 @@ def prop1_step(
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
     witness_pattern = compute_pattern(
-        list(zs) + [candidates[centers[i]] for i in picked], emb, table=cache
+        list(zs) + [candidates[centers[i]] for i in picked], cache
     )
     witness = {f"x{j}": j for j in range(n)}
     witness.update({f"y{i}": n + i for i in range(n)})
@@ -741,7 +727,7 @@ def prop1_step(
             "candidates": _cycles_json(candidates),
             "n": n,
             "target_delta": target_delta,
-            "q_policy": q_policy,
+            "q_policy": "lex",
         },
         choices={
             "stars": stars,
@@ -789,6 +775,8 @@ def theorem1_step(
     construction produces the new singleton; the returned witness has both
     big classes cut down to m and one more Q entry.
     """
+    if m < 1:
+        raise HypothesisViolated(f"need m >= 1, got {m}")
     candidates = list(candidates)
     for key in ("P1", "P2", "Q"):
         if key not in witness:
@@ -815,7 +803,7 @@ def theorem1_step(
     # verify the incoming parity pattern on the named components
     used = [candidates[i] for i in all_idx]
     cache = LinkTable(emb)
-    pattern = compute_pattern(used, emb, table=cache)
+    pattern = compute_pattern(used, cache)
     pos = {orig: k for k, orig in enumerate(all_idx)}
     for i in p1:
         for j in p2:
@@ -842,11 +830,10 @@ def theorem1_step(
         l_cycles,
         x_cycles,
         y_cycles,
-        emb,
+        cache,
         lam,
         target_delta=target_delta,
         extra_vertices=extra_vertices,
-        table=cache,
     )
     z = sub.z
 
@@ -1140,25 +1127,19 @@ def theorem2_params(alpha: int, n: int) -> tuple[int, int]:
 # certificate replay
 
 
-def replay_certificate(
-    cert: ConstructionCertificate | dict,
-    emb: SpatialEmbedding,
-    *,
-    table: Optional[LinkTable] = None,
-) -> DiCycle:
+def replay_certificate(cert: ConstructionCertificate | dict, table: LinkTable) -> DiCycle:
     """Re-execute a certificate's recorded choices and re-verify its checks.
 
     Returns the reconstructed output cycle; any divergence from the
     recorded output or invariant table raises ConstructionFailed.  Every
-    linking number is recomputed through ``table`` when given (it must be
-    built on ``emb``), so the construction's own table can serve: it
-    memoizes only geometry, never a certificate's claims.
+    linking number is recomputed through ``table``, so the construction's
+    own table can serve: it memoizes only geometry, never a certificate's
+    claims.
     """
     if isinstance(cert, dict):
         cert = ConstructionCertificate.from_json(cert)
-    cache = LinkTable.shared(emb, table)
     if cert.kind == "big_z":
-        return _replay_big_z(cert, cache)
+        return _replay_big_z(cert, table)
     if cert.kind == "bipar_z":
-        return _replay_bipar(cert, cache)
+        return _replay_bipar(cert, table)
     raise ValueError(f"certificate kind {cert.kind!r} has no replay flow")

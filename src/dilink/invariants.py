@@ -76,7 +76,7 @@ def shear_schedule(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def project_with_retry(loops: Sequence, max_tries: int = SHEAR_TRIES) -> ProjectionResult:
+def project_with_retry(loops: Sequence) -> ProjectionResult:
     """Project loops to a diagram, shearing until the projection is generic.
 
     The shear (x, y, z) -> (x + kx*z, y + ky*z, z) keeps every height, so
@@ -87,10 +87,8 @@ def project_with_retry(loops: Sequence, max_tries: int = SHEAR_TRIES) -> Project
     point_lists = [_loop_points(l) for l in loops]
     if not point_lists:
         raise ValueError("need at least one loop")
-    if max_tries < 1:
-        raise ValueError("need at least one projection attempt")
     last: DegenerateProjection | None = None
-    for kx, ky in shear_schedule(max_tries):
+    for kx, ky in shear_schedule(SHEAR_TRIES):
         sheared = (
             point_lists
             if kx == 0 and ky == 0
@@ -101,7 +99,7 @@ def project_with_retry(loops: Sequence, max_tries: int = SHEAR_TRIES) -> Project
         except DegenerateProjection as exc:
             last = exc
     raise DegenerateProjection(
-        f"no generic projection after {max_tries} shears: {last}", last.violations
+        f"no generic projection after {SHEAR_TRIES} shears: {last}", last.violations
     )
 
 
@@ -126,9 +124,9 @@ class LinkTable:
     cycles that share a vertex or arcs that meet in space raise
     DisjointnessViolated.
 
-    Engine entry points and the CLI create the tables, one per embedding.
+    Engine entry points and the CLI create the tables, one per command.
     Constructions, pattern search and certificate replay take the caller's
-    table through :meth:`shared`, so a command realizes, checks and
+    table in place of the embedding, so a command realizes, checks and
     projects each cycle once.  Every memo holds a pure function of the
     embedding and the shear, so sharing changes no answer.
     """
@@ -138,15 +136,6 @@ class LinkTable:
         self._shears = iter(shear_schedule(SHEAR_TRIES))
         self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
         self._next_shear(None)
-
-    @classmethod
-    def shared(cls, emb: SpatialEmbedding, table: Optional[LinkTable]) -> LinkTable:
-        """``table`` when it was built on ``emb``, a new table when it is None."""
-        if table is None:
-            return cls(emb)
-        if table.emb is not emb:
-            raise ValueError("the link table was built on a different embedding")
-        return table
 
     def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
         shear = next(self._shears, None)

@@ -264,7 +264,8 @@ def _cmd_pattern(args, rep: dict) -> None:
     inst = load_instance(args.file)
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
-    pat = compute_pattern(inst.cycles, inst.embedding, with_knotting=args.with_knots)
+    table = LinkTable(inst.embedding)
+    pat = compute_pattern(inst.cycles, table, with_knotting=args.with_knots)
     rep["pattern"] = pat.to_json()
     _check(rep, "pattern-computed", True, f"{pat.n} components")
 
@@ -295,11 +296,10 @@ def _cmd_bigz(args, rep: dict) -> None:
     res = big_z(
         js,
         xs,
-        inst.embedding,
+        table,
         target_delta=args.delta,
         extra_vertices=extras,
         q_policy=args.q_policy,
-        table=table,
     )
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
@@ -314,7 +314,7 @@ def _cmd_bigz(args, rep: dict) -> None:
         "directionality",
         directionality(res.z) == args.delta,
     )
-    replay_certificate(res.certificate, inst.embedding, table=table)
+    replay_certificate(res.certificate, table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
@@ -337,11 +337,10 @@ def _cmd_bipar(args, rep: dict) -> None:
         keys[r:],
         rings[:m],
         rings[m:],
-        inst.embedding,
+        table,
         lam,
         target_delta=args.delta,
         extra_vertices=extras,
-        table=table,
     )
     rep["certificates"] = [res.certificate.to_json()]
     final = res.certificate.checks["final_x"] + res.certificate.checks["final_y"]
@@ -352,7 +351,7 @@ def _cmd_bipar(args, rep: dict) -> None:
         f"linking values {final}, threshold {lam}",
     )
     _check(rep, "directionality", directionality(res.z) == args.delta)
-    replay_certificate(res.certificate, inst.embedding, table=table)
+    replay_certificate(res.certificate, table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
@@ -596,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # per command: the options (flag -> dest) whose value must be at least 1
 _POSITIVE = {
-    "prop1": {"--budget": "budget"},
+    "bipar": {"--m": "m", "--n": "n"},
+    "prop1": {"--n": "n", "--budget": "budget"},
+    "thm1-step": {"--m": "m"},
+    "verify-l6": {"--lambda": "lam"},
     "search-l7": {"--lambda": "lam", "--budget": "budget"},
     "thm2-params": {"--alpha": "alpha", "--n": "n"},
     "cgtest": {"--count": "count"},

@@ -21,6 +21,7 @@ from dilink.digraph import (
     check_closure,
     closure_for_delta,
     direction_change_vertices,
+    directionality,
 )
 from dilink.errors import GenerationFailed
 from dilink.geom import (
@@ -352,14 +353,12 @@ def _frame(rings: int, keys: int, wrap_reserve: int = 0) -> _Frame:
     return _Frame(rings, keys, spacing, extents, planes, lane0, depth0, wrap_reserve)
 
 
-_RING_EC = {
-    1: (True, True, True, True),
-    2: (True, True, True, False),
-    4: (True, False, True, False),
-}
+# a ring runs three sides with its traversal and one against, so it is
+# 2-directional
+_RING_EC = (True, True, True, False)
 
 
-def _ring_geometry(fr: _Frame, i: int, base: int, eps: int):
+def _ring_geometry(fr: _Frame, i: int, base: int):
     a, z = fr.extents[i], fr.planes[i]
     ids = (base, base + 1, base + 2, base + 3)
     pos = (
@@ -368,16 +367,15 @@ def _ring_geometry(fr: _Frame, i: int, base: int, eps: int):
         Point3(-a, -a, z),
         Point3(a, -a, z),
     )
-    ec = _RING_EC[eps]
     arcs = {}
     for k in range(4):
         t, h = ids[k], ids[(k + 1) % 4]
         pts = [pos[k], pos[(k + 1) % 4]]
-        if ec[k]:
+        if _RING_EC[k]:
             arcs[(t, h)] = PolyLine(pts)
         else:
             arcs[(h, t)] = PolyLine(list(reversed(pts)))
-    return DiCycle(ids, ec), dict(zip(ids, pos)), arcs
+    return DiCycle(ids, _RING_EC), dict(zip(ids, pos)), arcs
 
 
 def _key_geometry(fr: _Frame, k: int, base: int, lo: int, hi: int):
@@ -406,7 +404,6 @@ def _key_geometry(fr: _Frame, k: int, base: int, lo: int, hi: int):
 def grid_link(
     rings: int,
     keys: Sequence[tuple[int, int]],
-    ring_eps: Optional[Sequence[int]] = None,
     wrap_reserve: int = 0,
 ) -> GeneratedInstance:
     """Stacked rings plus keys threading contiguous ring intervals.
@@ -422,9 +419,6 @@ def grid_link(
     for lo, hi in keys:
         if not (0 <= lo <= hi < rings):
             raise ValueError(f"key interval ({lo},{hi}) out of range")
-    eps = list(ring_eps) if ring_eps is not None else [2] * rings
-    if len(eps) != rings or any(e not in _RING_EC for e in eps):
-        raise ValueError("ring_eps must give 1, 2, or 4 per ring")
 
     fr = _frame(rings, len(keys), wrap_reserve)
     vertices: dict[int, Point3] = {}
@@ -432,7 +426,7 @@ def grid_link(
     ring_cycles: list[DiCycle] = []
     key_cycles: list[DiCycle] = []
     for i in range(rings):
-        cyc, vs, ars = _ring_geometry(fr, i, 4 * i, eps[i])
+        cyc, vs, ars = _ring_geometry(fr, i, 4 * i)
         ring_cycles.append(cyc)
         vertices.update(vs)
         arcs.update(ars)
@@ -454,7 +448,6 @@ def grid_link(
         meta={
             "kind": "grid_link",
             "threading": tuple(keys),
-            "ring_eps": tuple(eps),
             "wrap_reserve": wrap_reserve,
             "next_track": 0,
             "chains": [],
@@ -614,31 +607,23 @@ class _ChainRouter:
 
 def _chain_corner_map(
     inst: GeneratedInstance, order: Sequence[tuple[str, int]]
-) -> tuple[list[DiCycle], dict[int, tuple[str, Point3, dict]]]:
-    fr = _frame(
-        len(inst.cycles["rings"]),
-        len(inst.cycles["keys"]),
-        inst.meta.get("wrap_reserve", 0),
-    )
+) -> tuple[list[tuple[int, int]], dict[int, tuple[str, Point3, dict]]]:
+    """The (u, w) junctions of the chained cycles, and the corner each
+    junction vertex sits on."""
     corners: dict[int, tuple[str, Point3, dict]] = {}
-    chain: list[DiCycle] = []
+    junctions: list[tuple[int, int]] = []
     for role, idx in order:
         cyc = inst.cycles[role + "s"][idx]
-        chain.append(cyc)
-        try:
-            changes = direction_change_vertices(cyc)
-        except Exception:
-            changes = []
-        if len(changes) != 2:
-            raise GenerationFailed(
-                f"{role} {idx} is {len(changes)}-directional, cannot chain"
-            )
-        u, w = changes
+        d = directionality(cyc)
+        if d != 2:
+            raise GenerationFailed(f"{role} {idx} is {d}-directional, cannot chain")
+        u, w = direction_change_vertices(cyc)
+        junctions.append((u, w))
         kind = "ring" if role == "ring" else "key"
         aux = {"a": inst.embedding.vertices[u].x} if kind == "ring" else {}
         corners[u] = (kind + "_u", inst.embedding.vertices[u], aux)
         corners[w] = (kind + "_w", inst.embedding.vertices[w], aux)
-    return chain, corners
+    return junctions, corners
 
 
 def with_chain(
@@ -664,7 +649,7 @@ def with_chain(
     if wrap_turns > inst.meta.get("wrap_reserve", 0):
         raise ValueError("grid was not built with enough wrap_reserve")
 
-    chain, corners = _chain_corner_map(inst, order)
+    junctions, corners = _chain_corner_map(inst, order)
     fr = _frame(
         len(inst.cycles["rings"]),
         len(inst.cycles["keys"]),
@@ -672,7 +657,6 @@ def with_chain(
     )
     vertices = dict(inst.embedding.vertices)
     arcs = dict(inst.embedding.arcs)
-    junctions = [direction_change_vertices(c) for c in chain]
 
     extras: list[int] = []
     if extra_count:
@@ -699,7 +683,7 @@ def with_chain(
         arcs[(tail, head)] = router.route(tail, head, corners, wrap_turns=wrap)
         new_arcs.append((tail, head))
 
-    for i in range(len(chain) - 1):
+    for i in range(len(junctions) - 1):
         add(junctions[i][1], junctions[i + 1][0])
     u1, w_last = junctions[0][0], junctions[-1][1]
     if closure == "one_directional":
@@ -819,7 +803,6 @@ def prop1_instance(
     n: int,
     rings: int,
     target_delta: int = 1,
-    ring_eps: int = 2,
 ) -> GeneratedInstance:
     """``rings`` disjoint keyrings of n keys each, chains laid per round.
 
@@ -831,7 +814,7 @@ def prop1_instance(
     intervals = []
     for j in range(n):
         intervals += [(i, i) for i in range(rings)]
-    inst = grid_link(rings, intervals, ring_eps=[ring_eps] * rings)
+    inst = grid_link(rings, intervals)
     closure, extras = closure_for_delta(target_delta)
     for j in range(n):
         order = [("key", j * rings + i) for i in range(rings)]

@@ -29,7 +29,7 @@ from dilink.engine import (
     verify_lemma6_conclusion,
 )
 from dilink.geom import shear_points
-from dilink.invariants import a2, a2_routes, a2_skein, linking_number, omega
+from dilink.invariants import LinkTable, a2, a2_routes, a2_skein, linking_number, omega
 from dilink.patterns import CompleteBipartiteMod2, check_witness, compute_pattern
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
@@ -186,7 +186,7 @@ def test_criterion_5_big_z_matrix_of_instances():
                 res = big_z(
                     list(inst.role("keys")),
                     list(inst.role("rings")),
-                    inst.embedding,
+                    LinkTable(inst.embedding),
                     target_delta=delta,
                     extra_vertices=extras,
                 )
@@ -197,7 +197,7 @@ def test_criterion_5_big_z_matrix_of_instances():
                 for i in res.index_set:
                     xi = list(inst.role("rings"))[i]
                     assert omega(zl, realize(xi, inst.embedding)) == 1
-                again = replay_certificate(res.certificate.to_json(), inst.embedding)
+                again = replay_certificate(res.certificate.to_json(), LinkTable(inst.embedding))
                 assert again.to_json() == res.z.to_json()
                 runs += 1
     assert runs == 54
@@ -209,7 +209,7 @@ def test_criterion_6_bipar_ladder_within_time(bipar111):
     rings, keys = list(bipar111.role("rings")), list(bipar111.role("keys"))
     xs, ys = [rings[0]], [rings[1]]
     for js in (keys[:6], keys[:3] + [j.reversed() for j in keys[3:6]]):
-        res = bipar_z(js, keys[6:], xs, ys, bipar111.embedding, lam=1)
+        res = bipar_z(js, keys[6:], xs, ys, LinkTable(bipar111.embedding), lam=1)
         zl = realize(res.z, bipar111.embedding)
         assert abs(linking_number(zl, realize(xs[0], bipar111.embedding))) >= 2
         assert abs(linking_number(zl, realize(ys[0], bipar111.embedding))) >= 2
@@ -230,7 +230,7 @@ def test_criterion_7_orchestration_steps():
         res = prop1_step(inst.embedding, cands, n=n)
         assert len(res.index_set) >= n
         ring_cycles = list(inst.role("rings"))[:n]
-        pat = compute_pattern(list(res.zs) + ring_cycles, inst.embedding)
+        pat = compute_pattern(list(res.zs) + ring_cycles, LinkTable(inst.embedding))
         witness = {f"x{j}": j for j in range(n)}
         witness.update({f"y{i}": n + i for i in range(n)})
         assert check_witness(pat, CompleteBipartiteMod2(n), witness)

@@ -258,8 +258,6 @@ def test_connector_opposite_policy_and_orientations():
     cycles = [two_dir(0, 1, 2), two_dir(3, 4, 5)]
     res = connector_cycle(cycles, q_policy="opposite")
     assert res.q_paths == ((0, 2), (3, 5))
-    flipped = connector_cycle(cycles, q_policy="opposite", orientations=[-1, -1])
-    assert flipped.q_paths == ((0, 1, 2), (3, 4, 5))
 
 
 def test_connector_rejects_bad_input():
@@ -270,8 +268,6 @@ def test_connector_rejects_bad_input():
         connector_cycle(good, closure="sideways")
     with pytest.raises(ValueError):
         connector_cycle(good, q_policy="random")
-    with pytest.raises(ValueError):
-        connector_cycle(good, orientations=[1])
     with pytest.raises(NotApplicable):
         connector_cycle([cyc((0, 1, 2), (T, T, T)), two_dir(3, 4, 5)])
     with pytest.raises(DisjointnessViolated):
@@ -297,16 +293,6 @@ def test_realize_concatenates_arcs(grid13):
         len(emb.arcs[ring.arc(i)]) - 1 for i in range(len(ring))
     )
     assert loop.points[0] != loop.points[-1]  # closed implicitly, not repeated
-
-
-def test_realize_reverse(grid13):
-    emb = grid13.embedding
-    ring = grid13.role("rings")[0]
-    fwd = realize(ring, emb)
-    back = realize(ring, emb, reverse=True)
-    assert back.points == fwd.points[::-1]
-    assert fwd.reversed().points == back.points
-    assert fwd.reversed().reverse and not fwd.reverse
 
 
 def test_realize_missing_arc(grid13):

@@ -31,7 +31,6 @@ from dilink.engine import (
 from dilink.errors import DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, shear
 from dilink.invariants import LinkTable, linking_number, omega
-from dilink.patterns import compute_pattern
 from dilink.workbench.generators import (
     big_z_instance,
     grid_link,
@@ -178,7 +177,7 @@ class TestFindOddLinks:
 class TestBigZ:
     def test_identity_instance_takes_shortcut(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
-        res = big_z(js, xs, bigz_n2.embedding)
+        res = big_z(js, xs, LinkTable(bigz_n2.embedding))
         cert = res.certificate
         assert cert.choices["shortcut"] is True
         assert cert.choices["connector_parities"] == [1, 1, 1, 1]
@@ -193,7 +192,7 @@ class TestBigZ:
     def test_identity_instances_link_everything(self, n):
         inst = big_z_instance(n)
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
-        res = big_z(js, xs, inst.embedding)
+        res = big_z(js, xs, LinkTable(inst.embedding))
         assert len(res.index_set) >= n
         assert res.index_set == tuple(range(2 * n))
         assert directionality(res.z) == 1
@@ -201,7 +200,7 @@ class TestBigZ:
     def test_two_directional_target(self):
         inst = big_z_instance(2, target_delta=2)
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
-        res = big_z(js, xs, inst.embedding, target_delta=2)
+        res = big_z(js, xs, LinkTable(inst.embedding), target_delta=2)
         assert directionality(res.z) == 2
         assert res.index_set == (0, 1, 2, 3)
         assert res.certificate.checks["delta"] == 2
@@ -211,7 +210,7 @@ class TestBigZ:
         extras = inst.meta["chains"][0]["extras"]
         assert len(extras) == 2
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
-        res = big_z(js, xs, inst.embedding, target_delta=4, extra_vertices=extras)
+        res = big_z(js, xs, LinkTable(inst.embedding), target_delta=4, extra_vertices=extras)
         assert directionality(res.z) == 4
         assert res.index_set == (0, 1, 2, 3)
 
@@ -220,7 +219,7 @@ class TestBigZ:
         # heavy-row route has to pick the surgery subset instead
         inst = big_z_instance(2, intervals=[(0, 1), (0, 1), (2, 3), (2, 3)])
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
-        res = big_z(js, xs, inst.embedding)
+        res = big_z(js, xs, LinkTable(inst.embedding))
         cert = res.certificate
         assert cert.choices["shortcut"] is False
         assert cert.choices["parity_matrix"] == [
@@ -239,48 +238,48 @@ class TestBigZ:
     def test_rejects_odd_family_sizes(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         with pytest.raises(HypothesisViolated, match="2n chained cycles"):
-            big_z(js[:3], xs, bigz_n2.embedding)
+            big_z(js[:3], xs, LinkTable(bigz_n2.embedding))
 
     def test_rejects_broken_diagonal(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         with pytest.raises(HypothesisViolated, match=r"ω\(J_0, X_0\) = 0"):
-            big_z(js, list(reversed(xs)), bigz_n2.embedding)
+            big_z(js, list(reversed(xs)), LinkTable(bigz_n2.embedding))
 
     def test_rejects_chained_cycle_that_is_not_two_directional(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         js[1] = one_directional(js[1])
         with pytest.raises(HypothesisViolated, match="chained cycle 1 is not 2-directional"):
-            big_z(js, xs, bigz_n2.embedding)
+            big_z(js, xs, LinkTable(bigz_n2.embedding))
 
     def test_rejects_missing_extra_vertices(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         with pytest.raises(HypothesisViolated, match="extra vertices"):
-            big_z(js, xs, bigz_n2.embedding, target_delta=4)
+            big_z(js, xs, LinkTable(bigz_n2.embedding), target_delta=4)
 
     def test_replay_is_bit_exact(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
-        res = big_z(js, xs, bigz_n2.embedding)
+        res = big_z(js, xs, LinkTable(bigz_n2.embedding))
         cert = res.certificate.to_json()
-        again = replay_certificate(cert, bigz_n2.embedding)
+        again = replay_certificate(cert, LinkTable(bigz_n2.embedding))
         assert again.to_json() == res.z.to_json()
 
     def test_replay_catches_tampered_output(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
-        res = big_z(js, xs, bigz_n2.embedding)
+        res = big_z(js, xs, LinkTable(bigz_n2.embedding))
         cert = json.loads(json.dumps(res.certificate.to_json()))
         verts = cert["outputs"]["z"]["vertices"]
         cert["outputs"]["z"]["vertices"] = verts[1:] + verts[:1]
         with pytest.raises(ConstructionFailed, match="different cycle"):
-            replay_certificate(cert, bigz_n2.embedding)
+            replay_certificate(cert, LinkTable(bigz_n2.embedding))
 
     def test_replay_catches_tampered_heavy_rows(self):
         inst = big_z_instance(2, intervals=[(0, 1), (0, 1), (2, 3), (2, 3)])
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
-        res = big_z(js, xs, inst.embedding)
+        res = big_z(js, xs, LinkTable(inst.embedding))
         cert = json.loads(json.dumps(res.certificate.to_json()))
         cert["choices"]["witness_rows"] = [1, 3]
         with pytest.raises(ConstructionFailed):
-            replay_certificate(cert, inst.embedding)
+            replay_certificate(cert, LinkTable(inst.embedding))
 
     @pytest.mark.parametrize(
         "section,key,value,message",
@@ -296,18 +295,18 @@ class TestBigZ:
         # the construction's own table must not let a tampered claim through
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         table = LinkTable(bigz_n2.embedding)
-        res = big_z(js, xs, bigz_n2.embedding, table=table)
-        assert replay_certificate(res.certificate, bigz_n2.embedding, table=table) == res.z
+        res = big_z(js, xs, table)
+        assert replay_certificate(res.certificate, table) == res.z
         cert = json.loads(json.dumps(res.certificate.to_json()))
         assert cert[section][key] != value
         cert[section][key] = value
         with pytest.raises(ConstructionFailed, match=message):
-            replay_certificate(cert, bigz_n2.embedding, table=table if warm else None)
+            replay_certificate(cert, table if warm else LinkTable(bigz_n2.embedding))
 
     def test_replay_rejects_unknown_kind(self, bigz_n2):
         stub = {"kind": "lemma1", "inputs": {}, "choices": {}, "outputs": {}, "checks": {}}
         with pytest.raises(ValueError, match="no replay flow"):
-            replay_certificate(stub, bigz_n2.embedding)
+            replay_certificate(stub, LinkTable(bigz_n2.embedding))
 
 
 # bipartite ladder
@@ -320,7 +319,7 @@ class TestBiparZ:
 
     def test_ladder_on_smallest_instance(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
-        res = bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1)
+        res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
         cert = res.certificate
         assert cert.choices["kept_j"] == [0, 1, 2]
         assert cert.choices["kept_l"] == [0, 1, 2, 3, 4, 5]
@@ -345,7 +344,7 @@ class TestBiparZ:
         # vote; the positive block must win and the ladder end unchanged
         js, ls, xs, ys = self.families(bipar111)
         js = js[:3] + [j.reversed() for j in js[3:]]
-        res = bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1)
+        res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
         cert = res.certificate
         assert cert.choices["phase1"][0]["flipped"] is False
         assert cert.choices["kept_j"] == [0, 1, 2]
@@ -353,13 +352,13 @@ class TestBiparZ:
 
     def test_replay_and_tamper(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
-        res = bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1)
+        res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
         cert = res.certificate.to_json()
-        assert replay_certificate(cert, bipar111.embedding).to_json() == res.z.to_json()
+        assert replay_certificate(cert, LinkTable(bipar111.embedding)).to_json() == res.z.to_json()
         bad = json.loads(json.dumps(cert))
         bad["choices"]["kept_j"] = [3, 4, 5]
         with pytest.raises(ConstructionFailed):
-            replay_certificate(bad, bipar111.embedding)
+            replay_certificate(bad, LinkTable(bipar111.embedding))
 
     @pytest.mark.parametrize(
         "section,key,value,message",
@@ -375,35 +374,35 @@ class TestBiparZ:
         # the construction's own table must not let a tampered claim through
         js, ls, xs, ys = self.families(bipar111)
         table = LinkTable(bipar111.embedding)
-        res = bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1, table=table)
-        assert replay_certificate(res.certificate, bipar111.embedding, table=table) == res.z
+        res = bipar_z(js, ls, xs, ys, table, lam=1)
+        assert replay_certificate(res.certificate, table) == res.z
         cert = json.loads(json.dumps(res.certificate.to_json()))
         assert cert[section][key] != value
         cert[section][key] = value
         with pytest.raises(ConstructionFailed, match=message):
-            replay_certificate(cert, bipar111.embedding, table=table if warm else None)
+            replay_certificate(cert, table if warm else LinkTable(bipar111.embedding))
 
     def test_rejects_undersized_first_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="r = 2 < 6"):
-            bipar_z(js[:2], ls, xs, ys, bipar111.embedding, lam=1)
+            bipar_z(js[:2], ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
 
     def test_rejects_unlinked_diagonal(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         # swapping the target families breaks every J-X linking
         with pytest.raises(HypothesisViolated, match=r"lk\(J_0, X_0\) = 0"):
-            bipar_z(js, ls, ys, xs, bipar111.embedding, lam=1)
+            bipar_z(js, ls, ys, xs, LinkTable(bipar111.embedding), lam=1)
 
     def test_rejects_undersized_second_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="q = 35 < 36 chained cycles of the second"):
-            bipar_z(js, ls[:35], xs, ys, bipar111.embedding, lam=1)
+            bipar_z(js, ls[:35], xs, ys, LinkTable(bipar111.embedding), lam=1)
 
     def test_rejects_unlinked_second_family(self, bipar111):
         js, ls, xs, _ = self.families(bipar111)
         # the L's thread only the second ring, so none links X_0 as a Y
         with pytest.raises(HypothesisViolated, match=r"lk\(L_0, Y_0\) = 0"):
-            bipar_z(js, ls, xs, xs, bipar111.embedding, lam=1)
+            bipar_z(js, ls, xs, xs, LinkTable(bipar111.embedding), lam=1)
 
     @pytest.mark.parametrize("family", ["first", "second"])
     def test_rejects_chained_cycle_that_is_not_two_directional(self, bipar111, family):
@@ -411,42 +410,17 @@ class TestBiparZ:
         fam = js if family == "first" else ls
         fam[0] = one_directional(fam[0])
         with pytest.raises(HypothesisViolated, match=f"{family}-family cycle 0 is not 2-dir"):
-            bipar_z(js, ls, xs, ys, bipar111.embedding, lam=1)
+            bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
 
     def test_rejects_negative_threshold(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="nonnegative"):
-            bipar_z(js, ls, xs, ys, bipar111.embedding, lam=-1)
+            bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=-1)
 
     def test_rejects_empty_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="nonempty"):
-            bipar_z(js, ls, [], ys, bipar111.embedding, lam=1)
-
-
-# one table per embedding
-
-
-@pytest.mark.parametrize(
-    "call", ["big_z", "bipar_z", "compute_pattern", "replay_certificate"]
-)
-def test_a_table_of_another_embedding_is_rejected(bigz_n2, bipar111, call):
-    # lk values read from another embedding's table would certify nothing
-    js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
-    rings, keys = list(bipar111.role("rings")), list(bipar111.role("keys"))
-    runs = {
-        "big_z": (bigz_n2, lambda emb, t: big_z(js, xs, emb, table=t)),
-        "bipar_z": (bipar111, lambda emb, t: bipar_z(
-            keys[:6], keys[6:], rings[:1], rings[1:], emb, lam=1, table=t)),
-        "compute_pattern": (bigz_n2, lambda emb, t: compute_pattern(js + xs, emb, table=t)),
-        "replay_certificate": (bigz_n2, lambda emb, t: replay_certificate(
-            big_z(js, xs, emb).certificate, emb, table=t)),
-    }
-    inst, run = runs[call]
-    run(inst.embedding, LinkTable(inst.embedding))
-    other = random_complete(6, seed=0).embedding
-    with pytest.raises(ValueError, match="different embedding"):
-        run(inst.embedding, LinkTable(other))
+            bipar_z(js, ls, [], ys, LinkTable(bipar111.embedding), lam=1)
 
 
 # keyring propagation
@@ -524,6 +498,13 @@ class TestTheorem1Step:
         del witness["Q"]
         with pytest.raises(HypothesisViolated, match="missing 'Q'"):
             theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_non_positive_m(self, m):
+        # checked before 3**m, which turns a negative m into a float
+        inst, cands, s, witness = self.setup_instance()
+        with pytest.raises(HypothesisViolated, match=f"need m >= 1, got {m}"):
+            theorem1_step(inst.embedding, cands, witness, m=m, lam=1)
 
     def test_rejects_overlapping_indices(self):
         inst, cands, s, _ = self.setup_instance()

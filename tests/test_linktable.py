@@ -146,8 +146,8 @@ def test_big_z_fills_only_pairs_whose_boxes_meet(monkeypatch):
     inst = big_z_instance(16, seed=5)
     monkeypatch.setattr(LinkTable, "__init__", recording_init)
     monkeypatch.setattr(invariants, "arc_pair_crossings", counted)
-    res = big_z(inst.role("keys"), inst.role("rings"), inst.embedding)
-    replay_certificate(res.certificate, inst.embedding)
+    res = big_z(inst.role("keys"), inst.role("rings"), LinkTable(inst.embedding))
+    replay_certificate(res.certificate, LinkTable(inst.embedding))
 
     assert len(tables) == 2 and all(t.shear == (0, 0) for t in tables)
     filled = [key for t in tables for key in t._pairs]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dilink.digraph import directionality
 from dilink.errors import SearchBudgetExceeded
+from dilink.invariants import LinkTable
 from dilink.patterns import (
     CompleteBipartiteMod2,
     WeightedPattern,
@@ -58,7 +59,7 @@ def test_pattern_json_round_trip():
 
 def test_compute_pattern_grid(grid13):
     cycles = grid13.role("rings") + grid13.role("keys")
-    p = compute_pattern(cycles, grid13.embedding)
+    p = compute_pattern(cycles, LinkTable(grid13.embedding))
     assert p.labels == ("c0", "c1", "c2", "c3")
     assert p.edges == {(0, 1): 1, (0, 2): 1, (0, 3): 1}
     assert p.knot_weights is None
@@ -69,7 +70,7 @@ def test_compute_pattern_with_knotting():
     # a trefoil on strands 1-2 and an unlinked unknot on strand 3
     inst = braid_instance([1, 1, 1], 3)
     cycles = inst.role("components")
-    p = compute_pattern(cycles, inst.embedding, with_knotting=True)
+    p = compute_pattern(cycles, LinkTable(inst.embedding), with_knotting=True)
     assert p.edges == {}
     assert p.knot_weights == {0: 1, 1: 0}
     assert p.delta == {0: 1, 1: 1}
@@ -89,7 +90,7 @@ def triangle_mod2():
 def test_star_containment(grid13):
     # the ring is threaded by all three keys: stars of up to three keys
     cycles = grid13.role("rings") + grid13.role("keys")
-    p = compute_pattern(cycles, grid13.embedding)
+    p = compute_pattern(cycles, LinkTable(grid13.embedding))
     for k in (1, 2, 3):
         (w,) = find_disjoint_keyrings(p, count=1, keys=k)
         assert w == {"center": 0, **{f"k{i}": i + 1 for i in range(k)}}
@@ -127,7 +128,7 @@ def test_check_witness_rejects_bad_maps():
 
 def test_find_disjoint_keyrings(grid22):
     cycles = grid22.role("rings") + grid22.role("keys")
-    p = compute_pattern(cycles, grid22.embedding)
+    p = compute_pattern(cycles, LinkTable(grid22.embedding))
     rings = find_disjoint_keyrings(p, count=2, keys=1)
     assert rings == [{"center": 0, "k0": 2}, {"center": 1, "k0": 3}]
     for w in rings:
@@ -142,7 +143,7 @@ def test_find_disjoint_keyrings(grid22):
 
 def test_keyrings_share_nothing(grid13):
     cycles = grid13.role("rings") + grid13.role("keys")
-    p = compute_pattern(cycles, grid13.embedding)
+    p = compute_pattern(cycles, LinkTable(grid13.embedding))
     # the one ring is the only possible center, so two stars cannot coexist
     assert find_disjoint_keyrings(p, count=2, keys=1) is None
     assert find_disjoint_keyrings(p, count=1, keys=3) == [

@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from dilink.workbench.cli import GENERATORS, build_parser, main
+from dilink.workbench.cli import _POSITIVE, GENERATORS, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -47,3 +47,15 @@ def test_subcommand_table_matches_the_parser():
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     assert re.findall(r"^\| `([\w-]+)`", table, flags=re.M) == list(sub.choices)
+
+
+def test_exit_code_paragraph_names_every_positive_flag():
+    # each "`--flag` and `--flag` of `command`" clause of the exit-code
+    # paragraph, against the flags the CLI requires to be at least 1
+    (para,) = re.findall(r"Exit codes:.*?\n\n", README, flags=re.S)
+    para = " ".join(para.split())
+    named = {
+        command: set(re.findall(r"`(--[\w-]+)`", flags))
+        for flags, command in re.findall(r"((?:`--[\w-]+`(?: and )?)+) of `([\w-]+)`", para)
+    }
+    assert named == {command: set(flags) for command, flags in _POSITIVE.items()}

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import time
@@ -97,8 +98,6 @@ class TestOtherBuilders:
             grid_link(1, [(0, 1)])
         with pytest.raises(ValueError, match="at least one ring"):
             grid_link(0, [])
-        with pytest.raises(ValueError, match="ring_eps"):
-            grid_link(1, [(0, 0)], ring_eps=[3])
 
 
 class TestWithChain:
@@ -133,6 +132,25 @@ class TestWithChain:
             with_chain(g, pair, extra_count=2)
         with pytest.raises(ValueError, match="wrap_reserve"):
             with_chain(g, pair, wrap_turns=1)
+
+    def test_chaining_names_the_real_directionality(self):
+        # no generator builds a consistently directed ring, so turn ring 0's
+        # one backward side around by hand
+        g = grid_link(2, [(0, 1), (0, 1)])
+        ring = g.role("rings")[0]
+        assert ring.edge_choices == (True, True, True, False)
+        arcs = dict(g.embedding.arcs)
+        back = arcs.pop(ring.arc(3))
+        arcs[ring.step(3)] = PolyLine(list(reversed(back.points)))
+        rings = (DiCycle(ring.vertices, (True,) * 4),) + g.role("rings")[1:]
+        inst = dataclasses.replace(
+            g,
+            embedding=SpatialEmbedding(g.embedding.vertices, arcs),
+            cycles={**g.cycles, "rings": rings},
+        )
+        assert directionality(inst.role("rings")[0]) == 1
+        with pytest.raises(GenerationFailed, match="ring 0 is 1-directional, cannot chain"):
+            with_chain(inst, [("ring", 0), ("ring", 1)])
 
 
 # file format
@@ -786,14 +804,23 @@ class TestCliFailureShapes:
             (["prop1", "p1.json", "--n", "2", "--budget", "0"], "--budget must be at least 1, got 0"),
             (["cgtest", "--count", "-1"], "--count must be at least 1, got -1"),
             (["thm2-params", "--alpha", "0"], "--alpha must be at least 1, got 0"),
+            (["verify-l6", "l6.json", "--lambda", "-3"], "--lambda must be at least 1, got -3"),
+            (["prop1", "p1.json", "--n", "0"], "--n must be at least 1, got 0"),
+            (["bipar", "bp.json", "--m", "0"], "--m must be at least 1, got 0"),
+            (["bipar", "bp.json", "--n", "0"], "--n must be at least 1, got 0"),
+            (["thm1-step", "t1.json", "--m", "-2"], "--m must be at least 1, got -2"),
         ],
     )
     def test_command_parameter_errors_exit_two(self, capsys, tmp_path, argv, message):
         # unchecked, these report "found", "inconclusive", a spent budget,
-        # "0/-1 embeddings" or a failed hypothesis
+        # "0/-1 embeddings", a vacuous "ok", a failed hypothesis, a ring
+        # count mismatch or a class size computed in floats
         files = {
             "l7.json": ["--kind", "coiled_braid", "--lambda", "2"],
             "p1.json": ["--kind", "prop1", "--n", "2", "--rings", "4"],
+            "l6.json": ["--kind", "ring_wrap", "--keys", "4", "--wrap", "5"],
+            "bp.json": ["--kind", "bipar", "--lambda", "1", "--q", "36"],
+            "t1.json": ["--kind", "theorem1", "--n", "0"],
         }
         argv = list(argv)
         if argv[1] in files:
