@@ -30,7 +30,6 @@ __all__ = [
     "ConnectorResult",
     "directionality",
     "direction_change_vertices",
-    "maximal_directed_paths",
     "u_to_w_paths",
     "nabla",
     "nabla_eps",
@@ -91,9 +90,6 @@ class DiCycle:
     def arc_multiset(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs())
 
-    def undirected_edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(self.step(i)) for i in range(len(self.vertices)))
-
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -149,32 +145,6 @@ def direction_change_vertices(c: DiCycle) -> list[int]:
     start = next(j for j, i in enumerate(idxs) if c.edge_choices[i])
     idxs = idxs[start:] + idxs[:start]
     return [c.vertices[i] for i in idxs]
-
-
-def maximal_directed_paths(c: DiCycle) -> list[tuple[int, ...]]:
-    """Split the cycle into its maximal consistently directed paths.
-
-    Each path is reported tail-to-head, i.e. along its own arc directions.
-    A consistently directed cycle yields one "path" covering the whole
-    cycle (closed, so first vertex repeated last).
-    """
-    k = len(c.vertices)
-    flags = _change_flags(c)
-    if not any(flags):
-        loop = list(c.vertices) + [c.vertices[0]]
-        return [tuple(loop if c.edge_choices[0] else loop[::-1])]
-    idxs = [i for i in range(k) if flags[i]]
-    paths = []
-    for j, a in enumerate(idxs):
-        b = idxs[(j + 1) % len(idxs)]
-        seq = [c.vertices[a]]
-        i = a
-        while i != b:
-            seq.append(c.vertices[(i + 1) % k])
-            i = (i + 1) % k
-        # a run between changes is uniform; its choice flag says which way it points
-        paths.append(tuple(seq if c.edge_choices[a] else seq[::-1]))
-    return paths
 
 
 def u_to_w_paths(c: DiCycle) -> tuple[tuple[int, ...], tuple[int, ...]]:

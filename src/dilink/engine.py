@@ -886,11 +886,6 @@ class VerificationReport:
     checks: tuple[dict, ...]
     eps_table: tuple[dict, ...]
 
-    def failures(self) -> list[dict]:
-        out = [c for c in self.checks if not c["passed"]]
-        out += [row for row in self.eps_table if not row["passed"]]
-        return out
-
     def to_json(self) -> dict:
         return {
             "ok": self.ok,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -327,7 +326,7 @@ def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, int]]:
 
 
 def _pair_walk(
-    segs: Sequence[_Seg], points: Sequence[_Seg], allowed, ends: dict
+    segs: Sequence[_Seg], points: Sequence[_Seg], ends: dict
 ) -> tuple[list, list, list]:
     """Space meets and projection events of the segment pairs whose xy
     boxes meet, and the (point, segment) pairs whose boxes meet, in one
@@ -338,8 +337,8 @@ def _pair_walk(
                  (x, y) as the integer triple (x*d, y*d, d) with the least d
       events     ``(i, j, kind, data)`` with kind
                    "meet"     the segments meet in space off the points the
-                              contact rule ``allowed(sa, sb)`` permits;
-                              ``data`` is the point, None for an overlap
+                              contact rule below permits; ``data`` is the
+                              point, None for an overlap
                    "touch"    a contact of the projections that the rule
                    "overlap"  does not permit, ``data`` as
                               :func:`seg2_relation` gives it
@@ -348,10 +347,10 @@ def _pair_walk(
     Each owner's segments come in order along it, each starting where the
     one before ends; an owner whose last segment ends where its first
     starts is closed.  ``ends`` maps an owner to the points where it may
-    touch another owner.  ``allowed`` must permit the joint of an owner's
+    touch another owner.  The contact rule permits the joint of an owner's
     consecutive segments, the last and first of a closed one included,
     and a fork of two owners at a shared end exactly when that end is in
-    both owners' ``ends``.
+    both owners' ``ends``; no other contact is permitted.
 
     Each pair is decided from the four orientations of its ends in
     projection.  Ends of one segment strictly on one side of the other's
@@ -428,8 +427,13 @@ def _pair_walk(
         kind, data = seg2_relation(pa, qa, pb, qb)
         if kind == "none":
             continue
-        sa, sb = segs[i], segs[j]
-        ok = allowed(sa, sb)
+        # the contact rule: the joint of consecutive segments, or an end
+        # of two owners that both flag it
+        if j == na or i == nb:
+            ok = (qa if j == na else pa,)
+        else:
+            ok = [x for x, fx in ((pa, fpa), (qa, fqa))
+                  if fx and oa != ob and (x == pb and fpb or x == qb and fqb)]
         kind3, pt = seg3_relation(pa, qa, pb, qb)
         if kind3 != "none" and not (kind3 == "point" and pt in ok):
             events.append((i, j, "meet", pt))
@@ -454,22 +458,6 @@ def _gather_segments(
     return out
 
 
-def _allowed_contacts(
-    ends: dict[tuple[int, int], tuple[Point3, Point3]], sa: _Seg, sb: _Seg
-) -> tuple[Point3, ...]:
-    """Points where this segment pair of arcs may legitimately touch: the
-    joint of consecutive segments of one arc, or an end vertex of both
-    arcs where both segments end."""
-    (arc_a, ia, pa, qa) = sa
-    (arc_b, ib, pb, qb) = sb
-    if arc_a == arc_b:
-        if abs(ia - ib) == 1:
-            return (qa if ia < ib else pa,)
-        return ()
-    ea, eb = ends[arc_a], ends[arc_b]
-    return tuple(pt for pt in (pa, qa) if (pt == pb or pt == qb) and pt in ea and pt in eb)
-
-
 def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
     """Check 3D disjointness and projection genericity.
 
@@ -482,7 +470,7 @@ def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
     # vertices join the box sweep as zero-size boxes
     points = [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
     ends = {k: (a.points[0], a.points[-1]) for k, a in emb.arcs.items()}
-    crossings, events, hits = _pair_walk(segs, points, partial(_allowed_contacts, ends), ends)
+    crossings, events, hits = _pair_walk(segs, points, ends)
     events.sort(key=_pair)
     hits.sort()
     violations: list[Violation] = []
@@ -609,26 +597,12 @@ def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
     return all_segs
 
 
-def _shared_corner(loops, sa: _Seg, sb: _Seg) -> tuple[Point3, ...]:
-    """Contact rule for closed loops: the corner two consecutive segments
-    of one loop share, as a one-point tuple; otherwise empty."""
-    if sa[0] != sb[0]:
-        return ()
-    n = len(loops[sa[0]])
-    i, j = sa[1], sb[1]
-    if (i + 1) % n == j:
-        return (sa[3],)
-    if (j + 1) % n == i:
-        return (sb[3],)
-    return ()
-
-
 def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
     """Raise :class:`DisjointnessViolated` unless the closed loops are
     simple and pairwise disjoint in space."""
     loops = tuple(tuple(lp) for lp in loop_points)
     all_segs = _closed_segments(loops)
-    _raise_first_meet(all_segs, _pair_walk(all_segs, (), partial(_shared_corner, loops), {})[1])
+    _raise_first_meet(all_segs, _pair_walk(all_segs, (), {})[1])
 
 
 def _raise_first_meet(all_segs: Sequence[_Seg], events: list) -> None:
@@ -665,17 +639,13 @@ def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[boo
 
 def arc_strands(label, points: Sequence[Point3]) -> tuple:
     """An arc prepared for :func:`arc_pair_crossings`: ``(label, segments,
-    box)``, each segment with its xy box and ``box`` the whole arc's.
-
-    Raises :class:`DegenerateProjection` on a vertical segment.
+    box)``, each segment with its xy box and ``box`` the whole arc's.  A
+    vertical segment stays, with a box of one point: it is degenerate only
+    where it touches the other arc's projection, which
+    :func:`arc_pair_crossings` reports.
     """
     segs = []
     for p, q in zip(points, points[1:]):
-        if p[0] == q[0] and p[1] == q[1]:
-            raise DegenerateProjection(
-                f"vertical segment on arc {label}",
-                (Violation("vertical-segment", (label,)),),
-            )
         segs.append((p, q, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1])))
     box = (
         min(s[2] for s in segs),
@@ -732,7 +702,7 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("vertical-segment", (li, i)),),
             )
 
-    crossings, events, _ = _pair_walk(all_segs, (), partial(_shared_corner, loops), {})
+    crossings, events, _ = _pair_walk(all_segs, (), {})
     # a space meet wins over any degenerate contact; of those, the first in
     # pair order is raised: a touch or overlap, or the second crossing at
     # one point

@@ -37,8 +37,6 @@ __all__ = [
     "linking_table",
     "linking_number",
     "omega",
-    "ChordSums",
-    "interleaved_pair_sums",
     "a2",
     "a2_alexander",
     "a2_routes",
@@ -117,12 +115,12 @@ class LinkTable:
     signed count of crossings between arcs e and f, each run tail to head,
     in the projection under the table's current shear.  Only pairs whose
     xy boxes meet can cross, so only those are visited and remembered.  A
-    queried arc with a vertical segment, or a touch or overlap in
-    projection between arcs of the two cycles, moves the whole table to the
-    next shear and redoes the query; lk does not depend on the shear.  Each
-    queried cycle is checked once for self-intersection in space, and
-    cycles that share a vertex or arcs that meet in space raise
-    DisjointnessViolated.
+    touch or overlap in projection between arcs of the two cycles, a
+    vertical segment whose point lies on the other cycle's projection
+    included, moves the whole table to the next shear and redoes the
+    query; lk does not depend on the shear.  Each queried cycle is checked
+    once for self-intersection in space, and cycles that share a vertex or
+    arcs that meet in space raise DisjointnessViolated.
 
     Engine entry points and the CLI create the tables, one per command.
     Constructions, pattern search and certificate replay take the caller's
@@ -147,7 +145,7 @@ class LinkTable:
         self.shear = shear
         # per arc: its strands under the current shear (geom.arc_strands)
         self._arcs: dict[tuple[int, int], tuple] = {}
-        # per cycle with every arc prepared: ((strands, sign) per arc, xy box)
+        # per cycle: ((strands, sign) per arc, xy box)
         self._placed: dict[DiCycle, tuple[tuple, tuple]] = {}
         # (e, f) with e < f and meeting xy boxes -> S(e, f)
         self._pairs: dict[tuple, int] = {}
@@ -178,16 +176,11 @@ class LinkTable:
             self._arcs[key] = got
         return got
 
-    def _strands(self, c: DiCycle):
-        """c's (strands, sign) per arc, each arc prepared when reached."""
-        for key, sign in self._cycle(c)[1]:
-            yield self._arc(key), sign
-
     def _place(self, c: DiCycle) -> tuple[tuple, tuple]:
         """c's (strands, sign) per arc and the xy box of the whole cycle."""
         got = self._placed.get(c)
         if got is None:
-            arcs = tuple(self._strands(c))
+            arcs = tuple((self._arc(key), sign) for key, sign in self._cycle(c)[1])
             x0, y0, x1, y1 = zip(*(s[2] for s, _ in arcs))
             got = (arcs, (min(x0), min(y0), max(x1), max(y1)))
             self._placed[c] = got
@@ -195,32 +188,19 @@ class LinkTable:
 
     def _sum(self, a: DiCycle, b: DiCycle) -> int:
         """Sum of sigma_A(e) * sigma_B(f) * S(e, f) over the arc pairs whose
-        xy boxes meet.
-
-        Pairs are visited e over A, f over B, and an arc is prepared when
-        first reached, so a query raises what the full product of arc pairs
-        would raise first.  A cycle's box prunes only once all its arcs are
-        prepared under the current shear.
-        """
-        placed_a = self._placed.get(a)
-        placed_b = self._placed.get(b)
-        if placed_b is not None:
-            bx0, by0, bx1, by1 = placed_b[1]
-            if placed_a is not None:
-                ax0, ay0, ax1, ay1 = placed_a[1]
-                if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
-                    return 0
+        xy boxes meet, visited e over A, f over B, so a query raises what
+        the full product of arc pairs would raise first."""
+        arcs_a, (ax0, ay0, ax1, ay1) = self._place(a)
+        arcs_b, (bx0, by0, bx1, by1) = self._place(b)
+        if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+            return 0
         total = 0
-        for se, sa in placed_a[0] if placed_a is not None else self._strands(a):
+        for se, sa in arcs_a:
             ex0, ey0, ex1, ey1 = se[2]
-            if placed_b is None:
-                row = self._strands(b)
-            elif ex0 > bx1 or bx0 > ex1 or ey0 > by1 or by0 > ey1:
+            if ex0 > bx1 or bx0 > ex1 or ey0 > by1 or by0 > ey1:
                 continue
-            else:
-                row = placed_b[0]
             e = se[0]
-            for sf, sb in row:
+            for sf, sb in arcs_b:
                 fx0, fy0, fx1, fy1 = sf[2]
                 if ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1:
                     continue
@@ -230,10 +210,6 @@ class LinkTable:
                 if s is None:
                     s = self._pairs[key] = arc_pair_crossings(se, sf)
                 total += sa * sb * s
-            if placed_b is None:
-                placed_b = self._place(b)
-                bx0, by0, bx1, by1 = placed_b[1]
-        self._place(a)
         return total
 
     def lk(self, a: DiCycle, b: DiCycle) -> int:
@@ -295,49 +271,10 @@ def omega(a, b) -> int:
 # second Conway coefficient: interleaved crossing pairs and the Alexander matrix
 
 
-class ChordSums(NamedTuple):
-    oo: int
-    ou: int
-    uo: int
-    uu: int
-
-
 def _single_loop_passes(diagram: LinkDiagram) -> list[tuple[int, bool, int]]:
     if len(diagram.loops) != 1:
         raise ValueError("knot invariants need a single closed loop")
     return [(idx, over, diagram.crossings[idx].sign) for (_, idx, over) in diagram.passes(0)]
-
-
-def interleaved_pair_sums(diagram: LinkDiagram) -> ChordSums:
-    """Signed counts of interleaved crossing pairs on a knot diagram.
-
-    Walk the knot once; each crossing is visited twice.  Crossings a and b
-    interleave when their visits alternate a, b, a, b around the walk.
-    Each interleaved pair contributes sign(a) * sign(b) to one of four
-    buckets named by whether a and b are first visited on the over or the
-    under strand (a is the one visited first).
-    """
-    seq = _single_loop_passes(diagram)
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    info: dict[int, tuple[bool, int]] = {}
-    for pos, (cid, over, sign) in enumerate(seq):
-        if cid not in first:
-            first[cid] = pos
-            info[cid] = (over, sign)
-        else:
-            second[cid] = pos
-    sums = {"oo": 0, "ou": 0, "uo": 0, "uu": 0}
-    cids = sorted(first, key=lambda c: first[c])
-    for ia, a in enumerate(cids):
-        for b in cids[ia + 1 :]:
-            if not (first[b] < second[a] < second[b]):
-                continue
-            over_a, sign_a = info[a]
-            over_b, sign_b = info[b]
-            key = ("o" if over_a else "u") + ("o" if over_b else "u")
-            sums[key] += sign_a * sign_b
-    return ChordSums(**sums)
 
 
 def _knot_diagram(knot) -> LinkDiagram:
@@ -350,12 +287,35 @@ def _knot_diagram(knot) -> LinkDiagram:
 def a2(knot) -> int:
     """Second Conway coefficient of a knot via the interleaved-pair count.
 
-    ``knot`` is a closed loop or its one-loop :class:`LinkDiagram`.  The
-    value is the bucket of pairs whose earlier crossing is first met over
-    and whose later crossing is first met under; it is independent of
-    where the walk starts and of the knot's orientation.
+    ``knot`` is a closed loop or its one-loop :class:`LinkDiagram`.  Walk
+    the knot once; each crossing is visited twice.  Crossings a and b
+    interleave when their visits alternate a, b, a, b around the walk.
+    The value sums sign(a) * sign(b) over the interleaved pairs whose
+    earlier crossing a is first met over and whose later crossing b is
+    first met under; it is independent of where the walk starts and of
+    the knot's orientation.
     """
-    return interleaved_pair_sums(_knot_diagram(knot)).ou
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    info: dict[int, tuple[bool, int]] = {}
+    for pos, (cid, over, sign) in enumerate(_single_loop_passes(_knot_diagram(knot))):
+        if cid not in first:
+            first[cid] = pos
+            info[cid] = (over, sign)
+        else:
+            second[cid] = pos
+    total = 0
+    # first visits in walk order
+    cids = list(first)
+    for ia, a in enumerate(cids):
+        over_a, sign_a = info[a]
+        if not over_a:
+            continue
+        for b in cids[ia + 1:]:
+            over_b, sign_b = info[b]
+            if not over_b and first[b] < second[a] < second[b]:
+                total += sign_a * sign_b
+    return total
 
 
 def a2_alexander(knot) -> int:

@@ -74,16 +74,6 @@ class WeightedPattern:
             out["knot_weights"] = [[i, w] for i, w in sorted(self.knot_weights.items())]
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightedPattern":
-        kw = obj.get("knot_weights")
-        return cls(
-            labels=tuple(obj["labels"]),
-            edges={(i, j): w for i, j, w in obj["edges"]},
-            knot_weights=None if kw is None else {i: w for i, w in kw},
-            delta={i: d for i, d in obj.get("delta", [])},
-        )
-
 
 # ---------------------------------------------------------------------------
 # pattern computation

@@ -167,8 +167,7 @@ GENERATORS = {
     "bipar": (("m", "n", "lam", "r", "q", "delta"),
               lambda m, n, lam, r, q, delta: gens.bipar_instance(
                   m, n, lam, r, q, target_delta=delta)),
-    "prop1": (("n", "rings", "delta"),
-              lambda n, rings, delta: gens.prop1_instance(n, rings, target_delta=delta)),
+    "prop1": (("n", "delta"), lambda n, delta: gens.prop1_instance(n, target_delta=delta)),
     "theorem1": (("m", "lam", "n", "delta"),
                  lambda m, lam, n, delta: gens.theorem1_instance(
                      m, lam, n=n, target_delta=delta)),
@@ -367,6 +366,11 @@ def _prop1_candidates(inst: ParsedInstance) -> list[int]:
 def _cmd_prop1(args, rep: dict) -> None:
     rep["params"].update(n=args.n, delta=args.delta, budget=args.budget)
     inst = load_instance(args.file)
+    rings = inst.roles.get("rings")
+    if rings is not None and len(rings) != 2 * args.n:
+        raise FormatError(
+            f"prop1 --n {args.n} needs {2 * args.n} rings, file has {len(rings)}"
+        )
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
     extra_sets = _extras_for_delta(inst, args.delta, rounds=args.n)

@@ -799,18 +799,16 @@ def bipar_instance(
     return inst
 
 
-def prop1_instance(
-    n: int,
-    rings: int,
-    target_delta: int = 1,
-) -> GeneratedInstance:
-    """``rings`` disjoint keyrings of n keys each, chains laid per round.
+def prop1_instance(n: int, target_delta: int = 1) -> GeneratedInstance:
+    """2n disjoint keyrings of n keys each, chains laid per round, as
+    ``prop1_step`` with n rounds needs.
 
     Round j will chain the j-th key of every ring; each such chain gets its
     own junction arcs and closure so the rounds stay disjoint.
     """
-    if n < 1 or rings < 2:
-        raise ValueError("need n >= 1 and at least two rings")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    rings = 2 * n
     intervals = []
     for j in range(n):
         intervals += [(i, i) for i in range(rings)]

@@ -18,7 +18,6 @@ __all__ = [
     "Z2Matrix",
     "HeavyVectorResult",
     "weight",
-    "vector_to_bits",
     "bits_to_vector",
     "heavy_vector",
     "EXHAUSTIVE_RANK_LIMIT",
@@ -39,10 +38,6 @@ def bits_to_vector(bits: Sequence[int]) -> int:
         if b:
             v |= 1 << i
     return v
-
-
-def vector_to_bits(v: int, ncols: int) -> list[int]:
-    return [(v >> i) & 1 for i in range(ncols)]
 
 
 @dataclass(frozen=True)
@@ -70,24 +65,11 @@ class Z2Matrix:
             ncols = lens.pop()
         return cls(rows=rows, ncols=ncols)
 
-    def to_lists(self) -> list[list[int]]:
-        return [vector_to_bits(r, self.ncols) for r in self.rows]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def zero_columns(self) -> list[int]:
         used = 0
         for r in self.rows:
             used |= r
         return [j for j in range(self.ncols) if not (used >> j) & 1]
-
-    def rank(self) -> int:
-        return len(_eliminate(self.rows)[0])
 
 
 def _eliminate(rows: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -10,7 +10,6 @@ and ``diagram_reference`` must agree exactly with
 """
 
 from fractions import Fraction
-from functools import partial
 
 from dilink.errors import DegenerateProjection, DisjointnessViolated
 from dilink.geom import (
@@ -19,10 +18,8 @@ from dilink.geom import (
     StrandPos,
     ValidationReport,
     Violation,
-    _allowed_contacts,
     _closed_segments,
     _gather_segments,
-    _shared_corner,
     crossing_sign,
 )
 
@@ -123,6 +120,42 @@ def seg3_relation_reference(p, q, r, s):
     return ("point", tuple(p[k] + t * d1[k] for k in range(3)))
 
 
+def arc_contacts(arcs):
+    """The contact rule of ``validate_general_position``: segments of arcs
+    may touch at the joint of consecutive segments of one arc, or at an
+    end vertex of two arcs where both segments end."""
+    ends = {k: (a.points[0], a.points[-1]) for k, a in arcs.items()}
+
+    def allowed(sa, sb):
+        (arc_a, ia, pa, qa), (arc_b, ib, pb, qb) = sa, sb
+        if arc_a == arc_b:
+            return (qa if ia < ib else pa,) if abs(ia - ib) == 1 else ()
+        return tuple(
+            pt for pt in (pa, qa)
+            if pt in (pb, qb) and pt in ends[arc_a] and pt in ends[arc_b]
+        )
+
+    return allowed
+
+
+def loop_corners(loops):
+    """The contact rule of ``project_to_diagram``: segments of closed loops
+    may touch only at the corner two consecutive segments of one loop
+    share, the last and first included."""
+
+    def allowed(sa, sb):
+        if sa[0] != sb[0]:
+            return ()
+        n = len(loops[sa[0]])
+        if (sa[1] + 1) % n == sb[1]:
+            return (sa[3],)
+        if (sb[1] + 1) % n == sa[1]:
+            return (sb[3],)
+        return ()
+
+    return allowed
+
+
 def _all_pairs(segs):
     return [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))]
 
@@ -155,7 +188,7 @@ def contacts_2d_reference(segs, allowed):
 def validate_reference(emb):
     arcs = emb.arcs
     segs = _gather_segments(arcs)
-    allowed = partial(_allowed_contacts, {k: (a.points[0], a.points[-1]) for k, a in arcs.items()})
+    allowed = arc_contacts(arcs)
     out = []
     for (arc, i, p, q) in segs:
         if p.x == q.x and p.y == q.y:
@@ -201,7 +234,7 @@ def diagram_reference(loop_points):
             raise DegenerateProjection(
                 f"vertical segment on loop {li}", (Violation("vertical-segment", (li, i)),)
             )
-    rule = partial(_shared_corner, loops)
+    rule = loop_corners(loops)
     for sa, sb, _ in meetings_3d_reference(all_segs, rule):
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"

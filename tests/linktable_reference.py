@@ -31,10 +31,11 @@ class LinkTable:
     sigma_A(e) * sigma_B(f) * S(e, f).  Here sigma is +1 where the cycle
     runs along the arc and -1 where it runs against it, and S(e, f) is the
     signed count of crossings between arcs e and f, each run tail to head,
-    in the projection under the table's current shear.  A queried arc with
-    a vertical segment, or a touch or overlap in projection between arcs of
-    the two cycles, moves the whole table to the next shear and redoes the
-    query; lk does not depend on the shear.  Each queried cycle is checked
+    in the projection under the table's current shear.  A touch or overlap
+    in projection between arcs of the two cycles, a vertical segment whose
+    point lies on the other cycle's projection included, moves the whole
+    table to the next shear and redoes the query; lk does not depend on the
+    shear.  Each queried cycle is checked
     once for self-intersection in space, and cycles that share a vertex or
     arcs that meet in space raise DisjointnessViolated.
     """

@@ -224,8 +224,8 @@ def test_criterion_6_bipar_ladder_within_time(bipar111):
 
 
 def test_criterion_7_orchestration_steps():
-    for n, rings in ((1, 2), (2, 4)):
-        inst = prop1_instance(n, rings=rings)
+    for n in (1, 2):
+        inst = prop1_instance(n)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
         res = prop1_step(inst.embedding, cands, n=n)
         assert len(res.index_set) >= n

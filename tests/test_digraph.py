@@ -9,7 +9,6 @@ from dilink.digraph import (
     connector_cycle,
     direction_change_vertices,
     directionality,
-    maximal_directed_paths,
     nabla,
     nabla_eps,
     realize,
@@ -56,9 +55,6 @@ def test_steps_and_arcs():
     assert [c.step(i) for i in range(3)] == [(0, 1), (1, 2), (2, 0)]
     assert c.arcs() == ((0, 1), (2, 1), (2, 0))
     assert c.arc(4) == (2, 1)
-    assert c.undirected_edges() == frozenset(
-        {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
-    )
     assert c.vertex_set() == frozenset({0, 1, 2})
 
 
@@ -93,14 +89,6 @@ def test_direction_change_vertices_order():
     assert direction_change_vertices(cyc((0, 1, 2), (T, F, T))) == [2, 1]
     with pytest.raises(NotApplicable):
         direction_change_vertices(cyc((0, 1, 2), (T, T, T)))
-
-
-def test_maximal_directed_paths():
-    assert maximal_directed_paths(cyc((0, 1, 2), (T, T, T))) == [(0, 1, 2, 0)]
-    assert maximal_directed_paths(cyc((0, 1, 2), (F, F, F))) == [(0, 2, 1, 0)]
-    assert maximal_directed_paths(cyc((0, 1, 2), (T, T, F))) == [(0, 1, 2), (0, 2)]
-    paths = maximal_directed_paths(cyc((0, 1, 2, 3), (T, F, T, F)))
-    assert sorted(paths) == [(0, 1), (0, 3), (2, 1), (2, 3)]
 
 
 def test_u_to_w_paths():
@@ -330,17 +318,16 @@ def test_rotation_invariance(c, r):
 
 @given(random_cycle)
 def test_paths_partition_the_cycle(c):
-    paths = maximal_directed_paths(c)
+    # the direction-change vertices cut the cycle into directionality(c)
+    # maximal runs, each pointing one way along the traversal
     d = directionality(c)
-    assert len(paths) == (1 if d == 1 else d)
-    if d > 1:
-        # every path runs along its arcs, and together they cover the cycle
-        covered = set()
-        for p in paths:
-            for a, b in zip(p, p[1:]):
-                assert (a, b) in c.arc_multiset()
-                covered.add((a, b))
-        assert covered == set(c.arc_multiset())
-        changes = direction_change_vertices(c)
-        assert len(changes) == d
-        assert len(changes) % 2 == 0
+    if d == 1:
+        assert len(set(c.edge_choices)) == 1
+        return
+    changes = direction_change_vertices(c)
+    assert len(changes) == d and d % 2 == 0
+    k = len(c.vertices)
+    cuts = sorted(c.vertices.index(v) for v in changes)
+    for a, b in zip(cuts, cuts[1:] + [cuts[0] + k]):
+        assert len({c.edge_choices[i % k] for i in range(a, b)}) == 1
+        assert c.edge_choices[a] != c.edge_choices[a - 1]

@@ -428,7 +428,7 @@ class TestBiparZ:
 
 class TestProp1Step:
     def test_single_pair(self):
-        inst = prop1_instance(1, rings=2)
+        inst = prop1_instance(1)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
         res = prop1_step(inst.embedding, cands, n=1)
         assert res.witness == {"x0": 0, "y0": 1}
@@ -438,7 +438,7 @@ class TestProp1Step:
         assert directionality(res.zs[0]) == 1
 
     def test_double_pair(self):
-        inst = prop1_instance(2, rings=4)
+        inst = prop1_instance(2)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
         res = prop1_step(inst.embedding, cands, n=2)
         assert res.witness == {"x0": 0, "x1": 1, "y0": 2, "y1": 3}
@@ -459,7 +459,7 @@ class TestProp1Step:
         ]
 
     def test_not_enough_keyrings(self):
-        inst = prop1_instance(2, rings=4)
+        inst = prop1_instance(2)
         cands = (list(inst.role("rings")) + list(inst.role("keys")))[:5]
         with pytest.raises(NotEnoughKeyrings, match="4 disjoint keyrings"):
             prop1_step(inst.embedding, cands, n=2)

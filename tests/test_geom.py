@@ -496,7 +496,7 @@ def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bi
             return fn(*args)
         return run
 
-    for name in ("seg2_relation", "seg3_relation", "_allowed_contacts"):
+    for name in ("seg2_relation", "seg3_relation"):
         monkeypatch.setattr(geom, name, counted(name, getattr(geom, name)))
     assert validate_general_position(lemma1_dk6m(2, seed=5).embedding).ok
     assert calls == []

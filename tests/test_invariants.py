@@ -27,7 +27,6 @@ from dilink.invariants import (
     a2_routes,
     a2_skein,
     conway_from_diagram,
-    interleaved_pair_sums,
     linking_number,
     linking_table,
     omega,
@@ -121,7 +120,7 @@ def test_linking_is_reversal_antisymmetric():
 STORED_CYCLE_FILES = {
     "grid_link": lambda: grid_link(2, [(0, 1), (1, 1)]),
     "big_z": lambda: big_z_instance(4, seed=1),
-    "prop1": lambda: prop1_instance(2, rings=4),
+    "prop1": lambda: prop1_instance(2),
     "ring_wrap": lambda: ring_wrap_instance(4, 5),
     "coiled_braid": lambda: coiled_braid_pair(4),
     "braid_link": lambda: braid_instance([1, 1, 1, 1, 2, -1, 2], 3),
@@ -224,7 +223,7 @@ def test_a2_routes_project_once(monkeypatch, trefoil_points):
 def test_interleaved_sums_need_single_loop():
     a, b = hand_hopf()
     diagram, _ = project_with_retry([a, b])
-    for route in (interleaved_pair_sums, a2_alexander, a2_skein):
+    for route in (a2, a2_alexander, a2_skein):
         with pytest.raises(ValueError):
             route(diagram)
 

@@ -1,22 +1,24 @@
 """The box-pruned :class:`LinkTable` against the full-product table it
-replaced (tests/linktable_reference.py).
+replaced (tests/linktable_reference.py) and against the whole-link
+diagram route (``linking_number``).
 
 Both tables answer the same query sequence on random small embeddings,
 where vertical segments, touches and overlaps in projection, arcs that
 meet in space and shared vertices are common.  Each query must give the
 same lk, or the same exception with the same message, and leave the same
-shear.
+shear; an lk must also equal the one ``linking_number`` reads off the
+realized loops whenever that succeeds.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dilink.invariants as invariants
-from dilink.digraph import DiCycle
+from dilink.digraph import DiCycle, realize
 from dilink.engine import big_z, replay_certificate
 from dilink.errors import DilinkError, DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding
-from dilink.invariants import LinkTable
+from dilink.invariants import LinkTable, linking_number
 from dilink.workbench.generators import big_z_instance
 
 from linktable_reference import LinkTable as ReferenceTable
@@ -28,6 +30,15 @@ def _answer(table, a, b):
     except DilinkError as ex:
         got = (type(ex).__name__, str(ex))
     return got, table.shear
+
+
+def _diagram_lk(emb, a, b):
+    """lk of the realized loops from one whole-link projection, or None
+    when that route fails."""
+    try:
+        return linking_number(realize(a, emb), realize(b, emb))
+    except DilinkError:
+        return None
 
 
 @st.composite
@@ -69,13 +80,17 @@ def test_pruned_table_answers_like_the_full_product(case):
         a, b = cycles[i], cycles[j]
         if flip:
             a = a.reversed()
-        assert _answer(table, a, b) == _answer(reference, a, b)
+        got = _answer(table, a, b)
+        assert got == _answer(reference, a, b)
+        if isinstance(got[0], int):
+            assert _diagram_lk(emb, a, b) in (None, got[0])
 
 
 def test_meet_in_space_on_the_first_pair_wins_over_a_later_vertical_segment():
     # B's first arc (3, 4) passes through (5, 0, 0) on A's first arc (0, 1);
-    # B's last arc (5, 3) starts with a vertical segment.  Preparing all of
-    # B before visiting (e0, f0) would shear first and end on another shear.
+    # B's last arc (5, 3) starts with a vertical segment at (8, -6), which
+    # lies on no arc of A in projection, so it moves no shear: the meet in
+    # space is raised on the first shear, as the full product raises it.
     verts = {
         0: Point3(0, 0, 0),
         1: Point3(10, 0, 0),
@@ -100,6 +115,46 @@ def test_meet_in_space_on_the_first_pair_wins_over_a_later_vertical_segment():
     assert _answer(LinkTable(emb), tri_a, tri_b) == want
     with pytest.raises(DisjointnessViolated, match=want[0][1]):
         LinkTable(emb).lk(tri_a, tri_b)
+
+
+def _triangle_and_quad(quad):
+    """Triangle A flat at z = 0 and a four-vertex loop B through ``quad``,
+    each arc a straight segment."""
+    verts = {0: Point3(0, 0, 0), 1: Point3(10, 0, 0), 2: Point3(0, 10, 0)}
+    verts.update({3 + i: Point3(*p) for i, p in enumerate(quad)})
+    arcs = {
+        (t, h): PolyLine([verts[t], verts[h]])
+        for t, h in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    }
+    emb = SpatialEmbedding(verts, arcs, box=64)
+    return emb, DiCycle((0, 1, 2), (True,) * 3), DiCycle((3, 4, 5, 6), (True,) * 4)
+
+
+def test_a_vertical_segment_off_the_other_projection_keeps_the_shear():
+    # B's arc (3, 4) is vertical above (2, 2), inside A's triangle in
+    # projection but on none of its sides; B crosses over A's hypotenuse
+    # and under its base
+    emb, tri_a, quad_b = _triangle_and_quad(
+        [(2, 2, -3), (2, 2, 3), (20, 5, 3), (20, -5, -3)]
+    )
+    table = LinkTable(emb)
+    got = _answer(table, tri_a, quad_b)
+    assert got == (_diagram_lk(emb, tri_a, quad_b), (0, 0))
+    assert abs(got[0]) == 1
+    assert got == _answer(ReferenceTable(emb), tri_a, quad_b)
+
+
+def test_a_vertical_segment_on_the_other_projection_shears():
+    # B's arc (3, 4) is vertical above (4, 6), a point of A's hypotenuse
+    # in projection, and passes over it without meeting it in space
+    emb, tri_a, quad_b = _triangle_and_quad(
+        [(4, 6, 1), (4, 6, 3), (20, 5, 3), (20, -5, -3)]
+    )
+    table = LinkTable(emb)
+    got = _answer(table, tri_a, quad_b)
+    assert got[1] != (0, 0)
+    assert got[0] == _diagram_lk(emb, tri_a, quad_b)
+    assert got == _answer(ReferenceTable(emb), tri_a, quad_b)
 
 
 @pytest.mark.parametrize("z,want", [(1, "shears"), (0, "DisjointnessViolated")])

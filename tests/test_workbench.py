@@ -411,7 +411,7 @@ class TestCliPipelines:
     def test_gen_prop1_orders_rings_first(self, capsys, tmp_path):
         path = str(tmp_path / "p1.json")
         code, rep = run_cli(
-            capsys, "gen", "--kind", "prop1", "--n", "1", "--rings", "2",
+            capsys, "gen", "--kind", "prop1", "--n", "1",
             "--out", path,
         )
         assert code == 0
@@ -421,12 +421,26 @@ class TestCliPipelines:
         assert rep["witness"] == {"x0": 0, "y0": 1}
         assert rep["index_set"] == [0, 1]
 
+    def test_prop1_rounds_must_match_the_files_rings(self, capsys, tmp_path):
+        # a file laid for two rounds holds four rings; one round needs two
+        path = str(tmp_path / "p1.json")
+        code, rep = run_cli(capsys, "gen", "--kind", "prop1", "--n", "2", "--out", path)
+        assert code == 0
+        assert "rings" not in rep["params"]
+        assert rep["stats"]["roles"]["rings"] == 4
+        code, rep = run_cli(capsys, "prop1", path, "--n", "1")
+        assert code == 1
+        assert rep["error"] == {
+            "type": "FormatError",
+            "message": "prop1 --n 1 needs 2 rings, file has 4",
+        }
+
     def test_gen_prop1_four_directional(self, capsys, tmp_path):
         # each round's closure runs through its own pair of spare vertices,
         # laid out in ascending id order round after round
         path = str(tmp_path / "p4.json")
         code, rep = run_cli(
-            capsys, "gen", "--kind", "prop1", "--n", "2", "--rings", "4",
+            capsys, "gen", "--kind", "prop1", "--n", "2",
             "--delta", "4", "--out", path,
         )
         assert code == 0
@@ -474,7 +488,7 @@ class TestCliPipelines:
         [
             (["big_z", "--n", "2"], ["bigz"]),
             (["bipar", "--lambda", "1", "--q", "36"], ["bipar", "--lambda", "1"]),
-            (["prop1", "--n", "2", "--rings", "4"], ["prop1", "--n", "2"]),
+            (["prop1", "--n", "2"], ["prop1", "--n", "2"]),
             (["theorem1", "--n", "0"], ["thm1-step"]),
             (["lemma1_dk6m", "--m", "1"], ["lemma1"]),
             (["ring_wrap", "--keys", "3"], ["invariants"]),
@@ -777,7 +791,7 @@ class TestCliFailureShapes:
         "argv",
         [
             ["--kind", "bipar", "--lambda", "1"],
-            ["--kind", "prop1", "--n", "2"],
+            ["--kind", "prop1", "--n", "2", "--rings", "4"],
             ["--kind", "ring_wrap", "--rings", "4", "--keys", "0"],
             ["--kind", "ring_wrap", "--keys", "0"],
             ["--kind", "braid", "--word", "1,x"],
@@ -817,7 +831,7 @@ class TestCliFailureShapes:
         # count mismatch or a class size computed in floats
         files = {
             "l7.json": ["--kind", "coiled_braid", "--lambda", "2"],
-            "p1.json": ["--kind", "prop1", "--n", "2", "--rings", "4"],
+            "p1.json": ["--kind", "prop1", "--n", "2"],
             "l6.json": ["--kind", "ring_wrap", "--keys", "4", "--wrap", "5"],
             "bp.json": ["--kind", "bipar", "--lambda", "1", "--q", "36"],
             "t1.json": ["--kind", "theorem1", "--n", "0"],
@@ -864,7 +878,7 @@ class TestCliFailureShapes:
         [
             (["big_z", "--n", "2"], "bigz", []),
             (["bipar", "--lambda", "1", "--q", "36"], "bipar", ["--lambda", "1"]),
-            (["prop1", "--n", "2", "--rings", "4"], "prop1", ["--n", "2"]),
+            (["prop1", "--n", "2"], "prop1", ["--n", "2"]),
             (["theorem1", "--n", "0"], "thm1-step", []),
         ],
     )
