@@ -16,7 +16,6 @@ certificate that can be replayed and re-verified.  Subpackages:
 
 from dilink import errors
 from dilink.digraph import (
-    ConnectorResult,
     DiCycle,
     OrientedLoop,
     connector_cycle,
@@ -74,7 +73,6 @@ __all__ = [
     "BigZResult",
     "BiparResult",
     "CompleteBipartiteMod2",
-    "ConnectorResult",
     "ConstructionCertificate",
     "DiCycle",
     "LinkTable",

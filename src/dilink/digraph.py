@@ -27,14 +27,13 @@ from .geom import Point3, SpatialEmbedding
 __all__ = [
     "DiCycle",
     "OrientedLoop",
-    "ConnectorResult",
     "directionality",
     "direction_change_vertices",
     "u_to_w_paths",
     "nabla",
     "nabla_eps",
-    "check_closure",
-    "closure_for_delta",
+    "extra_count",
+    "connector_arcs",
     "connector_cycle",
     "realize",
 ]
@@ -285,62 +284,67 @@ def nabla_eps(j: DiCycle, l: Optional[DiCycle], eps: int) -> DiCycle:
 # connector cycles
 
 
-@dataclass(frozen=True)
-class ConnectorResult:
-    cycle: DiCycle
-    junctions: tuple[tuple[int, int], ...]
-    q_paths: tuple[tuple[int, ...], ...]
-
-
-CLOSURES = ("one_directional", "two_directional", "extra_path")
-
-
-def check_closure(closure: str, extra_count: int) -> None:
-    """Raise ValueError unless ``closure`` is a known closure that can run
-    through ``extra_count`` extra vertices."""
-    if closure not in CLOSURES:
-        raise ValueError(f"unknown closure {closure!r}")
-    if closure == "extra_path":
-        if extra_count < 2 or extra_count % 2:
-            raise ValueError(
-                f"extra_path needs a positive even extra_count, got {extra_count}"
-            )
-    elif extra_count:
-        raise ValueError("extra vertices only apply to extra_path closures")
-
-
-def closure_for_delta(delta: int) -> tuple[str, int]:
-    """The connector closure that yields directionality ``delta``, and the
-    number of extra vertices it runs through."""
-    if delta == 1:
-        return "one_directional", 0
-    if delta == 2:
-        return "two_directional", 0
-    if delta >= 4 and delta % 2 == 0:
-        return "extra_path", delta - 2
+def extra_count(delta: int) -> int:
+    """The number of extra vertices a connector of directionality
+    ``delta`` closes through: none for 1 and 2, ``delta - 2`` above."""
+    if delta == 1 or (delta >= 2 and delta % 2 == 0):
+        return max(delta - 2, 0)
     raise HypothesisViolated(
         "target directionality must be 1 or an even number >= 2"
     )
 
 
+def connector_arcs(
+    junctions: Sequence[tuple[int, int]],
+    delta: int,
+    extra_vertices: Sequence[int],
+) -> list[tuple[int, int]]:
+    """The joining and closing arcs of a connector, in walk order.
+
+    ``junctions`` are the chained cycles' (u, w) pairs.  Consecutive
+    cycles are joined by the arc (w_i, u_{i+1}); the walk then returns
+    from the last w to the first u:
+
+      delta 1    by the arc (w_last, u_1), so every step runs along its arc
+      delta 2    by the arc (u_1, w_last), against the walk
+      delta 4+   through the extra vertices x_1..x_k, k = delta - 2, by the
+                 arcs (x_1, w_last), then (x_1, x_2), (x_3, x_2), (x_3, x_4),
+                 ... alternating, and (u_1, x_k), so the direction changes
+                 at every x and at both ends
+    """
+    need = extra_count(delta)
+    xs = [int(v) for v in extra_vertices]
+    if len(xs) != need:
+        raise HypothesisViolated(
+            f"target directionality {delta} needs exactly {need} "
+            f"extra vertices, got {len(xs)}"
+        )
+    u1, w_last = junctions[0][0], junctions[-1][1]
+    arcs = [(w, u) for (_, w), (u, _) in zip(junctions, junctions[1:])]
+    if delta == 1:
+        arcs.append((w_last, u1))
+    elif delta == 2:
+        arcs.append((u1, w_last))
+    else:
+        arcs.append((xs[0], w_last))
+        for j, (a, b) in enumerate(zip(xs, xs[1:])):
+            arcs.append((a, b) if j % 2 == 0 else (b, a))
+        arcs.append((u1, xs[-1]))
+    return arcs
+
+
 def connector_cycle(
     cycles: Sequence[DiCycle],
-    closure: str = "one_directional",
+    delta: int = 1,
     q_policy: str = "lex",
     extra_vertices: Sequence[int] = (),
-) -> ConnectorResult:
-    """Chain 2-directional cycles into one cycle of chosen directionality.
+) -> DiCycle:
+    """Chain 2-directional cycles into one cycle of directionality ``delta``.
 
     From each input cycle one of its two directed u-to-w paths is taken
-    (u both-out, w both-in), consecutive cycles are joined by the direct
-    edge from one w to the next u, and the chain is closed:
-
-      one_directional   direct edge from the last w back to the first u,
-                        giving a consistently directed result
-      two_directional   the reverse closing edge, giving directionality 2
-      extra_path        a path through the given extra vertices, changing
-                        direction at every one of them and at both ends,
-                        giving directionality len(extra_vertices) + 2
+    (u both-out, w both-in); the arcs between those paths are
+    :func:`connector_arcs`, whose closure runs through ``extra_vertices``
+    when ``delta`` is 4 or more.
 
     q_policy "lex" picks the u-to-w path with the lexicographically
     smaller vertex sequence; "opposite" picks the one whose arcs point
@@ -351,7 +355,6 @@ def connector_cycle(
     """
     if len(cycles) < 2:
         raise ValueError("need at least two cycles to chain")
-    check_closure(closure, len(extra_vertices))
     if q_policy not in ("lex", "opposite"):
         raise ValueError(f"unknown q policy {q_policy!r}")
 
@@ -368,34 +371,21 @@ def connector_cycle(
     if len(set(extras)) != len(extras) or seen & set(extras):
         raise DisjointnessViolated("extra vertices must be fresh and distinct")
 
-    junctions = tuple(tuple(direction_change_vertices(c)) for c in cycles)
-    q_paths: list[tuple[int, ...]] = []
-    for c in cycles:
-        along, against = u_to_w_paths(c)
-        q_paths.append(min(along, against) if q_policy == "lex" else against)
-
+    junctions = [tuple(direction_change_vertices(c)) for c in cycles]
+    joins = iter(connector_arcs(junctions, delta, extras))
     verts: list[int] = []
     ecs: list[bool] = []
-    for q in q_paths:
+    for c in cycles:
+        along, against = u_to_w_paths(c)
+        q = min(along, against) if q_policy == "lex" else against
         verts.extend(q)
         ecs.extend([True] * (len(q) - 1))
-        ecs.append(True)  # w_i -> u_{i+1} joining edge (or closure slot)
-    # the final appended True is the closure step placeholder; fix it up now
-    if closure == "one_directional":
-        pass
-    elif closure == "two_directional":
-        ecs[-1] = False
-    else:
-        ecs.pop()
-        ecs.append(False)  # w_last -> x_1 via arc (x_1, w_last)
-        for i, x in enumerate(extras):
-            verts.append(x)
-            if i + 1 < len(extras):
-                ecs.append(i % 2 == 0)  # x_i -> x_{i+1} forward only from odd slots
-            else:
-                ecs.append(False)  # x_last -> u_1 via arc (u_1, x_last)
-    cycle = DiCycle(tuple(verts), tuple(ecs))
-    return ConnectorResult(cycle=cycle, junctions=junctions, q_paths=tuple(q_paths))
+        # the step out of w runs along its arc when the arc leaves w
+        ecs.append(next(joins)[0] == q[-1])
+    for x in extras:
+        verts.append(x)
+        ecs.append(next(joins)[0] == x)
+    return DiCycle(tuple(verts), tuple(ecs))
 
 
 # ---------------------------------------------------------------------------

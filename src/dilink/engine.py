@@ -1,13 +1,13 @@
 """Constructions and verifiers over embedded directed cycles.
 
-Everything here takes validated geometry plus combinatorial cycles, runs a
-construction or a bounded check, and hands back the result together with a
-certificate: a JSON-compatible record of the inputs, every choice made, the
-outputs, and a recomputed table proving the claimed inequalities.  The
-module never trusts its own bookkeeping; each postcondition is re-derived
-from the embedding before a result is returned, and
-:func:`replay_certificate` re-executes any certificate's recorded choices
-bit-exactly.
+Everything here takes a LinkTable on validated geometry plus combinatorial
+cycles, runs a construction or a bounded check, and hands back the result
+together with a certificate: a JSON-compatible record of the inputs, every
+choice made, the outputs, and a recomputed table proving the claimed
+inequalities.  The module never trusts its own bookkeeping; each
+postcondition is re-derived from the embedding before a result is
+returned, and :func:`replay_certificate` re-executes any certificate's
+recorded choices bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from dilink.digraph import (
     DiCycle,
-    closure_for_delta,
     connector_cycle,
     directionality,
     nabla,
@@ -36,7 +35,6 @@ from dilink.errors import (
     NoValidColumn,
     SurgeryFailed,
 )
-from dilink.geom import SpatialEmbedding
 from dilink.invariants import LinkTable, a2_routes
 from dilink.patterns import (
     DEFAULT_BUDGET,
@@ -118,16 +116,6 @@ def _cycles_from_json(objs: Sequence[dict]) -> list[DiCycle]:
     return [DiCycle.from_json(o) for o in objs]
 
 
-def _closure_for(target_delta: int, extra_vertices: Sequence[int]) -> str:
-    closure, need = closure_for_delta(target_delta)
-    if len(extra_vertices) != need:
-        raise HypothesisViolated(
-            f"target directionality {target_delta} needs exactly {need} "
-            f"extra vertices, got {len(extra_vertices)}"
-        )
-    return closure
-
-
 def _surgery_chain(base: DiCycle, pieces: Sequence[DiCycle]) -> DiCycle:
     out = base
     for idx, piece in enumerate(pieces):
@@ -167,7 +155,7 @@ class Lemma1Result:
     certificate: ConstructionCertificate
 
 
-def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
+def lemma1_find_odd_links(table: LinkTable, m: int) -> Lemma1Result:
     """In each consecutive 6-vertex block, find two disjoint triangles with
     odd linking number.
 
@@ -176,28 +164,29 @@ def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
     disjoint-triangle pairs per block is recorded; an even total would
     contradict the ambient parity invariant, so exhausting a block raises
     Impossible with the full table rather than returning quietly.
+    Linking numbers come from ``table``, the caller's table on the
+    embedding whose vertices are blocked.
     """
-    ids = sorted(emb.vertices)
+    ids = sorted(table.emb.vertices)
     if m < 1 or len(ids) != 6 * m:
         raise HypothesisViolated(
             f"need exactly 6*m vertices, got {len(ids)} for m={m}"
         )
-    cache = LinkTable(emb)
     chosen: list[tuple[DiCycle, DiCycle]] = []
     blocks_json = []
     for bi in range(m):
         block = ids[6 * bi : 6 * bi + 6]
-        table = _block_table(cache, block)
+        rows = _block_table(table, block)
         winner = next(
-            ((_triangle(tri), _triangle(comp)) for tri, comp, w in table if w == 1),
+            ((_triangle(tri), _triangle(comp)) for tri, comp, w in rows if w == 1),
             None,
         )
-        parity = sum(row[2] for row in table) % 2
+        parity = sum(row[2] for row in rows) % 2
         if winner is None:
             raise Impossible(
                 f"block {bi}: all 10 disjoint triangle pairs have even "
                 f"linking number",
-                table={"block": block, "pairs": table},
+                table={"block": block, "pairs": rows},
             )
         if directionality(winner[0]) != 2 or directionality(winner[1]) != 2:
             raise ConstructionFailed("chosen triangles are not 2-directional")
@@ -205,7 +194,7 @@ def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
         blocks_json.append(
             {
                 "block": list(block),
-                "pairs": table,
+                "pairs": rows,
                 "parity": parity,
                 "chosen": [winner[0].to_json(), winner[1].to_json()],
             }
@@ -223,18 +212,19 @@ def lemma1_find_odd_links(emb: SpatialEmbedding, m: int) -> Lemma1Result:
     return Lemma1Result(pairs=tuple(chosen), certificate=cert)
 
 
-def conway_gordon_parity(emb: SpatialEmbedding) -> tuple[list, int]:
-    """All 10 disjoint triangle-pair parities of a 6-vertex embedding, and
-    their sum mod 2 (always 1 for a valid embedding)."""
-    ids = sorted(emb.vertices)
+def conway_gordon_parity(table: LinkTable) -> tuple[list, int]:
+    """All 10 disjoint triangle-pair parities of a 6-vertex embedding, read
+    from ``table``, the caller's table on it, and their sum mod 2 (always 1
+    for a valid embedding)."""
+    ids = sorted(table.emb.vertices)
     if len(ids) != 6:
         raise HypothesisViolated("parity sweep needs exactly 6 vertices")
-    table = _block_table(LinkTable(emb), ids)
-    return table, sum(row[2] for row in table) % 2
+    rows = _block_table(table, ids)
+    return rows, sum(row[2] for row in rows) % 2
 
 
 # ---------------------------------------------------------------------------
-# parity-linking construction (one cycle linking at least half the targets)
+# parity-linking construction (one cycle linking at least n/2 of 2n targets)
 
 
 @dataclass(frozen=True)
@@ -252,42 +242,41 @@ def big_z(
     extra_vertices: Sequence[int] = (),
     q_policy: str = "lex",
 ) -> BigZResult:
-    """Build one cycle of the target directionality that links at least half
-    of the target cycles mod 2.
+    """Build one cycle of the target directionality that links at least n/2
+    of the 2n target cycles mod 2, the bound the result is checked against.
 
     ``js`` are 2n chained 2-directional cycles, ``xs`` the 2n targets, with
     the diagonal hypothesis ω(J_i, X_i) = 1 for i < n.  The connector cycle
     C over all J's is returned directly when it already links at least n/2
-    targets; otherwise a heavy row-space vector of the parity matrix picks
-    the J's to surger into C, which lifts the count above n/2.  Linking
-    numbers come from ``table``, the caller's table on the cycles'
-    embedding.
+    targets.  Otherwise the heavy path runs: a row-space vector of the
+    parity matrix with more than n ones picks the J's to surger into C,
+    which lifts the count above n/2.  Linking numbers come from ``table``,
+    the caller's table on the cycles' embedding.
     """
     js = list(js)
     xs = list(xs)
     if len(js) < 2 or len(js) % 2 or len(js) != len(xs):
         raise HypothesisViolated("need 2n chained cycles and 2n targets")
     n = len(js) // 2
-    closure = _closure_for(target_delta, extra_vertices)
     for i, j in enumerate(js):
         if directionality(j) != 2:
             raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
+    connector = connector_cycle(
+        js, target_delta, q_policy=q_policy, extra_vertices=extra_vertices
+    )
     for i in range(n):
         if table.omega(js[i], xs[i]) != 1:
             raise HypothesisViolated(
                 f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
             )
 
-    res = connector_cycle(
-        js, closure, q_policy=q_policy, extra_vertices=extra_vertices
-    )
-    c_parities = [table.omega(res.cycle, x) for x in xs]
+    c_parities = [table.omega(connector, x) for x in xs]
     shortcut = 2 * sum(c_parities) >= n
 
     witness_rows: tuple[int, ...] = ()
     matrix_lists: list[list[int]] = []
     if shortcut:
-        z = res.cycle
+        z = connector
     else:
         matrix_lists = [[table.omega(j, x) for x in xs] for j in js]
         for i in range(len(js)):
@@ -297,7 +286,7 @@ def big_z(
                 )
         hv = heavy_vector(Z2Matrix.from_lists(matrix_lists))
         witness_rows = hv.rows
-        z = _surgery_chain(res.cycle, [js[i] for i in witness_rows])
+        z = _surgery_chain(connector, [js[i] for i in witness_rows])
 
     z_parities = [table.omega(z, x) for x in xs]
     index_set = tuple(i for i, w in enumerate(z_parities) if w == 1)
@@ -337,11 +326,12 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     xs = _cycles_from_json(ins["xs"])
-    closure = _closure_for(ins["target_delta"], ins["extra_vertices"])
-    res = connector_cycle(
-        js, closure, q_policy=ins["q_policy"], extra_vertices=ins["extra_vertices"]
+    z = connector_cycle(
+        js,
+        ins["target_delta"],
+        q_policy=ins["q_policy"],
+        extra_vertices=ins["extra_vertices"],
     )
-    z = res.cycle
     if not ch["shortcut"]:
         z = _surgery_chain(z, [js[i] for i in ch["witness_rows"]])
     if z.to_json() != cert.outputs["z"]:
@@ -422,7 +412,6 @@ def bipar_z(
         raise HypothesisViolated("all four families must be nonempty")
     if lam < 0:
         raise HypothesisViolated("threshold must be nonnegative")
-    closure = _closure_for(target_delta, extra_vertices)
     keep_j_count = m * (2 * lam + 1)
     keep_l_count = (m + n_y) * (2 * lam + 1)
     if r < keep_j_count * 2**m:
@@ -485,12 +474,12 @@ def bipar_z(
 
     # connector over the survivors, short paths opposite each orientation
     chain = [js[i] for i in kept_j] + [ls[j] for j in kept_l]
-    res = connector_cycle(
-        chain, closure, q_policy="opposite", extra_vertices=extra_vertices
+    connector = connector_cycle(
+        chain, target_delta, q_policy="opposite", extra_vertices=extra_vertices
     )
 
     # J ladder: strictly monotone linking growth against every X
-    ladder_c = [res.cycle]
+    ladder_c = [connector]
     for s in range(keep_j_count):
         ladder_c.append(_surgery_chain(ladder_c[-1], [js[kept_j[s]]]))
     a_matrix = [
@@ -625,12 +614,13 @@ def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ls = _cycles_from_json(ins["ls"])
     xs = _cycles_from_json(ins["xs"])
     ys = _cycles_from_json(ins["ys"])
-    closure = _closure_for(ins["target_delta"], ins["extra_vertices"])
     chain = [js[i] for i in ch["kept_j"]] + [ls[j] for j in ch["kept_l"]]
-    res = connector_cycle(
-        chain, closure, q_policy="opposite", extra_vertices=ins["extra_vertices"]
+    z = connector_cycle(
+        chain,
+        ins["target_delta"],
+        q_policy="opposite",
+        extra_vertices=ins["extra_vertices"],
     )
-    z = res.cycle
     z = _surgery_chain(z, [js[i] for i in ch["kept_j"][: ch["s_star"]]])
     z = _surgery_chain(z, [ls[j] for j in ch["kept_l"][: ch["t_star"]]])
     if z.to_json() != cert.outputs["z"]:
@@ -660,7 +650,7 @@ class Prop1Result:
 
 
 def prop1_step(
-    emb: SpatialEmbedding,
+    table: LinkTable,
     candidates: Sequence[DiCycle],
     n: int,
     target_delta: int = 1,
@@ -673,15 +663,16 @@ def prop1_step(
     among the candidates, then runs the parity-linking construction once
     per key position, intersecting the resulting target index sets.  The
     intersection must retain at least n targets; structured inputs keep
-    every target, sparse ones may fail with NotEnoughKeyrings.
+    every target, sparse ones may fail with NotEnoughKeyrings.  Linking
+    numbers come from ``table``, the caller's table on the candidates'
+    embedding.
     """
     if n < 1:
         raise HypothesisViolated("need n >= 1")
     candidates = list(candidates)
     if extra_sets and len(extra_sets) != n:
         raise HypothesisViolated("one extra-vertex set per round, or none")
-    cache = LinkTable(emb)
-    pattern = compute_pattern(candidates, cache)
+    pattern = compute_pattern(candidates, table)
     stars = find_disjoint_keyrings(pattern, count=2 * n, keys=n, budget=budget)
     if stars is None:
         raise NotEnoughKeyrings(
@@ -697,7 +688,7 @@ def prop1_step(
     for j in range(n):
         round_js = [candidates[st[f"k{j}"]] for st in stars]
         extras = list(extra_sets[j]) if extra_sets else []
-        sub = big_z(round_js, xs, cache, target_delta=target_delta, extra_vertices=extras)
+        sub = big_z(round_js, xs, table, target_delta=target_delta, extra_vertices=extras)
         zs.append(sub.z)
         round_certs.append(sub.certificate.to_json())
         got = set(sub.index_set)
@@ -711,7 +702,7 @@ def prop1_step(
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
     witness_pattern = compute_pattern(
-        list(zs) + [candidates[centers[i]] for i in picked], cache
+        list(zs) + [candidates[centers[i]] for i in picked], table
     )
     witness = {f"x{j}": j for j in range(n)}
     witness.update({f"y{i}": n + i for i in range(n)})
@@ -759,7 +750,7 @@ class Theorem1Result:
 
 
 def theorem1_step(
-    emb: SpatialEmbedding,
+    table: LinkTable,
     candidates: Sequence[DiCycle],
     witness: dict,
     m: int,
@@ -773,7 +764,8 @@ def theorem1_step(
     of singleton cycles, all as candidate indices.  The P1 tail plays the
     second chained family, the P2 tail the first, and the weighted
     construction produces the new singleton; the returned witness has both
-    big classes cut down to m and one more Q entry.
+    big classes cut down to m and one more Q entry.  Linking numbers come
+    from ``table``, the caller's table on the candidates' embedding.
     """
     if m < 1:
         raise HypothesisViolated(f"need m >= 1, got {m}")
@@ -802,8 +794,7 @@ def theorem1_step(
 
     # verify the incoming parity pattern on the named components
     used = [candidates[i] for i in all_idx]
-    cache = LinkTable(emb)
-    pattern = compute_pattern(used, cache)
+    pattern = compute_pattern(used, table)
     pos = {orig: k for k, orig in enumerate(all_idx)}
     for i in p1:
         for j in p2:
@@ -830,7 +821,7 @@ def theorem1_step(
         l_cycles,
         x_cycles,
         y_cycles,
-        cache,
+        table,
         lam,
         target_delta=target_delta,
         extra_vertices=extra_vertices,
@@ -843,9 +834,9 @@ def theorem1_step(
         "Q": qs + ["new"],
     }
     new_weights = {
-        "x": [abs(cache.lk(z, c)) for c in x_cycles],
-        "y": [abs(cache.lk(z, candidates[i])) for i in p2[:m]],
-        "q": [abs(cache.lk(z, candidates[i])) for i in qs],
+        "x": [abs(table.lk(z, c)) for c in x_cycles],
+        "y": [abs(table.lk(z, candidates[i])) for i in p2[:m]],
+        "q": [abs(table.lk(z, candidates[i])) for i in qs],
     }
     for group, vals in sorted(new_weights.items()):
         for k, w in enumerate(vals):
@@ -898,7 +889,7 @@ def verify_lemma6_conclusion(
     w_prime: DiCycle,
     c_cycles: Sequence[DiCycle],
     a_cycles: Sequence[DiCycle],
-    emb: SpatialEmbedding,
+    table: LinkTable,
     lam: int,
 ) -> VerificationReport:
     """Check a surgery-closure family against the linking threshold.
@@ -906,7 +897,8 @@ def verify_lemma6_conclusion(
     Verifies that the base cycle is consistently directed and shares
     exactly one directed arc with each of the given cycles, then surgers
     every on/off combination of them and requires each result to link
-    every target cycle with magnitude at least ``lam``.  Never raises;
+    every target cycle with magnitude at least ``lam``, read from
+    ``table``, the caller's table on the cycles' embedding.  Never raises;
     failures are itemized in the report.
     """
     c_cycles = list(c_cycles)
@@ -931,7 +923,6 @@ def verify_lemma6_conclusion(
             }
         )
 
-    cache = LinkTable(emb)
     eps_rows: list[dict] = []
     for eps in product((0, 1), repeat=len(c_cycles)):
         row: dict = {"eps": list(eps)}
@@ -939,7 +930,7 @@ def verify_lemma6_conclusion(
             k = w_prime
             for e, c in zip(eps, c_cycles):
                 k = nabla_eps(k, c, e)
-            values = [cache.lk(k, a) for a in a_cycles]
+            values = [table.lk(k, a) for a in a_cycles]
             row["lk"] = values
             row["passed"] = all(abs(v) >= lam for v in values)
             if not row["passed"]:
@@ -982,7 +973,7 @@ class SearchReport:
 def search_lemma7_knot(
     a_cycles: Sequence[DiCycle],
     b_cycles: Sequence[DiCycle],
-    emb: SpatialEmbedding,
+    table: LinkTable,
     lam: int,
     budget: int = 64,
 ) -> SearchReport:
@@ -993,23 +984,23 @@ def search_lemma7_knot(
     directed, have second Conway coefficient at least lam^2/16 in magnitude
     (computed by the pair-count and the Alexander route on one projection,
     which must agree; neither caps the crossing count), and link every
-    target with magnitude at least lam.  Exhausting the budget is reported
-    as inconclusive, never as absence.
+    target with magnitude at least lam.  Linking numbers and knotting come
+    from ``table``, the caller's table on the cycles' embedding.
+    Exhausting the budget is reported as inconclusive, never as absence.
     """
     a_cycles = list(a_cycles)
     b_cycles = list(b_cycles)
     if len(b_cycles) < 2:
         raise HypothesisViolated("need at least two loops to chain")
-    cache = LinkTable(emb)
     for h, a in enumerate(a_cycles):
         for i, b in enumerate(b_cycles):
-            v = cache.lk(a, b)
+            v = table.lk(a, b)
             if abs(v) < lam:
                 raise HypothesisViolated(
                     f"|lk(A_{h}, B_{i})| = {abs(v)} < {lam}"
                 )
     for i, j in combinations(range(len(b_cycles)), 2):
-        v = cache.lk(b_cycles[i], b_cycles[j])
+        v = table.lk(b_cycles[i], b_cycles[j])
         if abs(v) < lam:
             raise HypothesisViolated(f"|lk(B_{i}, B_{j})| = {abs(v)} < {lam}")
 
@@ -1018,7 +1009,7 @@ def search_lemma7_knot(
     rows: list[dict] = []
     seen: set[DiCycle] = set()
     for policy in ("lex", "opposite"):
-        base = connector_cycle(b_cycles, "one_directional", q_policy=policy).cycle
+        base = connector_cycle(b_cycles, q_policy=policy)
         for subset_size in range(len(b_cycles) + 1):
             for subset in combinations(range(len(b_cycles)), subset_size):
                 if tried >= budget:
@@ -1047,9 +1038,9 @@ def search_lemma7_knot(
                     row["passed"] = False
                     rows.append(row)
                     continue
-                lks = [cache.lk(k, a) for a in a_cycles]
+                lks = [table.lk(k, a) for a in a_cycles]
                 row["lk"] = lks
-                v_pairs, v_alexander = a2_routes(cache.loop(k))
+                v_pairs, v_alexander = a2_routes(table.loop(k))
                 if v_pairs != v_alexander:
                     raise ConstructionFailed(
                         f"knotting routes disagree: {v_pairs} vs {v_alexander}"

@@ -122,11 +122,11 @@ class LinkTable:
     once for self-intersection in space, and cycles that share a vertex or
     arcs that meet in space raise DisjointnessViolated.
 
-    Engine entry points and the CLI create the tables, one per command.
-    Constructions, pattern search and certificate replay take the caller's
-    table in place of the embedding, so a command realizes, checks and
-    projects each cycle once.  Every memo holds a pure function of the
-    embedding and the shear, so sharing changes no answer.
+    The CLI creates the tables, one per command.  Engine entry points,
+    pattern search and certificate replay take the caller's table in place
+    of the embedding, so a command realizes, checks and projects each
+    cycle once.  Every memo holds a pure function of the embedding and the
+    shear, so sharing changes no answer.
     """
 
     def __init__(self, emb: SpatialEmbedding):

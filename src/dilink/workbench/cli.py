@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 from dilink import __version__
 from dilink.digraph import (
     DiCycle,
-    closure_for_delta,
     connector_cycle,
     directionality,
+    extra_count,
 )
 from dilink.engine import (
     big_z,
@@ -105,7 +105,7 @@ def _extras_for_delta(
 ) -> list[list[int]]:
     # one group of extra vertices per connector closure, in the order the
     # generators laid the closures out
-    _, need = closure_for_delta(delta)
+    need = extra_count(delta)
     free = _free_vertices(inst)
     if len(free) < need * rounds:
         raise FormatError(
@@ -277,7 +277,7 @@ def _cmd_lemma1(args, rep: dict) -> None:
     inst = load_instance(args.file)
     m = args.m or len(inst.embedding.vertices) // 6
     rep["params"]["m"] = m
-    res = lemma1_find_odd_links(inst.embedding, m)
+    res = lemma1_find_odd_links(LinkTable(inst.embedding), m)
     rep["certificates"] = [res.certificate.to_json()]
     for bi, par in enumerate(res.certificate.checks["parities"]):
         _check(rep, f"block-{bi}-parity", par == 1, f"sum mod 2 = {par}")
@@ -377,7 +377,7 @@ def _cmd_prop1(args, rep: dict) -> None:
     rep["params"]["extras"] = extra_sets
     order = _prop1_candidates(inst)
     res = prop1_step(
-        inst.embedding,
+        LinkTable(inst.embedding),
         [inst.cycles[i] for i in order],
         args.n,
         target_delta=args.delta,
@@ -410,7 +410,7 @@ def _cmd_thm1_step(args, rep: dict) -> None:
     if not p1 or not p2:
         raise FormatError("instance file lacks the two class roles")
     res = theorem1_step(
-        inst.embedding,
+        LinkTable(inst.embedding),
         inst.cycles,
         {"P1": p1, "P2": p2, "Q": qs},
         args.m,
@@ -437,16 +437,14 @@ def _cmd_verify_l6(args, rep: dict) -> None:
     elif len(c_cycles) >= 2:
         # the closed walk the surgery family starts from: the connector
         # over the surgery cycles, taking each one's path against its loop
-        base = connector_cycle(
-            c_cycles, "one_directional", q_policy="opposite"
-        ).cycle
+        base = connector_cycle(c_cycles, q_policy="opposite")
     else:
         raise FormatError(
             "instance file lacks a 'base' role and has too few surgery "
             "cycles to derive one"
         )
     report = verify_lemma6_conclusion(
-        base, c_cycles, a_cycles, inst.embedding, args.lam
+        base, c_cycles, a_cycles, LinkTable(inst.embedding), args.lam
     )
     rep["verification"] = report.to_json()
     for c in report.checks:
@@ -466,7 +464,7 @@ def _cmd_search_l7(args, rep: dict) -> None:
     a_cycles = _role_or(inst, "targets", "rings")
     b_cycles = _role_or(inst, "loops", "keys")
     sr = search_lemma7_knot(
-        a_cycles, b_cycles, inst.embedding, args.lam, budget=args.budget
+        a_cycles, b_cycles, LinkTable(inst.embedding), args.lam, budget=args.budget
     )
     rep["search"] = sr.to_json()
     _check(
@@ -492,7 +490,7 @@ def _cmd_cgtest(args, rep: dict) -> None:
     for k in range(args.count):
         seed = gens.split_seed(args.seed, f"cgtest:{k}")
         inst = gens.random_complete(6, seed=seed)
-        _, par = conway_gordon_parity(inst.embedding)
+        _, par = conway_gordon_parity(LinkTable(inst.embedding))
         results.append({"run": k, "seed": seed, "parity": par})
         passed += par == 1
     rep["runs"] = results
@@ -557,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     l1.add_argument("file")
     _add_common(l1, "m")
 
-    bz = sub.add_parser("bigz", help="build a cycle linking half the targets")
+    bz = sub.add_parser("bigz", help="build a cycle linking at least n/2 of 2n targets")
     bz.add_argument("file")
     bz.add_argument("--q-policy", default="lex", choices=["lex", "opposite"])
     _add_common(bz, "delta")

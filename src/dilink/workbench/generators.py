@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 
 from dilink.digraph import (
     DiCycle,
-    check_closure,
-    closure_for_delta,
+    connector_arcs,
     direction_change_vertices,
     directionality,
+    extra_count,
 )
 from dilink.errors import GenerationFailed
 from dilink.geom import (
@@ -72,7 +72,6 @@ class GeneratedInstance:
 
     embedding: SpatialEmbedding
     cycles: dict[str, tuple[DiCycle, ...]]
-    seed: Optional[int]
     resamples: int
     meta: dict = field(default_factory=dict)
 
@@ -148,7 +147,6 @@ def random_complete(p: int, seed: int, box: int = 2**20) -> GeneratedInstance:
             return GeneratedInstance(
                 embedding=emb,
                 cycles={},
-                seed=seed,
                 resamples=attempt,
                 meta={"kind": "random_complete", "p": p, "box": box},
             )
@@ -285,7 +283,6 @@ def _loops_to_instance(
     return GeneratedInstance(
         embedding=emb,
         cycles={role: tuple(cycles)},
-        seed=None,
         resamples=0,
         meta=meta,
     )
@@ -443,7 +440,6 @@ def grid_link(
     inst = GeneratedInstance(
         embedding=emb,
         cycles={"rings": tuple(ring_cycles), "keys": tuple(key_cycles)},
-        seed=None,
         resamples=0,
         meta={
             "kind": "grid_link",
@@ -629,22 +625,22 @@ def _chain_corner_map(
 def with_chain(
     inst: GeneratedInstance,
     order: Sequence[tuple[str, int]],
-    closure: str = "one_directional",
-    extra_count: int = 0,
+    delta: int = 1,
     wrap_turns: int = 0,
 ) -> GeneratedInstance:
-    """Add the junction arcs a connector cycle over ``order`` will traverse.
+    """Add the arcs a connector cycle of directionality ``delta`` over
+    ``order`` will traverse.
 
-    ``order`` lists ("ring"|"key", index) pairs; consecutive entries get a
-    w-to-u joining arc, and the closure kind decides the arcs back from the
-    last cycle to the first (via fresh low vertices when extra_count > 0).
-    A positive ``wrap_turns`` reroutes the one-directional closure arc
-    through ring 0's hole that many times.
+    ``order`` lists ("ring"|"key", index) pairs.  The arcs are
+    :func:`dilink.digraph.connector_arcs` of the chained cycles' junctions,
+    laid in its walk order; a ``delta`` of 4 or more closes through
+    ``delta - 2`` fresh low vertices.  A positive ``wrap_turns`` reroutes
+    the closing arc of a ``delta`` 1 chain through ring 0's hole that many
+    times.
     """
     if len(order) < 2:
         raise ValueError("a chain needs at least two cycles")
-    check_closure(closure, extra_count)
-    if wrap_turns and closure != "one_directional":
+    if wrap_turns and delta != 1:
         raise ValueError("wrapped closures are one-directional only")
     if wrap_turns > inst.meta.get("wrap_reserve", 0):
         raise ValueError("grid was not built with enough wrap_reserve")
@@ -659,57 +655,39 @@ def with_chain(
     arcs = dict(inst.embedding.arcs)
 
     extras: list[int] = []
-    if extra_count:
-        nbase = max(vertices) + 1
-        used = inst.meta.get("extras_used", 0)
-        for j in range(extra_count):
-            e = used + j
-            vid = nbase + j
-            pos = Point3(
-                -(fr.lane0 + 4 * e),
-                -(11 + 4 * e),
-                fr.depth0 - 40 - 4 * e,
-            )
-            vertices[vid] = pos
-            corners[vid] = ("extra", pos, {})
-            extras.append(vid)
+    nbase = max(vertices) + 1
+    used = inst.meta.get("extras_used", 0)
+    for j in range(extra_count(delta)):
+        e = used + j
+        vid = nbase + j
+        pos = Point3(
+            -(fr.lane0 + 4 * e),
+            -(11 + 4 * e),
+            fr.depth0 - 40 - 4 * e,
+        )
+        vertices[vid] = pos
+        corners[vid] = ("extra", pos, {})
+        extras.append(vid)
 
     router = _ChainRouter(fr, inst.meta.get("next_track", 0), inst.meta.get("port_use", {}))
-    new_arcs: list[tuple[int, int]] = []
-
-    def add(tail: int, head: int, wrap: int = 0) -> None:
+    new_arcs = connector_arcs(junctions, delta, extras)
+    for k, (tail, head) in enumerate(new_arcs):
         if (tail, head) in arcs:
             raise GenerationFailed(f"chain arc ({tail},{head}) already present")
+        # only a delta 1 chain wraps, and its closing arc comes last
+        wrap = wrap_turns if k == len(new_arcs) - 1 else 0
         arcs[(tail, head)] = router.route(tail, head, corners, wrap_turns=wrap)
-        new_arcs.append((tail, head))
-
-    for i in range(len(junctions) - 1):
-        add(junctions[i][1], junctions[i + 1][0])
-    u1, w_last = junctions[0][0], junctions[-1][1]
-    if closure == "one_directional":
-        add(w_last, u1, wrap=wrap_turns)
-    elif closure == "two_directional":
-        add(u1, w_last)
-    else:
-        add(extras[0], w_last)
-        for j in range(extra_count - 1):
-            a, b = extras[j], extras[j + 1]
-            if j % 2 == 0:
-                add(a, b)
-            else:
-                add(b, a)
-        add(u1, extras[-1])
 
     emb = SpatialEmbedding(vertices, arcs)
     _validated_or_raise(emb, "with_chain")
     meta = dict(inst.meta)
     meta["next_track"] = router.track
     meta["port_use"] = router.port_use
-    meta["extras_used"] = inst.meta.get("extras_used", 0) + extra_count
+    meta["extras_used"] = used + len(extras)
     meta["chains"] = list(inst.meta.get("chains", ())) + [
         {
             "order": tuple((r, i) for r, i in order),
-            "closure": closure,
+            "delta": delta,
             "extras": tuple(extras),
             "wrap_turns": wrap_turns,
             "junctions": tuple((u, w) for u, w in junctions),
@@ -719,7 +697,6 @@ def with_chain(
     return GeneratedInstance(
         embedding=emb,
         cycles=dict(inst.cycles),
-        seed=inst.seed,
         resamples=inst.resamples,
         meta=meta,
     )
@@ -758,10 +735,7 @@ def big_z_instance(
     ):
         raise ValueError("need one interval per key, each containing its index")
     inst = grid_link(count, intervals)
-    closure, extras = closure_for_delta(target_delta)
-    inst = with_chain(
-        inst, [("key", i) for i in range(count)], closure, extra_count=extras
-    )
+    inst = with_chain(inst, [("key", i) for i in range(count)], target_delta)
     inst.meta["target_delta"] = target_delta
     inst.meta["n"] = n
     return inst
@@ -791,8 +765,7 @@ def bipar_instance(
         raise ValueError("r or q too small for the requested m, n, lam")
     order = [("key", i) for i in range(keep_j)]
     order += [("key", r + j) for j in range(keep_l)]
-    closure, extras = closure_for_delta(target_delta)
-    inst = with_chain(inst, order, closure, extra_count=extras)
+    inst = with_chain(inst, order, target_delta)
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "r": r, "q": q, "target_delta": target_delta}
     )
@@ -813,10 +786,9 @@ def prop1_instance(n: int, target_delta: int = 1) -> GeneratedInstance:
     for j in range(n):
         intervals += [(i, i) for i in range(rings)]
     inst = grid_link(rings, intervals)
-    closure, extras = closure_for_delta(target_delta)
     for j in range(n):
         order = [("key", j * rings + i) for i in range(rings)]
-        inst = with_chain(inst, order, closure, extra_count=extras)
+        inst = with_chain(inst, order, target_delta)
     inst.meta.update({"rounds": n, "target_delta": target_delta})
     return inst
 
@@ -844,8 +816,7 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Ge
     # the second (ring 0..m-1 and key 0..m-1 are the X and Y cycles).
     order = [("key", m + i) for i in range(keep_j)]
     order += [("ring", m + j) for j in range(keep_l)]
-    closure, extras = closure_for_delta(target_delta)
-    inst = with_chain(inst, order, closure, extra_count=extras)
+    inst = with_chain(inst, order, target_delta)
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "q": q, "target_delta": target_delta}
     )
@@ -865,10 +836,7 @@ def ring_wrap_instance(
         raise ValueError("need at least two keys and one wrap")
     inst = grid_link(1, [(0, 0)] * key_count, wrap_reserve=wrap_turns)
     inst = with_chain(
-        inst,
-        [("key", k) for k in range(key_count)],
-        "one_directional",
-        wrap_turns=wrap_turns,
+        inst, [("key", k) for k in range(key_count)], wrap_turns=wrap_turns
     )
     inst.meta["wrap_turns"] = wrap_turns
     return inst
@@ -974,7 +942,6 @@ def coiled_braid_pair(lam: int = 4) -> GeneratedInstance:
     return GeneratedInstance(
         embedding=emb,
         cycles={"targets": (coil,), "loops": tuple(comps)},
-        seed=None,
         resamples=0,
         meta={"kind": "coiled_braid_pair", "lam": lam},
     )

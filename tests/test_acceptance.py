@@ -54,7 +54,7 @@ def test_criterion_1_parity_sweep_on_100_embeddings():
     embs = [random_complete(6, seed=k).embedding for k in range(100)]
     t0 = time.perf_counter()
     for emb in embs:
-        table, parity = conway_gordon_parity(emb)
+        table, parity = conway_gordon_parity(LinkTable(emb))
         assert parity == 1
         assert len(table) == 10
     elapsed = time.perf_counter() - t0
@@ -66,7 +66,7 @@ def test_criterion_2_odd_pair_finder_never_fails():
     checked = 0
     for seed in range(100):
         inst = lemma1_dk6m(1, seed=seed)
-        res = lemma1_find_odd_links(inst.embedding, 1)
+        res = lemma1_find_odd_links(LinkTable(inst.embedding), 1)
         assert len(res.pairs) == 1
         for a, b in res.pairs:
             assert directionality(a) == 2
@@ -75,7 +75,7 @@ def test_criterion_2_odd_pair_finder_never_fails():
         checked += 1
     for seed in range(20):
         inst = lemma1_dk6m(2, seed=seed)
-        res = lemma1_find_odd_links(inst.embedding, 2)
+        res = lemma1_find_odd_links(LinkTable(inst.embedding), 2)
         assert len(res.pairs) == 2
         seen = set()
         for a, b in res.pairs:
@@ -227,7 +227,7 @@ def test_criterion_7_orchestration_steps():
     for n in (1, 2):
         inst = prop1_instance(n)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
-        res = prop1_step(inst.embedding, cands, n=n)
+        res = prop1_step(LinkTable(inst.embedding), cands, n=n)
         assert len(res.index_set) >= n
         ring_cycles = list(inst.role("rings"))[:n]
         pat = compute_pattern(list(res.zs) + ring_cycles, LinkTable(inst.embedding))
@@ -239,7 +239,7 @@ def test_criterion_7_orchestration_steps():
     cands = list(t1.role("keys")) + list(t1.role("rings"))
     s = len(t1.role("keys"))
     witness = {"P1": list(range(s, 2 * s)), "P2": list(range(s)), "Q": []}
-    out = theorem1_step(t1.embedding, cands, witness, m=1, lam=1)
+    out = theorem1_step(LinkTable(t1.embedding), cands, witness, m=1, lam=1)
     assert out.witness == {"P1": [37], "P2": [0], "Q": ["new"]}
     weights = out.certificate.checks["new_weights"]
     assert all(w > 1 for part in weights.values() for w in part)
@@ -265,28 +265,28 @@ def test_criterion_7_orchestration_steps():
 
 def test_criterion_8_verifiers_catch_injected_violations(wrap45, coil4):
     keys, rings = list(wrap45.role("keys")), list(wrap45.role("rings"))
-    good = connector_cycle(keys, "one_directional", q_policy="opposite").cycle
-    rep = verify_lemma6_conclusion(good, keys, rings, wrap45.embedding, lam=1)
+    good = connector_cycle(keys, q_policy="opposite")
+    rep = verify_lemma6_conclusion(good, keys, rings, LinkTable(wrap45.embedding), lam=1)
     assert rep.ok and len(rep.eps_table) == 16
 
     # injected lk-bound violation: raising the bar fails one combination
-    weak = verify_lemma6_conclusion(good, keys, rings, wrap45.embedding, lam=2)
+    weak = verify_lemma6_conclusion(good, keys, rings, LinkTable(wrap45.embedding), lam=2)
     assert not weak.ok
     assert [r["eps"] for r in weak.eps_table if not r["passed"]] == [[1, 1, 1, 1]]
 
     # injected arc-count violation: the short-path connector shares arcs wrongly
-    bad_cycle = connector_cycle(keys, "one_directional", q_policy="lex").cycle
-    bad = verify_lemma6_conclusion(bad_cycle, keys, rings, wrap45.embedding, lam=1)
+    bad_cycle = connector_cycle(keys, q_policy="lex")
+    bad = verify_lemma6_conclusion(bad_cycle, keys, rings, LinkTable(wrap45.embedding), lam=1)
     assert not bad.ok
     assert [c["name"] for c in bad.checks if not c["passed"]] == [
         "arc-count-c0", "arc-count-c1", "arc-count-c2", "arc-count-c3",
     ]
 
     a, b = list(coil4.role("targets")), list(coil4.role("loops"))
-    found = search_lemma7_knot(a, b, coil4.embedding, lam=4)
+    found = search_lemma7_knot(a, b, LinkTable(coil4.embedding), lam=4)
     assert found.status == "found"
     assert 16 * abs(found.table[0]["a2"]) >= 4 * 4
-    empty = search_lemma7_knot(a, b, coil4.embedding, lam=4, budget=0)
+    empty = search_lemma7_knot(a, b, LinkTable(coil4.embedding), lam=4, budget=0)
     assert empty.status == "inconclusive"  # never claims a counterexample
     assert empty.reason == "budget exhausted"
     passline(8, "16 sign patterns verified, both injected faults caught, search ok")

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from dilink.digraph import (
     DiCycle,
-    closure_for_delta,
+    connector_arcs,
     connector_cycle,
     direction_change_vertices,
     directionality,
+    extra_count,
     nabla,
     nabla_eps,
     realize,
@@ -183,69 +184,66 @@ def two_dir(a, b, c):
 
 
 def test_connector_one_directional():
-    res = connector_cycle([two_dir(0, 1, 2), two_dir(3, 4, 5)])
-    assert res.cycle == cyc(range(6), (T,) * 6)
-    assert directionality(res.cycle) == 1
-    assert res.junctions == ((0, 2), (3, 5))
-    assert res.q_paths == ((0, 1, 2), (3, 4, 5))
+    c = connector_cycle([two_dir(0, 1, 2), two_dir(3, 4, 5)])
+    assert c == cyc(range(6), (T,) * 6)
+    assert directionality(c) == 1
 
 
 def test_connector_two_directional():
-    res = connector_cycle(
-        [two_dir(0, 1, 2), two_dir(3, 4, 5)], closure="two_directional"
-    )
-    assert directionality(res.cycle) == 2
+    c = connector_cycle([two_dir(0, 1, 2), two_dir(3, 4, 5)], delta=2)
+    assert c == cyc(range(6), (T,) * 5 + (F,))
     # the direction changes sit at the first u and the last w
-    assert direction_change_vertices(res.cycle) == [0, 5]
+    assert direction_change_vertices(c) == [0, 5]
 
 
 def test_connector_extra_path():
-    res = connector_cycle(
-        [two_dir(0, 1, 2), two_dir(3, 4, 5)],
-        closure="extra_path",
-        extra_vertices=(6, 7),
+    c = connector_cycle(
+        [two_dir(0, 1, 2), two_dir(3, 4, 5)], delta=4, extra_vertices=(6, 7)
     )
-    assert directionality(res.cycle) == 4
-    assert res.cycle.vertex_set() == frozenset(range(8))
-    changed = direction_change_vertices(res.cycle)
+    # w_last -> x_1 and x_2 -> u_1 run against their arcs, x_1 -> x_2 along
+    assert c == cyc(range(8), (T,) * 5 + (F, T, F))
+    assert directionality(c) == 4
+    changed = direction_change_vertices(c)
     assert set(changed) == {0, 5, 6, 7}
 
-    res6 = connector_cycle(
-        [two_dir(0, 1, 2), two_dir(3, 4, 5)],
-        closure="extra_path",
-        extra_vertices=(6, 7, 8, 9),
+    c6 = connector_cycle(
+        [two_dir(0, 1, 2), two_dir(3, 4, 5)], delta=6, extra_vertices=(6, 7, 8, 9)
     )
-    assert directionality(res6.cycle) == 6
+    assert directionality(c6) == 6
 
 
 @pytest.mark.parametrize("delta", [1, 2, 4, 6, 8])
 def test_closure_for_delta_reaches_its_directionality(delta):
-    closure, count = closure_for_delta(delta)
+    count = extra_count(delta)
+    assert count == max(delta - 2, 0)
     cycles = [two_dir(3 * i, 3 * i + 1, 3 * i + 2) for i in range(3)]
-    res = connector_cycle(cycles, closure, extra_vertices=range(9, 9 + count))
-    assert directionality(res.cycle) == delta
+    c = connector_cycle(cycles, delta, extra_vertices=range(9, 9 + count))
+    assert directionality(c) == delta
 
 
 @pytest.mark.parametrize("delta", [-2, 0, 3, 5])
 def test_closure_for_delta_rejects_unreachable_directionality(delta):
     with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
-        closure_for_delta(delta)
+        extra_count(delta)
+    with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
+        connector_arcs([(0, 2), (3, 5)], delta, ())
 
 
 def test_connector_lex_policy_picks_smaller_path():
     # against-path (0, 2) beats along-path (0, 1, 2) lexicographically? no:
     # (0, 1, 2) < (0, 2), so lex keeps the long way here
-    res = connector_cycle([two_dir(0, 1, 2), two_dir(3, 4, 5)], q_policy="lex")
-    assert res.q_paths[0] == (0, 1, 2)
+    c = connector_cycle([two_dir(0, 1, 2), two_dir(3, 4, 5)], q_policy="lex")
+    assert c.vertices[:3] == (0, 1, 2)
     # renaming the middle vertex above the end swaps the choice
-    res2 = connector_cycle([two_dir(0, 5, 2), two_dir(3, 4, 6)], q_policy="lex")
-    assert res2.q_paths[0] == (0, 2)
+    c2 = connector_cycle([two_dir(0, 5, 2), two_dir(3, 4, 6)], q_policy="lex")
+    assert c2.vertices[:3] == (0, 2, 3)
+    assert 5 not in c2.vertices
 
 
 def test_connector_opposite_policy_and_orientations():
     cycles = [two_dir(0, 1, 2), two_dir(3, 4, 5)]
-    res = connector_cycle(cycles, q_policy="opposite")
-    assert res.q_paths == ((0, 2), (3, 5))
+    c = connector_cycle(cycles, q_policy="opposite")
+    assert c == cyc((0, 2, 3, 5), (T,) * 4)
 
 
 def test_connector_rejects_bad_input():
@@ -253,18 +251,18 @@ def test_connector_rejects_bad_input():
     with pytest.raises(ValueError):
         connector_cycle(good[:1])
     with pytest.raises(ValueError):
-        connector_cycle(good, closure="sideways")
-    with pytest.raises(ValueError):
         connector_cycle(good, q_policy="random")
     with pytest.raises(NotApplicable):
         connector_cycle([cyc((0, 1, 2), (T, T, T)), two_dir(3, 4, 5)])
     with pytest.raises(DisjointnessViolated):
         connector_cycle([two_dir(0, 1, 2), two_dir(2, 3, 4)])
-    with pytest.raises(ValueError):
-        connector_cycle(good, closure="extra_path", extra_vertices=(6,))
+    with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
+        connector_cycle(good, delta=3)
+    with pytest.raises(HypothesisViolated, match="4 needs exactly 2 extra vertices, got 1"):
+        connector_cycle(good, delta=4, extra_vertices=(6,))
     with pytest.raises(DisjointnessViolated):
-        connector_cycle(good, closure="extra_path", extra_vertices=(5, 6))
-    with pytest.raises(ValueError):
+        connector_cycle(good, delta=4, extra_vertices=(5, 6))
+    with pytest.raises(HypothesisViolated, match="1 needs exactly 0 extra vertices, got 2"):
         connector_cycle(good, extra_vertices=(6, 7))
 
 

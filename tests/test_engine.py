@@ -60,7 +60,7 @@ class TestLkTable:
     def test_agrees_with_linking_number_under_shears(self, n):
         inst = big_z_instance(n, seed=1)
         keys, rings = list(inst.role("keys")), list(inst.role("rings"))
-        connector = connector_cycle(keys, "one_directional").cycle
+        connector = connector_cycle(keys)
         pairs = [(k, r) for k in keys + [connector] for r in rings]
         want = [
             linking_number(realize(k, inst.embedding), realize(r, inst.embedding))
@@ -119,7 +119,7 @@ class TestParitySweep:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_every_embedding_has_an_odd_triple_pair(self, seed):
         inst = random_complete(6, seed=seed)
-        table, parity = conway_gordon_parity(inst.embedding)
+        table, parity = conway_gordon_parity(LinkTable(inst.embedding))
         assert parity == 1
         assert len(table) == 10
         assert sum(row[2] for row in table) % 2 == 1
@@ -129,19 +129,19 @@ class TestParitySweep:
 
     def test_seed_zero_table_is_reproducible(self):
         inst = random_complete(6, seed=0)
-        table, _ = conway_gordon_parity(inst.embedding)
+        table, _ = conway_gordon_parity(LinkTable(inst.embedding))
         odd = [(tuple(t1), tuple(t2)) for t1, t2, om in table if om]
         assert odd == [((0, 3, 4), (1, 2, 5))]
 
     def test_rejects_wrong_vertex_count(self, grid13):
         with pytest.raises(HypothesisViolated, match="exactly 6 vertices"):
-            conway_gordon_parity(grid13.embedding)
+            conway_gordon_parity(LinkTable(grid13.embedding))
 
 
 class TestFindOddLinks:
     def test_two_blocks_give_two_disjoint_pairs(self):
         inst = lemma1_dk6m(2, seed=0)
-        res = lemma1_find_odd_links(inst.embedding, 2)
+        res = lemma1_find_odd_links(LinkTable(inst.embedding), 2)
         got = [(a.vertices, b.vertices) for a, b in res.pairs]
         assert got == [((0, 4, 5), (1, 2, 3)), ((6, 7, 10), (8, 9, 11))]
         # every pair lives inside its own 6-vertex block
@@ -160,7 +160,7 @@ class TestFindOddLinks:
 
     def test_certificate_survives_json(self):
         inst = lemma1_dk6m(1, seed=5)
-        res = lemma1_find_odd_links(inst.embedding, 1)
+        res = lemma1_find_odd_links(LinkTable(inst.embedding), 1)
         cert = res.certificate
         assert ConstructionCertificate.from_json(cert.to_json()) == cert
         json.dumps(cert.to_json())  # must be plain data
@@ -168,7 +168,7 @@ class TestFindOddLinks:
     def test_rejects_wrong_vertex_count(self):
         inst = random_complete(6, seed=0)
         with pytest.raises(HypothesisViolated, match="6\\*m"):
-            lemma1_find_odd_links(inst.embedding, 2)
+            lemma1_find_odd_links(LinkTable(inst.embedding), 2)
 
 
 # big Z: one cycle linking at least half the targets
@@ -253,7 +253,10 @@ class TestBigZ:
 
     def test_rejects_missing_extra_vertices(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
-        with pytest.raises(HypothesisViolated, match="extra vertices"):
+        with pytest.raises(
+            HypothesisViolated,
+            match="target directionality 4 needs exactly 2 extra vertices, got 0",
+        ):
             big_z(js, xs, LinkTable(bigz_n2.embedding), target_delta=4)
 
     def test_replay_is_bit_exact(self, bigz_n2):
@@ -417,6 +420,14 @@ class TestBiparZ:
         with pytest.raises(HypothesisViolated, match="nonnegative"):
             bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=-1)
 
+    def test_rejects_missing_extra_vertices(self, bipar111):
+        js, ls, xs, ys = self.families(bipar111)
+        with pytest.raises(
+            HypothesisViolated,
+            match="target directionality 4 needs exactly 2 extra vertices, got 0",
+        ):
+            bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1, target_delta=4)
+
     def test_rejects_empty_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="nonempty"):
@@ -430,7 +441,7 @@ class TestProp1Step:
     def test_single_pair(self):
         inst = prop1_instance(1)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
-        res = prop1_step(inst.embedding, cands, n=1)
+        res = prop1_step(LinkTable(inst.embedding), cands, n=1)
         assert res.witness == {"x0": 0, "y0": 1}
         assert len(res.zs) == 1
         assert res.index_set == (0, 1)
@@ -440,7 +451,7 @@ class TestProp1Step:
     def test_double_pair(self):
         inst = prop1_instance(2)
         cands = list(inst.role("rings")) + list(inst.role("keys"))
-        res = prop1_step(inst.embedding, cands, n=2)
+        res = prop1_step(LinkTable(inst.embedding), cands, n=2)
         assert res.witness == {"x0": 0, "x1": 1, "y0": 2, "y1": 3}
         assert len(res.zs) == 2
         assert res.index_set == (0, 1, 2, 3)
@@ -462,7 +473,7 @@ class TestProp1Step:
         inst = prop1_instance(2)
         cands = (list(inst.role("rings")) + list(inst.role("keys")))[:5]
         with pytest.raises(NotEnoughKeyrings, match="4 disjoint keyrings"):
-            prop1_step(inst.embedding, cands, n=2)
+            prop1_step(LinkTable(inst.embedding), cands, n=2)
 
 
 # class promotion step
@@ -479,7 +490,7 @@ class TestTheorem1Step:
     def test_promotes_one_ring_into_q(self):
         inst, cands, s, witness = self.setup_instance()
         assert s == 37
-        res = theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+        res = theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
         assert res.witness == {"P1": [37], "P2": [0], "Q": ["new"]}
         cert = res.certificate
         assert cert.checks["new_weights"] == {"x": [2], "y": [6], "q": []}
@@ -497,26 +508,26 @@ class TestTheorem1Step:
         inst, cands, s, witness = self.setup_instance()
         del witness["Q"]
         with pytest.raises(HypothesisViolated, match="missing 'Q'"):
-            theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_rejects_non_positive_m(self, m):
         # checked before 3**m, which turns a negative m into a float
         inst, cands, s, witness = self.setup_instance()
         with pytest.raises(HypothesisViolated, match=f"need m >= 1, got {m}"):
-            theorem1_step(inst.embedding, cands, witness, m=m, lam=1)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=m, lam=1)
 
     def test_rejects_overlapping_indices(self):
         inst, cands, s, _ = self.setup_instance()
         witness = {"P1": [0], "P2": [0], "Q": []}
         with pytest.raises(HypothesisViolated, match="overlap"):
-            theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
 
     def test_rejects_classes_no_bigger_than_m(self):
         inst, cands, s, _ = self.setup_instance()
         witness = {"P1": [s], "P2": [0], "Q": []}
         with pytest.raises(HypothesisViolated, match="s = m \\+ q > m"):
-            theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
 
     def test_rejects_classes_not_fully_parity_linked(self):
         inst, cands, s, _ = self.setup_instance()
@@ -530,7 +541,7 @@ class TestTheorem1Step:
             HypothesisViolated,
             match=f"not fully parity-linked: components {s} and {2 * s - 1}",
         ):
-            theorem1_step(inst.embedding, cands, witness, m=1, lam=1)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
 
     def test_rejects_weak_singleton(self):
         # 37 rings and 38 keys, every key through every ring: with lam = 0
@@ -542,7 +553,7 @@ class TestTheorem1Step:
             HypothesisViolated,
             match=r"singleton weight \|lk\| = 0 <= 0 between components 37 and 0",
         ):
-            theorem1_step(inst.embedding, cands, witness, m=1, lam=0)
+            theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=0)
 
 
 # sign-pattern verification over a wrapped connector
@@ -551,12 +562,12 @@ class TestTheorem1Step:
 class TestVerifyLemma6:
     def build(self, w45, q_policy="opposite"):
         keys, rings = list(w45.role("keys")), list(w45.role("rings"))
-        w_prime = connector_cycle(keys, "one_directional", q_policy=q_policy).cycle
+        w_prime = connector_cycle(keys, q_policy=q_policy)
         return w_prime, keys, rings
 
     def test_all_sixteen_sign_patterns_pass(self, wrap45):
         w_prime, keys, rings = self.build(wrap45)
-        rep = verify_lemma6_conclusion(w_prime, keys, rings, wrap45.embedding, lam=1)
+        rep = verify_lemma6_conclusion(w_prime, keys, rings, LinkTable(wrap45.embedding), lam=1)
         assert rep.ok is True
         assert [c["name"] for c in rep.checks] == [
             "base-one-directional",
@@ -574,7 +585,7 @@ class TestVerifyLemma6:
 
     def test_weak_threshold_fails_only_all_ones(self, wrap45):
         w_prime, keys, rings = self.build(wrap45)
-        rep = verify_lemma6_conclusion(w_prime, keys, rings, wrap45.embedding, lam=2)
+        rep = verify_lemma6_conclusion(w_prime, keys, rings, LinkTable(wrap45.embedding), lam=2)
         assert rep.ok is False
         bad = [row["eps"] for row in rep.eps_table if not row["passed"]]
         assert bad == [[1, 1, 1, 1]]
@@ -584,14 +595,14 @@ class TestVerifyLemma6:
         # the lex-policy connector reuses key arcs the wrong way around,
         # so every per-key arc-sharing check trips
         w_bad, keys, rings = self.build(wrap45, q_policy="lex")
-        rep = verify_lemma6_conclusion(w_bad, keys, rings, wrap45.embedding, lam=1)
+        rep = verify_lemma6_conclusion(w_bad, keys, rings, LinkTable(wrap45.embedding), lam=1)
         assert rep.ok is False
         failed = [c["name"] for c in rep.checks if not c["passed"]]
         assert failed == ["arc-count-c0", "arc-count-c1", "arc-count-c2", "arc-count-c3"]
 
     def test_report_serializes(self, wrap45):
         w_prime, keys, rings = self.build(wrap45)
-        rep = verify_lemma6_conclusion(w_prime, keys, rings, wrap45.embedding, lam=1)
+        rep = verify_lemma6_conclusion(w_prime, keys, rings, LinkTable(wrap45.embedding), lam=1)
         blob = rep.to_json()
         assert sorted(blob.keys()) == ["checks", "eps_table", "ok"]
         json.dumps(blob)
@@ -604,7 +615,7 @@ class TestSearchLemma7:
     def test_finds_knot_on_first_candidate(self, coil4):
         a = list(coil4.role("targets"))
         b = list(coil4.role("loops"))
-        rep = search_lemma7_knot(a, b, coil4.embedding, lam=4)
+        rep = search_lemma7_knot(a, b, LinkTable(coil4.embedding), lam=4)
         assert rep.status == "found"
         assert rep.candidates_tried == 1
         assert rep.knot is not None
@@ -620,7 +631,7 @@ class TestSearchLemma7:
     def test_zero_budget_is_inconclusive(self, coil4):
         a = list(coil4.role("targets"))
         b = list(coil4.role("loops"))
-        rep = search_lemma7_knot(a, b, coil4.embedding, lam=4, budget=0)
+        rep = search_lemma7_knot(a, b, LinkTable(coil4.embedding), lam=4, budget=0)
         assert rep.status == "inconclusive"
         assert rep.reason == "budget exhausted"
         assert rep.candidates_tried == 0
@@ -630,13 +641,13 @@ class TestSearchLemma7:
         a = list(coil4.role("targets"))
         b = list(coil4.role("loops"))
         with pytest.raises(HypothesisViolated, match=r"\|lk\(A_0, B_0\)\| = 4 < 5"):
-            search_lemma7_knot(a, b, coil4.embedding, lam=5)
+            search_lemma7_knot(a, b, LinkTable(coil4.embedding), lam=5)
 
     def test_needs_at_least_two_loops(self, coil4):
         a = list(coil4.role("targets"))
         b = list(coil4.role("loops"))
         with pytest.raises(HypothesisViolated, match="at least two loops"):
-            search_lemma7_knot(a, b[:1], coil4.embedding, lam=4)
+            search_lemma7_knot(a, b[:1], LinkTable(coil4.embedding), lam=4)
 
 
 # parameter arithmetic

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import time
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dilink
-from dilink.digraph import DiCycle, connector_cycle, directionality
-from dilink.errors import FormatError, GenerationFailed
+from dilink.digraph import DiCycle, connector_cycle, directionality, realize
+from dilink.errors import FormatError, GenerationFailed, HypothesisViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
 from dilink.invariants import LinkTable
 from dilink.workbench import cli
@@ -101,35 +102,39 @@ class TestOtherBuilders:
 
 
 class TestWithChain:
-    @pytest.mark.parametrize(
-        "closure,extra,delta",
-        [("one_directional", 0, 1), ("two_directional", 0, 2), ("extra_path", 2, 4)],
-    )
-    def test_closures_reach_their_directionality(self, closure, extra, delta):
+    @pytest.mark.parametrize("delta", [1, 2, 4])
+    def test_closures_reach_their_directionality(self, delta):
         inst = grid_link(1, [(0, 0)] * 3)
-        inst = with_chain(
-            inst, [("key", 0), ("key", 1), ("key", 2)], closure=closure, extra_count=extra
-        )
+        inst = with_chain(inst, [("key", 0), ("key", 1), ("key", 2)], delta)
         rec = inst.meta["chains"][-1]
         assert rec["junctions"] == ((4, 7), (8, 11), (12, 15))
-        assert len(rec["extras"]) == extra
+        assert len(rec["extras"]) == max(delta - 2, 0)
         assert validate_general_position(inst.embedding).ok
-        res = connector_cycle(
-            list(inst.role("keys")), closure, extra_vertices=rec["extras"]
-        )
-        assert directionality(res.cycle) == delta
+        c = connector_cycle(list(inst.role("keys")), delta, extra_vertices=rec["extras"])
+        assert directionality(c) == delta
+
+    @pytest.mark.parametrize("delta", [1, 2, 4, 6])
+    def test_lays_the_arcs_the_connector_steps_through(self, delta):
+        inst = grid_link(1, [(0, 0)] * 3)
+        inst = with_chain(inst, [("key", 0), ("key", 1), ("key", 2)], delta)
+        rec = inst.meta["chains"][-1]
+        keys = list(inst.role("keys"))
+        c = connector_cycle(keys, delta, extra_vertices=rec["extras"])
+        own = set().union(*(k.arc_multiset() for k in keys))
+        between = [c.arc(i) for i in range(len(c)) if c.arc(i) not in own]
+        start = between.index(rec["arcs"][0])
+        assert between[start:] + between[:start] == list(rec["arcs"])
+        assert realize(c, inst.embedding).points
 
     def test_validation_branches(self):
         g = grid_link(1, [(0, 0)] * 3)
         pair = [("key", 0), ("key", 1)]
         with pytest.raises(ValueError, match="at least two cycles"):
             with_chain(g, [("key", 0)])
-        with pytest.raises(ValueError, match="unknown closure"):
-            with_chain(g, pair, closure="spiral")
-        with pytest.raises(ValueError, match="positive even extra_count"):
-            with_chain(g, pair, closure="extra_path", extra_count=3)
-        with pytest.raises(ValueError, match="only apply to extra_path"):
-            with_chain(g, pair, extra_count=2)
+        with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
+            with_chain(g, pair, delta=3)
+        with pytest.raises(ValueError, match="one-directional only"):
+            with_chain(g, pair, delta=2, wrap_turns=1)
         with pytest.raises(ValueError, match="wrap_reserve"):
             with_chain(g, pair, wrap_turns=1)
 
@@ -330,6 +335,42 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+# sha256 of the files gen writes for the kinds whose chain arcs with_chain
+# lays; a change to the chain layout or its order shows here first
+GOLDEN = {
+    "big_z-d1": (["big_z", "--n", "2"],
+                 "54fefb1f7ef5d60450613ae99113a44de563f51b08a9d06a47a7ade7fce02b9e"),
+    "big_z-d2": (["big_z", "--n", "2", "--delta", "2"],
+                 "7a71f78a824b7f889a549819b423c39cdd2c5fe3832057a1a271e2fc07c337ea"),
+    "big_z-d4": (["big_z", "--n", "2", "--delta", "4"],
+                 "52a8a69a0e2ad885ef2b61e90605ed382a01c6c701543e7063a412fe5834e32f"),
+    "big_z-d6": (["big_z", "--n", "2", "--delta", "6"],
+                 "4cbd4d2405d2282a7cfeff53b186c36f50dbc399d3327944954815435272af0c"),
+    "big_z-seeded": (["big_z", "--n", "4", "--seed", "3"],
+                     "6f6d679a66d8e12510f5c2796348252dc2e9df53081845b5339e62d8806e9935"),
+    "bipar-d1": (["bipar", "--lambda", "1", "--q", "36"],
+                 "c02c236179efdbd9992c3cd2115850217e32a75bf2a45927d379dab48f8f0bf8"),
+    "bipar-d4": (["bipar", "--lambda", "1", "--q", "36", "--delta", "4"],
+                 "a4d8524c1c0980fc6ad4edd64f3690408dd89205aab1f20d20f0be569dd90c44"),
+    "prop1-d1": (["prop1", "--n", "2"],
+                 "e3a3b9e730fdeabe10fcad22a3db5ca921daf58da4f9f4c764689a2f0837f276"),
+    "prop1-d4": (["prop1", "--n", "2", "--delta", "4"],
+                 "408ad753665b09b23cdafd3cdf3ec24fb893d09304e3f6de92d0ebb3768a764f"),
+    "theorem1": (["theorem1", "--n", "0"],
+                 "3d8b238a87c1c187734838f8acb145aa0b77a3708167251883670d3001d7a78b"),
+    "ring_wrap": (["ring_wrap", "--keys", "4", "--wrap", "5"],
+                  "3cc4e7c5d045899d606fd1a9deb0e56a6a9939df2308930fa6f5e9cd8b7c5bb8"),
+}
+
+
+@pytest.mark.parametrize("kind,digest", GOLDEN.values(), ids=list(GOLDEN))
+def test_chained_gen_files_match_their_digests(capsys, tmp_path, kind, digest):
+    path = tmp_path / "gen.json"
+    code, _ = run_cli(capsys, "gen", "--kind", *kind, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestCliPipelines:
     def test_gen_validate_invariants_pattern(self, capsys, tmp_path):
         path = str(tmp_path / "g13.json")
@@ -494,8 +535,12 @@ class TestCliPipelines:
             (["ring_wrap", "--keys", "3"], ["invariants"]),
             (["ring_wrap", "--keys", "3"], ["pattern", "--with-knots"]),
             (["coiled_braid", "--lambda", "4"], ["search-l7", "--lambda", "4", "--budget", "1000"]),
+            (["ring_wrap", "--keys", "4", "--wrap", "5"], ["verify-l6", "--lambda", "1"]),
         ],
-        ids=["bigz", "bipar", "prop1", "thm1-step", "lemma1", "invariants", "pattern", "search-l7"],
+        ids=[
+            "bigz", "bipar", "prop1", "thm1-step", "lemma1", "invariants", "pattern",
+            "search-l7", "verify-l6",
+        ],
     )
     def test_one_link_table_per_command(self, capsys, tmp_path, monkeypatch, kind, command):
         # constructions, pattern search and replay share the command's table
@@ -547,7 +592,7 @@ class TestCliPipelines:
         # files written before the base was derived store it as a role
         inst = ring_wrap_instance(key_count=4, wrap_turns=5)
         keys, rings = inst.role("keys"), inst.role("rings")
-        base = connector_cycle(keys, "one_directional", q_policy="opposite").cycle
+        base = connector_cycle(keys, q_policy="opposite")
         stored, bare = str(tmp_path / "stored.json"), str(tmp_path / "bare.json")
         save_instance(stored, inst.embedding, [*keys, *rings, base],
                       roles={"keys": [0, 1, 2, 3], "rings": [4], "base": [5]})
