@@ -248,10 +248,13 @@ def big_z(
     ``js`` are 2n chained 2-directional cycles, ``xs`` the 2n targets, with
     the diagonal hypothesis ω(J_i, X_i) = 1 for i < n.  The connector cycle
     C over all J's is returned directly when it already links at least n/2
-    targets.  Otherwise the heavy path runs: a row-space vector of the
-    parity matrix with more than n ones picks the J's to surger into C,
-    which lifts the count above n/2.  Linking numbers come from ``table``,
-    the caller's table on the cycles' embedding.
+    targets, and its parities are the result's.  Otherwise the heavy path
+    runs: a row-space vector of the parity matrix with more than n ones
+    picks the J's to surger into C, which lifts the count above n/2, and
+    the surgered cycle's parities are queried.  So the shortcut asks
+    n + 2n lk queries and the heavy path n + 2n + (2n)^2 + 2n.  Linking
+    numbers come from ``table``, the caller's table on the cycles'
+    embedding.
     """
     js = list(js)
     xs = list(xs)
@@ -276,7 +279,7 @@ def big_z(
     witness_rows: tuple[int, ...] = ()
     matrix_lists: list[list[int]] = []
     if shortcut:
-        z = connector
+        z, z_parities = connector, c_parities
     else:
         matrix_lists = [[table.omega(j, x) for x in xs] for j in js]
         for i in range(len(js)):
@@ -287,8 +290,8 @@ def big_z(
         hv = heavy_vector(Z2Matrix.from_lists(matrix_lists))
         witness_rows = hv.rows
         z = _surgery_chain(connector, [js[i] for i in witness_rows])
+        z_parities = [table.omega(z, x) for x in xs]
 
-    z_parities = [table.omega(z, x) for x in xs]
     index_set = tuple(i for i, w in enumerate(z_parities) if w == 1)
     if 2 * len(index_set) < n:
         raise ConstructionFailed(

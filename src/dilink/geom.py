@@ -61,7 +61,7 @@ def _as_point(p: Sequence[int]) -> Point3:
     x, y, z = p
     if not (isinstance(x, int) and isinstance(y, int) and isinstance(z, int)):
         raise TypeError("lattice points need integer coordinates")
-    return Point3(x, y, z)
+    return p if type(p) is Point3 else Point3(x, y, z)
 
 
 class PolyLine:
@@ -70,7 +70,7 @@ class PolyLine:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Sequence[int]]):
-        pts = tuple(_as_point(p) for p in points)
+        pts = tuple(map(_as_point, points))
         if len(pts) < 2:
             raise ValueError("polyline needs at least two points")
         for a, b in zip(pts, pts[1:]):
@@ -132,7 +132,8 @@ class SpatialEmbedding:
                 raise ValueError(f"edge ({t},{h}) references unknown vertex")
             if arc.points[0] != self.vertices[t] or arc.points[-1] != self.vertices[h]:
                 raise ValueError(f"arc of ({t},{h}) does not join its endpoints")
-            for p in arc.points:
+            # the ends are vertices, already checked
+            for p in arc.points[1:-1]:
                 if max(abs(p.x), abs(p.y), abs(p.z)) > self.box:
                     raise CoordinateOverflow(f"arc of ({t},{h}) leaves box")
 
@@ -639,21 +640,23 @@ def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[boo
 
 def arc_strands(label, points: Sequence[Point3]) -> tuple:
     """An arc prepared for :func:`arc_pair_crossings`: ``(label, segments,
-    box)``, each segment with its xy box and ``box`` the whole arc's.  A
-    vertical segment stays, with a box of one point: it is degenerate only
-    where it touches the other arc's projection, which
-    :func:`arc_pair_crossings` reports.
+    box)``.  Each segment is ``(x0, y0, x1, y1, px, py, pz, dx, dy, dz, p,
+    q)``: its xy box, its start p, its deltas q - p and its ends; ``box`` is
+    the whole arc's xy box.  A vertical segment stays, with a box of one
+    point: it is degenerate only where it touches the other arc's
+    projection, which :func:`arc_pair_crossings` reports.
     """
     segs = []
     for p, q in zip(points, points[1:]):
-        segs.append((p, q, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1])))
-    box = (
-        min(s[2] for s in segs),
-        min(s[3] for s in segs),
-        max(s[4] for s in segs),
-        max(s[5] for s in segs),
-    )
-    return label, segs, box
+        px, py, pz = p
+        qx, qy = q[0], q[1]
+        segs.append((
+            min(px, qx), min(py, qy), max(px, qx), max(py, qy),
+            px, py, pz, qx - px, qy - py, q[2] - pz, p, q,
+        ))
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return label, segs, (min(xs), min(ys), max(xs), max(ys))
 
 
 def arc_pair_crossings(a: tuple, b: tuple) -> int:
@@ -665,18 +668,48 @@ def arc_pair_crossings(a: tuple, b: tuple) -> int:
     :class:`DegenerateProjection` on any other touch or overlap of their
     projections.  Only segment boxes are tested here: callers skip the
     pairs whose arc boxes miss.
+
+    Each segment pair is decided as in :func:`_pair_walk`, from the four
+    orientations of its ends in projection: ends strictly on one side of
+    the other segment's line miss it, and four nonzero orientations of
+    alternating signs are a proper crossing, whose heights and sign are
+    read off them.  Only a touch, an overlap or a vertical segment goes to
+    :func:`seg2_relation` and :func:`seg3_relation`.
     """
     e, segs_e, _ = a
     f, segs_f, _ = b
     total = 0
-    for pa, qa, ax0, ay0, ax1, ay1 in segs_e:
-        for pb, qb, bx0, by0, bx1, by1 in segs_f:
+    for ax0, ay0, ax1, ay1, pax, pay, paz, dxa, dya, dza, pa, qa in segs_e:
+        for bx0, by0, bx1, by1, pbx, pby, pbz, dxb, dyb, dzb, pb, qb in segs_f:
             if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
                 continue
-            kind, data = seg2_relation(pa, qa, pb, qb)
-            if kind == "proper":
-                total += crossing_sign(pa, qa, pb, qb, *data)[1]
-            elif kind != "none":
+            wx, wy = pbx - pax, pby - pay
+            # twice the signed areas of (pa, qa, pb), (pa, qa, qb),
+            # (pb, qb, pa) and (pb, qb, qa)
+            o_r = dxa * wy - dya * wx
+            o_s = dxa * (wy + dyb) - dya * (wx + dxb)
+            if (o_r > 0 and o_s > 0) or (o_r < 0 and o_s < 0):
+                continue
+            o_p = wx * dyb - wy * dxb
+            o_q = o_p - o_s + o_r
+            if (o_p > 0 and o_q > 0) or (o_p < 0 and o_q < 0):
+                continue
+            if o_r and o_s and o_p and o_q:
+                # a proper crossing, at t = o_p/den along a and u = -o_r/den
+                # along b, with den = da x db; za/den and zb/den are the
+                # heights there, so a passes over b iff (za > zb) == (den > 0),
+                # and the sign is +1 iff za > zb
+                den = o_s - o_r
+                za = paz * den + o_p * dza
+                zb = pbz * den - o_r * dzb
+                if za == zb:
+                    raise DisjointnessViolated(
+                        "segments meet in space where their projections cross"
+                    )
+                total += 1 if za > zb else -1
+                continue
+            kind, _ = seg2_relation(pa, qa, pb, qb)
+            if kind != "none":
                 if seg3_relation(pa, qa, pb, qb)[0] != "none":
                     raise DisjointnessViolated(f"arcs {e} and {f} meet in space")
                 raise DegenerateProjection(

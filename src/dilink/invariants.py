@@ -74,6 +74,10 @@ def shear_schedule(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# the slope pairs every projection tries, in order
+_SHEARS = tuple(shear_schedule(SHEAR_TRIES))
+
+
 def project_with_retry(loops: Sequence) -> ProjectionResult:
     """Project loops to a diagram, shearing until the projection is generic.
 
@@ -86,7 +90,7 @@ def project_with_retry(loops: Sequence) -> ProjectionResult:
     if not point_lists:
         raise ValueError("need at least one loop")
     last: DegenerateProjection | None = None
-    for kx, ky in shear_schedule(SHEAR_TRIES):
+    for kx, ky in _SHEARS:
         sheared = (
             point_lists
             if kx == 0 and ky == 0
@@ -131,7 +135,7 @@ class LinkTable:
 
     def __init__(self, emb: SpatialEmbedding):
         self.emb = emb
-        self._shears = iter(shear_schedule(SHEAR_TRIES))
+        self._shears = iter(_SHEARS)
         self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
         self._next_shear(None)
 
@@ -145,7 +149,8 @@ class LinkTable:
         self.shear = shear
         # per arc: its strands under the current shear (geom.arc_strands)
         self._arcs: dict[tuple[int, int], tuple] = {}
-        # per cycle: ((strands, sign) per arc, xy box)
+        # per cycle: (x0, y0, x1, y1, key, sign, strands) per arc, from the
+        # arc's xy box, and the xy box of the whole cycle
         self._placed: dict[DiCycle, tuple[tuple, tuple]] = {}
         # (e, f) with e < f and meeting xy boxes -> S(e, f)
         self._pairs: dict[tuple, int] = {}
@@ -177,11 +182,15 @@ class LinkTable:
         return got
 
     def _place(self, c: DiCycle) -> tuple[tuple, tuple]:
-        """c's (strands, sign) per arc and the xy box of the whole cycle."""
+        """c's record per arc, (x0, y0, x1, y1, key, sign, strands) with
+        the arc's xy box, and the xy box of the whole cycle."""
         got = self._placed.get(c)
         if got is None:
-            arcs = tuple((self._arc(key), sign) for key, sign in self._cycle(c)[1])
-            x0, y0, x1, y1 = zip(*(s[2] for s, _ in arcs))
+            arcs = []
+            for key, sign in self._cycle(c)[1]:
+                strands = self._arc(key)
+                arcs.append((*strands[2], key, sign, strands))
+            x0, y0, x1, y1 = zip(*(r[:4] for r in arcs))
             got = (arcs, (min(x0), min(y0), max(x1), max(y1)))
             self._placed[c] = got
         return got
@@ -194,21 +203,18 @@ class LinkTable:
         arcs_b, (bx0, by0, bx1, by1) = self._place(b)
         if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
             return 0
+        pairs = self._pairs
         total = 0
-        for se, sa in arcs_a:
-            ex0, ey0, ex1, ey1 = se[2]
+        for ex0, ey0, ex1, ey1, e, sa, se in arcs_a:
             if ex0 > bx1 or bx0 > ex1 or ey0 > by1 or by0 > ey1:
                 continue
-            e = se[0]
-            for sf, sb in arcs_b:
-                fx0, fy0, fx1, fy1 = sf[2]
+            for fx0, fy0, fx1, fy1, f, sb, sf in arcs_b:
                 if ex0 > fx1 or fx0 > ex1 or ey0 > fy1 or fy0 > ey1:
                     continue
-                f = sf[0]
                 key = (e, f) if e < f else (f, e)
-                s = self._pairs.get(key)
+                s = pairs.get(key)
                 if s is None:
-                    s = self._pairs[key] = arc_pair_crossings(se, sf)
+                    s = pairs[key] = arc_pair_crossings(se, sf)
                 total += sa * sb * s
         return total
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from dilink.digraph import DiCycle
 from dilink.errors import FormatError, NotACycle
-from dilink.geom import PolyLine, SpatialEmbedding
+from dilink.geom import Point3, PolyLine, SpatialEmbedding
 
 __all__ = [
     "FORMAT_VERSION",
@@ -98,19 +98,14 @@ def serialize_instance(
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise FormatError(msg)
-
-
-def _point(obj, what: str) -> tuple[int, int, int]:
-    _require(
-        isinstance(obj, list)
-        and len(obj) == 3
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in obj),
-        f"{what} must be a list of three integers",
-    )
-    return (obj[0], obj[1], obj[2])
+def _point(obj) -> Optional[Point3]:
+    """The lattice point a list of three integers names, or None.  On
+    ``json.loads`` output, ``type(c) is int`` is an int that is not a bool."""
+    if isinstance(obj, list) and len(obj) == 3:
+        x, y, z = obj
+        if type(x) is int and type(y) is int and type(z) is int:
+            return Point3(x, y, z)
+    return None
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -124,98 +119,95 @@ def parse_instance(text: str) -> ParsedInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as ex:
         raise FormatError(f"not valid JSON: {ex}") from ex
-    _require(isinstance(doc, dict), "top level must be an object")
+    if not isinstance(doc, dict):
+        raise FormatError("top level must be an object")
     ver = doc.get("format_version")
-    _require(
-        ver == FORMAT_VERSION,
-        f"unsupported format_version {ver!r}, expected {FORMAT_VERSION}",
-    )
+    if ver != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {ver!r}, expected {FORMAT_VERSION}")
     box = doc.get("box")
-    _require(
-        isinstance(box, int) and not isinstance(box, bool) and box > 0,
-        "box must be a positive integer",
-    )
+    if not (type(box) is int and box > 0):
+        raise FormatError("box must be a positive integer")
     raw_vs = doc.get("vertices")
-    _require(isinstance(raw_vs, list) and raw_vs, "vertices must be a nonempty list")
-    vertices = {
-        i: _point(p, f"vertex {i}") for i, p in enumerate(raw_vs)
-    }
+    if not (isinstance(raw_vs, list) and raw_vs):
+        raise FormatError("vertices must be a nonempty list")
+    vertices: dict[int, Point3] = {}
+    for i, p in enumerate(raw_vs):
+        pt = _point(p)
+        if pt is None:
+            raise FormatError(f"vertex {i} must be a list of three integers")
+        vertices[i] = pt
     n = len(vertices)
 
     raw_es = doc.get("edges")
-    _require(isinstance(raw_es, list), "edges must be a list")
+    if not isinstance(raw_es, list):
+        raise FormatError("edges must be a list")
     arcs: dict[tuple[int, int], PolyLine] = {}
     for k, e in enumerate(raw_es):
-        _require(isinstance(e, dict), f"edge {k} must be an object")
+        if not isinstance(e, dict):
+            raise FormatError(f"edge {k} must be an object")
         t, h, bends = e.get("tail"), e.get("head"), e.get("bends")
         for name, v in (("tail", t), ("head", h)):
-            _require(
-                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n,
-                f"edge {k} {name} must name a vertex",
-            )
-        _require(t != h, f"edge {k} is a loop")
-        _require((t, h) not in arcs, f"edge ({t},{h}) appears twice")
-        _require(isinstance(bends, list), f"edge {k} bends must be a list")
-        pts = (
-            [vertices[t]]
-            + [_point(p, f"edge {k} bend {j}") for j, p in enumerate(bends)]
-            + [vertices[h]]
-        )
+            if not (type(v) is int and 0 <= v < n):
+                raise FormatError(f"edge {k} {name} must name a vertex")
+        if t == h:
+            raise FormatError(f"edge {k} is a loop")
+        if (t, h) in arcs:
+            raise FormatError(f"edge ({t},{h}) appears twice")
+        if not isinstance(bends, list):
+            raise FormatError(f"edge {k} bends must be a list")
+        pts = [vertices[t]]
+        for j, p in enumerate(bends):
+            pt = _point(p)
+            if pt is None:
+                raise FormatError(f"edge {k} bend {j} must be a list of three integers")
+            pts.append(pt)
+        pts.append(vertices[h])
         try:
             arcs[(t, h)] = PolyLine(pts)
         except ValueError as ex:
             raise FormatError(f"edge {k} ({t},{h}): {ex}") from ex
 
     try:
-        emb = SpatialEmbedding(
-            vertices={i: p for i, p in vertices.items()}, arcs=arcs, box=box
-        )
+        emb = SpatialEmbedding(vertices=vertices, arcs=arcs, box=box)
     except ValueError as ex:
         raise FormatError(str(ex)) from ex
 
     raw_cs = doc.get("cycles", [])
-    _require(isinstance(raw_cs, list), "cycles must be a list")
+    if not isinstance(raw_cs, list):
+        raise FormatError("cycles must be a list")
     cycles: list[DiCycle] = []
     orientations: list[int] = []
     for k, c in enumerate(raw_cs):
-        _require(isinstance(c, dict), f"cycle {k} must be an object")
+        if not isinstance(c, dict):
+            raise FormatError(f"cycle {k} must be an object")
         vs, ecs = c.get("vertices"), c.get("edge_choices")
-        _require(
-            isinstance(vs, list)
-            and all(
-                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
-                for v in vs
-            ),
-            f"cycle {k} vertices must name vertices",
-        )
-        _require(
-            isinstance(ecs, list) and all(e in (0, 1) for e in ecs),
-            f"cycle {k} edge_choices must be 0/1 flags",
-        )
+        if not (isinstance(vs, list) and all(type(v) is int and 0 <= v < n for v in vs)):
+            raise FormatError(f"cycle {k} vertices must name vertices")
+        if not (isinstance(ecs, list) and all(e in (0, 1) for e in ecs)):
+            raise FormatError(f"cycle {k} edge_choices must be 0/1 flags")
         o = c.get("orientation", 1)
-        _require(o in (-1, 1), f"cycle {k} orientation must be +1 or -1")
+        if o not in (-1, 1):
+            raise FormatError(f"cycle {k} orientation must be +1 or -1")
         try:
             cyc = DiCycle(tuple(vs), tuple(bool(e) for e in ecs))
         except NotACycle as ex:
             raise FormatError(f"cycle {k}: {ex}") from ex
         for a in cyc.arcs():
-            _require(a in arcs, f"cycle {k} uses missing arc {a}")
+            if a not in arcs:
+                raise FormatError(f"cycle {k} uses missing arc {a}")
         cycles.append(cyc)
         orientations.append(o)
 
     raw_roles = doc.get("roles", {})
-    _require(isinstance(raw_roles, dict), "roles must be an object")
+    if not isinstance(raw_roles, dict):
+        raise FormatError("roles must be an object")
     roles: dict[str, tuple[int, ...]] = {}
     for name, idxs in raw_roles.items():
-        _require(
+        if not (
             isinstance(idxs, list)
-            and all(
-                isinstance(i, int) and not isinstance(i, bool)
-                and 0 <= i < len(cycles)
-                for i in idxs
-            ),
-            f"role {name!r} must list cycle indices",
-        )
+            and all(type(i) is int and 0 <= i < len(cycles) for i in idxs)
+        ):
+            raise FormatError(f"role {name!r} must list cycle indices")
         roles[str(name)] = tuple(idxs)
 
     return ParsedInstance(

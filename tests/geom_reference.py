@@ -7,6 +7,12 @@ Fractions, proper crossings are keyed by their Fraction point, and the
 vertex checks loop over every vertex and segment.  ``validate_reference``
 and ``diagram_reference`` must agree exactly with
 ``validate_general_position`` and ``project_to_diagram``.
+
+``arc_pair_crossings_reference`` is ``geom.arc_pair_crossings`` as it was
+before it settled segment pairs with the pair walk's orientation test:
+every segment pair whose boxes meet goes through ``seg2_relation``,
+``crossing_sign`` and ``seg3_relation``.  It must give the same total, or
+raise the same exception with the same message.
 """
 
 from fractions import Fraction
@@ -21,6 +27,8 @@ from dilink.geom import (
     _closed_segments,
     _gather_segments,
     crossing_sign,
+    seg2_relation,
+    seg3_relation,
 )
 
 
@@ -262,3 +270,30 @@ def diagram_reference(loop_points):
         raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
     raw.sort(key=lambda c: (c.over, c.under))
     return LinkDiagram(loops=loops, crossings=tuple(raw))
+
+
+def arc_pair_crossings_reference(e, points_e, f, points_f):
+    """Signed crossing count of the projections of arcs e and f, given as
+    point sequences, each segment pair decided by the general predicates."""
+    def boxed(points):
+        return [
+            (p, q, min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
+            for p, q in zip(points, points[1:])
+        ]
+
+    total = 0
+    for pa, qa, ax0, ay0, ax1, ay1 in boxed(points_e):
+        for pb, qb, bx0, by0, bx1, by1 in boxed(points_f):
+            if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+                continue
+            kind, data = seg2_relation(pa, qa, pb, qb)
+            if kind == "proper":
+                total += crossing_sign(pa, qa, pb, qb, *data)[1]
+            elif kind != "none":
+                if seg3_relation(pa, qa, pb, qb)[0] != "none":
+                    raise DisjointnessViolated(f"arcs {e} and {f} meet in space")
+                raise DegenerateProjection(
+                    f"arcs {e} and {f} {kind} in projection",
+                    (Violation("projection-" + kind, (e, f)),),
+                )
+    return total

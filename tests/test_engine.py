@@ -235,6 +235,33 @@ class TestBigZ:
         for i in res.index_set:
             assert omega(zl, realize(xs[i], inst.embedding)) == 1
 
+    @pytest.mark.parametrize("intervals,queries", [
+        # n diagonal, 2n connector and 2n replay queries: the shortcut's
+        # z is the connector, whose parities are already known
+        (None, 5 * 2),
+        # the heavy path adds the (2n)^2 parity matrix and 2n for its z
+        ([(0, 1), (0, 1), (2, 3), (2, 3)], 7 * 2 + 16),
+    ], ids=["shortcut", "heavy"])
+    def test_lk_queries_of_a_command(self, monkeypatch, intervals, queries):
+        inst = big_z_instance(2, intervals=intervals)
+        js, xs = list(inst.role("keys")), list(inst.role("rings"))
+        calls = []
+        lk = LinkTable.lk
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return lk(self, a, b)
+
+        monkeypatch.setattr(LinkTable, "lk", counted)
+        table = LinkTable(inst.embedding)
+        res = big_z(js, xs, table)
+        replay_certificate(res.certificate, table)
+        assert res.certificate.choices["shortcut"] is (intervals is None)
+        assert len(calls) == queries
+        monkeypatch.undo()
+        fresh = LinkTable(inst.embedding)
+        assert res.certificate.checks["z_parities"] == [fresh.omega(res.z, x) for x in xs]
+
     def test_rejects_odd_family_sizes(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         with pytest.raises(HypothesisViolated, match="2n chained cycles"):

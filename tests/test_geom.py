@@ -36,10 +36,12 @@ from dilink.geom import (
     shear_points,
     validate_general_position,
 )
-from dilink.workbench.generators import lemma1_dk6m
+from dilink.engine import big_z, replay_certificate
+from dilink.invariants import LinkTable
+from dilink.workbench.generators import big_z_instance, lemma1_dk6m
 
 from conftest import hand_hopf, square_loop, tiny_embedding
-from geom_reference import diagram_reference, validate_reference
+from geom_reference import arc_pair_crossings_reference, diagram_reference, validate_reference
 
 P = Point3
 
@@ -488,6 +490,14 @@ def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bi
     # on a complete digraph's embedding every pair is decided by the
     # walk's fast path: a strict side, a proper crossing, a joint or a fork
     # at a permitted end
+    calls = _count_calls(monkeypatch, "seg2_relation", "seg3_relation")
+    assert validate_general_position(lemma1_dk6m(2, seed=5).embedding).ok
+    assert calls == []
+
+
+def _count_calls(monkeypatch, *names):
+    """Record in the returned list the name of each call to the named
+    ``geom`` functions."""
     calls = []
 
     def counted(name, fn):
@@ -496,10 +506,57 @@ def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bi
             return fn(*args)
         return run
 
-    for name in ("seg2_relation", "seg3_relation"):
+    for name in names:
         monkeypatch.setattr(geom, name, counted(name, getattr(geom, name)))
-    assert validate_general_position(lemma1_dk6m(2, seed=5).embedding).ok
-    assert calls == []
+    return calls
+
+
+def test_big_z_settles_every_arc_pair_in_the_walk(monkeypatch):
+    # a bigz and its replay on a valid instance: every segment pair is a
+    # strict side, a proper crossing or a joint
+    calls = _count_calls(monkeypatch, "seg2_relation", "seg3_relation", "crossing_sign")
+    inst = big_z_instance(16, seed=5)
+    table = LinkTable(inst.embedding)
+    res = big_z(inst.role("keys"), inst.role("rings"), table)
+    replay_certificate(res.certificate, table)
+    assert table._pairs and calls == []
+
+
+def _random_arc(rng, n):
+    # small coordinates, so vertical segments, shared lines, end touches
+    # and meets in space are common; no point repeats the one before it
+    pts = [P(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))]
+    while len(pts) < n:
+        p = P(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
+        if p != pts[-1]:
+            pts.append(p)
+    return pts
+
+
+def test_arc_pair_crossings_match_the_reference():
+    rng = random.Random(20181)
+    seen = set()
+    for _ in range(3000):
+        pe, pf = _random_arc(rng, rng.randint(2, 4)), _random_arc(rng, rng.randint(2, 4))
+        outcomes = []
+        for fn, args in ((arc_pair_crossings, (arc_strands("e", pe), arc_strands("f", pf))),
+                         (arc_pair_crossings_reference, ("e", pe, "f", pf))):
+            try:
+                outcomes.append(("total", fn(*args)))
+            except DilinkError as ex:
+                outcomes.append((type(ex), str(ex), getattr(ex, "violations", None)))
+        assert outcomes[0] == outcomes[1], (pe, pf)
+        got = outcomes[0]
+        if got[0] == "total":
+            seen.add("crossings" if got[1] else "no crossings")
+        elif got[0] is DegenerateProjection:
+            seen.add(got[2][0].kind)
+        else:
+            seen.add(got[1])
+    # every branch was taken
+    assert seen == {"crossings", "no crossings", "arcs e and f meet in space",
+                    "segments meet in space where their projections cross",
+                    "projection-touch", "projection-overlap"}
 
 
 def test_seg3_endpoint_meets_return_the_endpoint():

@@ -161,6 +161,50 @@ class TestWithChain:
 # file format
 
 
+_BOX = 2**30  # grid13's box; its vertex 0 sits at (40, 40, 0)
+
+# (path into grid13's document, value set there, the error it raises as
+# (type name, message))
+_MALFORMED = {
+    "coordinate-true": (("vertices", 1, 2), True,
+                        ("FormatError", "vertex 1 must be a list of three integers")),
+    "coordinate-float": (("vertices", 0, 0), 1.5,
+                         ("FormatError", "vertex 0 must be a list of three integers")),
+    "point-of-two": (("edges", 3, "bends"), [[0, 0]],
+                     ("FormatError", "edge 3 bend 0 must be a list of three integers")),
+    "bend-coordinate-false": (("edges", 3, "bends"), [[0, 0, 1], [0, False, 2]],
+                              ("FormatError", "edge 3 bend 1 must be a list of three integers")),
+    "bends-not-a-list": (("edges", 2, "bends"), {},
+                         ("FormatError", "edge 2 bends must be a list")),
+    "tail-bool": (("edges", 1, "tail"), True,
+                  ("FormatError", "edge 1 tail must name a vertex")),
+    "tail-out-of-range": (("edges", 1, "tail"), 16,
+                          ("FormatError", "edge 1 tail must name a vertex")),
+    "head-negative": (("edges", 1, "head"), -1,
+                      ("FormatError", "edge 1 head must name a vertex")),
+    "loop-edge": (("edges", 1, "head"), 0, ("FormatError", "edge 1 is a loop")),
+    "duplicate-edge": (("edges", 6), {"tail": 4, "head": 5, "bends": []},
+                       ("FormatError", "edge (4,5) appears twice")),
+    "repeated-point": (("edges", 0, "bends"), [[40, 40, 0]],
+                       ("FormatError", "edge 0 (0,1): polyline repeats a point consecutively")),
+    "vertices-coincide": (("vertices", 2), [40, 40, 0],
+                          ("FormatError", "vertices 0 and 2 coincide")),
+    "cycle-vertex-out-of-range": (("cycles", 1, "vertices", 0), 16,
+                                  ("FormatError", "cycle 1 vertices must name vertices")),
+    "edge-choice-two": (("cycles", 0, "edge_choices", 1), 2,
+                        ("FormatError", "cycle 0 edge_choices must be 0/1 flags")),
+    "orientation-zero": (("cycles", 2, "orientation"), 0,
+                         ("FormatError", "cycle 2 orientation must be +1 or -1")),
+    "role-out-of-range": (("roles", "rings"), [3, 4],
+                          ("FormatError", "role 'rings' must list cycle indices")),
+    # the box is the embedding's check, not the file format's
+    "vertex-outside-box": (("vertices", 5, 1), -_BOX - 1,
+                           ("CoordinateOverflow", f"vertex 5 outside box {_BOX}")),
+    "bend-outside-box": (("edges", 3, "bends"), [[0, _BOX + 1, 0]],
+                         ("CoordinateOverflow", "arc of (2,3) leaves box")),
+}
+
+
 class TestSerialization:
     def roundtrip(self, inst, cycles=(), orientations=None, roles=None):
         text = serialize_instance(inst.embedding, cycles, orientations, roles)
@@ -284,6 +328,27 @@ class TestSerialization:
         with pytest.raises(FormatError, match="cycle 0"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("path,value,error", _MALFORMED.values(), ids=list(_MALFORMED))
+    def test_parse_error_messages_are_exact(self, grid13, path, value, error):
+        cycles, roles = cli._instance_roles(grid13)
+        doc = json.loads(serialize_instance(grid13.embedding, cycles, roles=roles))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(Exception) as info:
+            parse_instance(json.dumps(doc))
+        assert (type(info.value).__name__, str(info.value)) == error
+
+    def test_embedding_errors_are_exact(self):
+        a, b = Point3(0, 0, 0), Point3(4, 0, 0)
+        with pytest.raises(TypeError, match="^lattice points need integer coordinates$"):
+            PolyLine([Point3(1.5, 0, 0), b])
+        with pytest.raises(ValueError, match=r"^arc of \(0,1\) does not join its endpoints$"):
+            SpatialEmbedding({0: a, 1: b}, {(0, 1): PolyLine([a, Point3(4, 1, 0)])})
+        with pytest.raises(ValueError, match=r"^arc of \(0,1\) does not join its endpoints$"):
+            SpatialEmbedding({0: a, 1: b}, {(0, 1): PolyLine([b, a])})
+
     def test_save_and_load(self, grid13, tmp_path):
         path = tmp_path / "inst.json"
         cycles = list(grid13.role("keys")) + list(grid13.role("rings"))
@@ -369,6 +434,47 @@ def test_chained_gen_files_match_their_digests(capsys, tmp_path, kind, digest):
     code, _ = run_cli(capsys, "gen", "--kind", *kind, "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of each command's report with timing_s removed, the commands run
+# in order in one directory; a speed-up must leave every report byte for
+# byte as it was
+REPORT_GOLDEN = {
+    "bigz-d1": ([["gen", "--kind", "big_z", "--n", "4", "--seed", "3", "--out", "bz.json"],
+                 ["validate", "bz.json"],
+                 ["bigz", "bz.json"]],
+                "961a9d0191df3c92dcccc5e2c6057cb8a38726a804ec1684e04c1018ee56870a"),
+    "bigz-d2": ([["gen", "--kind", "big_z", "--n", "4", "--seed", "3", "--delta", "2",
+                  "--out", "bz.json"],
+                 ["bigz", "bz.json", "--delta", "2"]],
+                "29423b3f316161aefff190e6398660313f41fe98a140b0d80ec1237cbcc791c1"),
+    # seed 9's connector links too few rings: the heavy path
+    "bigz-heavy": ([["gen", "--kind", "big_z", "--n", "4", "--seed", "9", "--out", "bz.json"],
+                    ["bigz", "bz.json"]],
+                   "b472d9a9df84b6a7466a349006a094b7eb581c044a71026c4cda7cfeb3755d35"),
+    "lemma1": ([["gen", "--kind", "lemma1_dk6m", "--m", "1", "--out", "l1.json"],
+                ["lemma1", "l1.json"]],
+               "bdfa04afc0b32a6b020a135d1ad91e09bb15559fa9d4978915f8634d5bea551e"),
+    "knot": ([["gen", "--kind", "braid", "--word", "1,-2,1,-2", "--p", "3", "--out", "k.json"],
+              ["invariants", "k.json"],
+              ["pattern", "k.json", "--with-knots"]],
+             "2bd2089601c16d3f5a18e0969128e9fd71779c395a45b72771270b7df4f6b530"),
+    "search-l7": ([["gen", "--kind", "coiled_braid", "--lambda", "3", "--out", "cb.json"],
+                   ["search-l7", "cb.json", "--lambda", "3"]],
+                  "fd95cb92b5fd1fa0b932cfecbf03908aefffebab5715f779568d0b3609e06aa2"),
+}
+
+
+@pytest.mark.parametrize("commands,digest", REPORT_GOLDEN.values(), ids=list(REPORT_GOLDEN))
+def test_reports_match_their_digests(capsys, tmp_path, monkeypatch, commands, digest):
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for argv in commands:
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0, rep.get("error")
+        del rep["timing_s"]
+        reports.append(json.dumps(rep, indent=2))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == digest
 
 
 class TestCliPipelines:
