@@ -303,15 +303,18 @@ _Seg = tuple  # (owner, index, p, q) with owner hashable
 _pair = itemgetter(0, 1)  # the (i, j) of a pair walk entry
 
 
-def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of segments whose closed xy bounding boxes
-    meet, each once, in sweep order; callers that need pair order sort what
-    they keep.  Segments that meet in space meet in projection, so the
-    pairs serve the 3D checks too.
+def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, list[int]]]:
+    """Segment indices in sweep order, each with the indices of the
+    segments after it in sweep order whose closed xy boxes meet its own,
+    when there are any.  So each pair whose boxes meet comes once, under
+    whichever of its two segments the sweep reaches first.  Segments that
+    meet in space meet in projection, so the pairs serve the 3D checks too.
 
     Sort and sweep: boxes ordered by low x, each scanned against the boxes
     after it whose low x is at most its high x; y is compared directly.
     A point enters as a segment from itself to itself, a zero-size box.
+    A point of the projection that lies on several segments lies in the
+    window of the first of them in sweep order, with all the others.
     """
     boxes = []
     for i, (_, _, p, q) in enumerate(segs):
@@ -321,21 +324,25 @@ def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, int]]:
     boxes.sort()
     lows = [b[0] for b in boxes]
     for a, (_, x1, y0, y1, i) in enumerate(boxes):
-        for _, _, by0, by1, j in boxes[a + 1:bisect_right(lows, x1, a + 1)]:
-            if by0 <= y1 and y0 <= by1:
-                yield (i, j) if i < j else (j, i)
+        hi = bisect_right(lows, x1, a + 1)
+        if hi > a + 1:
+            window = []
+            for _, _, by0, by1, j in boxes[a + 1:hi]:
+                if by0 <= y1 and y0 <= by1:
+                    window.append(j)
+            if window:
+                yield i, window
 
 
 def _pair_walk(
-    segs: Sequence[_Seg], points: Sequence[_Seg], ends: dict
+    segs: Sequence[_Seg], points: Sequence[_Seg], ends: dict, crossings: list | None
 ) -> tuple[list, list, list]:
-    """Space meets and projection events of the segment pairs whose xy
-    boxes meet, and the (point, segment) pairs whose boxes meet, in one
-    sweep.  Returns three lists, in no particular order:
-      crossings  ``(i, j, t_num, u_num, den, key)`` for each transversal
-                 crossing of segments i < j, parameters as
-                 :func:`seg2_relation` gives them and ``key`` the crossing's
-                 (x, y) as the integer triple (x*d, y*d, d) with the least d
+    """Space meets, projection events and triple points of the segment
+    pairs whose xy boxes meet, and the (point, segment) pairs whose boxes
+    meet, in one sweep.  ``crossings``, unless None, receives
+    ``(i, j, t_num, u_num, den)`` for each transversal crossing of segments
+    i < j, parameters as :func:`seg2_relation` gives them.  Returns three
+    lists, in no particular order:
       events     ``(i, j, kind, data)`` with kind
                    "meet"     the segments meet in space off the points the
                               contact rule below permits; ``data`` is the
@@ -344,6 +351,10 @@ def _pair_walk(
                    "overlap"  does not permit, ``data`` as
                               :func:`seg2_relation` gives it
       hits       ``(k, i)``: point k's box meets segment i's
+      triples    ``((i, j), (k, l), point)`` for each point of the
+                 projection where more than one transversal crossing lies:
+                 its first two crossings in pair order, and the point as
+                 two Fractions
 
     Each owner's segments come in order along it, each starting where the
     one before ends; an owner whose last segment ends where its first
@@ -364,6 +375,15 @@ def _pair_walk(
     is a touch, an overlap or a vertical segment, and goes to
     :func:`seg2_relation`, :func:`seg3_relation` and the rule.  So a valid
     embedding builds no Fraction here.
+
+    Triple points are found one outer segment f at a time: f's window
+    holds every later segment through any point X inside f, so the first
+    segment through X in sweep order sees all of them.  More than one
+    crossing lies at X iff that segment crosses two segments at X, or
+    crosses one there and runs on one line in projection with another
+    that has X inside it.  f keeps its crossings only until its window is
+    done, grouped by their reduced parameter along f, so memory stays
+    proportional to the most crossings on one segment.
     """
     n = len(segs)
     recs = []
@@ -380,72 +400,134 @@ def _pair_walk(
             p[0], p[1], p[2], q[0] - p[0], q[1] - p[1], q[2] - p[2],
             owner, nxt, p, q, p in near, q in near,
         ))
-    crossings, events, hits = [], [], []
-    for i, j in _candidate_pairs([*segs, *points]):
-        if j >= n:
-            if i < n:
-                hits.append((j - n, i))
+    events, hits, triples = [], [], []
+    found = set()  # the points of triples, each reported once
+    for f, window in _candidate_pairs([*segs, *points]):
+        if f >= n:
+            hits += [(f - n, g) for g in window if g < n]
             continue
-        pax, pay, paz, dxa, dya, dza, oa, na, pa, qa, fpa, fqa = recs[i]
-        pbx, pby, pbz, dxb, dyb, dzb, ob, nb, pb, qb, fpb, fqb = recs[j]
-        wx, wy = pbx - pax, pby - pay
-        # twice the signed areas of (pa, qa, pb), (pa, qa, qb), (pb, qb, pa)
-        # and (pb, qb, qa), as qb - pa = w + db and qa - pb = da - w
-        o_r = dxa * wy - dya * wx
-        o_s = dxa * (wy + dyb) - dya * (wx + dxb)
-        if (o_r > 0 and o_s > 0) or (o_r < 0 and o_s < 0):
-            continue
-        o_p = wx * dyb - wy * dxb
-        o_q = o_p - o_s + o_r
-        if (o_p > 0 and o_q > 0) or (o_p < 0 and o_q < 0):
-            continue
-        if o_r and o_s and o_p and o_q:
-            # a proper crossing, at t = t_num/den along a and u = u_num/den
-            # along b
-            den = o_s - o_r
-            t_num, u_num = (-o_p, o_r) if den < 0 else (o_p, -o_r)
-            if den < 0:
-                den = -den
-            if paz * den + t_num * dza == pbz * den + u_num * dzb:
-                events.append((i, j, "meet", seg3_relation(pa, qa, pb, qb)[1]))
-            x = pax * den + t_num * dxa
-            y = pay * den + t_num * dya
-            g = gcd(x, y, den)
-            crossings.append((i, j, t_num, u_num, den, (x // g, y // g, den // g)))
-            continue
-        if j == na or i == nb:
-            # consecutive segments: at their joint, not folding back on
-            # one line in projection
-            if o_r or o_s or dxa * dxb + dya * dyb > 0:
+        pax, pay, paz, dxa, dya, dza, oa, na, pa, qa, fpa, fqa = recs[f]
+        at = None  # f's crossings: reduced parameter along f -> a partner
+        again = []  # (parameter, partner) for each further crossing there
+        lines = []  # segments on f's line in projection
+        for g in window:
+            if g >= n:
+                hits.append((g - n, f))
                 continue
-        elif (o_r or o_s) and oa != ob:
-            # the ends are not all collinear in projection, so a shared end
-            # is the only one
-            if (fpa and (pa == pb and fpb or pa == qb and fqb)) or (
-                fqa and (qa == pb and fpb or qa == qb and fqb)
-            ):
+            pbx, pby, pbz, dxb, dyb, dzb, ob, nb, pb, qb, fpb, fqb = recs[g]
+            wx, wy = pbx - pax, pby - pay
+            # twice the signed areas of (pa, qa, pb), (pa, qa, qb), (pb, qb,
+            # pa) and (pb, qb, qa), as qb - pa = w + db and qa - pb = da - w,
+            # with a the outer segment f and b the segment g in its window
+            o_r = dxa * wy - dya * wx
+            o_s = dxa * (wy + dyb) - dya * (wx + dxb)
+            if (o_r > 0 and o_s > 0) or (o_r < 0 and o_s < 0):
                 continue
-        kind, data = seg2_relation(pa, qa, pb, qb)
-        if kind == "none":
-            continue
-        # the contact rule: the joint of consecutive segments, or an end
-        # of two owners that both flag it
-        if j == na or i == nb:
-            ok = (qa if j == na else pa,)
-        else:
-            ok = [x for x, fx in ((pa, fpa), (qa, fqa))
-                  if fx and oa != ob and (x == pb and fpb or x == qb and fqb)]
-        kind3, pt = seg3_relation(pa, qa, pb, qb)
-        if kind3 != "none" and not (kind3 == "point" and pt in ok):
-            events.append((i, j, "meet", pt))
-        if kind == "overlap" or all(data != (a[0], a[1]) for a in ok):
-            events.append((i, j, kind, data))
-    return crossings, events, hits
+            o_p = wx * dyb - wy * dxb
+            o_q = o_p - o_s + o_r
+            if (o_p > 0 and o_q > 0) or (o_p < 0 and o_q < 0):
+                continue
+            if o_r and o_s and o_p and o_q:
+                # a proper crossing, at t = t_num/den along f and
+                # u = u_num/den along g
+                den = o_s - o_r
+                t_num, u_num = (-o_p, o_r) if den < 0 else (o_p, -o_r)
+                if den < 0:
+                    den = -den
+                if paz * den + t_num * dza == pbz * den + u_num * dzb:
+                    i, j = (f, g) if f < g else (g, f)
+                    pt = seg3_relation(*recs[i][8:10], *recs[j][8:10])[1]
+                    events.append((i, j, "meet", pt))
+                if crossings is not None:
+                    crossings.append(
+                        (f, g, t_num, u_num, den) if f < g else (g, f, u_num, t_num, den)
+                    )
+                d = gcd(t_num, den)
+                key = (t_num // d, den // d)
+                if at is None:
+                    at = {key: g}
+                elif key in at:
+                    again.append((key, g))
+                else:
+                    at[key] = g
+                continue
+            if g == na or f == nb:
+                # consecutive segments: at their joint, not folding back on
+                # one line in projection
+                if o_r or o_s or dxa * dxb + dya * dyb > 0:
+                    continue
+            elif (o_r or o_s) and oa != ob:
+                # the ends are not all collinear in projection, so a shared
+                # end is the only one
+                if (fpa and (pa == pb and fpb or pa == qb and fqb)) or (
+                    fqa and (qa == pb and fpb or qa == qb and fqb)
+                ):
+                    continue
+            if not (o_r or o_s):
+                lines.append(g)
+            events += _contact(f, g, recs) if f < g else _contact(g, f, recs)
+        if at is not None and (again or lines):
+            triples += _triples_on(f, recs, at, again, lines, found)
+    return events, hits, triples
 
 
-def _rational_point(key: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
-    x, y, d = key
-    return (Fraction(x, d), Fraction(y, d))
+def _contact(i: int, j: int, recs: list) -> list:
+    """The events of :func:`_pair_walk` for segments i < j that touch,
+    overlap or are vertical: the general predicates and the contact rule,
+    which permits the joint of consecutive segments, or an end of two
+    owners that both flag it."""
+    _, _, _, _, _, _, oa, na, pa, qa, fpa, fqa = recs[i]
+    _, _, _, _, _, _, ob, nb, pb, qb, fpb, fqb = recs[j]
+    kind, data = seg2_relation(pa, qa, pb, qb)
+    if kind == "none":
+        return []
+    if j == na or i == nb:
+        ok = (qa if j == na else pa,)
+    else:
+        ok = [x for x, fx in ((pa, fpa), (qa, fqa))
+              if fx and oa != ob and (x == pb and fpb or x == qb and fqb)]
+    out = []
+    kind3, pt = seg3_relation(pa, qa, pb, qb)
+    if kind3 != "none" and not (kind3 == "point" and pt in ok):
+        out.append((i, j, "meet", pt))
+    if kind == "overlap" or all(data != (a[0], a[1]) for a in ok):
+        out.append((i, j, kind, data))
+    return out
+
+
+def _triples_on(f: int, recs: list, at: dict, again: list, lines: list, found: set) -> list:
+    """The triples of :func:`_pair_walk` at the crossings on segment f:
+    ``at`` maps each reduced parameter (t, d) along f where f crosses a
+    segment to one such segment, ``again`` holds the further ones, and
+    ``lines`` the segments on f's line in projection.  A point already in
+    ``found`` was reported from an earlier segment through it."""
+    px, py, _, dx, dy = recs[f][:5]
+    length = dx * dx + dy * dy
+    out = []
+    for key, g in at.items():
+        t, d = key
+        through = [f, g, *(h for k, h in again if k == key)]
+        for h in lines:
+            # h's ends along f's line, against the point at t*length
+            r = recs[h]
+            s0 = (r[0] - px) * dx + (r[1] - py) * dy
+            s1 = s0 + r[3] * dx + r[4] * dy
+            if min(s0, s1) * d < t * length < max(s0, s1) * d:
+                through.append(h)
+        if len(through) < 3:
+            continue
+        point = (Fraction(px * d + t * dx, d), Fraction(py * d + t * dy, d))
+        if point in found:
+            continue
+        found.add(point)
+        # the crossings there: the pairs that are not parallel in projection
+        pairs = sorted(
+            (a, b) if a < b else (b, a)
+            for k, a in enumerate(through) for b in through[k + 1:]
+            if recs[a][3] * recs[b][4] != recs[a][4] * recs[b][3]
+        )
+        out.append((pairs[0], pairs[1], point))
+    return out
 
 
 def _gather_segments(
@@ -465,13 +547,15 @@ def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
     An empty report means the embedding is accepted by every downstream
     operation: arcs meet only at shared endpoint vertices, no segment is
     vertical, and the z-projection has only transversal double points away
-    from vertices and bends.
+    from vertices and bends.  Crossings are checked where the sweep finds
+    them and not kept, so memory grows with the segments, not with the
+    crossings.
     """
     segs = _gather_segments(emb.arcs)
     # vertices join the box sweep as zero-size boxes
     points = [(v, None, pos, pos) for v, pos in sorted(emb.vertices.items())]
     ends = {k: (a.points[0], a.points[-1]) for k, a in emb.arcs.items()}
-    crossings, events, hits = _pair_walk(segs, points, ends)
+    events, hits, triples = _pair_walk(segs, points, ends, None)
     events.sort(key=_pair)
     hits.sort()
     violations: list[Violation] = []
@@ -506,11 +590,11 @@ def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
             violations.append(Violation("vertex-on-arc-3d", (v, arc, i), f"vertex {v}"))
 
     violations += contacts
-    for first, second in _repeated_points(crossings):
+    for first, second, pt in sorted(triples):
         violations.append(Violation(
             "triple-point",
             (*segs[first[0]][:2], *segs[first[1]][:2], *segs[second[0]][:2], *segs[second[1]][:2]),
-            f"at {_rational_point(first[5])}",
+            f"at {pt}",
         ))
 
     # projected vertices on non-incident strands
@@ -523,19 +607,6 @@ def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
             )
 
     return ValidationReport(tuple(violations))
-
-
-def _repeated_points(crossings: list) -> list[list[tuple]]:
-    """For each point where more than one crossing of :func:`_pair_walk`
-    lies, its first two crossings in pair order, ordered by the first."""
-    first: dict[tuple[int, int, int], tuple] = {}
-    more: dict[tuple[int, int, int], list] = {}
-    for c in crossings:
-        f = first.setdefault(c[5], c)
-        if f is not c:
-            more.setdefault(c[5], [f]).append(c)
-    # pairs are distinct, so crossings sort by pair
-    return sorted(sorted(cs)[:2] for cs in more.values())
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +674,7 @@ def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
     simple and pairwise disjoint in space."""
     loops = tuple(tuple(lp) for lp in loop_points)
     all_segs = _closed_segments(loops)
-    _raise_first_meet(all_segs, _pair_walk(all_segs, (), {})[1])
+    _raise_first_meet(all_segs, _pair_walk(all_segs, (), {}, None)[0])
 
 
 def _raise_first_meet(all_segs: Sequence[_Seg], events: list) -> None:
@@ -735,34 +806,39 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
                 (Violation("vertical-segment", (li, i)),),
             )
 
-    crossings, events, _ = _pair_walk(all_segs, (), {})
+    crossings: list = []
+    events, _, triples = _pair_walk(all_segs, (), {}, crossings)
     # a space meet wins over any degenerate contact; of those, the first in
     # pair order is raised: a touch or overlap, or the second crossing at
     # one point
     _raise_first_meet(all_segs, events)
     bad = [(i, j, "projection-" + kind, None) for i, j, kind, _ in events]
-    bad += [(c[0], c[1], "triple-point", c[5]) for _, c in _repeated_points(crossings)]
+    bad += [(*second, "triple-point", pt) for _, second, pt in triples]
     if bad:
-        i, j, kind, key = min(bad)
+        i, j, kind, pt = min(bad)
         where = (*all_segs[i][:2], *all_segs[j][:2])
-        if key is None:
+        if pt is None:
             text = (
                 f"non-transversal contact between loop {where[0]} seg {where[1]} "
                 f"and loop {where[2]} seg {where[3]}"
             )
         else:
-            pt = _rational_point(key)
             text = f"triple point at ({pt[0]},{pt[1]})"
         raise DegenerateProjection(text, (Violation(kind, where),))
 
     raw: list[Crossing] = []
-    for i, j, t_num, u_num, den, key in crossings:
+    for i, j, t_num, u_num, den in crossings:
         sa, sb = all_segs[i], all_segs[j]
         a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
         pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
         over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
-        raw.append(Crossing(over=over, under=under, sign=sign, point=_rational_point(key)))
+        pa, qa = sa[2], sa[3]
+        point = (
+            Fraction(pa[0] * den + t_num * (qa[0] - pa[0]), den),
+            Fraction(pa[1] * den + t_num * (qa[1] - pa[1]), den),
+        )
+        raw.append(Crossing(over=over, under=under, sign=sign, point=point))
     raw.sort(key=lambda c: (c.over, c.under))
     return LinkDiagram(loops=loops, crossings=tuple(raw))
 

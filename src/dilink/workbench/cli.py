@@ -409,6 +409,15 @@ def _cmd_thm1_step(args, rep: dict) -> None:
     qs = list(inst.roles.get("Q", ()))
     if not p1 or not p2:
         raise FormatError("instance file lacks the two class roles")
+    # each big class has s = m + (2m+n)(2λ+1)3^m 2^(m+n) cycles, n = |Q|
+    m, lam, n = args.m, args.lam, len(qs)
+    s = m + (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
+    for name, cls in (("rings", p1), ("keys", p2)):
+        if len(cls) != s:
+            raise FormatError(
+                f"thm1-step --m {m} --lambda {lam} needs {s} {name} with {n} "
+                f"singletons, file has {len(cls)}"
+            )
     res = theorem1_step(
         LinkTable(inst.embedding),
         inst.cycles,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from dilink.digraph import DiCycle
-from dilink.errors import FormatError, NotACycle
+from dilink.errors import CoordinateOverflow, FormatError, NotACycle
 from dilink.geom import Point3, PolyLine, SpatialEmbedding
 
 __all__ = [
@@ -112,7 +112,8 @@ def parse_instance(text: str) -> ParsedInstance:
     """Parse canonical JSON text back into an instance.
 
     Structural problems (bad JSON, wrong version, missing fields,
-    non-integer coordinates, dangling references) raise FormatError;
+    non-integer coordinates, coordinates outside ``box``, dangling
+    references) raise FormatError;
     geometric validity is the caller's concern.
     """
     try:
@@ -169,7 +170,7 @@ def parse_instance(text: str) -> ParsedInstance:
 
     try:
         emb = SpatialEmbedding(vertices=vertices, arcs=arcs, box=box)
-    except ValueError as ex:
+    except (ValueError, CoordinateOverflow) as ex:
         raise FormatError(str(ex)) from ex
 
     raw_cs = doc.get("cycles", [])

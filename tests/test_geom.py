@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -274,8 +275,11 @@ def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
 
 
 def _assert_pairs_match(segs):
-    # the sweep yields each pair once, in no set order
-    pairs = list(_candidate_pairs(segs))
+    # the sweep yields each pair once, under the first of its two segments
+    # in sweep order, and each segment at most once
+    swept = list(_candidate_pairs(segs))
+    assert len({i for i, _ in swept}) == len(swept)
+    pairs = [(i, j) if i < j else (j, i) for i, window in swept for j in window]
     assert len(set(pairs)) == len(pairs)
     assert sorted(pairs) == _brute_pairs(segs)
 
@@ -441,7 +445,43 @@ _bend_at_tail = SpatialEmbedding(
 )
 
 
+def _straight_arcs(*ends):
+    """An embedding whose arcs are the given straight segments, one arc
+    each, with a vertex at every end."""
+    ids: dict = {}
+    for p, q in ends:
+        ids.setdefault(p, len(ids))
+        ids.setdefault(q, len(ids))
+    return SpatialEmbedding(
+        {v: p for p, v in ids.items()},
+        {(ids[p], ids[q]): PolyLine([p, q]) for p, q in ends},
+        box=16,
+    )
+
+
+# one crossing on the first segment in sweep order at (11/2, 0); the
+# second crossing there is on a segment that runs on its line in
+# projection, so grouping its crossings by parameter alone finds one
+_collinear_partner = _straight_arcs(
+    (P(0, 0, 0), P(10, 0, 0)), (P(2, 0, 5), P(12, 0, 5)), (P(5, -5, 2), P(6, 5, 2))
+)
+# four segments through (2, 2), six crossings there
+_four_through = _straight_arcs(
+    (P(0, 0, 0), P(4, 4, 0)), (P(0, 4, 1), P(4, 0, 1)),
+    (P(2, 0, 2), P(2, 4, 2)), (P(0, 2, 3), P(4, 2, 3)),
+)
+# the first segment crosses two at (6, 0), and so does the segment on its
+# line that comes after it in sweep order: the point is reported once
+_found_again = _straight_arcs(
+    (P(0, 0, 0), P(10, 0, 0)), (P(2, 0, 5), P(12, 0, 5)),
+    (P(5, -5, 2), P(7, 5, 2)), (P(6, -3, 3), P(6, 3, 4)),
+)
+
+
 @given(emb=_cube_embeddings())
+@example(emb=_collinear_partner)
+@example(emb=_four_through)
+@example(emb=_found_again)
 @example(emb=_triple)
 @example(emb=_fan)
 @example(emb=_meet_at_crossing)
@@ -474,9 +514,40 @@ def _outcome(fn, loops):
 # in one direction, then folding back
 @example(loops=[[P(0, 0, 0), P(2, 0, 1), P(1, 1, 0), P(-2, 0, 2)]])
 @example(loops=[[P(0, 0, 0), P(2, 0, 1), P(1, 1, 0), P(3, 0, 2)]])
+# the triple points of _collinear_partner, _four_through and _found_again,
+# each segment closed into a loop
+@example(loops=[[P(5, -5, 2), P(6, 5, 2), P(6, 9, 2)], [P(0, 0, 0), P(10, 0, 0), P(5, -8, 1)],
+                [P(2, 0, 5), P(12, 0, 5), P(7, 9, 5)]])
+@example(loops=[[P(0, 0, 0), P(4, 4, 0), P(4, -3, 0)], [P(0, 4, 1), P(4, 0, 1), P(-2, -3, 1)],
+                [P(2, 0, 2), P(2, 4, 2), P(9, 9, 2)], [P(0, 2, 3), P(4, 2, 3), P(9, -9, 3)]])
+@example(loops=[[P(5, -5, 2), P(7, 5, 2), P(7, 9, 2)], [P(6, -3, 3), P(6, 3, 4), P(-1, -9, 4)],
+                [P(0, 0, 0), P(10, 0, 0), P(5, -8, 1)], [P(2, 0, 5), P(12, 0, 5), P(7, 9, 5)]])
 @settings(max_examples=300, deadline=None)
 def test_diagram_matches_rational_reference(loops):
     assert _outcome(project_to_diagram, loops) == _outcome(diagram_reference, loops)
+
+
+def test_triple_points_are_reported_once_at_their_first_crossings():
+    for emb, where, point in (
+        (_collinear_partner, ((0, 1), 0, (4, 5), 0, (2, 3), 0, (4, 5), 0), "(11, 2), Fraction(0, 1)"),
+        (_four_through, ((0, 1), 0, (2, 3), 0, (0, 1), 0, (4, 5), 0), "(2, 1), Fraction(2, 1)"),
+        (_found_again, ((0, 1), 0, (4, 5), 0, (0, 1), 0, (6, 7), 0), "(6, 1), Fraction(0, 1)"),
+    ):
+        triples = [v for v in validate_general_position(emb).violations if v.kind == "triple-point"]
+        assert [(v.where, v.detail) for v in triples] == [(where, f"at (Fraction{point})")]
+
+
+def test_validation_memory_stays_small():
+    # lemma1_dk6m(4) has 1 104 segments and tens of thousands of crossings
+    # in projection; validation keeps none of them past their segment
+    emb = lemma1_dk6m(4, seed=7).embedding
+    tracemalloc.start()
+    try:
+        assert validate_general_position(emb).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_validating_a_valid_embedding_builds_no_fraction(monkeypatch, grid13, bigz_n2):

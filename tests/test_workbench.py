@@ -197,11 +197,11 @@ _MALFORMED = {
                          ("FormatError", "cycle 2 orientation must be +1 or -1")),
     "role-out-of-range": (("roles", "rings"), [3, 4],
                           ("FormatError", "role 'rings' must list cycle indices")),
-    # the box is the embedding's check, not the file format's
+    # a coordinate outside the file's box is a format error too
     "vertex-outside-box": (("vertices", 5, 1), -_BOX - 1,
-                           ("CoordinateOverflow", f"vertex 5 outside box {_BOX}")),
+                           ("FormatError", f"vertex 5 outside box {_BOX}")),
     "bend-outside-box": (("edges", 3, "bends"), [[0, _BOX + 1, 0]],
-                         ("CoordinateOverflow", "arc of (2,3) leaves box")),
+                         ("FormatError", "arc of (2,3) leaves box")),
 }
 
 
@@ -675,8 +675,10 @@ class TestCliPipelines:
         code, rep = run_cli(capsys, "thm1-step", path, "--m", "1", "--lambda", "1")
         assert code == 1
         assert rep["ok"] is False
-        assert rep["error"]["type"] == "HypothesisViolated"
-        assert "expected m + 36" in rep["error"]["message"]
+        assert rep["error"]["type"] == "FormatError"
+        assert rep["error"]["message"] == (
+            "thm1-step --m 1 --lambda 1 needs 37 rings with 0 singletons, file has 109"
+        )
 
     def test_gen_verify_l6(self, capsys, tmp_path):
         path = str(tmp_path / "rw.json")
