@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from dilink.digraph import (
     DiCycle,
@@ -47,6 +47,7 @@ from dilink.z2linalg import Z2Matrix, heavy_vector
 
 __all__ = [
     "BigZResult",
+    "BiparCounts",
     "BiparResult",
     "ConstructionCertificate",
     "Lemma1Result",
@@ -55,6 +56,7 @@ __all__ = [
     "Theorem1Result",
     "VerificationReport",
     "big_z",
+    "bipar_counts",
     "bipar_z",
     "conway_gordon_parity",
     "growth_function",
@@ -387,6 +389,22 @@ def _majority_halving(
     return kept, record
 
 
+class BiparCounts(NamedTuple):
+    """How many chained cycles of each family ``bipar_z`` keeps, and how
+    many it needs, over m X targets and n_y Y targets at threshold λ."""
+
+    keep_j: int  # m(2λ+1) first-family cycles
+    keep_l: int  # (m+n_y)(2λ+1) second-family cycles
+    min_r: int   # keep_j · 2^m
+    min_q: int   # keep_l · 3^m · 2^n_y
+
+
+def bipar_counts(m: int, n_y: int, lam: int) -> BiparCounts:
+    keep_j = m * (2 * lam + 1)
+    keep_l = (m + n_y) * (2 * lam + 1)
+    return BiparCounts(keep_j, keep_l, keep_j * 2**m, keep_l * 3**m * 2**n_y)
+
+
 def bipar_z(
     js: Sequence[DiCycle],
     ls: Sequence[DiCycle],
@@ -415,16 +433,14 @@ def bipar_z(
         raise HypothesisViolated("all four families must be nonempty")
     if lam < 0:
         raise HypothesisViolated("threshold must be nonnegative")
-    keep_j_count = m * (2 * lam + 1)
-    keep_l_count = (m + n_y) * (2 * lam + 1)
-    if r < keep_j_count * 2**m:
+    keep_j_count, keep_l_count, min_r, min_q = bipar_counts(m, n_y, lam)
+    if r < min_r:
         raise HypothesisViolated(
-            f"r = {r} < {keep_j_count * 2**m} chained cycles of the first family"
+            f"r = {r} < {min_r} chained cycles of the first family"
         )
-    if q < keep_l_count * 3**m * 2**n_y:
+    if q < min_q:
         raise HypothesisViolated(
-            f"q = {q} < {keep_l_count * 3**m * 2**n_y} chained cycles "
-            f"of the second family"
+            f"q = {q} < {min_q} chained cycles of the second family"
         )
     for fam, name in ((js, "first"), (ls, "second")):
         for i, c in enumerate(fam):
@@ -789,7 +805,8 @@ def theorem1_step(
     if len(p2) != s or s <= m:
         raise HypothesisViolated("both big classes need size s = m + q > m")
     q_count = s - m
-    expected_q = (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
+    # the P2 heads and the singletons are bipar_z's m + n Y targets
+    expected_q = bipar_counts(m, m + n, lam).min_q
     if q_count != expected_q:
         raise HypothesisViolated(
             f"class size {s} = m + {q_count}, expected m + {expected_q}"

@@ -15,7 +15,6 @@ from dilink.workbench.generators import (
     split_seed,
     theorem1_instance,
     torus_style,
-    with_chain,
 )
 from dilink.workbench.serialization import (
     FORMAT_VERSION,
@@ -47,5 +46,4 @@ __all__ = [
     "split_seed",
     "theorem1_instance",
     "torus_style",
-    "with_chain",
 ]

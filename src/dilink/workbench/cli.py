@@ -28,6 +28,7 @@ from dilink.digraph import (
 )
 from dilink.engine import (
     big_z,
+    bipar_counts,
     bipar_z,
     conway_gordon_parity,
     lemma1_find_odd_links,
@@ -286,8 +287,8 @@ def _cmd_lemma1(args, rep: dict) -> None:
 
 def _cmd_bigz(args, rep: dict) -> None:
     inst = load_instance(args.file)
-    js = _role_or(inst, "js", "keys")
-    xs = _role_or(inst, "xs", "rings")
+    js = _role_or(inst, "keys")
+    xs = _role_or(inst, "rings")
     rep["params"].update(delta=args.delta, q_policy=args.q_policy)
     (extras,) = _extras_for_delta(inst, args.delta)
     rep["params"]["extras"] = extras
@@ -322,7 +323,7 @@ def _cmd_bipar(args, rep: dict) -> None:
     keys = _role_or(inst, "keys")
     rings = _role_or(inst, "rings")
     m, n, lam = args.m, args.n, args.lam
-    r = args.r or m * (2 * lam + 1) * 2**m
+    r = args.r or bipar_counts(m, n, lam).min_r
     if len(rings) != m + n:
         raise FormatError(f"need {m + n} rings, file has {len(rings)}")
     if len(keys) <= r:
@@ -411,7 +412,7 @@ def _cmd_thm1_step(args, rep: dict) -> None:
         raise FormatError("instance file lacks the two class roles")
     # each big class has s = m + (2m+n)(2λ+1)3^m 2^(m+n) cycles, n = |Q|
     m, lam, n = args.m, args.lam, len(qs)
-    s = m + (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
+    s = m + bipar_counts(m, m + n, lam).min_q
     for name, cls in (("rings", p1), ("keys", p2)):
         if len(cls) != s:
             raise FormatError(
@@ -439,7 +440,7 @@ def _cmd_thm1_step(args, rep: dict) -> None:
 def _cmd_verify_l6(args, rep: dict) -> None:
     rep["params"]["lam"] = args.lam
     inst = load_instance(args.file)
-    c_cycles = _role_or(inst, "surgeries", "keys")
+    c_cycles = _role_or(inst, "keys")
     a_cycles = _role_or(inst, "targets", "rings")
     if "base" in inst.roles:
         base = inst.role_cycles("base")[0]
@@ -640,9 +641,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # looked up by name at each call, so a handler replaced on the
         # module after the parser was built is the one that runs
         globals()["_cmd_" + args.command.replace("-", "_")](args, rep)
-    except DilinkError as ex:
+    except (DilinkError, MemoryError) as ex:
         rep["ok"] = False
-        rep["error"] = {"type": type(ex).__name__, "message": str(ex)}
+        message = "out of memory" if isinstance(ex, MemoryError) else str(ex)
+        rep["error"] = {"type": type(ex).__name__, "message": message}
         table = getattr(ex, "table", None)
         if table is not None:
             rep["error"]["table"] = table

@@ -1,8 +1,10 @@
 """Builders for embedded instances the rest of the package operates on.
 
 Every generator returns a :class:`GeneratedInstance` whose embedding has
-already passed :func:`dilink.geom.validate_general_position`, so downstream
-code never needs to re-check genericity before projecting.  Structured
+passed :func:`dilink.geom.validate_general_position` once, when it was
+finished, so downstream code never needs to re-check genericity before
+projecting.  A ring/key lattice, with the chain arcs its connector cycles
+close through, is built by one :func:`grid_link` call.  Structured
 builders (stacked ring/key lattices, braid closures) are deterministic;
 the random ones consume a 64-bit seed that is split per purpose with
 labeled hashing so adding a new draw never shifts an existing one.
@@ -23,6 +25,7 @@ from dilink.digraph import (
     directionality,
     extra_count,
 )
+from dilink.engine import bipar_counts
 from dilink.errors import GenerationFailed
 from dilink.geom import (
     Point3,
@@ -47,14 +50,14 @@ __all__ = [
     "split_seed",
     "theorem1_instance",
     "torus_style",
-    "with_chain",
 ]
 
 MAX_RESAMPLES = 64
 
 # largest s (rings, and as many keys, each threading every ring) that
-# theorem1_instance builds; s = 434 takes about 10 s and 250 MiB on a
-# 2-vCPU machine, and time and memory grow about quadratically in s
+# theorem1_instance builds; s = 434 (m = 2, lam = 1, n = 0) takes about
+# 4 s and 150 MiB peak RSS through `gen` on a 2-vCPU x86-64 machine with
+# Python 3.11, and time and memory grow about quadratically in s
 MAX_THEOREM1_SIZE = 512
 
 
@@ -333,21 +336,21 @@ class _Frame:
     planes: tuple[int, ...]
     lane0: int            # first free x-lane for chain arcs
     depth0: int           # z level just below every built corner
-    wrap_reserve: int
 
     @property
     def a_max(self) -> int:
         return self.extents[-1]
 
 
-def _frame(rings: int, keys: int, wrap_reserve: int = 0) -> _Frame:
+def _frame(rings: int, keys: int, wraps: int) -> _Frame:
+    # ring 0's hole makes room for ``wraps`` turns of a wrapped closure
     spacing = 2 * keys + 8
-    e0 = 8 * (keys + wrap_reserve) + 16
+    e0 = 8 * (keys + wraps) + 16
     extents = tuple(e0 + 4 * i for i in range(rings))
     planes = tuple(spacing * i for i in range(rings))
     lane0 = extents[-1] + 2 * keys + 12
     depth0 = -(keys + 10)
-    return _Frame(rings, keys, spacing, extents, planes, lane0, depth0, wrap_reserve)
+    return _Frame(rings, keys, spacing, extents, planes, lane0, depth0)
 
 
 # a ring runs three sides with its traversal and one against, so it is
@@ -401,14 +404,24 @@ def _key_geometry(fr: _Frame, k: int, base: int, lo: int, hi: int):
 def grid_link(
     rings: int,
     keys: Sequence[tuple[int, int]],
-    wrap_reserve: int = 0,
+    chains: Sequence[tuple[Sequence[tuple[str, int]], int, int]] = (),
 ) -> GeneratedInstance:
-    """Stacked rings plus keys threading contiguous ring intervals.
+    """Stacked rings, keys threading contiguous ring intervals, and the
+    arcs of connector cycles chained over them.
 
     ``keys[k] = (lo, hi)`` makes key k link exactly rings lo..hi, each with
     absolute linking number 1; every other pair of built cycles is unlinked.
     The returned table of pairwise linking numbers is recomputed from the
     embedding, not assumed.
+
+    Each chain ``(order, delta, wrap_turns)`` adds the arcs a connector
+    cycle of directionality ``delta`` over ``order``, a list of
+    ("ring"|"key", index) pairs, will traverse: the
+    :func:`dilink.digraph.connector_arcs` of the chained cycles' junctions,
+    laid in its walk order.  A ``delta`` of 4 or more closes through
+    ``delta - 2`` fresh low vertices.  A positive ``wrap_turns`` reroutes
+    the closing arc of a ``delta`` 1 chain through ring 0's hole that many
+    times.  The finished embedding is validated once.
     """
     if rings < 1:
         raise ValueError("need at least one ring")
@@ -417,7 +430,7 @@ def grid_link(
         if not (0 <= lo <= hi < rings):
             raise ValueError(f"key interval ({lo},{hi}) out of range")
 
-    fr = _frame(rings, len(keys), wrap_reserve)
+    fr = _frame(rings, len(keys), max((w for _, _, w in chains), default=0))
     vertices: dict[int, Point3] = {}
     arcs: dict[tuple[int, int], PolyLine] = {}
     ring_cycles: list[DiCycle] = []
@@ -433,21 +446,55 @@ def grid_link(
         key_cycles.append(cyc)
         vertices.update(vs)
         arcs.update(ars)
+    cycles = {"rings": tuple(ring_cycles), "keys": tuple(key_cycles)}
+
+    router = _ChainRouter(fr)
+    records = []
+    extras_laid = 0
+    for order, delta, wrap_turns in chains:
+        if len(order) < 2:
+            raise ValueError("a chain needs at least two cycles")
+        if wrap_turns and delta != 1:
+            raise ValueError("wrapped closures are one-directional only")
+        junctions, corners = _chain_corner_map(cycles, vertices, order)
+        extras: list[int] = []
+        nbase = max(vertices) + 1
+        for j in range(extra_count(delta)):
+            e = extras_laid + j
+            pos = Point3(
+                -(fr.lane0 + 4 * e),
+                -(11 + 4 * e),
+                fr.depth0 - 40 - 4 * e,
+            )
+            vertices[nbase + j] = pos
+            corners[nbase + j] = ("extra", pos, {})
+            extras.append(nbase + j)
+        extras_laid += len(extras)
+        new_arcs = connector_arcs(junctions, delta, extras)
+        for k, (tail, head) in enumerate(new_arcs):
+            if (tail, head) in arcs:
+                raise GenerationFailed(f"chain arc ({tail},{head}) already present")
+            # only a delta 1 chain wraps, and its closing arc comes last
+            wrap = wrap_turns if k == len(new_arcs) - 1 else 0
+            arcs[(tail, head)] = router.route(tail, head, corners, wrap)
+        records.append(
+            {
+                "order": tuple((r, i) for r, i in order),
+                "delta": delta,
+                "extras": tuple(extras),
+                "wrap_turns": wrap_turns,
+                "junctions": tuple(junctions),
+                "arcs": tuple(new_arcs),
+            }
+        )
 
     emb = SpatialEmbedding(vertices, arcs)
     _validated_or_raise(emb, "grid_link")
-
     inst = GeneratedInstance(
         embedding=emb,
-        cycles={"rings": tuple(ring_cycles), "keys": tuple(key_cycles)},
+        cycles=cycles,
         resamples=0,
-        meta={
-            "kind": "grid_link",
-            "threading": tuple(keys),
-            "wrap_reserve": wrap_reserve,
-            "next_track": 0,
-            "chains": [],
-        },
+        meta={"kind": "grid_link", "threading": tuple(keys), "chains": records},
     )
     inst.meta["lk_table"] = _verify_grid_pattern(inst)
     return inst
@@ -567,10 +614,10 @@ def _wrap_points(
 class _ChainRouter:
     """Allocates disjoint lanes, depths, and per-corner offsets for arcs."""
 
-    def __init__(self, fr: _Frame, next_track: int, port_use: dict[int, int]):
+    def __init__(self, fr: _Frame):
         self.fr = fr
-        self.track = next_track
-        self.port_use = dict(port_use)
+        self.track = 0
+        self.port_use: dict[int, int] = {}
 
     def _offset(self, vid: int) -> int:
         o = self.port_use.get(vid, 0) + 1
@@ -584,7 +631,7 @@ class _ChainRouter:
         tail: int,
         head: int,
         corners: dict[int, tuple[str, Point3, dict]],
-        wrap_turns: int = 0,
+        wrap_turns: int,
     ) -> PolyLine:
         lane = self.fr.lane0 + 4 * self.track
         depth = self.fr.depth0 - 2 * self.track
@@ -602,104 +649,26 @@ class _ChainRouter:
 
 
 def _chain_corner_map(
-    inst: GeneratedInstance, order: Sequence[tuple[str, int]]
+    cycles: dict[str, tuple[DiCycle, ...]],
+    vertices: dict[int, Point3],
+    order: Sequence[tuple[str, int]],
 ) -> tuple[list[tuple[int, int]], dict[int, tuple[str, Point3, dict]]]:
     """The (u, w) junctions of the chained cycles, and the corner each
     junction vertex sits on."""
     corners: dict[int, tuple[str, Point3, dict]] = {}
     junctions: list[tuple[int, int]] = []
     for role, idx in order:
-        cyc = inst.cycles[role + "s"][idx]
+        cyc = cycles[role + "s"][idx]
         d = directionality(cyc)
         if d != 2:
             raise GenerationFailed(f"{role} {idx} is {d}-directional, cannot chain")
         u, w = direction_change_vertices(cyc)
         junctions.append((u, w))
         kind = "ring" if role == "ring" else "key"
-        aux = {"a": inst.embedding.vertices[u].x} if kind == "ring" else {}
-        corners[u] = (kind + "_u", inst.embedding.vertices[u], aux)
-        corners[w] = (kind + "_w", inst.embedding.vertices[w], aux)
+        aux = {"a": vertices[u].x} if kind == "ring" else {}
+        corners[u] = (kind + "_u", vertices[u], aux)
+        corners[w] = (kind + "_w", vertices[w], aux)
     return junctions, corners
-
-
-def with_chain(
-    inst: GeneratedInstance,
-    order: Sequence[tuple[str, int]],
-    delta: int = 1,
-    wrap_turns: int = 0,
-) -> GeneratedInstance:
-    """Add the arcs a connector cycle of directionality ``delta`` over
-    ``order`` will traverse.
-
-    ``order`` lists ("ring"|"key", index) pairs.  The arcs are
-    :func:`dilink.digraph.connector_arcs` of the chained cycles' junctions,
-    laid in its walk order; a ``delta`` of 4 or more closes through
-    ``delta - 2`` fresh low vertices.  A positive ``wrap_turns`` reroutes
-    the closing arc of a ``delta`` 1 chain through ring 0's hole that many
-    times.
-    """
-    if len(order) < 2:
-        raise ValueError("a chain needs at least two cycles")
-    if wrap_turns and delta != 1:
-        raise ValueError("wrapped closures are one-directional only")
-    if wrap_turns > inst.meta.get("wrap_reserve", 0):
-        raise ValueError("grid was not built with enough wrap_reserve")
-
-    junctions, corners = _chain_corner_map(inst, order)
-    fr = _frame(
-        len(inst.cycles["rings"]),
-        len(inst.cycles["keys"]),
-        inst.meta.get("wrap_reserve", 0),
-    )
-    vertices = dict(inst.embedding.vertices)
-    arcs = dict(inst.embedding.arcs)
-
-    extras: list[int] = []
-    nbase = max(vertices) + 1
-    used = inst.meta.get("extras_used", 0)
-    for j in range(extra_count(delta)):
-        e = used + j
-        vid = nbase + j
-        pos = Point3(
-            -(fr.lane0 + 4 * e),
-            -(11 + 4 * e),
-            fr.depth0 - 40 - 4 * e,
-        )
-        vertices[vid] = pos
-        corners[vid] = ("extra", pos, {})
-        extras.append(vid)
-
-    router = _ChainRouter(fr, inst.meta.get("next_track", 0), inst.meta.get("port_use", {}))
-    new_arcs = connector_arcs(junctions, delta, extras)
-    for k, (tail, head) in enumerate(new_arcs):
-        if (tail, head) in arcs:
-            raise GenerationFailed(f"chain arc ({tail},{head}) already present")
-        # only a delta 1 chain wraps, and its closing arc comes last
-        wrap = wrap_turns if k == len(new_arcs) - 1 else 0
-        arcs[(tail, head)] = router.route(tail, head, corners, wrap_turns=wrap)
-
-    emb = SpatialEmbedding(vertices, arcs)
-    _validated_or_raise(emb, "with_chain")
-    meta = dict(inst.meta)
-    meta["next_track"] = router.track
-    meta["port_use"] = router.port_use
-    meta["extras_used"] = used + len(extras)
-    meta["chains"] = list(inst.meta.get("chains", ())) + [
-        {
-            "order": tuple((r, i) for r, i in order),
-            "delta": delta,
-            "extras": tuple(extras),
-            "wrap_turns": wrap_turns,
-            "junctions": tuple((u, w) for u, w in junctions),
-            "arcs": tuple(new_arcs),
-        }
-    ]
-    return GeneratedInstance(
-        embedding=emb,
-        cycles=dict(inst.cycles),
-        resamples=inst.resamples,
-        meta=meta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +703,9 @@ def big_z_instance(
         not lo <= i <= hi for i, (lo, hi) in enumerate(intervals)
     ):
         raise ValueError("need one interval per key, each containing its index")
-    inst = grid_link(count, intervals)
-    inst = with_chain(inst, [("key", i) for i in range(count)], target_delta)
+    inst = grid_link(
+        count, intervals, [([("key", i) for i in range(count)], target_delta, 0)]
+    )
     inst.meta["target_delta"] = target_delta
     inst.meta["n"] = n
     return inst
@@ -757,15 +727,13 @@ def bipar_instance(
     """
     if min(m, n, lam, r, q) < 1:
         raise ValueError("all size parameters must be positive")
-    intervals = [(0, m - 1)] * r + [(m, m + n - 1)] * q
-    inst = grid_link(m + n, intervals)
-    keep_j = m * (2 * lam + 1)
-    keep_l = (m + n) * (2 * lam + 1)
+    keep_j, keep_l, _, _ = bipar_counts(m, n, lam)
     if keep_j > r or keep_l > q:
         raise ValueError("r or q too small for the requested m, n, lam")
+    intervals = [(0, m - 1)] * r + [(m, m + n - 1)] * q
     order = [("key", i) for i in range(keep_j)]
     order += [("key", r + j) for j in range(keep_l)]
-    inst = with_chain(inst, order, target_delta)
+    inst = grid_link(m + n, intervals, [(order, target_delta, 0)])
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "r": r, "q": q, "target_delta": target_delta}
     )
@@ -785,10 +753,11 @@ def prop1_instance(n: int, target_delta: int = 1) -> GeneratedInstance:
     intervals = []
     for j in range(n):
         intervals += [(i, i) for i in range(rings)]
-    inst = grid_link(rings, intervals)
-    for j in range(n):
-        order = [("key", j * rings + i) for i in range(rings)]
-        inst = with_chain(inst, order, target_delta)
+    chains = [
+        ([("key", j * rings + i) for i in range(rings)], target_delta, 0)
+        for j in range(n)
+    ]
+    inst = grid_link(rings, intervals, chains)
     inst.meta.update({"rounds": n, "target_delta": target_delta})
     return inst
 
@@ -802,21 +771,18 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Ge
     """
     if m < 1 or lam < 1 or n < 0:
         raise ValueError("need m, lam >= 1 and n >= 0")
-    q = (2 * m + n) * (2 * lam + 1) * 3**m * 2 ** (m + n)
+    # theorem1_step runs bipar_z over m X targets and m + n Y targets
+    keep_j, keep_l, _, q = bipar_counts(m, m + n, lam)
     s = m + q
     if s > MAX_THEOREM1_SIZE:
         raise ValueError(
             f"s = m + q = {s} rings exceeds the limit of {MAX_THEOREM1_SIZE}"
         )
-    intervals = [(0, s - 1)] * s
-    inst = grid_link(s, intervals)
-    keep_j = m * (2 * lam + 1)
-    keep_l = (m + (m + n)) * (2 * lam + 1)
     # chained: keys m..m+keep_j-1 play the first family, rings m..m+keep_l-1
     # the second (ring 0..m-1 and key 0..m-1 are the X and Y cycles).
     order = [("key", m + i) for i in range(keep_j)]
     order += [("ring", m + j) for j in range(keep_l)]
-    inst = with_chain(inst, order, target_delta)
+    inst = grid_link(s, [(0, s - 1)] * s, [(order, target_delta, 0)])
     inst.meta.update(
         {"m": m, "n": n, "lam": lam, "q": q, "target_delta": target_delta}
     )
@@ -834,10 +800,8 @@ def ring_wrap_instance(
     """
     if key_count < 2 or wrap_turns < 1:
         raise ValueError("need at least two keys and one wrap")
-    inst = grid_link(1, [(0, 0)] * key_count, wrap_reserve=wrap_turns)
-    inst = with_chain(
-        inst, [("key", k) for k in range(key_count)], wrap_turns=wrap_turns
-    )
+    order = [("key", k) for k in range(key_count)]
+    inst = grid_link(1, [(0, 0)] * key_count, [(order, 1, wrap_turns)])
     inst.meta["wrap_turns"] = wrap_turns
     return inst
 

@@ -17,6 +17,7 @@ from dilink.engine import (
     HypothesisViolated,
     NotEnoughKeyrings,
     big_z,
+    bipar_counts,
     bipar_z,
     conway_gordon_parity,
     growth_function,
@@ -459,6 +460,16 @@ class TestBiparZ:
         js, ls, xs, ys = self.families(bipar111)
         with pytest.raises(HypothesisViolated, match="nonempty"):
             bipar_z(js, ls, [], ys, LinkTable(bipar111.embedding), lam=1)
+
+    def test_counts_size_the_generated_instances(self):
+        # (keep_j, keep_l, min_r, min_q) = (m(2λ+1), (m+n_y)(2λ+1),
+        # keep_j·2^m, keep_l·3^m·2^n_y)
+        assert bipar_counts(1, 1, 1) == (3, 6, 6, 36)
+        assert bipar_counts(2, 3, 2) == (10, 25, 40, 25 * 9 * 8)
+        # theorem1's big classes are m + q with q the bound over m + n Y's
+        inst = theorem1_instance(1, 1)
+        assert inst.meta["q"] == bipar_counts(1, 1, 1).min_q
+        assert len(inst.role("rings")) == 1 + inst.meta["q"]
 
 
 # keyring propagation

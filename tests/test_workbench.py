@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -17,18 +16,21 @@ from dilink.digraph import DiCycle, connector_cycle, directionality, realize
 from dilink.errors import FormatError, GenerationFailed, HypothesisViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
 from dilink.invariants import LinkTable
-from dilink.workbench import cli
+from dilink.workbench import cli, generators
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
+    big_z_instance,
+    bipar_instance,
     braid_instance,
     coiled_braid_pair,
     grid_link,
     lemma1_dk6m,
+    prop1_instance,
     random_complete,
     ring_wrap_instance,
     split_seed,
+    theorem1_instance,
     torus_style,
-    with_chain,
 )
 from dilink.workbench.serialization import (
     FORMAT_VERSION,
@@ -102,11 +104,14 @@ class TestOtherBuilders:
 
 
 class TestWithChain:
+    """grid_link with chains: the connector arcs it lays and checks."""
+
+    KEYS3 = [("key", 0), ("key", 1), ("key", 2)]
+
     @pytest.mark.parametrize("delta", [1, 2, 4])
     def test_closures_reach_their_directionality(self, delta):
-        inst = grid_link(1, [(0, 0)] * 3)
-        inst = with_chain(inst, [("key", 0), ("key", 1), ("key", 2)], delta)
-        rec = inst.meta["chains"][-1]
+        inst = grid_link(1, [(0, 0)] * 3, [(self.KEYS3, delta, 0)])
+        (rec,) = inst.meta["chains"]
         assert rec["junctions"] == ((4, 7), (8, 11), (12, 15))
         assert len(rec["extras"]) == max(delta - 2, 0)
         assert validate_general_position(inst.embedding).ok
@@ -115,9 +120,8 @@ class TestWithChain:
 
     @pytest.mark.parametrize("delta", [1, 2, 4, 6])
     def test_lays_the_arcs_the_connector_steps_through(self, delta):
-        inst = grid_link(1, [(0, 0)] * 3)
-        inst = with_chain(inst, [("key", 0), ("key", 1), ("key", 2)], delta)
-        rec = inst.meta["chains"][-1]
+        inst = grid_link(1, [(0, 0)] * 3, [(self.KEYS3, delta, 0)])
+        (rec,) = inst.meta["chains"]
         keys = list(inst.role("keys"))
         c = connector_cycle(keys, delta, extra_vertices=rec["extras"])
         own = set().union(*(k.arc_multiset() for k in keys))
@@ -127,35 +131,46 @@ class TestWithChain:
         assert realize(c, inst.embedding).points
 
     def test_validation_branches(self):
-        g = grid_link(1, [(0, 0)] * 3)
         pair = [("key", 0), ("key", 1)]
         with pytest.raises(ValueError, match="at least two cycles"):
-            with_chain(g, [("key", 0)])
+            grid_link(1, [(0, 0)] * 3, [([("key", 0)], 1, 0)])
         with pytest.raises(HypothesisViolated, match="1 or an even number >= 2"):
-            with_chain(g, pair, delta=3)
+            grid_link(1, [(0, 0)] * 3, [(pair, 3, 0)])
         with pytest.raises(ValueError, match="one-directional only"):
-            with_chain(g, pair, delta=2, wrap_turns=1)
-        with pytest.raises(ValueError, match="wrap_reserve"):
-            with_chain(g, pair, wrap_turns=1)
+            grid_link(1, [(0, 0)] * 3, [(pair, 2, 1)])
 
-    def test_chaining_names_the_real_directionality(self):
-        # no generator builds a consistently directed ring, so turn ring 0's
-        # one backward side around by hand
-        g = grid_link(2, [(0, 1), (0, 1)])
-        ring = g.role("rings")[0]
-        assert ring.edge_choices == (True, True, True, False)
-        arcs = dict(g.embedding.arcs)
-        back = arcs.pop(ring.arc(3))
-        arcs[ring.step(3)] = PolyLine(list(reversed(back.points)))
-        rings = (DiCycle(ring.vertices, (True,) * 4),) + g.role("rings")[1:]
-        inst = dataclasses.replace(
-            g,
-            embedding=SpatialEmbedding(g.embedding.vertices, arcs),
-            cycles={**g.cycles, "rings": rings},
-        )
-        assert directionality(inst.role("rings")[0]) == 1
+    def test_chaining_names_the_real_directionality(self, monkeypatch):
+        # no generator builds a consistently directed ring, so run every
+        # ring side along its traversal
+        monkeypatch.setattr(generators, "_RING_EC", (True,) * 4)
         with pytest.raises(GenerationFailed, match="ring 0 is 1-directional, cannot chain"):
-            with_chain(inst, [("ring", 0), ("ring", 1)])
+            grid_link(2, [(0, 1), (0, 1)], [([("ring", 0), ("ring", 1)], 1, 0)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: big_z_instance(2),
+            lambda: big_z_instance(2, target_delta=4),
+            lambda: prop1_instance(3),
+            lambda: bipar_instance(1, 1, 1, 6, 36),
+            lambda: theorem1_instance(1, 1),
+            lambda: ring_wrap_instance(),
+            lambda: torus_style(2, 3),
+            lambda: coiled_braid_pair(2),
+        ],
+        ids=["big_z", "big_z-d4", "prop1", "bipar", "theorem1", "ring_wrap",
+             "torus_style", "coiled_braid"],
+    )
+    def test_each_instance_is_validated_once(self, monkeypatch, build):
+        calls = []
+
+        def counting(emb):
+            calls.append(emb)
+            return validate_general_position(emb)
+
+        monkeypatch.setattr(generators, "validate_general_position", counting)
+        inst = build()
+        assert calls == [inst.embedding]
 
 
 # file format
@@ -400,7 +415,7 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
-# sha256 of the files gen writes for the kinds whose chain arcs with_chain
+# sha256 of the files gen writes for the kinds whose chain arcs grid_link
 # lays; a change to the chain layout or its order shows here first
 GOLDEN = {
     "big_z-d1": (["big_z", "--n", "2"],
@@ -712,6 +727,18 @@ class TestCliPipelines:
         assert code == 0
         assert derived["verification"] == with_base["verification"]
         assert derived["checks"] == with_base["checks"]
+
+    @pytest.mark.parametrize("command", ["bigz", "verify-l6"])
+    def test_commands_read_only_the_roles_generators_write(self, capsys, tmp_path, command):
+        # js/xs and surgeries are not role names any generator writes
+        inst = ring_wrap_instance(key_count=4, wrap_turns=5)
+        path = str(tmp_path / "aliased.json")
+        save_instance(path, inst.embedding, [*inst.role("keys"), *inst.role("rings")],
+                      roles={"js": [0, 1, 2, 3], "surgeries": [0, 1, 2, 3], "xs": [4]})
+        code, rep = run_cli(capsys, command, path)
+        assert code == 1
+        assert rep["error"] == {"type": "FormatError",
+                                "message": "instance file lacks a 'keys' role"}
 
     def test_verify_l6_without_base_needs_two_surgery_cycles(self, capsys, tmp_path):
         inst = grid_link(1, [(0, 0)])
@@ -1112,3 +1139,16 @@ class TestCliFailureShapes:
         monkeypatch.setattr(cli, "_cmd_validate", lambda args, rep: seen.append(args.file))
         code, rep = run_cli(capsys, "validate", path)
         assert (code, rep["ok"], seen) == (0, True, [path])
+
+    def test_running_out_of_memory_gets_the_report_envelope(self, capsys, monkeypatch):
+        def exhausted(args, rep):
+            rep["params"]["seen"] = args.file
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_validate", exhausted)
+        code, rep = run_cli(capsys, "validate", "big.json")
+        assert code == 1
+        assert rep["ok"] is False
+        assert rep["params"] == {"file": "big.json", "seen": "big.json"}
+        assert rep["error"] == {"type": "MemoryError", "message": "out of memory"}
+        assert "timing_s" in rep
