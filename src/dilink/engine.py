@@ -242,7 +242,6 @@ def big_z(
     table: LinkTable,
     target_delta: int = 1,
     extra_vertices: Sequence[int] = (),
-    q_policy: str = "lex",
 ) -> BigZResult:
     """Build one cycle of the target directionality that links at least n/2
     of the 2n target cycles mod 2, the bound the result is checked against.
@@ -266,9 +265,7 @@ def big_z(
     for i, j in enumerate(js):
         if directionality(j) != 2:
             raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
-    connector = connector_cycle(
-        js, target_delta, q_policy=q_policy, extra_vertices=extra_vertices
-    )
+    connector = connector_cycle(js, target_delta, extra_vertices=extra_vertices)
     for i in range(n):
         if table.omega(js[i], xs[i]) != 1:
             raise HypothesisViolated(
@@ -313,7 +310,7 @@ def big_z(
             "xs": _cycles_json(xs),
             "target_delta": target_delta,
             "extra_vertices": list(extra_vertices),
-            "q_policy": q_policy,
+            "q_policy": "lex",
         },
         choices={
             "shortcut": shortcut,

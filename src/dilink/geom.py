@@ -303,46 +303,17 @@ _Seg = tuple  # (owner, index, p, q) with owner hashable
 _pair = itemgetter(0, 1)  # the (i, j) of a pair walk entry
 
 
-def _candidate_pairs(segs: Sequence[_Seg]) -> Iterator[tuple[int, list[int]]]:
-    """Segment indices in sweep order, each with the indices of the
-    segments after it in sweep order whose closed xy boxes meet its own,
-    when there are any.  So each pair whose boxes meet comes once, under
-    whichever of its two segments the sweep reaches first.  Segments that
-    meet in space meet in projection, so the pairs serve the 3D checks too.
-
-    Sort and sweep: boxes ordered by low x, each scanned against the boxes
-    after it whose low x is at most its high x; y is compared directly.
-    A point enters as a segment from itself to itself, a zero-size box.
-    A point of the projection that lies on several segments lies in the
-    window of the first of them in sweep order, with all the others.
-    """
-    boxes = []
-    for i, (_, _, p, q) in enumerate(segs):
-        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
-        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
-        boxes.append((x0, x1, y0, y1, i))
-    boxes.sort()
-    lows = [b[0] for b in boxes]
-    for a, (_, x1, y0, y1, i) in enumerate(boxes):
-        hi = bisect_right(lows, x1, a + 1)
-        if hi > a + 1:
-            window = []
-            for _, _, by0, by1, j in boxes[a + 1:hi]:
-                if by0 <= y1 and y0 <= by1:
-                    window.append(j)
-            if window:
-                yield i, window
-
-
 def _pair_walk(
     segs: Sequence[_Seg], points: Sequence[_Seg], ends: dict, crossings: list | None
 ) -> tuple[list, list, list]:
     """Space meets, projection events and triple points of the segment
     pairs whose xy boxes meet, and the (point, segment) pairs whose boxes
     meet, in one sweep.  ``crossings``, unless None, receives
-    ``(i, j, t_num, u_num, den)`` for each transversal crossing of segments
-    i < j, parameters as :func:`seg2_relation` gives them.  Returns three
-    lists, in no particular order:
+    ``(i, j, t_num, u_num, den, i_over, sign)`` for each transversal
+    crossing of segments i < j that do not meet there: the parameters as
+    :func:`seg2_relation` gives them, whether i passes over j, and the
+    sign under the module's convention.  Returns three lists, in no
+    particular order:
       events     ``(i, j, kind, data)`` with kind
                    "meet"     the segments meet in space off the points the
                               contact rule below permits; ``data`` is the
@@ -364,29 +335,35 @@ def _pair_walk(
     and a fork of two owners at a shared end exactly when that end is in
     both owners' ``ends``; no other contact is permitted.
 
-    Each pair is decided from the four orientations of its ends in
-    projection.  Ends of one segment strictly on one side of the other's
-    line: the pair is disjoint.  Properly crossing projections meet in
-    space only above the crossing, interior to both segments, and do iff
-    the heights z*den there agree; only then does :func:`seg3_relation`
-    run, for the point.  Two segments leaving a permitted shared end in
-    directions that differ in projection meet only there, and so do
-    consecutive segments running on in one direction.  Every other pair
-    is a touch, an overlap or a vertical segment, and goes to
-    :func:`seg2_relation`, :func:`seg3_relation` and the rule.  So a valid
-    embedding builds no Fraction here.
+    The sweep sorts the xy boxes by low x, a point as a zero-size box, and
+    scans each box against the later boxes whose low x is at most its high
+    x, comparing y directly.  So each pair is decided once, with the box
+    the sweep reaches first as the outer segment f and the other as g.
+    Ends of one segment strictly on one side of the other's line in
+    projection: the pair is disjoint.  Properly crossing projections meet
+    in space iff the heights z*den there agree, and only then does
+    :func:`seg3_relation` run; otherwise the sign is +1 iff
+    (d_f x d_g > 0) == (z_f > z_g), for either order of f and g.  Two
+    segments leaving a permitted shared end in directions that differ in
+    projection meet only there, and so do consecutive segments running on
+    in one direction.  Every other pair is a touch, an overlap or a
+    vertical segment, and goes to :func:`seg2_relation`,
+    :func:`seg3_relation` and the rule.  So a valid embedding builds no
+    Fraction here.
 
-    Triple points are found one outer segment f at a time: f's window
-    holds every later segment through any point X inside f, so the first
-    segment through X in sweep order sees all of them.  More than one
-    crossing lies at X iff that segment crosses two segments at X, or
-    crosses one there and runs on one line in projection with another
-    that has X inside it.  f keeps its crossings only until its window is
-    done, grouped by their reduced parameter along f, so memory stays
-    proportional to the most crossings on one segment.
+    Triple points rest on the sweep invariant of Bentley and Ottmann
+    (1979): the first segment through a point of the projection, in sweep
+    order, has every other segment through that point in its window.  So
+    with f the first segment that has a point X inside it, more than one
+    crossing lies at X iff f crosses two segments at X, or crosses one
+    there and runs on one line in projection with another that has X
+    inside it.  f keeps its crossings, grouped by their reduced parameter
+    along f, only until its window is done, so memory stays proportional
+    to the most crossings on one segment.
     """
     n = len(segs)
     recs = []
+    boxes = []
     first = 0  # the current owner's first segment
     for k, (owner, _, p, q) in enumerate(segs):
         # the segment after this one along its owner, or -1
@@ -400,17 +377,28 @@ def _pair_walk(
             p[0], p[1], p[2], q[0] - p[0], q[1] - p[1], q[2] - p[2],
             owner, nxt, p, q, p in near, q in near,
         ))
+        x0, x1 = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
+        y0, y1 = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+        boxes.append((x0, x1, y0, y1, k))
+    for k, (_, _, p, _) in enumerate(points, n):
+        boxes.append((p[0], p[0], p[1], p[1], k))
+    boxes.sort()
+    lows = [b[0] for b in boxes]
     events, hits, triples = [], [], []
     found = set()  # the points of triples, each reported once
-    for f, window in _candidate_pairs([*segs, *points]):
+    for a, (_, x1, y0, y1, f) in enumerate(boxes):
+        window = boxes[a + 1:bisect_right(lows, x1, a + 1)]
         if f >= n:
-            hits += [(f - n, g) for g in window if g < n]
+            hits += [(f - n, g) for _, _, by0, by1, g in window
+                     if g < n and by0 <= y1 and y0 <= by1]
             continue
         pax, pay, paz, dxa, dya, dza, oa, na, pa, qa, fpa, fqa = recs[f]
         at = None  # f's crossings: reduced parameter along f -> a partner
         again = []  # (parameter, partner) for each further crossing there
         lines = []  # segments on f's line in projection
-        for g in window:
+        for _, _, by0, by1, g in window:
+            if by0 > y1 or y0 > by1:
+                continue
             if g >= n:
                 hits.append((g - n, f))
                 continue
@@ -429,18 +417,24 @@ def _pair_walk(
                 continue
             if o_r and o_s and o_p and o_q:
                 # a proper crossing, at t = t_num/den along f and
-                # u = u_num/den along g
-                den = o_s - o_r
-                t_num, u_num = (-o_p, o_r) if den < 0 else (o_p, -o_r)
-                if den < 0:
-                    den = -den
-                if paz * den + t_num * dza == pbz * den + u_num * dzb:
+                # u = u_num/den along g, with heights zf/den and zg/den
+                cross = o_s - o_r  # d_f x d_g
+                if cross > 0:
+                    den, t_num, u_num = cross, o_p, -o_r
+                else:
+                    den, t_num, u_num = -cross, -o_p, o_r
+                zf = paz * den + t_num * dza
+                zg = pbz * den + u_num * dzb
+                if zf == zg:
                     i, j = (f, g) if f < g else (g, f)
                     pt = seg3_relation(*recs[i][8:10], *recs[j][8:10])[1]
                     events.append((i, j, "meet", pt))
-                if crossings is not None:
+                elif crossings is not None:
+                    over = zf > zg
+                    sign = 1 if (cross > 0) == over else -1
                     crossings.append(
-                        (f, g, t_num, u_num, den) if f < g else (g, f, u_num, t_num, den)
+                        (f, g, t_num, u_num, den, over, sign) if f < g
+                        else (g, f, u_num, t_num, den, not over, sign)
                     )
                 d = gcd(t_num, den)
                 key = (t_num // d, den // d)
@@ -689,26 +683,6 @@ def _raise_first_meet(all_segs: Sequence[_Seg], events: list) -> None:
         )
 
 
-def crossing_sign(pa, qa, pb, qb, t_num: int, u_num: int, den: int) -> tuple[bool, int]:
-    """Over/under and sign of a proper crossing of the projections of
-    segments pa-qa and pb-qb, at t = t_num/den along the first and
-    u = u_num/den along the second (den > 0, as :func:`seg2_relation`
-    gives them).
-
-    Returns whether the first segment passes over the second, and the
-    crossing's sign under the module's convention; the sign does not depend
-    on the order of the two segments.  Heights are compared as z*den in
-    integers.  Equal heights mean the segments meet in space.
-    """
-    za = pa[2] * den + t_num * (qa[2] - pa[2])
-    zb = pb[2] * den + u_num * (qb[2] - pb[2])
-    if za == zb:
-        raise DisjointnessViolated("segments meet in space where their projections cross")
-    a_over = za > zb
-    s = (qa[0] - pa[0]) * (qb[1] - pb[1]) - (qa[1] - pa[1]) * (qb[0] - pb[0])
-    return a_over, (1 if (s > 0) == a_over else -1)
-
-
 def arc_strands(label, points: Sequence[Point3]) -> tuple:
     """An arc prepared for :func:`arc_pair_crossings`: ``(label, segments,
     box)``.  Each segment is ``(x0, y0, x1, y1, px, py, pz, dx, dy, dz, p,
@@ -827,12 +801,11 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
         raise DegenerateProjection(text, (Violation(kind, where),))
 
     raw: list[Crossing] = []
-    for i, j, t_num, u_num, den in crossings:
+    for i, j, t_num, u_num, den, i_over, sign in crossings:
         sa, sb = all_segs[i], all_segs[j]
-        a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
         pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
         pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
-        over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
+        over, under = (pos_a, pos_b) if i_over else (pos_b, pos_a)
         pa, qa = sa[2], sa[3]
         point = (
             Fraction(pa[0] * den + t_num * (qa[0] - pa[0]), den),

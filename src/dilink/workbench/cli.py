@@ -289,18 +289,11 @@ def _cmd_bigz(args, rep: dict) -> None:
     inst = load_instance(args.file)
     js = _role_or(inst, "keys")
     xs = _role_or(inst, "rings")
-    rep["params"].update(delta=args.delta, q_policy=args.q_policy)
+    rep["params"].update(delta=args.delta, q_policy="lex")
     (extras,) = _extras_for_delta(inst, args.delta)
     rep["params"]["extras"] = extras
     table = LinkTable(inst.embedding)
-    res = big_z(
-        js,
-        xs,
-        table,
-        target_delta=args.delta,
-        extra_vertices=extras,
-        q_policy=args.q_policy,
-    )
+    res = big_z(js, xs, table, target_delta=args.delta, extra_vertices=extras)
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
     _check(
@@ -567,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bz = sub.add_parser("bigz", help="build a cycle linking at least n/2 of 2n targets")
     bz.add_argument("file")
-    bz.add_argument("--q-policy", default="lex", choices=["lex", "opposite"])
     _add_common(bz, "delta")
 
     bp = sub.add_parser("bipar", help="build a cycle past a linking threshold")

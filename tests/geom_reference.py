@@ -8,11 +8,16 @@ vertex checks loop over every vertex and segment.  ``validate_reference``
 and ``diagram_reference`` must agree exactly with
 ``validate_general_position`` and ``project_to_diagram``.
 
-``arc_pair_crossings_reference`` is ``geom.arc_pair_crossings`` as it was
-before it settled segment pairs with the pair walk's orientation test:
-every segment pair whose boxes meet goes through ``seg2_relation``,
-``crossing_sign`` and ``seg3_relation``.  It must give the same total, or
-raise the same exception with the same message.
+``arc_pair_crossings_reference`` is ``geom.arc_pair_crossings`` with
+every segment pair whose boxes meet decided by the predicates here.  It
+must give the same total, or raise the same exception with the same
+message.  ``pair_walk_reference`` is ``geom._pair_walk`` on segments that
+each have their own owner and no permitted contact.
+
+Nothing here comes from ``dilink.geom`` but its data types and the two
+functions that list a geometry's segments: a crossing's over/under and
+sign are read off its heights as Fractions and the module's convention
+(``crossing_reference``), not off the kernel's integer rule.
 """
 
 from fractions import Fraction
@@ -26,9 +31,6 @@ from dilink.geom import (
     Violation,
     _closed_segments,
     _gather_segments,
-    crossing_sign,
-    seg2_relation,
-    seg3_relation,
 )
 
 
@@ -126,6 +128,20 @@ def seg3_relation_reference(p, q, r, s):
         return ("none", None)
     t = Fraction(t_num, den)
     return ("point", tuple(p[k] + t * d1[k] for k in range(3)))
+
+
+def crossing_reference(pa, qa, pb, qb, t_num, u_num, den):
+    """Whether segment pa-qa passes over pb-qb where their projections
+    cross, at t = t_num/den along the first and u = u_num/den along the
+    second, and the crossing's sign: +1 when the under-strand's direction
+    is counterclockwise from the over-strand's in projection."""
+    za = Fraction(pa[2] * den + t_num * (qa[2] - pa[2]), den)
+    zb = Fraction(pb[2] * den + u_num * (qb[2] - pb[2]), den)
+    if za == zb:
+        raise DisjointnessViolated("segments meet in space where their projections cross")
+    over, under = ((pa, qa), (pb, qb)) if za > zb else ((pb, qb), (pa, qa))
+    turn = orient2((0, 0), _sub(over[1], over[0]), _sub(under[1], under[0]))
+    return za > zb, turn
 
 
 def arc_contacts(arcs):
@@ -258,7 +274,7 @@ def diagram_reference(loop_points):
                 (Violation("projection-" + kind, where),),
             )
         t_num, u_num, den = data
-        a_over, sign = crossing_sign(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
+        a_over, sign = crossing_reference(sa[2], sa[3], sb[2], sb[3], t_num, u_num, den)
         if pt in seen:
             raise DegenerateProjection(
                 f"triple point at ({pt[0]},{pt[1]})", (Violation("triple-point", where),)
@@ -286,14 +302,45 @@ def arc_pair_crossings_reference(e, points_e, f, points_f):
         for pb, qb, bx0, by0, bx1, by1 in boxed(points_f):
             if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
                 continue
-            kind, data = seg2_relation(pa, qa, pb, qb)
+            kind, data = seg2_relation_reference(pa, qa, pb, qb)
             if kind == "proper":
-                total += crossing_sign(pa, qa, pb, qb, *data)[1]
+                total += crossing_reference(pa, qa, pb, qb, *data)[1]
             elif kind != "none":
-                if seg3_relation(pa, qa, pb, qb)[0] != "none":
+                if seg3_relation_reference(pa, qa, pb, qb)[0] != "none":
                     raise DisjointnessViolated(f"arcs {e} and {f} meet in space")
                 raise DegenerateProjection(
                     f"arcs {e} and {f} {kind} in projection",
                     (Violation("projection-" + kind, (e, f)),),
                 )
     return total
+
+
+def pair_walk_reference(segs, points):
+    """``geom._pair_walk(segs, points, {}, crossings)`` for segments that
+    are each their own owner, so that no contact is permitted, from every
+    pair: the events sorted by (i, j, kind), the hits sorted, and the
+    crossings sorted, as ``(i, j, t_num, u_num, den, i_over, sign)``."""
+    boxes = [(*sorted((p[0], q[0])), *sorted((p[1], q[1]))) for _, _, p, q in segs]
+    events, crossings = [], []
+    for i, j in _all_pairs(segs):
+        (ax0, ax1, ay0, ay1), (bx0, bx1, by0, by1) = boxes[i], boxes[j]
+        if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+            continue  # apart in projection, so apart in space
+        pa, qa, pb, qb = segs[i][2], segs[i][3], segs[j][2], segs[j][3]
+        kind, data = seg2_relation_reference(pa, qa, pb, qb)
+        if kind == "none":
+            continue
+        kind3, pt = seg3_relation_reference(pa, qa, pb, qb)
+        if kind3 != "none":
+            events.append((i, j, "meet", pt))
+        if kind != "proper":
+            events.append((i, j, kind, data))
+        elif kind3 == "none":
+            crossings.append((i, j, *data, *crossing_reference(pa, qa, pb, qb, *data)))
+    hits = [
+        (k, i)
+        for k, (_, _, (x, y, _), _) in enumerate(points)
+        for i, (x0, x1, y0, y1) in enumerate(boxes)
+        if x0 <= x <= x1 and y0 <= y <= y1
+    ]
+    return sorted(events, key=lambda e: e[:3]), hits, sorted(crossings)

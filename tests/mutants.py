@@ -1,0 +1,93 @@
+"""Named mutations of ``src/`` that the tests must kill.
+
+Each entry is ``(name, file, old text, new text, tests)``: the file under
+the repository root, an exact text that occurs in it once, its
+replacement, and the test files to run against the mutant.  A tier-1
+test (``tests/test_mutants.py``) checks that every old text still occurs
+exactly once, so the list cannot rot.
+
+Run it, opt-in, from the repository root:
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is applied to a copy of ``src/`` and ``tests/`` in a new
+temporary directory (under ``$TMPDIR``), its tests run there with a
+timeout, and one JSON line is printed per mutant: its name, whether a
+test failed (killed), pytest's summary line, the failed tests and the
+wall time.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # the pair walk's sweep misses the pairs whose boxes touch in y
+    ("walk-window-miss", "src/dilink/geom.py",
+     "if by0 > y1 or y0 > by1:",
+     "if by0 >= y1 or y0 > by1:",
+     ("tests/test_geom.py",)),
+    # the pair walk's sweep decides each pair from both of its segments
+    ("walk-window-twice", "src/dilink/geom.py",
+     "window = boxes[a + 1:bisect_right(lows, x1, a + 1)]",
+     "window = [b for b in boxes[:bisect_right(lows, x1, a + 1)] if b[4] != f]",
+     ("tests/test_geom.py",)),
+    # the pair walk's crossing sign, which project_to_diagram records
+    ("walk-sign", "src/dilink/geom.py",
+     "sign = 1 if (cross > 0) == over else -1",
+     "sign = -1 if (cross > 0) == over else 1",
+     ("tests/test_geom.py", "tests/test_invariants.py")),
+    # the pair walk's over/under at a crossing
+    ("walk-over", "src/dilink/geom.py",
+     "over = zf > zg",
+     "over = zg > zf",
+     ("tests/test_geom.py", "tests/test_invariants.py")),
+    # the sign of each crossing LinkTable counts
+    ("arc-pair-sign", "src/dilink/geom.py",
+     "total += 1 if za > zb else -1",
+     "total += -1 if za > zb else 1",
+     ("tests/test_geom.py",)),
+    # the under segment's height at a crossing LinkTable counts; the
+    # lattice symmetries catch it too, unlike a flip of every sign
+    ("arc-pair-height", "src/dilink/geom.py",
+     "zb = pbz * den - o_r * dzb",
+     "zb = pbz * den + o_r * dzb",
+     ("tests/test_geom.py", "tests/test_symmetries.py")),
+]
+
+
+def run(name: str, path: str, old: str, new: str, tests, timeout: float = 600) -> dict:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp) / path
+        target.write_text(target.read_text().replace(old, new, 1))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+                cwd=tmp, env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                text=True, timeout=timeout,
+            )
+            lines = out.stdout.splitlines()
+            killed, summary = out.returncode != 0, lines[-1] if lines else ""
+            failed = [ln.split()[1] for ln in lines if ln.startswith("FAILED ")]
+        except subprocess.TimeoutExpired:
+            killed, summary, failed = True, "timeout", []
+    return {"name": name, "killed": killed, "summary": summary, "failed": failed,
+            "seconds": round(time.perf_counter() - start, 1)}
+
+
+if __name__ == "__main__":
+    wanted = set(sys.argv[1:])
+    for mutant in MUTANTS:
+        if not wanted or mutant[0] in wanted:
+            print(json.dumps(run(*mutant)), flush=True)

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from dilink.geom import (
     Point3,
     PolyLine,
     SpatialEmbedding,
-    _candidate_pairs,
+    _pair_walk,
     arc_pair_crossings,
     arc_strands,
     orient2,
@@ -42,7 +43,12 @@ from dilink.invariants import LinkTable
 from dilink.workbench.generators import big_z_instance, lemma1_dk6m
 
 from conftest import hand_hopf, square_loop, tiny_embedding
-from geom_reference import arc_pair_crossings_reference, diagram_reference, validate_reference
+from geom_reference import (
+    arc_pair_crossings_reference,
+    diagram_reference,
+    pair_walk_reference,
+    validate_reference,
+)
 
 P = Point3
 
@@ -271,31 +277,19 @@ def test_generated_instances_validate(grid13, grid22, bigz_n2, wrap45, coil4):
 
 
 # ---------------------------------------------------------------------------
-# segment-pair prefilter
+# the pair walk's sweep, pair by pair
 
 
-def _assert_pairs_match(segs):
-    # the sweep yields each pair once, under the first of its two segments
-    # in sweep order, and each segment at most once
-    swept = list(_candidate_pairs(segs))
-    assert len({i for i, _ in swept}) == len(swept)
-    pairs = [(i, j) if i < j else (j, i) for i, window in swept for j in window]
-    assert len(set(pairs)) == len(pairs)
-    assert sorted(pairs) == _brute_pairs(segs)
-
-
-def _brute_pairs(segs):
-    # closed xy boxes, compared pair by pair, in ascending order
-    boxes = [
-        [(min(s[2][d], s[3][d]), max(s[2][d], s[3][d])) for d in range(2)]
-        for s in segs
-    ]
-    return [
-        (i, j)
-        for i in range(len(segs))
-        for j in range(i + 1, len(segs))
-        if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(boxes[i], boxes[j]))
-    ]
+def _assert_walk_matches(ends):
+    # each segment its own owner with no permitted contact, so the walk
+    # reports every pair whose boxes meet that touches, meets or crosses;
+    # a pair the sweep missed or decided twice shows in the sorted lists
+    segs = [(i, 0, p, q) for i, (p, q) in enumerate(ends)]
+    points = [(k, None, p, p) for k, (p, _) in enumerate(ends[::2])]
+    crossings = []
+    events, hits, _ = _pair_walk(segs, points, {}, crossings)
+    got = sorted(events, key=itemgetter(0, 1, 2)), sorted(hits), sorted(crossings)
+    assert got == pair_walk_reference(segs, points)
 
 
 def _random_segments(n, seed, half):
@@ -303,7 +297,7 @@ def _random_segments(n, seed, half):
     a third are vertical (a point box in the projection) and a third run
     along x (zero y and z extent)."""
     rng = random.Random(seed)
-    segs = []
+    ends = []
     for i in range(n):
         p = P(*(rng.randint(-half, half) for _ in range(3)))
         shape = i % 3
@@ -312,9 +306,11 @@ def _random_segments(n, seed, half):
         elif shape == 1:
             q = P(p.x + rng.randint(1, half), p.y, p.z)
         else:
-            q = P(*(rng.randint(-half, half) for _ in range(3)))
-        segs.append(("s", i, p, q))
-    return segs
+            q = p
+            while q == p:
+                q = P(*(rng.randint(-half, half) for _ in range(3)))
+        ends.append((p, q))
+    return ends
 
 
 @given(
@@ -323,9 +319,8 @@ def _random_segments(n, seed, half):
     half=st.sampled_from([2, 6, 60]),
 )
 @settings(max_examples=25, deadline=None)
-def test_candidate_pairs_match_brute_force(n, seed, half):
-    segs = _random_segments(n, seed, half)
-    _assert_pairs_match(segs)
+def test_pair_walk_matches_brute_force(n, seed, half):
+    _assert_walk_matches(_random_segments(n, seed, half))
 
 
 _small_pt = st.builds(
@@ -333,13 +328,12 @@ _small_pt = st.builds(
 )
 
 
-@given(ends=st.lists(st.tuples(_small_pt, _small_pt), max_size=30))
+@given(ends=st.lists(st.tuples(_small_pt, _small_pt).filter(lambda e: e[0] != e[1]), max_size=30))
 @example(ends=[(P(0, 0, 0), P(1, 0, 0)), (P(1, 0, 0), P(2, 3, 0))])
 @example(ends=[(P(0, 0, 0), P(1, 1, 0)), (P(1, 1, 5), P(2, 3, 9))])
 @example(ends=[(P(0, 0, 0), P(0, 0, 3)), (P(0, 0, 1), P(0, 0, 2)), (P(-1, 0, 2), P(1, 0, 2))])
-def test_candidate_pairs_small_sets(ends):
-    segs = [("s", i, p, q) for i, (p, q) in enumerate(ends)]
-    _assert_pairs_match(segs)
+def test_pair_walk_small_sets(ends):
+    _assert_walk_matches(ends)
 
 
 def test_validation_does_not_import_numpy():
@@ -585,7 +579,7 @@ def _count_calls(monkeypatch, *names):
 def test_big_z_settles_every_arc_pair_in_the_walk(monkeypatch):
     # a bigz and its replay on a valid instance: every segment pair is a
     # strict side, a proper crossing or a joint
-    calls = _count_calls(monkeypatch, "seg2_relation", "seg3_relation", "crossing_sign")
+    calls = _count_calls(monkeypatch, "seg2_relation", "seg3_relation")
     inst = big_z_instance(16, seed=5)
     table = LinkTable(inst.embedding)
     res = big_z(inst.role("keys"), inst.role("rings"), table)
