@@ -43,7 +43,7 @@ from dilink.patterns import (
     compute_pattern,
     find_disjoint_keyrings,
 )
-from dilink.z2linalg import Z2Matrix, heavy_vector
+from dilink.z2linalg import Z2Matrix, bits_to_vector, heavy_vector
 
 __all__ = [
     "BigZResult",
@@ -226,7 +226,8 @@ def conway_gordon_parity(table: LinkTable) -> tuple[list, int]:
 
 
 # ---------------------------------------------------------------------------
-# parity-linking construction (one cycle linking at least n/2 of 2n targets)
+# parity-linking construction (one cycle linking at least n/2 of 2n targets;
+# at least n when the connector alone links fewer than n/2)
 
 
 @dataclass(frozen=True)
@@ -249,13 +250,13 @@ def big_z(
     ``js`` are 2n chained 2-directional cycles, ``xs`` the 2n targets, with
     the diagonal hypothesis ω(J_i, X_i) = 1 for i < n.  The connector cycle
     C over all J's is returned directly when it already links at least n/2
-    targets, and its parities are the result's.  Otherwise the heavy path
-    runs: a row-space vector of the parity matrix with more than n ones
-    picks the J's to surger into C, which lifts the count above n/2, and
-    the surgered cycle's parities are queried.  So the shortcut asks
-    n + 2n lk queries and the heavy path n + 2n + (2n)^2 + 2n.  Linking
-    numbers come from ``table``, the caller's table on the cycles'
-    embedding.
+    targets, and its parities c are the result's.  Otherwise the heavy
+    path runs: surgering J_i into C flips C's parities by row i of the
+    parity matrix, whose diagonal is all ones, so ``heavy_vector`` picks
+    the rows v for which c ^ v links at least n of the 2n targets, and the
+    surgered cycle's parities are queried.  So the shortcut asks n + 2n lk
+    queries and the heavy path n + 2n + (2n)^2 + 2n.  Linking numbers come
+    from ``table``, the caller's table on the cycles' embedding.
     """
     js = list(js)
     xs = list(xs)
@@ -286,7 +287,7 @@ def big_z(
                 raise HypothesisViolated(
                     f"parity matrix diagonal fails at index {i}"
                 )
-        hv = heavy_vector(Z2Matrix.from_lists(matrix_lists))
+        hv = heavy_vector(Z2Matrix.from_lists(matrix_lists), bits_to_vector(c_parities))
         witness_rows = hv.rows
         z = _surgery_chain(connector, [js[i] for i in witness_rows])
         z_parities = [table.omega(z, x) for x in xs]
@@ -328,6 +329,15 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     xs = _cycles_from_json(ins["xs"])
+    # what big_z guarantees, from geometry: its hypotheses first (the
+    # connector refuses a J that is not 2-directional), its bound below
+    n = len(js) // 2
+    for i, j in enumerate(js):
+        if directionality(j) != 2:
+            raise ConstructionFailed(f"replay chained cycle {i} is not 2-directional")
+    for i in range(n):
+        if cache.omega(js[i], xs[i]) != 1:
+            raise ConstructionFailed(f"replay diagonal fails at index {i}")
     z = connector_cycle(
         js,
         ins["target_delta"],
@@ -346,6 +356,8 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
         raise ConstructionFailed("replay index set differs")
     if directionality(z) != cert.checks["delta"]:
         raise ConstructionFailed("replay directionality differs")
+    if 2 * len(idx) < n:
+        raise ConstructionFailed(f"replay links only {len(idx)} of {len(xs)} targets")
     return z
 
 

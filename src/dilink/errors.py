@@ -86,8 +86,8 @@ class Impossible(DilinkError):
     the result guards: an odd signed crossing sum between two closed
     curves, a knot Conway polynomial without constant term 1, a crossing
     not passed exactly twice, a nabla result with no arc to orient it by,
-    a theorem-2 threshold below its bounds, or a heavy vector that fails
-    its recheck or one of the weight bounds of its recursion.
+    a theorem-2 threshold below its bounds, or a heavy vector whose offset
+    sum is lighter than half the columns.
     """
 
     def __init__(self, message: str, table: dict | None = None):

@@ -60,6 +60,26 @@ MUTANTS = [
      "zb = pbz * den - o_r * dzb",
      "zb = pbz * den + o_r * dzb",
      ("tests/test_geom.py", "tests/test_symmetries.py")),
+    # the heavy-vector walk ignores the offset it was given
+    ("heavy-from-zero", "src/dilink/z2linalg.py",
+     "x = offset",
+     "x = 0",
+     ("tests/test_z2linalg.py",)),
+    # the heavy-vector walk keeps a row that only ties
+    ("heavy-keeps-ties", "src/dilink/z2linalg.py",
+     "if weight((x ^ row) & fresh) > weight(x & fresh):",
+     "if weight((x ^ row) & fresh) >= weight(x & fresh):",
+     ("tests/test_z2linalg.py", "tests/test_engine.py")),
+    # big_z's replay no longer checks the bound its certificate claims
+    ("replay-bound", "src/dilink/engine.py",
+     "if 2 * len(idx) < n:",
+     "if False:",
+     ("tests/test_engine.py",)),
+    # big_z's replay no longer checks the diagonal hypothesis
+    ("replay-diagonal", "src/dilink/engine.py",
+     "if cache.omega(js[i], xs[i]) != 1:",
+     "if False:",
+     ("tests/test_engine.py",)),
 ]
 
 

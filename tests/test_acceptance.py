@@ -91,42 +91,46 @@ def test_criterion_2_odd_pair_finder_never_fails():
 
 def test_criterion_3_heavy_vector_exhaustive_and_random():
     from dilink.z2linalg import Z2Matrix, heavy_vector, weight
-    from z2_oracle import row_space_brute_force
+    from z2_oracle import coset_brute_force
 
+    def checked(rows, ncols, offset):
+        res = heavy_vector(Z2Matrix(tuple(rows), ncols), offset)
+        assert 2 * res.weight >= ncols
+        x = 0
+        for r in res.rows:
+            x ^= rows[r]
+        assert x == res.vector
+        assert weight(offset ^ res.vector) == res.weight
+        return res
+
+    rng = random.Random(20260821)
     count = 0
     for m in range(1, 5):
         for n in range(1, 5):
-            # every matrix with no zero column, built column by column
+            # every matrix with no zero column, built column by column; every
+            # offset up to 3x3, one seeded offset per matrix past that
             for cols in itertools.product(range(1, 2**m), repeat=n):
                 rows = [0] * m
                 for j, col in enumerate(cols):
                     for i in range(m):
                         if col >> i & 1:
                             rows[i] |= 1 << j
-                res = heavy_vector(Z2Matrix(tuple(rows), n))
-                assert 2 * res.weight > n
-                x = 0
-                for r in res.rows:
-                    x ^= rows[r]
-                assert x == res.vector
-                assert weight(res.vector) == res.weight
-                count += 1
-    assert count == 57164
+                offsets = range(2**n) if m < 4 and n < 4 else [rng.randrange(2**n)]
+                for offset in offsets:
+                    checked(rows, n, offset)
+                    count += 1
+    assert count == 59949
 
-    rng = random.Random(20260821)
     done = 0
     while done < 1000:
         rows = tuple(rng.randrange(1, 2**12) for _ in range(8))
         if any(not any(r >> j & 1 for r in rows) for j in range(12)):
             continue
-        mat = Z2Matrix(rows, 12)
-        hv = heavy_vector(mat)
-        bf = row_space_brute_force(mat)
-        assert 2 * hv.weight > 12
-        assert 2 * bf.weight > 12
-        assert hv.weight == bf.weight  # both sweeps are exhaustive here
+        offset = rng.randrange(2**12)
+        hv = checked(rows, 12, offset)
+        assert 12 <= 2 * hv.weight <= 2 * coset_brute_force(Z2Matrix(rows, 12), offset)
         done += 1
-    passline(3, f"{count} exhaustive matrices + 1000 random 8x12 cross-checks")
+    passline(3, f"{count} exhaustive (matrix, offset) cases + 1000 random 8x12 cross-checks")
 
 
 KNOT_CORPUS = [

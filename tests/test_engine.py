@@ -6,6 +6,7 @@ trusted from the certificate alone.
 """
 
 import json
+import random
 
 import pytest
 
@@ -237,11 +238,12 @@ class TestBigZ:
             assert omega(zl, realize(xs[i], inst.embedding)) == 1
 
     @pytest.mark.parametrize("intervals,queries", [
-        # n diagonal, 2n connector and 2n replay queries: the shortcut's
-        # z is the connector, whose parities are already known
-        (None, 5 * 2),
+        # n diagonal, 2n connector, 2n replay and n replay diagonal
+        # queries: the shortcut's z is the connector, whose parities are
+        # already known
+        (None, 6 * 2),
         # the heavy path adds the (2n)^2 parity matrix and 2n for its z
-        ([(0, 1), (0, 1), (2, 3), (2, 3)], 7 * 2 + 16),
+        ([(0, 1), (0, 1), (2, 3), (2, 3)], 8 * 2 + 16),
     ], ids=["shortcut", "heavy"])
     def test_lk_queries_of_a_command(self, monkeypatch, intervals, queries):
         inst = big_z_instance(2, intervals=intervals)
@@ -302,6 +304,63 @@ class TestBigZ:
         cert["outputs"]["z"]["vertices"] = verts[1:] + verts[:1]
         with pytest.raises(ConstructionFailed, match="different cycle"):
             replay_certificate(cert, LinkTable(bigz_n2.embedding))
+
+    @pytest.mark.parametrize("n,seed", [(4, 3), (8, 5), (16, 11)])
+    def test_heavy_path_links_n_targets(self, n, seed):
+        # keys 2k and 2k+1 thread the same ring interval, so every ring is
+        # threaded an even number of times and the connector links none
+        rng = random.Random(seed)
+        intervals = []
+        for k in range(0, 2 * n, 2):
+            span = (rng.randint(0, k), rng.randint(k + 1, 2 * n - 1))
+            intervals += [span, span]
+        inst = big_z_instance(n, intervals=intervals)
+        js, xs = list(inst.role("keys")), list(inst.role("rings"))
+        table = LinkTable(inst.embedding)
+        res = big_z(js, xs, table)
+        cert = res.certificate
+        assert cert.choices["connector_parities"] == [0] * (2 * n)
+        assert cert.choices["shortcut"] is False
+        assert len(res.index_set) >= n
+        assert replay_certificate(cert, table) == res.z
+
+    @pytest.mark.parametrize("n,seed", [(2, 8), (4, 9), (8, 2)])
+    def test_replay_rejects_a_forged_shortcut(self, n, seed):
+        # a self-consistent certificate that claims the connector, which
+        # links fewer than n/2 targets, as a shortcut result
+        inst = big_z_instance(n, seed=seed)
+        js, xs = list(inst.role("keys")), list(inst.role("rings"))
+        table = LinkTable(inst.embedding)
+        res = big_z(js, xs, table)
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        assert cert["choices"]["shortcut"] is False and len(res.index_set) >= n
+        parities = cert["choices"]["connector_parities"]
+        cert["choices"].update(shortcut=True, witness_rows=[])
+        cert["outputs"] = {
+            "z": connector_cycle(js, 1).to_json(),
+            "index_set": [i for i, w in enumerate(parities) if w],
+        }
+        cert["checks"]["z_parities"] = parities
+        with pytest.raises(ConstructionFailed, match=f"replay links only .* of {2 * n} targets"):
+            replay_certificate(cert, table)
+
+    @pytest.mark.parametrize("hypothesis", ["diagonal", "directionality"])
+    def test_replay_rechecks_the_hypotheses(self, bigz_n2, hypothesis):
+        js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
+        table = LinkTable(bigz_n2.embedding)
+        res = big_z(js, xs, table)
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        if hypothesis == "diagonal":
+            # X_0 and X_1 trade places: the connector still links both
+            xs[0], xs[1] = xs[1], xs[0]
+            cert["inputs"]["xs"] = [x.to_json() for x in xs]
+            match = "replay diagonal fails at index 0"
+        else:
+            # J_0 read as one-directional: the connector closes the same way
+            cert["inputs"]["js"][0] = one_directional(js[0]).to_json()
+            match = "replay chained cycle 0 is not 2-directional"
+        with pytest.raises(ConstructionFailed, match=match):
+            replay_certificate(cert, table)
 
     def test_replay_catches_tampered_heavy_rows(self):
         inst = big_z_instance(2, intervals=[(0, 1), (0, 1), (2, 3), (2, 3)])

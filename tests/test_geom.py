@@ -531,10 +531,26 @@ def test_triple_points_are_reported_once_at_their_first_crossings():
         assert [(v.where, v.detail) for v in triples] == [(where, f"at (Fraction{point})")]
 
 
+def _weave(k: int) -> SpatialEmbedding:
+    """k arcs running along x above k arcs running along y, each tilted by
+    one step so that no segment is axis-parallel: every pair crosses once
+    in projection, at its own point, so each segment has k crossings."""
+    half = k + 2
+    vertices, arcs = {}, {}
+    for i in range(k):
+        w = 2 * i - k
+        for v, a, b in ((4 * i, (-half, w, i + 1), (half, w + 1, i + 1)),
+                        (4 * i + 2, (w, -half, -i - 1), (w + 1, half, -i - 1))):
+            vertices[v], vertices[v + 1] = Point3(*a), Point3(*b)
+            arcs[(v, v + 1)] = PolyLine([Point3(*a), Point3(*b)])
+    return SpatialEmbedding(vertices, arcs, box=2 * half)
+
+
 def test_validation_memory_stays_small():
-    # lemma1_dk6m(4) has 1 104 segments and tens of thousands of crossings
-    # in projection; validation keeps none of them past their segment
-    emb = lemma1_dk6m(4, seed=7).embedding
+    # 240 segments and 14 400 crossings in projection, 120 per segment
+    # (lemma1_dk6m(4) has 65); validation keeps none of them past their
+    # segment, where a list of every crossing peaks above 4 MiB
+    emb = _weave(120)
     tracemalloc.start()
     try:
         assert validate_general_position(emb).ok

@@ -300,9 +300,9 @@ def test_retry_needs_a_loop():
 
 def test_result_guards_survive_python_O():
     # an odd crossing sum between two components, a realized arc that
-    # does not start at its cycle's vertex, and a heavy-vector search whose
-    # elimination lost every row must still raise under -O (heavy_vector's
-    # final recheck would hide a missing guard, so _heavy is called directly)
+    # does not start at its cycle's vertex, and a heavy vector handed a
+    # zero column past its BadColumn check, so that it ends lighter than
+    # half the columns, must still raise under -O
     script = textwrap.dedent(
         """
         import sys
@@ -334,9 +334,9 @@ def test_result_guards_survive_python_O():
         except ValueError:
             print("ValueError")
 
-        z2._eliminate = lambda rows: ([], [])
+        z2.Z2Matrix.zero_columns = lambda self: []
         try:
-            z2._heavy((1,), 1)
+            z2.heavy_vector(z2.Z2Matrix((0,), 1), 0)
         except Impossible:
             print("Impossible")
         """
