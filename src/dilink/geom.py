@@ -2,9 +2,9 @@
 
 All positions are integer lattice points and every predicate is decided by
 the sign of an exact integer expression; floating point is never consulted
-for a geometric decision.  Rationals appear only where a diagram records
-them, in :class:`StrandPos` and :class:`Crossing`, and in the text of a
-violation at a point off the lattice.  Diagrams use the standard projection
+for a geometric decision.  Rationals appear only to order a diagram's
+passes along a segment, at a triple point, and in the text of a violation
+at a point off the lattice.  Diagrams use the standard projection
 (x, y, z) -> (x, y), with z as the height that decides over/under at a
 crossing.
 
@@ -37,7 +37,6 @@ __all__ = [
     "SpatialEmbedding",
     "Violation",
     "ValidationReport",
-    "Crossing",
     "LinkDiagram",
     "validate_general_position",
     "project_to_diagram",
@@ -607,46 +606,19 @@ def validate_general_position(emb: SpatialEmbedding) -> ValidationReport:
 # diagrams
 
 
-@dataclass(frozen=True, order=True)
-class StrandPos:
-    """Position along a closed loop: segment index plus exact parameter."""
-
-    loop: int
-    seg: int
-    t: Fraction
-
-
-@dataclass(frozen=True)
-class Crossing:
-    over: StrandPos
-    under: StrandPos
-    sign: int
-    point: tuple[Fraction, Fraction]
-
-
 @dataclass(frozen=True)
 class LinkDiagram:
-    """Generic z-projection of disjoint closed loops.
+    """Generic z-projection of disjoint closed loops, as its Gauss code.
 
-    ``loops`` holds each component's closed point tuple (last point joins the
-    first).  ``crossings`` is canonically sorted, so equal inputs produce
-    bit-identical diagrams.
+    ``crossings[k]`` is crossing k's ``(over loop, under loop, sign)``,
+    crossings numbered in the order of their segment pairs.  ``gauss[l]``
+    is loop l's passes in walk order, each ``(k, is_over, sign)``, so every
+    crossing is passed once over and once under.  Equal inputs produce
+    equal diagrams.
     """
 
-    loops: tuple[tuple[Point3, ...], ...]
-    crossings: tuple[Crossing, ...]
-
-    def passes(self, loop: int) -> list[tuple[StrandPos, int, bool]]:
-        """All crossing passes on a loop: (position, crossing index, is_over),
-        ordered along the traversal."""
-        out = []
-        for idx, c in enumerate(self.crossings):
-            if c.over.loop == loop:
-                out.append((c.over, idx, True))
-            if c.under.loop == loop:
-                out.append((c.under, idx, False))
-        out.sort(key=lambda e: (e[0].seg, e[0].t))
-        return out
+    crossings: tuple[tuple[int, int, int], ...]
+    gauss: tuple[tuple[tuple[int, bool, int], ...], ...]
 
 
 def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
@@ -800,20 +772,18 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
             text = f"triple point at ({pt[0]},{pt[1]})"
         raise DegenerateProjection(text, (Violation(kind, where),))
 
-    raw: list[Crossing] = []
-    for i, j, t_num, u_num, den, i_over, sign in crossings:
-        sa, sb = all_segs[i], all_segs[j]
-        pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
-        pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
-        over, under = (pos_a, pos_b) if i_over else (pos_b, pos_a)
-        pa, qa = sa[2], sa[3]
-        point = (
-            Fraction(pa[0] * den + t_num * (qa[0] - pa[0]), den),
-            Fraction(pa[1] * den + t_num * (qa[1] - pa[1]), den),
-        )
-        raw.append(Crossing(over=over, under=under, sign=sign, point=point))
-    raw.sort(key=lambda c: (c.over, c.under))
-    return LinkDiagram(loops=loops, crossings=tuple(raw))
+    # the segments run loop by loop in walk order, so a loop's passes sort
+    # along it by (segment, parameter)
+    crossings.sort()
+    table = []
+    passes: list[list] = [[] for _ in loops]
+    for k, (i, j, t_num, u_num, den, i_over, sign) in enumerate(crossings):
+        li, lj = all_segs[i][0], all_segs[j][0]
+        table.append((li, lj, sign) if i_over else (lj, li, sign))
+        passes[li].append((i, Fraction(t_num, den), k, i_over, sign))
+        passes[lj].append((j, Fraction(u_num, den), k, not i_over, sign))
+    gauss = tuple(tuple(p[2:] for p in sorted(ps)) for ps in passes)
+    return LinkDiagram(tuple(table), gauss)
 
 
 # ---------------------------------------------------------------------------

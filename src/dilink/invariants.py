@@ -5,12 +5,13 @@ which sums arc-pair crossing counts.  :func:`linking_table` projects whole
 loops at once; it is the independent route tests check the table against.
 
 The knot coefficient a2 has three routes that share nothing beyond the
-projection: a signed count of interleaved crossing pairs, the first
-Taylor coefficients of the Alexander matrix's determinant at t = 1, and a
-skein recursion.  :func:`a2_routes` reads the first two off one
-projection; they are polynomial in the crossing count and every
-production path compares them.  The skein is exponential and is kept as
-a test oracle for small diagrams.
+projection's Gauss code, the knot's signed over/under passes in walk
+order (``LinkDiagram.gauss``): a signed count of interleaved crossing
+pairs, the first Taylor coefficients of the Alexander matrix's
+determinant at t = 1, and a skein recursion.  :func:`a2_routes` reads the
+first two off one projection; they are polynomial in the crossing count
+and every production path compares them.  The skein is exponential and is
+kept as a test oracle for small diagrams.
 """
 
 from __future__ import annotations
@@ -246,13 +247,12 @@ def linking_table(loops: Sequence) -> dict[tuple[int, int], int]:
     """
     diagram, _ = project_with_retry(loops)
     sums: dict[tuple[int, int], int] = {}
-    for c in diagram.crossings:
-        a, b = c.over.loop, c.under.loop
+    for a, b, sign in diagram.crossings:
         if a != b:
             key = (a, b) if a < b else (b, a)
-            sums[key] = sums.get(key, 0) + c.sign
+            sums[key] = sums.get(key, 0) + sign
     out: dict[tuple[int, int], int] = {}
-    n = len(diagram.loops)
+    n = len(diagram.gauss)
     for i in range(n):
         for j in range(i + 1, n):
             s = sums.get((i, j), 0)
@@ -277,17 +277,13 @@ def omega(a, b) -> int:
 # second Conway coefficient: interleaved crossing pairs and the Alexander matrix
 
 
-def _single_loop_passes(diagram: LinkDiagram) -> list[tuple[int, bool, int]]:
-    if len(diagram.loops) != 1:
+def _knot(knot) -> LinkDiagram:
+    """A knot's one-loop diagram: a diagram is read as it is, a closed loop
+    is projected."""
+    diagram = knot if isinstance(knot, LinkDiagram) else project_with_retry([knot]).diagram
+    if len(diagram.gauss) != 1:
         raise ValueError("knot invariants need a single closed loop")
-    return [(idx, over, diagram.crossings[idx].sign) for (_, idx, over) in diagram.passes(0)]
-
-
-def _knot_diagram(knot) -> LinkDiagram:
-    # a knot given as its diagram is read as it is; a loop is projected
-    if isinstance(knot, LinkDiagram):
-        return knot
-    return project_with_retry([knot]).diagram
+    return diagram
 
 
 def a2(knot) -> int:
@@ -304,7 +300,7 @@ def a2(knot) -> int:
     first: dict[int, int] = {}
     second: dict[int, int] = {}
     info: dict[int, tuple[bool, int]] = {}
-    for pos, (cid, over, sign) in enumerate(_single_loop_passes(_knot_diagram(knot))):
+    for pos, (cid, over, sign) in enumerate(_knot(knot).gauss[0]):
         if cid not in first:
             first[cid] = pos
             info[cid] = (over, sign)
@@ -340,7 +336,7 @@ def a2_alexander(knot) -> int:
     D(1 + s) = det(I + s*A) = 1 + s*tr(A) + s^2*(tr(A)^2 - tr(A^2))/2
     modulo s^3.
     """
-    passes = _single_loop_passes(_knot_diagram(knot))
+    passes = _knot(knot).gauss[0]
     c = len(passes) // 2
     if c < 2:
         return 0
@@ -376,7 +372,7 @@ def a2_alexander(knot) -> int:
 
 def a2_routes(knot) -> tuple[int, int]:
     """(a2, a2_alexander) of a knot, both read off one projection."""
-    diagram = _knot_diagram(knot)
+    diagram = _knot(knot)
     return a2(diagram), a2_alexander(diagram)
 
 
@@ -492,21 +488,14 @@ def conway_from_diagram(diagram: LinkDiagram, max_crossings: int = 16) -> Poly:
         raise TooLarge(
             f"{len(diagram.crossings)} crossings exceed the skein bound of {max_crossings}"
         )
-    passes = tuple(
-        tuple((idx, over, diagram.crossings[idx].sign) for (_, idx, over) in diagram.passes(li))
-        for li in range(len(diagram.loops))
-    )
-    return _conway(passes, {})
+    return _conway(diagram.gauss, {})
 
 
 def a2_skein(knot, max_crossings: int = 16) -> int:
     """Second Conway coefficient by skein recursion, for a closed loop or
     its one-loop :class:`LinkDiagram`.  Exponential in the crossing count;
     tests use it as an oracle for the other two routes."""
-    diagram = _knot_diagram(knot)
-    if len(diagram.loops) != 1:
-        raise ValueError("knot invariants need a single closed loop")
-    poly = conway_from_diagram(diagram, max_crossings)
+    poly = conway_from_diagram(_knot(knot), max_crossings)
     if poly.get(0, 0) != 1:
         raise Impossible("knot Conway polynomial must have constant term 1")
     return poly.get(2, 0)

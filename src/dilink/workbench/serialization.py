@@ -184,10 +184,10 @@ def parse_instance(text: str) -> ParsedInstance:
         vs, ecs = c.get("vertices"), c.get("edge_choices")
         if not (isinstance(vs, list) and all(type(v) is int and 0 <= v < n for v in vs)):
             raise FormatError(f"cycle {k} vertices must name vertices")
-        if not (isinstance(ecs, list) and all(e in (0, 1) for e in ecs)):
+        if not (isinstance(ecs, list) and all(type(e) is int and e in (0, 1) for e in ecs)):
             raise FormatError(f"cycle {k} edge_choices must be 0/1 flags")
         o = c.get("orientation", 1)
-        if o not in (-1, 1):
+        if type(o) is not int or o not in (-1, 1):
             raise FormatError(f"cycle {k} orientation must be +1 or -1")
         try:
             cyc = DiCycle(tuple(vs), tuple(bool(e) for e in ecs))

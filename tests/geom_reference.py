@@ -24,9 +24,7 @@ from fractions import Fraction
 
 from dilink.errors import DegenerateProjection, DisjointnessViolated
 from dilink.geom import (
-    Crossing,
     LinkDiagram,
-    StrandPos,
     ValidationReport,
     Violation,
     _closed_segments,
@@ -263,7 +261,7 @@ def diagram_reference(loop_points):
         raise DisjointnessViolated(
             f"loops {sa[0]} and {sb[0]} intersect in space (segments {sa[1]},{sb[1]})"
         )
-    raw = []
+    crossings, passes = [], [[] for _ in loops]
     seen = set()
     for kind, sa, sb, data, pt in contacts_2d_reference(all_segs, rule):
         where = (sa[0], sa[1], sb[0], sb[1])
@@ -280,12 +278,13 @@ def diagram_reference(loop_points):
                 f"triple point at ({pt[0]},{pt[1]})", (Violation("triple-point", where),)
             )
         seen.add(pt)
-        pos_a = StrandPos(sa[0], sa[1], Fraction(t_num, den))
-        pos_b = StrandPos(sb[0], sb[1], Fraction(u_num, den))
-        over, under = (pos_a, pos_b) if a_over else (pos_b, pos_a)
-        raw.append(Crossing(over=over, under=under, sign=sign, point=pt))
-    raw.sort(key=lambda c: (c.over, c.under))
-    return LinkDiagram(loops=loops, crossings=tuple(raw))
+        # pairs come in segment-pair order, which numbers the crossings
+        k = len(crossings)
+        crossings.append((sa[0], sb[0], sign) if a_over else (sb[0], sa[0], sign))
+        passes[sa[0]].append(((sa[1], Fraction(t_num, den)), (k, a_over, sign)))
+        passes[sb[0]].append(((sb[1], Fraction(u_num, den)), (k, not a_over, sign)))
+    gauss = tuple(tuple(entry for _, entry in sorted(ps)) for ps in passes)
+    return LinkDiagram(tuple(crossings), gauss)
 
 
 def arc_pair_crossings_reference(e, points_e, f, points_f):

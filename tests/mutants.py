@@ -60,6 +60,26 @@ MUTANTS = [
      "zb = pbz * den - o_r * dzb",
      "zb = pbz * den + o_r * dzb",
      ("tests/test_geom.py", "tests/test_symmetries.py")),
+    # the diagram records a crossing's second pass on the same side as its first
+    ("gauss-under", "src/dilink/geom.py",
+     "k, not i_over, sign))",
+     "k, i_over, sign))",
+     ("tests/test_geom.py", "tests/test_invariants.py")),
+    # the diagram keeps each loop's passes in record order, not walk order
+    ("gauss-order", "src/dilink/geom.py",
+     "for p in sorted(ps))",
+     "for p in ps)",
+     ("tests/test_geom.py", "tests/test_invariants.py")),
+    # the Alexander route adds the over arc's entry instead of subtracting it
+    ("alexander-over", "src/dilink/invariants.py",
+     "acc[over_arc[cid]] -= sign",
+     "acc[over_arc[cid]] += sign",
+     ("tests/test_invariants.py",)),
+    # the pair count takes pairs that nest as interleaved
+    ("a2-interleave", "src/dilink/invariants.py",
+     "first[b] < second[a] < second[b]",
+     "first[b] < second[a]",
+     ("tests/test_invariants.py",)),
     # the heavy-vector walk ignores the offset it was given
     ("heavy-from-zero", "src/dilink/z2linalg.py",
      "x = offset",

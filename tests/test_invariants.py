@@ -306,19 +306,15 @@ def test_result_guards_survive_python_O():
     script = textwrap.dedent(
         """
         import sys
-        from fractions import Fraction
         import dilink.invariants as inv
         import dilink.z2linalg as z2
         from dilink.digraph import DiCycle, realize
         from dilink.errors import Impossible
-        from dilink.geom import Crossing, LinkDiagram, Point3, PolyLine, SpatialEmbedding, StrandPos
+        from dilink.geom import LinkDiagram, Point3, PolyLine, SpatialEmbedding
 
         print(sys.flags.optimize)
-        half = Fraction(1, 2)
-        lone = Crossing(StrandPos(0, 0, half), StrandPos(1, 0, half), 1, (half, half))
-        inv.project_with_retry = lambda loops: inv.ProjectionResult(
-            LinkDiagram(loops=((), ()), crossings=(lone,)), (0, 0)
-        )
+        lone = LinkDiagram(((0, 1, 1),), (((0, True, 1),), ((0, False, 1),)))
+        inv.project_with_retry = lambda loops: inv.ProjectionResult(lone, (0, 0))
         try:
             inv.linking_table([(), ()])
         except Impossible:

@@ -208,8 +208,15 @@ _MALFORMED = {
                                   ("FormatError", "cycle 1 vertices must name vertices")),
     "edge-choice-two": (("cycles", 0, "edge_choices", 1), 2,
                         ("FormatError", "cycle 0 edge_choices must be 0/1 flags")),
+    "edge-choice-true": (("cycles", 0, "edge_choices", 1), True,
+                         ("FormatError", "cycle 0 edge_choices must be 0/1 flags")),
     "orientation-zero": (("cycles", 2, "orientation"), 0,
                          ("FormatError", "cycle 2 orientation must be +1 or -1")),
+    # 1.0 == 1 and True == 1, but a report promises integers
+    "orientation-float": (("cycles", 0, "orientation"), 1.0,
+                          ("FormatError", "cycle 0 orientation must be +1 or -1")),
+    "orientation-true": (("cycles", 1, "orientation"), True,
+                         ("FormatError", "cycle 1 orientation must be +1 or -1")),
     "role-out-of-range": (("roles", "rings"), [3, 4],
                           ("FormatError", "role 'rings' must list cycle indices")),
     # a coordinate outside the file's box is a format error too
