@@ -11,6 +11,7 @@ certificate that can be replayed and re-verified.  Subpackages:
 - ``z2linalg``: GF(2) row spaces and heavy vectors
 - ``patterns``: weighted linking patterns and keyring search
 - ``engine``: the certified constructions and verifiers
+- ``checks``: each construction's guarantee, written once
 - ``workbench``: generators, the instance file format, and the CLI
 """
 
@@ -45,7 +46,6 @@ from dilink.geom import (
     PolyLine,
     SpatialEmbedding,
     project_to_diagram,
-    shear,
     validate_general_position,
 )
 from dilink.invariants import (
@@ -56,7 +56,6 @@ from dilink.invariants import (
     a2_skein,
     linking_number,
     linking_table,
-    omega,
 )
 from dilink.patterns import (
     CompleteBipartiteMod2,
@@ -103,13 +102,11 @@ __all__ = [
     "linking_table",
     "nabla",
     "nabla_eps",
-    "omega",
     "project_to_diagram",
     "prop1_step",
     "realize",
     "replay_certificate",
     "search_lemma7_knot",
-    "shear",
     "theorem1_step",
     "theorem2_params",
     "validate_general_position",

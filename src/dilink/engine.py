@@ -13,10 +13,11 @@ recorded choices bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence
 
+from dilink import checks
 from dilink.digraph import (
     DiCycle,
     connector_cycle,
@@ -36,13 +37,7 @@ from dilink.errors import (
     SurgeryFailed,
 )
 from dilink.invariants import LinkTable, a2_routes
-from dilink.patterns import (
-    DEFAULT_BUDGET,
-    CompleteBipartiteMod2,
-    check_witness,
-    compute_pattern,
-    find_disjoint_keyrings,
-)
+from dilink.patterns import DEFAULT_BUDGET, compute_pattern, find_disjoint_keyrings
 from dilink.z2linalg import Z2Matrix, bits_to_vector, heavy_vector
 
 __all__ = [
@@ -87,23 +82,11 @@ class ConstructionCertificate:
     checks: dict
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": self.inputs,
-            "choices": self.choices,
-            "outputs": self.outputs,
-            "checks": self.checks,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstructionCertificate":
-        return cls(
-            kind=obj["kind"],
-            inputs=obj["inputs"],
-            choices=obj["choices"],
-            outputs=obj["outputs"],
-            checks=obj["checks"],
-        )
+        return cls(*(obj[f.name] for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +184,7 @@ def lemma1_find_odd_links(table: LinkTable, m: int) -> Lemma1Result:
                 "chosen": [winner[0].to_json(), winner[1].to_json()],
             }
         )
+    checks.lemma1([b["parity"] for b in blocks_json], len(chosen), m)
     cert = ConstructionCertificate(
         kind="lemma1",
         inputs={"m": m, "vertices": ids},
@@ -293,16 +277,8 @@ def big_z(
         z_parities = [table.omega(z, x) for x in xs]
 
     index_set = tuple(i for i, w in enumerate(z_parities) if w == 1)
-    if 2 * len(index_set) < n:
-        raise ConstructionFailed(
-            f"linked only {len(index_set)} of {len(xs)} targets; the "
-            f"counting argument guarantees at least {n}/2"
-        )
     d = directionality(z)
-    if d != target_delta:
-        raise ConstructionFailed(
-            f"output directionality {d} differs from target {target_delta}"
-        )
+    checks.big_z(z_parities, index_set, n, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="big_z",
@@ -329,8 +305,8 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     xs = _cycles_from_json(ins["xs"])
-    # what big_z guarantees, from geometry: its hypotheses first (the
-    # connector refuses a J that is not 2-directional), its bound below
+    # big_z's hypotheses first, from geometry (the connector refuses a J
+    # that is not 2-directional); its guarantee once the cycle is rebuilt
     n = len(js) // 2
     for i, j in enumerate(js):
         if directionality(j) != 2:
@@ -351,13 +327,10 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     parities = [cache.omega(z, x) for x in xs]
     if parities != cert.checks["z_parities"]:
         raise ConstructionFailed("replay parity table differs")
-    idx = [i for i, w in enumerate(parities) if w == 1]
-    if idx != cert.outputs["index_set"]:
-        raise ConstructionFailed("replay index set differs")
-    if directionality(z) != cert.checks["delta"]:
+    d = directionality(z)
+    if d != cert.checks["delta"]:
         raise ConstructionFailed("replay directionality differs")
-    if 2 * len(idx) < n:
-        raise ConstructionFailed(f"replay links only {len(idx)} of {len(xs)} targets")
+    checks.big_z(parities, cert.outputs["index_set"], n, d, ins["target_delta"])
     return z
 
 
@@ -414,6 +387,46 @@ def bipar_counts(m: int, n_y: int, lam: int) -> BiparCounts:
     return BiparCounts(keep_j, keep_l, keep_j * 2**m, keep_l * 3**m * 2**n_y)
 
 
+def _bipar_hypotheses(
+    js: list[DiCycle], ls: list[DiCycle], xs: list[DiCycle], ys: list[DiCycle],
+    table: LinkTable, lam: int,
+) -> tuple[int, int, dict, dict]:
+    """Raise HypothesisViolated unless bipar_z's hypotheses hold: four
+    nonempty families, lam >= 0, enough chained cycles of each family for
+    ``bipar_counts``, every chained cycle 2-directional and every lk(J_i,
+    X_a) and lk(L_j, Y_b) nonzero.  Returns the counts of J's and L's kept
+    and those two lk tables."""
+    m, n_y, r, q = len(xs), len(ys), len(js), len(ls)
+    if min(m, n_y, r, q) < 1:
+        raise HypothesisViolated("all four families must be nonempty")
+    if lam < 0:
+        raise HypothesisViolated("threshold must be nonnegative")
+    keep_j_count, keep_l_count, min_r, min_q = bipar_counts(m, n_y, lam)
+    if r < min_r:
+        raise HypothesisViolated(
+            f"r = {r} < {min_r} chained cycles of the first family"
+        )
+    if q < min_q:
+        raise HypothesisViolated(
+            f"q = {q} < {min_q} chained cycles of the second family"
+        )
+    for fam, name in ((js, "first"), (ls, "second")):
+        for i, c in enumerate(fam):
+            if directionality(c) != 2:
+                raise HypothesisViolated(
+                    f"{name}-family cycle {i} is not 2-directional"
+                )
+    lk_jx = {(i, a): table.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
+    lk_ly = {(j, b): table.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
+    for (i, a), v in sorted(lk_jx.items()):
+        if v == 0:
+            raise HypothesisViolated(f"lk(J_{i}, X_{a}) = 0")
+    for (j, b), v in sorted(lk_ly.items()):
+        if v == 0:
+            raise HypothesisViolated(f"lk(L_{j}, Y_{b}) = 0")
+    return keep_j_count, keep_l_count, lk_jx, lk_ly
+
+
 def bipar_z(
     js: Sequence[DiCycle],
     ls: Sequence[DiCycle],
@@ -438,35 +451,8 @@ def bipar_z(
     """
     js, ls, xs, ys = list(js), list(ls), list(xs), list(ys)
     m, n_y, r, q = len(xs), len(ys), len(js), len(ls)
-    if min(m, n_y, r, q) < 1:
-        raise HypothesisViolated("all four families must be nonempty")
-    if lam < 0:
-        raise HypothesisViolated("threshold must be nonnegative")
-    keep_j_count, keep_l_count, min_r, min_q = bipar_counts(m, n_y, lam)
-    if r < min_r:
-        raise HypothesisViolated(
-            f"r = {r} < {min_r} chained cycles of the first family"
-        )
-    if q < min_q:
-        raise HypothesisViolated(
-            f"q = {q} < {min_q} chained cycles of the second family"
-        )
-    for fam, name in ((js, "first"), (ls, "second")):
-        for i, c in enumerate(fam):
-            if directionality(c) != 2:
-                raise HypothesisViolated(
-                    f"{name}-family cycle {i} is not 2-directional"
-                )
-
-    lk_jx = {(i, a): table.lk(js[i], xs[a]) for i in range(r) for a in range(m)}
-    lk_ly = {(j, b): table.lk(ls[j], ys[b]) for j in range(q) for b in range(n_y)}
+    keep_j_count, keep_l_count, lk_jx, lk_ly = _bipar_hypotheses(js, ls, xs, ys, table, lam)
     lk_lx = {(j, a): table.lk(ls[j], xs[a]) for j in range(q) for a in range(m)}
-    for (i, a), v in sorted(lk_jx.items()):
-        if v == 0:
-            raise HypothesisViolated(f"lk(J_{i}, X_{a}) = 0")
-    for (j, b), v in sorted(lk_ly.items()):
-        if v == 0:
-            raise HypothesisViolated(f"lk(L_{j}, Y_{b}) = 0")
 
     # phase 1: halve the J's over the X targets
     sign_x = [1] * m
@@ -588,16 +574,8 @@ def bipar_z(
                     f"lk against X_{a} drifted from {base} to {final_x[a]} "
                     f"although no surviving cycle links it"
                 )
-        if abs(final_x[a]) <= lam:
-            raise ConstructionFailed(f"|lk(Z, X_{a})| = {abs(final_x[a])} <= {lam}")
-    for b in range(n_y):
-        if abs(final_y[b]) <= lam:
-            raise ConstructionFailed(f"|lk(Z, Y_{b})| = {abs(final_y[b])} <= {lam}")
     d = directionality(z)
-    if d != target_delta:
-        raise ConstructionFailed(
-            f"output directionality {d} differs from target {target_delta}"
-        )
+    checks.bipar_z(final_x, final_y, lam, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="bipar_z",
@@ -642,6 +620,10 @@ def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ls = _cycles_from_json(ins["ls"])
     xs = _cycles_from_json(ins["xs"])
     ys = _cycles_from_json(ins["ys"])
+    try:
+        _bipar_hypotheses(js, ls, xs, ys, cache, ins["lam"])
+    except HypothesisViolated as ex:
+        raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
     chain = [js[i] for i in ch["kept_j"]] + [ls[j] for j in ch["kept_l"]]
     z = connector_cycle(
         chain,
@@ -657,11 +639,9 @@ def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     final_y = [cache.lk(z, y) for y in ys]
     if final_x != cert.checks["final_x"] or final_y != cert.checks["final_y"]:
         raise ConstructionFailed("replay linking table differs")
-    lam = ins["lam"]
-    if any(abs(v) <= lam for v in final_x + final_y):
-        raise ConstructionFailed("replayed table violates the threshold")
     if directionality(z) != cert.checks["delta"]:
         raise ConstructionFailed("replay directionality differs")
+    checks.bipar_z(final_x, final_y, ins["lam"], cert.checks["delta"], ins["target_delta"])
     return z
 
 
@@ -691,9 +671,9 @@ def prop1_step(
     among the candidates, then runs the parity-linking construction once
     per key position, intersecting the resulting target index sets.  The
     intersection must retain at least n targets; structured inputs keep
-    every target, sparse ones may fail with NotEnoughKeyrings.  Linking
-    numbers come from ``table``, the caller's table on the candidates'
-    embedding.
+    every target.  A candidate pattern without the keyrings raises
+    NotEnoughKeyrings.  Linking numbers come from ``table``, the caller's
+    table on the candidates' embedding.
     """
     if n < 1:
         raise HypothesisViolated("need n >= 1")
@@ -722,10 +702,8 @@ def prop1_step(
         got = set(sub.index_set)
         current = got if current is None else (current & got)
     index_set = tuple(sorted(current or ()))
-    if len(index_set) < n:
-        raise NotEnoughKeyrings(
-            f"rounds agree on only {len(index_set)} targets, need {n}"
-        )
+    # the intersection before the witness, which needs n shared targets
+    checks.prop1(index_set, n, ())
 
     # exhibit the complete bipartite parity witness and re-verify it
     picked = index_set[:n]
@@ -734,12 +712,10 @@ def prop1_step(
     )
     witness = {f"x{j}": j for j in range(n)}
     witness.update({f"y{i}": n + i for i in range(n)})
-    if not check_witness(witness_pattern, CompleteBipartiteMod2(n), witness):
-        raise ConstructionFailed("bipartite parity witness fails re-verification")
-
     omega_table = [
         [witness_pattern.weight(j, n + i) % 2 for i in range(n)] for j in range(n)
     ]
+    checks.prop1(index_set, n, omega_table)
     cert = ConstructionCertificate(
         kind="prop1",
         inputs={
@@ -867,18 +843,8 @@ def theorem1_step(
         "y": [abs(table.lk(z, candidates[i])) for i in p2[:m]],
         "q": [abs(table.lk(z, candidates[i])) for i in qs],
     }
-    for group, vals in sorted(new_weights.items()):
-        for k, w in enumerate(vals):
-            if w <= lam:
-                raise ConstructionFailed(
-                    f"new singleton weight |lk| = {w} <= {lam} against "
-                    f"{group}[{k}]"
-                )
     d = directionality(z)
-    if d != target_delta:
-        raise ConstructionFailed(
-            f"new singleton directionality {d} differs from target"
-        )
+    checks.theorem1(new_weights, lam, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="theorem1",
@@ -1069,7 +1035,7 @@ def search_lemma7_knot(
                     continue
                 lks = [table.lk(k, a) for a in a_cycles]
                 row["lk"] = lks
-                v_pairs, v_alexander = a2_routes(table.loop(k))
+                v_pairs, v_alexander = a2_routes(table.diagram(k))
                 if v_pairs != v_alexander:
                     raise ConstructionFailed(
                         f"knotting routes disagree: {v_pairs} vs {v_alexander}"

@@ -40,7 +40,6 @@ __all__ = [
     "LinkDiagram",
     "validate_general_position",
     "project_to_diagram",
-    "shear",
     "shear_points",
 ]
 
@@ -635,12 +634,20 @@ def _closed_segments(loops) -> list[tuple[int, int, Point3, Point3]]:
     return all_segs
 
 
-def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> None:
+def check_loops_disjoint(loop_points: Sequence[Sequence[Point3]]) -> list | None:
     """Raise :class:`DisjointnessViolated` unless the closed loops are
-    simple and pairwise disjoint in space."""
+    simple and pairwise disjoint in space.  Returns the walk's crossing
+    records, which :func:`gauss_diagram` reads, when the projection is
+    generic (no vertical segment, touch, overlap or triple point), and
+    None when it is not."""
     loops = tuple(tuple(lp) for lp in loop_points)
     all_segs = _closed_segments(loops)
-    _raise_first_meet(all_segs, _pair_walk(all_segs, (), {}, None)[0])
+    crossings: list = []
+    events, _, triples = _pair_walk(all_segs, (), {}, crossings)
+    _raise_first_meet(all_segs, events)
+    if events or triples or any(p[:2] == q[:2] for _, _, p, q in all_segs):
+        return None
+    return crossings
 
 
 def _raise_first_meet(all_segs: Sequence[_Seg], events: list) -> None:
@@ -772,13 +779,18 @@ def project_to_diagram(loop_points: Sequence[tuple[Point3, ...]]) -> LinkDiagram
             text = f"triple point at ({pt[0]},{pt[1]})"
         raise DegenerateProjection(text, (Violation(kind, where),))
 
+    return gauss_diagram([s[0] for s in all_segs], crossings)
+
+
+def gauss_diagram(owners: Sequence[int], crossings: list) -> LinkDiagram:
+    """The diagram of a generic projection from :func:`_pair_walk`'s
+    crossing records, with ``owners[i]`` the loop of segment i."""
     # the segments run loop by loop in walk order, so a loop's passes sort
     # along it by (segment, parameter)
-    crossings.sort()
     table = []
-    passes: list[list] = [[] for _ in loops]
-    for k, (i, j, t_num, u_num, den, i_over, sign) in enumerate(crossings):
-        li, lj = all_segs[i][0], all_segs[j][0]
+    passes: list[list] = [[] for _ in range(owners[-1] + 1)]
+    for k, (i, j, t_num, u_num, den, i_over, sign) in enumerate(sorted(crossings)):
+        li, lj = owners[i], owners[j]
         table.append((li, lj, sign) if i_over else (lj, li, sign))
         passes[li].append((i, Fraction(t_num, den), k, i_over, sign))
         passes[lj].append((j, Fraction(u_num, den), k, not i_over, sign))
@@ -804,21 +816,3 @@ def shear_points(points: Iterable[Point3], kx: int, ky: int = 0) -> tuple[Point3
             raise CoordinateOverflow("shear pushed a coordinate past the exact bound")
         out.append(Point3(nx, ny, p[2]))
     return tuple(out)
-
-
-def shear(emb: SpatialEmbedding, kx: int, ky: int = 0) -> SpatialEmbedding:
-    """Shear a whole embedding.  Height (z) is untouched, so every over/under
-    relation, and hence every invariant, is preserved."""
-    new_vertices = {
-        v: Point3(p.x + kx * p.z, p.y + ky * p.z, p.z) for v, p in emb.vertices.items()
-    }
-    new_arcs = {key: PolyLine(shear_points(arc.points, kx, ky)) for key, arc in emb.arcs.items()}
-    new_box = 0
-    for p in new_vertices.values():
-        new_box = max(new_box, abs(p.x), abs(p.y), abs(p.z))
-    for a in new_arcs.values():
-        for p in a.points:
-            new_box = max(new_box, abs(p.x), abs(p.y), abs(p.z))
-    if new_box > COORD_LIMIT:
-        raise CoordinateOverflow("shear pushed a coordinate past the exact bound")
-    return SpatialEmbedding(vertices=new_vertices, arcs=new_arcs, box=max(new_box, emb.box))

@@ -27,6 +27,7 @@ from .geom import (
     arc_pair_crossings,
     arc_strands,
     check_loops_disjoint,
+    gauss_diagram,
     project_to_diagram,
     shear_points,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "project_with_retry",
     "linking_table",
     "linking_number",
-    "omega",
     "a2",
     "a2_alexander",
     "a2_routes",
@@ -137,7 +137,9 @@ class LinkTable:
     def __init__(self, emb: SpatialEmbedding):
         self.emb = emb
         self._shears = iter(_SHEARS)
-        self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
+        # per cycle: its loop, (arc, sign) per step, and its self-check's
+        # crossing records, None when its projection is not generic
+        self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple, Optional[list]]] = {}
         self._next_shear(None)
 
     def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
@@ -156,20 +158,28 @@ class LinkTable:
         # (e, f) with e < f and meeting xy boxes -> S(e, f)
         self._pairs: dict[tuple, int] = {}
 
-    def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple]:
+    def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple, Optional[list]]:
         got = self._cycles.get(c)
         if got is None:
             loop = realize(c, self.emb)
-            check_loops_disjoint([loop.points])
+            crossings = check_loops_disjoint([loop.points])
             signed = tuple(
                 (c.arc(i), 1 if along else -1) for i, along in enumerate(c.edge_choices)
             )
-            got = (loop, signed)
+            got = (loop, signed, crossings)
             self._cycles[c] = got
         return got
 
     def loop(self, c: DiCycle) -> OrientedLoop:
         return self._cycle(c)[0]
+
+    def diagram(self, c: DiCycle) -> LinkDiagram:
+        """c's one-loop diagram: from the crossings of its self-check when
+        the unsheared projection is generic, else from project_with_retry."""
+        loop, _, crossings = self._cycle(c)
+        if crossings is None:
+            return project_with_retry([loop]).diagram
+        return gauss_diagram([0] * len(loop.points), crossings)
 
     def _arc(self, key: tuple[int, int]) -> tuple:
         got = self._arcs.get(key)
@@ -266,11 +276,6 @@ def linking_number(a, b) -> int:
     """Linking number of two disjoint closed curves: half the signed sum of
     the crossings between them."""
     return linking_table([a, b])[(0, 1)]
-
-
-def omega(a, b) -> int:
-    """Linking number mod 2, as 0 or 1."""
-    return linking_number(a, b) & 1
 
 
 # ---------------------------------------------------------------------------

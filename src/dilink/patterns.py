@@ -89,7 +89,9 @@ def compute_pattern(
     ``with_knotting`` is set, each cycle also gets |a2|, read off one
     projection by the pair-count and the Alexander route, which must agree.
     """
-    loops = [table.loop(c) for c in cycles]
+    # every cycle realized and self-checked before any lk query
+    for c in cycles:
+        table.loop(c)
     edges = {}
     for i, j in combinations(range(len(cycles)), 2):
         v = table.lk(cycles[i], cycles[j])
@@ -98,8 +100,8 @@ def compute_pattern(
     knot_weights = None
     if with_knotting:
         knot_weights = {}
-        for i, loop in enumerate(loops):
-            v_pairs, v_alexander = a2_routes(loop)
+        for i, c in enumerate(cycles):
+            v_pairs, v_alexander = a2_routes(table.diagram(c))
             if v_pairs != v_alexander:
                 raise Impossible(f"a2 routes disagree on c{i}: {v_pairs} vs {v_alexander}")
             knot_weights[i] = abs(v_pairs)

@@ -19,7 +19,7 @@ import time
 from itertools import combinations
 from typing import Optional, Sequence
 
-from dilink import __version__
+from dilink import __version__, checks
 from dilink.digraph import (
     DiCycle,
     connector_cycle,
@@ -254,7 +254,7 @@ def _cmd_invariants(args, rep: dict) -> None:
     for k, c in enumerate(cycles):
         if deltas[k] != 1 and len(cycles) > 1:
             continue
-        va, vx = a2_routes(table.loop(c))
+        va, vx = a2_routes(table.diagram(c))
         knots.append({"cycle": k, "a2": va, "a2_alexander": vx})
         _check(rep, f"a2-routes-agree-{k}", va == vx, f"{va} vs {vx}")
     rep["knotting"] = knots
@@ -280,9 +280,7 @@ def _cmd_lemma1(args, rep: dict) -> None:
     rep["params"]["m"] = m
     res = lemma1_find_odd_links(LinkTable(inst.embedding), m)
     rep["certificates"] = [res.certificate.to_json()]
-    for bi, par in enumerate(res.certificate.checks["parities"]):
-        _check(rep, f"block-{bi}-parity", par == 1, f"sum mod 2 = {par}")
-    _check(rep, "pairs-found", len(res.pairs) == m)
+    rep["checks"] += checks.lemma1(res.certificate.checks["parities"], len(res.pairs), m)
 
 
 def _cmd_bigz(args, rep: dict) -> None:
@@ -296,16 +294,9 @@ def _cmd_bigz(args, rep: dict) -> None:
     res = big_z(js, xs, table, target_delta=args.delta, extra_vertices=extras)
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
-    _check(
-        rep,
-        "coverage",
-        2 * len(res.index_set) >= len(js) // 2,
-        f"linked {len(res.index_set)} of {len(xs)} targets",
-    )
-    _check(
-        rep,
-        "directionality",
-        directionality(res.z) == args.delta,
+    claims = res.certificate.checks
+    rep["checks"] += checks.big_z(
+        claims["z_parities"], res.index_set, len(js) // 2, claims["delta"], args.delta
     )
     replay_certificate(res.certificate, table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
@@ -336,14 +327,10 @@ def _cmd_bipar(args, rep: dict) -> None:
         extra_vertices=extras,
     )
     rep["certificates"] = [res.certificate.to_json()]
-    final = res.certificate.checks["final_x"] + res.certificate.checks["final_y"]
-    _check(
-        rep,
-        "threshold",
-        all(abs(v) > lam for v in final),
-        f"linking values {final}, threshold {lam}",
+    claims = res.certificate.checks
+    rep["checks"] += checks.bipar_z(
+        claims["final_x"], claims["final_y"], lam, claims["delta"], args.delta
     )
-    _check(rep, "directionality", directionality(res.z) == args.delta)
     replay_certificate(res.certificate, table)
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
@@ -382,17 +369,7 @@ def _cmd_prop1(args, rep: dict) -> None:
     rep["certificates"] = [res.certificate.to_json()]
     rep["index_set"] = list(res.index_set)
     rep["witness"] = res.witness
-    _check(rep, "intersection", len(res.index_set) >= args.n,
-           f"{len(res.index_set)} shared targets")
-    _check(
-        rep,
-        "witness-parities",
-        all(
-            w == 1
-            for row in res.certificate.checks["omega_table"]
-            for w in row
-        ),
-    )
+    rep["checks"] += checks.prop1(res.index_set, args.n, res.certificate.checks["omega_table"])
 
 
 def _cmd_thm1_step(args, rep: dict) -> None:
@@ -423,11 +400,8 @@ def _cmd_thm1_step(args, rep: dict) -> None:
     )
     rep["certificates"] = [res.certificate.to_json()]
     rep["witness"] = res.witness
-    weights = res.certificate.checks["new_weights"]
-    flat = [w for vals in weights.values() for w in vals]
-    _check(rep, "new-singleton-weights", all(w > args.lam for w in flat),
-           f"|lk| values {flat}, threshold {args.lam}")
-    _check(rep, "directionality", directionality(res.z) == args.delta)
+    claims = res.certificate.checks
+    rep["checks"] += checks.theorem1(claims["new_weights"], args.lam, claims["delta"], args.delta)
 
 
 def _cmd_verify_l6(args, rep: dict) -> None:

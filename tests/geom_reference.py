@@ -18,17 +18,25 @@ Nothing here comes from ``dilink.geom`` but its data types and the two
 functions that list a geometry's segments: a crossing's over/under and
 sign are read off its heights as Fractions and the module's convention
 (``crossing_reference``), not off the kernel's integer rule.
+
+``shear`` tilts a whole embedding with ``geom.shear_points``, for tests
+that re-measure an embedding under a shear.
 """
 
 from fractions import Fraction
 
-from dilink.errors import DegenerateProjection, DisjointnessViolated
+from dilink.errors import CoordinateOverflow, DegenerateProjection, DisjointnessViolated
 from dilink.geom import (
+    COORD_LIMIT,
     LinkDiagram,
+    Point3,
+    PolyLine,
+    SpatialEmbedding,
     ValidationReport,
     Violation,
     _closed_segments,
     _gather_segments,
+    shear_points,
 )
 
 
@@ -343,3 +351,21 @@ def pair_walk_reference(segs, points):
         if x0 <= x <= x1 and y0 <= y <= y1
     ]
     return sorted(events, key=lambda e: e[:3]), hits, sorted(crossings)
+
+
+def shear(emb: SpatialEmbedding, kx: int, ky: int = 0) -> SpatialEmbedding:
+    """Shear a whole embedding.  Height (z) is untouched, so every over/under
+    relation, and hence every invariant, is preserved."""
+    new_vertices = {
+        v: Point3(p.x + kx * p.z, p.y + ky * p.z, p.z) for v, p in emb.vertices.items()
+    }
+    new_arcs = {key: PolyLine(shear_points(arc.points, kx, ky)) for key, arc in emb.arcs.items()}
+    new_box = 0
+    for p in new_vertices.values():
+        new_box = max(new_box, abs(p.x), abs(p.y), abs(p.z))
+    for a in new_arcs.values():
+        for p in a.points:
+            new_box = max(new_box, abs(p.x), abs(p.y), abs(p.z))
+    if new_box > COORD_LIMIT:
+        raise CoordinateOverflow("shear pushed a coordinate past the exact bound")
+    return SpatialEmbedding(vertices=new_vertices, arcs=new_arcs, box=max(new_box, emb.box))

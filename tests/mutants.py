@@ -80,6 +80,11 @@ MUTANTS = [
      "first[b] < second[a] < second[b]",
      "first[b] < second[a]",
      ("tests/test_invariants.py",)),
+    # the table skips arc pairs whose xy boxes only touch in x
+    ("lk-prune-touch", "src/dilink/invariants.py",
+     "if ex0 > fx1",
+     "if ex0 >= fx1",
+     ("tests/test_linktable.py",)),
     # the heavy-vector walk ignores the offset it was given
     ("heavy-from-zero", "src/dilink/z2linalg.py",
      "x = offset",
@@ -90,11 +95,31 @@ MUTANTS = [
      "if weight((x ^ row) & fresh) > weight(x & fresh):",
      "if weight((x ^ row) & fresh) >= weight(x & fresh):",
      ("tests/test_z2linalg.py", "tests/test_engine.py")),
-    # big_z's replay no longer checks the bound its certificate claims
-    ("replay-bound", "src/dilink/engine.py",
-     "if 2 * len(idx) < n:",
+    # big_z's checker, which its replay calls, no longer checks the bound
+    ("replay-bound", "src/dilink/checks.py",
+     "if 2 * len(odd) < n:",
      "if False:",
      ("tests/test_engine.py",)),
+    # bipar_z's checker lets a linking number of exactly lam through
+    ("check-bipar-threshold", "src/dilink/checks.py",
+     "if abs(v) <= lam:",
+     "if abs(v) < lam:",
+     ("tests/test_checks.py", "tests/test_engine.py")),
+    # theorem1's checker lets a new weight of exactly lam through
+    ("check-theorem1-weight", "src/dilink/checks.py",
+     "if w <= lam:",
+     "if w < lam:",
+     ("tests/test_checks.py",)),
+    # lemma1's checker no longer checks the block parities
+    ("check-lemma1-parity", "src/dilink/checks.py",
+     "if par != 1:",
+     "if False:",
+     ("tests/test_checks.py",)),
+    # prop1's checker lets the rounds share one target too few
+    ("check-prop1-intersection", "src/dilink/checks.py",
+     "if len(index_set) < n:",
+     "if len(index_set) < n - 1:",
+     ("tests/test_checks.py",)),
     # big_z's replay no longer checks the diagonal hypothesis
     ("replay-diagonal", "src/dilink/engine.py",
      "if cache.omega(js[i], xs[i]) != 1:",

@@ -31,8 +31,8 @@ from dilink.engine import (
     verify_lemma6_conclusion,
 )
 from dilink.errors import DisjointnessViolated
-from dilink.geom import Point3, PolyLine, SpatialEmbedding, shear
-from dilink.invariants import LinkTable, linking_number, omega
+from dilink.geom import Point3, PolyLine, SpatialEmbedding
+from dilink.invariants import LinkTable, linking_number
 from dilink.workbench.generators import (
     big_z_instance,
     grid_link,
@@ -43,6 +43,7 @@ from dilink.workbench.generators import (
 )
 
 from conftest import clasped_triangles
+from geom_reference import shear
 
 
 def loops_of(emb, *cycles):
@@ -158,7 +159,7 @@ class TestFindOddLinks:
             assert directionality(a) == 2
             assert directionality(b) == 2
             la, lb = loops_of(inst.embedding, a, b)
-            assert omega(la, lb) == 1
+            assert linking_number(la, lb) & 1 == 1
 
     def test_certificate_survives_json(self):
         inst = lemma1_dk6m(1, seed=5)
@@ -188,7 +189,7 @@ class TestBigZ:
         assert directionality(res.z) == 1
         zl = realize(res.z, bigz_n2.embedding)
         for i in res.index_set:
-            assert omega(zl, realize(xs[i], bigz_n2.embedding)) == 1
+            assert linking_number(zl, realize(xs[i], bigz_n2.embedding)) & 1 == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_instances_link_everything(self, n):
@@ -235,7 +236,7 @@ class TestBigZ:
         assert len(res.index_set) >= 2
         zl = realize(res.z, inst.embedding)
         for i in res.index_set:
-            assert omega(zl, realize(xs[i], inst.embedding)) == 1
+            assert linking_number(zl, realize(xs[i], inst.embedding)) & 1 == 1
 
     @pytest.mark.parametrize("intervals,queries", [
         # n diagonal, 2n connector, 2n replay and n replay diagonal
@@ -341,7 +342,7 @@ class TestBigZ:
             "index_set": [i for i, w in enumerate(parities) if w],
         }
         cert["checks"]["z_parities"] = parities
-        with pytest.raises(ConstructionFailed, match=f"replay links only .* of {2 * n} targets"):
+        with pytest.raises(ConstructionFailed, match=f"linked .* of {2 * n} targets, below {n}/2"):
             replay_certificate(cert, table)
 
     @pytest.mark.parametrize("hypothesis", ["diagonal", "directionality"])
@@ -375,7 +376,7 @@ class TestBigZ:
         "section,key,value,message",
         [
             ("checks", "z_parities", [1, 1, 1, 0], "replay parity table differs"),
-            ("outputs", "index_set", [0, 1, 2], "replay index set differs"),
+            ("outputs", "index_set", [0, 1, 2], r"index set \[0, 1, 2\] is not the odd parities"),
             ("checks", "delta", 2, "replay directionality differs"),
         ],
         ids=["z_parities", "index_set", "delta"],
@@ -454,7 +455,7 @@ class TestBiparZ:
         "section,key,value,message",
         [
             ("checks", "final_x", [3], "replay linking table differs"),
-            ("inputs", "lam", 2, "replayed table violates the threshold"),
+            ("inputs", "lam", 2, "replay hypothesis fails: r = 6 < 10 chained cycles"),
             ("checks", "delta", 2, "replay directionality differs"),
         ],
         ids=["final_x", "lam", "delta"],
@@ -471,6 +472,41 @@ class TestBiparZ:
         cert[section][key] = value
         with pytest.raises(ConstructionFailed, match=message):
             replay_certificate(cert, table if warm else LinkTable(bipar111.embedding))
+
+    def test_replay_rechecks_the_hypotheses(self, bipar111):
+        # a J that the construction discarded, read as one-directional: the
+        # rebuild never uses it, so only the hypothesis re-check refuses it
+        js, ls, xs, ys = self.families(bipar111)
+        table = LinkTable(bipar111.embedding)
+        res = bipar_z(js, ls, xs, ys, table, lam=1)
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        assert 5 not in cert["choices"]["kept_j"]
+        cert["inputs"]["js"][5] = one_directional(js[5]).to_json()
+        with pytest.raises(
+            ConstructionFailed,
+            match="replay hypothesis fails: first-family cycle 5 is not 2-directional",
+        ):
+            replay_certificate(cert, table)
+
+    def test_replay_rejects_a_forged_early_column(self, bipar111):
+        # a self-consistent certificate that stops both ladders at column
+        # 0: the bare connector, which does not link X_0
+        js, ls, xs, ys = self.families(bipar111)
+        table = LinkTable(bipar111.embedding)
+        res = bipar_z(js, ls, xs, ys, table, lam=1)
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        ch = cert["choices"]
+        ch.update(s_star=0, t_star=0)
+        chain = [js[i] for i in ch["kept_j"]] + [ls[j] for j in ch["kept_l"]]
+        z = connector_cycle(chain, 1, q_policy="opposite")
+        cert["outputs"]["z"] = z.to_json()
+        cert["checks"].update(
+            final_x=[table.lk(z, x) for x in xs],
+            final_y=[table.lk(z, y) for y in ys],
+            delta=directionality(z),
+        )
+        with pytest.raises(ConstructionFailed, match=r"\|lk\(Z, X_0\)\| = 0 <= 1"):
+            replay_certificate(cert, table)
 
     def test_rejects_undersized_first_family(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
@@ -558,11 +594,12 @@ class TestProp1Step:
         for z in res.zs:
             zl = realize(z, inst.embedding)
             for r in rings:
-                assert omega(zl, realize(r, inst.embedding)) == 1
+                assert linking_number(zl, realize(r, inst.embedding)) & 1 == 1
         picked = [cands[res.certificate.choices["centers"][i]]
                   for i in res.certificate.choices["picked"]]
         assert res.certificate.checks["omega_table"] == [
-            [omega(realize(z, inst.embedding), realize(x, inst.embedding)) for x in picked]
+            [linking_number(realize(z, inst.embedding), realize(x, inst.embedding)) & 1
+             for x in picked]
             for z in res.zs
         ]
 

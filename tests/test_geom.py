@@ -34,7 +34,6 @@ from dilink.geom import (
     project_to_diagram,
     seg2_relation,
     seg3_relation,
-    shear,
     shear_points,
     validate_general_position,
 )
@@ -47,6 +46,7 @@ from geom_reference import (
     arc_pair_crossings_reference,
     diagram_reference,
     pair_walk_reference,
+    shear,
     validate_reference,
 )
 

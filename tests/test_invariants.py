@@ -7,6 +7,7 @@ Expected values were fixed ahead of time from standard knot tables
 routes: pair count, Alexander matrix and skein.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import dilink
 from dilink.digraph import realize
 from dilink.errors import TooLarge
-from dilink.geom import shear, shear_points
+from dilink.geom import Point3, PolyLine, SpatialEmbedding, check_loops_disjoint, shear_points
 from dilink.invariants import (
     LinkTable,
     a2,
@@ -29,7 +30,6 @@ from dilink.invariants import (
     conway_from_diagram,
     linking_number,
     linking_table,
-    omega,
     project_with_retry,
     shear_schedule,
 )
@@ -45,6 +45,7 @@ from dilink.workbench.generators import (
 )
 
 from conftest import hand_hopf, square_loop
+from geom_reference import shear
 
 # braid word, strands, expected second Conway coefficient
 KNOT_CORPUS = [
@@ -68,14 +69,14 @@ def test_hand_hopf_linking():
     a, b = hand_hopf()
     assert linking_number(a, b) == -1
     assert linking_number(b, a) == -1
-    assert omega(a, b) == 1
+    assert linking_number(a, b) & 1 == 1
 
 
 def test_split_pair_unlinked():
     a = square_loop(z=0)
     b = square_loop(z=7, dx=40)
     assert linking_number(a, b) == 0
-    assert omega(a, b) == 0
+    assert linking_number(a, b) & 1 == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -218,6 +219,52 @@ def test_a2_routes_project_once(monkeypatch, trefoil_points):
     monkeypatch.setattr(inv, "project_to_diagram", lambda loops: calls.append(1) or real(loops))
     assert a2_routes(trefoil_points) == (1, 1)
     assert len(calls) == 1
+
+
+def test_invariants_walks_a_braid_knot_once(monkeypatch, tmp_path, capsys):
+    # the table's self-check walk records the crossings that the knot's
+    # diagram is read from, so a2 costs no second walk
+    import dilink.geom as geom
+    from dilink.workbench.cli import main
+
+    path = str(tmp_path / "knot.json")
+    assert main(["gen", "--kind", "braid", "--word=1,1,1,2,-1,2", "--p", "3", "--out", path]) == 0
+    capsys.readouterr()
+    calls = []
+    walk = geom._pair_walk
+    monkeypatch.setattr(geom, "_pair_walk", lambda *args: calls.append(1) or walk(*args))
+    assert main(["invariants", path]) == 0
+    assert json.loads(capsys.readouterr().out)["knotting"] == [
+        {"cycle": 0, "a2": 2, "a2_alexander": 2}
+    ]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kx,ky", [(0, 0), (3, -2)])
+def test_table_diagram_is_the_projected_diagram(kx, ky):
+    for _, word, strands, expected in KNOT_CORPUS:
+        inst = braid_instance(word, strands)
+        table = LinkTable(shear(inst.embedding, kx, ky))
+        (c,) = inst.role("components")
+        diagram = table.diagram(c)
+        assert diagram == project_with_retry([table.loop(c)]).diagram, word
+        assert a2_routes(diagram) == (expected, expected), word
+
+
+def test_table_diagram_shears_past_a_vertical_segment():
+    # the figure eight with a vertical step at the start of its first arc:
+    # the self-check records no diagram, and the table projects under the
+    # first generic shear instead
+    inst = braid_instance([1, -2, 1, -2], 3)
+    (c,) = inst.role("components")
+    pts = list(inst.embedding.arcs[c.arc(0)].points)
+    pts.insert(1, Point3(pts[0].x, pts[0].y, pts[0].z + 1))
+    arcs = {**inst.embedding.arcs, c.arc(0): PolyLine(pts)}
+    table = LinkTable(SpatialEmbedding(inst.embedding.vertices, arcs, box=inst.embedding.box))
+    assert check_loops_disjoint([table.loop(c).points]) is None
+    diagram = table.diagram(c)
+    assert diagram == project_with_retry([table.loop(c)]).diagram
+    assert a2_routes(diagram) == (-1, -1)
 
 
 def test_interleaved_sums_need_single_loop():
