@@ -1,9 +1,12 @@
 """What each construction promises, written once: one function per kind
 holds the comparisons of its guarantee and nothing else.  It takes values
-its caller already holds (the construction's final guard, replay after
-recomputing them through its table, the CLI), raises ConstructionFailed on
-the first that fails, and otherwise returns the report's check entries.
-It reads no geometry and asks for no linking number."""
+its caller already holds (the construction's final guard, and replay after
+recomputing them through its table), raises ConstructionFailed on the
+first that fails, and otherwise returns the report's check entries, which
+the construction's result carries.  ``theorem1_step`` has no function of
+its own: its new weights and δ are its ``bipar_z`` step's, already checked
+by :func:`bipar_z`.  It reads no geometry and asks for no linking
+number."""
 
 from dilink.errors import ConstructionFailed
 
@@ -59,13 +62,3 @@ def prop1(index_set, n: int, omega_table: list) -> list[dict]:
     return _entries(("intersection", f"{len(index_set)} shared targets"),
                     ("witness-parities", ""))
 
-
-def theorem1(new_weights: dict, lam: int, delta: int, target_delta: int) -> list[dict]:
-    """Every new singleton weight |lk| exceeds lam; δ is the target."""
-    for group, values in sorted(new_weights.items()):
-        for k, w in enumerate(values):
-            if w <= lam:
-                raise ConstructionFailed(f"new weight {w} <= {lam} against {group}[{k}]")
-    flat = [w for values in new_weights.values() for w in values]
-    return _entries(("new-singleton-weights", f"|lk| values {flat}, threshold {lam}"),
-                    _delta(delta, target_delta))

@@ -138,6 +138,7 @@ def _block_table(cache: LinkTable, block: Sequence[int]) -> list[list]:
 class Lemma1Result:
     pairs: tuple[tuple[DiCycle, DiCycle], ...]
     certificate: ConstructionCertificate
+    checks: list[dict]
 
 
 def lemma1_find_odd_links(table: LinkTable, m: int) -> Lemma1Result:
@@ -184,7 +185,7 @@ def lemma1_find_odd_links(table: LinkTable, m: int) -> Lemma1Result:
                 "chosen": [winner[0].to_json(), winner[1].to_json()],
             }
         )
-    checks.lemma1([b["parity"] for b in blocks_json], len(chosen), m)
+    entries = checks.lemma1([b["parity"] for b in blocks_json], len(chosen), m)
     cert = ConstructionCertificate(
         kind="lemma1",
         inputs={"m": m, "vertices": ids},
@@ -195,7 +196,7 @@ def lemma1_find_odd_links(table: LinkTable, m: int) -> Lemma1Result:
             "deltas": [[directionality(a), directionality(b)] for a, b in chosen],
         },
     )
-    return Lemma1Result(pairs=tuple(chosen), certificate=cert)
+    return Lemma1Result(pairs=tuple(chosen), certificate=cert, checks=entries)
 
 
 def conway_gordon_parity(table: LinkTable) -> tuple[list, int]:
@@ -219,6 +220,25 @@ class BigZResult:
     z: DiCycle
     index_set: tuple[int, ...]
     certificate: ConstructionCertificate
+    checks: list[dict]
+
+
+def _big_z_hypotheses(js: list[DiCycle], xs: list[DiCycle], table: LinkTable) -> int:
+    """Raise HypothesisViolated unless big_z's hypotheses hold: 2n chained
+    cycles and 2n targets with n >= 1, every chained cycle 2-directional,
+    and ω(J_i, X_i) = 1 for i < n (n lk queries).  Returns n."""
+    if len(js) < 2 or len(js) % 2 or len(js) != len(xs):
+        raise HypothesisViolated("need 2n chained cycles and 2n targets")
+    n = len(js) // 2
+    for i, j in enumerate(js):
+        if directionality(j) != 2:
+            raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
+    for i in range(n):
+        if table.omega(js[i], xs[i]) != 1:
+            raise HypothesisViolated(
+                f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
+            )
+    return n
 
 
 def big_z(
@@ -244,19 +264,8 @@ def big_z(
     """
     js = list(js)
     xs = list(xs)
-    if len(js) < 2 or len(js) % 2 or len(js) != len(xs):
-        raise HypothesisViolated("need 2n chained cycles and 2n targets")
-    n = len(js) // 2
-    for i, j in enumerate(js):
-        if directionality(j) != 2:
-            raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
+    n = _big_z_hypotheses(js, xs, table)
     connector = connector_cycle(js, target_delta, extra_vertices=extra_vertices)
-    for i in range(n):
-        if table.omega(js[i], xs[i]) != 1:
-            raise HypothesisViolated(
-                f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
-            )
-
     c_parities = [table.omega(connector, x) for x in xs]
     shortcut = 2 * sum(c_parities) >= n
 
@@ -278,7 +287,7 @@ def big_z(
 
     index_set = tuple(i for i, w in enumerate(z_parities) if w == 1)
     d = directionality(z)
-    checks.big_z(z_parities, index_set, n, d, target_delta)
+    entries = checks.big_z(z_parities, index_set, n, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="big_z",
@@ -298,22 +307,19 @@ def big_z(
         outputs={"z": z.to_json(), "index_set": list(index_set)},
         checks={"z_parities": z_parities, "delta": d},
     )
-    return BigZResult(z=z, index_set=index_set, certificate=cert)
+    return BigZResult(z=z, index_set=index_set, certificate=cert, checks=entries)
 
 
 def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
     ins, ch = cert.inputs, cert.choices
     js = _cycles_from_json(ins["js"])
     xs = _cycles_from_json(ins["xs"])
-    # big_z's hypotheses first, from geometry (the connector refuses a J
-    # that is not 2-directional); its guarantee once the cycle is rebuilt
-    n = len(js) // 2
-    for i, j in enumerate(js):
-        if directionality(j) != 2:
-            raise ConstructionFailed(f"replay chained cycle {i} is not 2-directional")
-    for i in range(n):
-        if cache.omega(js[i], xs[i]) != 1:
-            raise ConstructionFailed(f"replay diagonal fails at index {i}")
+    # big_z's hypotheses first (the connector refuses a J that is not
+    # 2-directional); its guarantee once the cycle is rebuilt
+    try:
+        n = _big_z_hypotheses(js, xs, cache)
+    except HypothesisViolated as ex:
+        raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
     z = connector_cycle(
         js,
         ins["target_delta"],
@@ -342,6 +348,7 @@ def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
 class BiparResult:
     z: DiCycle
     certificate: ConstructionCertificate
+    checks: list[dict]
 
 
 def _majority_halving(
@@ -575,7 +582,7 @@ def bipar_z(
                     f"although no surviving cycle links it"
                 )
     d = directionality(z)
-    checks.bipar_z(final_x, final_y, lam, d, target_delta)
+    entries = checks.bipar_z(final_x, final_y, lam, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="bipar_z",
@@ -611,7 +618,7 @@ def bipar_z(
             "delta": d,
         },
     )
-    return BiparResult(z=z, certificate=cert)
+    return BiparResult(z=z, certificate=cert, checks=entries)
 
 
 def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
@@ -655,6 +662,7 @@ class Prop1Result:
     index_set: tuple[int, ...]
     witness: dict
     certificate: ConstructionCertificate
+    checks: list[dict]
 
 
 def prop1_step(
@@ -715,7 +723,7 @@ def prop1_step(
     omega_table = [
         [witness_pattern.weight(j, n + i) % 2 for i in range(n)] for j in range(n)
     ]
-    checks.prop1(index_set, n, omega_table)
+    entries = checks.prop1(index_set, n, omega_table)
     cert = ConstructionCertificate(
         kind="prop1",
         inputs={
@@ -738,7 +746,8 @@ def prop1_step(
         checks={"omega_table": omega_table, "ring_deltas": eps_table},
     )
     return Prop1Result(
-        zs=tuple(zs), index_set=index_set, witness=witness, certificate=cert
+        zs=tuple(zs), index_set=index_set, witness=witness, certificate=cert,
+        checks=entries,
     )
 
 
@@ -751,6 +760,7 @@ class Theorem1Result:
     witness: dict
     z: DiCycle
     certificate: ConstructionCertificate
+    checks: list[dict]
 
 
 def theorem1_step(
@@ -838,13 +848,14 @@ def theorem1_step(
         "P2": p2[:m],
         "Q": qs + ["new"],
     }
+    # bipar_z has checked these weights against lam and z's δ against the
+    # target; its Y targets are the P2 heads, then Q
+    claims = sub.certificate.checks
     new_weights = {
-        "x": [abs(table.lk(z, c)) for c in x_cycles],
-        "y": [abs(table.lk(z, candidates[i])) for i in p2[:m]],
-        "q": [abs(table.lk(z, candidates[i])) for i in qs],
+        "x": [abs(v) for v in claims["final_x"]],
+        "y": [abs(v) for v in claims["final_y"][:m]],
+        "q": [abs(v) for v in claims["final_y"][m:]],
     }
-    d = directionality(z)
-    checks.theorem1(new_weights, lam, d, target_delta)
 
     cert = ConstructionCertificate(
         kind="theorem1",
@@ -857,9 +868,9 @@ def theorem1_step(
         },
         choices={"bipar": sub.certificate.to_json()},
         outputs={"witness": out_witness, "z": z.to_json()},
-        checks={"new_weights": new_weights, "delta": d},
+        checks={"new_weights": new_weights, "delta": claims["delta"]},
     )
-    return Theorem1Result(witness=out_witness, z=z, certificate=cert)
+    return Theorem1Result(witness=out_witness, z=z, certificate=cert, checks=sub.checks)
 
 
 # ---------------------------------------------------------------------------

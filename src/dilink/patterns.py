@@ -1,9 +1,8 @@
-"""Weighted linking patterns, witness checks and keyring search.
+"""Weighted linking patterns and keyring search.
 
 A pattern is the summary graph of a link: one vertex per component, an
 edge weighted |lk| wherever that is nonzero, optionally a knotting weight
 |a2| and a directionality per vertex.  In its mod-2 reduction,
-:func:`check_witness` re-verifies a complete bipartite graph and
 :func:`find_disjoint_keyrings` searches for vertex-disjoint stars.
 """
 
@@ -19,9 +18,7 @@ from .invariants import LinkTable, a2_routes
 
 __all__ = [
     "WeightedPattern",
-    "CompleteBipartiteMod2",
     "compute_pattern",
-    "check_witness",
     "find_disjoint_keyrings",
     "DEFAULT_BUDGET",
 ]
@@ -114,31 +111,7 @@ def compute_pattern(
 
 
 # ---------------------------------------------------------------------------
-# witnesses and keyring search
-
-
-@dataclass(frozen=True)
-class CompleteBipartiteMod2:
-    """Complete bipartite graph with n vertices a side, in the mod-2 pattern."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("template parameters must be positive")
-
-
-def check_witness(p: WeightedPattern, t: CompleteBipartiteMod2, witness: dict[str, int]) -> bool:
-    """Re-verify a witness map from slots x0.., y0.. to distinct vertices:
-    every x-y edge must be odd."""
-    xs = [f"x{i}" for i in range(t.n)]
-    ys = [f"y{i}" for i in range(t.n)]
-    if sorted(witness) != sorted(xs + ys):
-        return False
-    vals = list(witness.values())
-    if len(set(vals)) != len(vals) or not all(0 <= v < p.n for v in vals):
-        return False
-    return all(p.weight(witness[a], witness[b]) % 2 == 1 for a in xs for b in ys)
+# keyring search
 
 
 class _Budget:

@@ -105,11 +105,6 @@ MUTANTS = [
      "if abs(v) <= lam:",
      "if abs(v) < lam:",
      ("tests/test_checks.py", "tests/test_engine.py")),
-    # theorem1's checker lets a new weight of exactly lam through
-    ("check-theorem1-weight", "src/dilink/checks.py",
-     "if w <= lam:",
-     "if w < lam:",
-     ("tests/test_checks.py",)),
     # lemma1's checker no longer checks the block parities
     ("check-lemma1-parity", "src/dilink/checks.py",
      "if par != 1:",
@@ -120,10 +115,17 @@ MUTANTS = [
      "if len(index_set) < n:",
      "if len(index_set) < n - 1:",
      ("tests/test_checks.py",)),
-    # big_z's replay no longer checks the diagonal hypothesis
+    # big_z's hypothesis check, which its replay calls, no longer checks
+    # the diagonal
     ("replay-diagonal", "src/dilink/engine.py",
-     "if cache.omega(js[i], xs[i]) != 1:",
+     "if table.omega(js[i], xs[i]) != 1:",
      "if False:",
+     ("tests/test_engine.py",)),
+    # big_z's hypothesis check, which its replay calls, no longer compares
+    # the family sizes
+    ("replay-family-size", "src/dilink/engine.py",
+     "if len(js) < 2 or len(js) % 2 or len(js) != len(xs):",
+     "if len(js) < 2 or len(js) % 2:",
      ("tests/test_engine.py",)),
 ]
 

@@ -30,7 +30,7 @@ from dilink.engine import (
 )
 from dilink.geom import shear_points
 from dilink.invariants import LinkTable, a2, a2_routes, a2_skein, linking_number
-from dilink.patterns import CompleteBipartiteMod2, check_witness, compute_pattern
+from dilink.patterns import compute_pattern
 from dilink.workbench.cli import main
 from dilink.workbench.generators import (
     big_z_instance,
@@ -235,9 +235,8 @@ def test_criterion_7_orchestration_steps():
         assert len(res.index_set) >= n
         ring_cycles = list(inst.role("rings"))[:n]
         pat = compute_pattern(list(res.zs) + ring_cycles, LinkTable(inst.embedding))
-        witness = {f"x{j}": j for j in range(n)}
-        witness.update({f"y{i}": n + i for i in range(n)})
-        assert check_witness(pat, CompleteBipartiteMod2(n), witness)
+        # every z_j links every picked ring oddly: the complete bipartite witness
+        assert all(pat.weight(j, n + i) % 2 == 1 for j in range(n) for i in range(n))
 
     t1 = theorem1_instance(1, 1)
     cands = list(t1.role("keys")) + list(t1.role("rings"))

@@ -87,16 +87,3 @@ def test_prop1_entries_intersection_and_witness():
     with pytest.raises(ConstructionFailed, match=r"witness parity table \[\[1, 1\], \[0, 1\]\]"):
         checks.prop1((0, 1), 2, [[1, 1], [0, 1]])
 
-
-def test_theorem1_entries_and_weights():
-    weights = {"x": [3], "y": [2], "q": [4, 2]}
-    assert checks.theorem1(weights, 1, 1, 1) == [
-        {"name": "new-singleton-weights", "passed": True,
-         "detail": "|lk| values [3, 2, 4, 2], threshold 1"},
-        {"name": "directionality", "passed": True},
-    ]
-    # groups are checked in sorted order, so q before x and y
-    with pytest.raises(ConstructionFailed, match=r"new weight 2 <= 2 against q\[1\]"):
-        checks.theorem1(weights, 2, 1, 1)
-    with pytest.raises(ConstructionFailed, match="output directionality 2 differs from target 1"):
-        checks.theorem1(weights, 1, 2, 1)

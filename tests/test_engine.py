@@ -355,12 +355,30 @@ class TestBigZ:
             # X_0 and X_1 trade places: the connector still links both
             xs[0], xs[1] = xs[1], xs[0]
             cert["inputs"]["xs"] = [x.to_json() for x in xs]
-            match = "replay diagonal fails at index 0"
+            match = r"replay hypothesis fails: diagonal parity fails at index 0"
         else:
             # J_0 read as one-directional: the connector closes the same way
             cert["inputs"]["js"][0] = one_directional(js[0]).to_json()
-            match = "replay chained cycle 0 is not 2-directional"
+            match = "replay hypothesis fails: chained cycle 0 is not 2-directional"
         with pytest.raises(ConstructionFailed, match=match):
+            replay_certificate(cert, table)
+
+    def test_replay_rechecks_the_family_sizes(self):
+        # keep targets 0-3 of 8 in a self-consistent certificate: 4 targets
+        # for 8 chained cycles, which big_z refuses on the same inputs
+        inst = big_z_instance(4, seed=1)
+        table = LinkTable(inst.embedding)
+        res = big_z(list(inst.role("keys")), list(inst.role("rings")), table)
+        cert = json.loads(json.dumps(res.certificate.to_json()))
+        cert["inputs"]["xs"] = cert["inputs"]["xs"][:4]
+        cert["checks"]["z_parities"] = cert["checks"]["z_parities"][:4]
+        cert["choices"]["connector_parities"] = cert["choices"]["connector_parities"][:4]
+        cert["outputs"]["index_set"] = [i for i in cert["outputs"]["index_set"] if i < 4]
+        assert res.certificate.choices["shortcut"] and len(cert["outputs"]["index_set"]) >= 2
+        xs = [DiCycle.from_json(x) for x in cert["inputs"]["xs"]]
+        with pytest.raises(HypothesisViolated, match="need 2n chained cycles and 2n targets"):
+            big_z(list(inst.role("keys")), xs, table)
+        with pytest.raises(ConstructionFailed, match="replay hypothesis fails: need 2n chained"):
             replay_certificate(cert, table)
 
     def test_replay_catches_tampered_heavy_rows(self):
@@ -630,6 +648,8 @@ class TestTheorem1Step:
         assert cert.checks["new_weights"] == {"x": [2], "y": [6], "q": []}
         assert cert.checks["delta"] == 1
         assert "bipar" in cert.choices
+        # the verdict is the bipar_z step's, checked once there
+        assert [c["name"] for c in res.checks] == ["threshold", "directionality"]
         assert directionality(res.z) == 1
         # the promoted cycle keeps linking the survivors strongly
         zl = realize(res.z, inst.embedding)

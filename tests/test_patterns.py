@@ -1,4 +1,4 @@
-"""Link summaries, witness checks and keyring search."""
+"""Link summaries and keyring search."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dilink.digraph import directionality
 from dilink.errors import SearchBudgetExceeded
 from dilink.invariants import LinkTable
-from dilink.patterns import (
-    CompleteBipartiteMod2,
-    WeightedPattern,
-    check_witness,
-    compute_pattern,
-    find_disjoint_keyrings,
-)
+from dilink.patterns import WeightedPattern, compute_pattern, find_disjoint_keyrings
 from dilink.workbench.generators import braid_instance
 
 
@@ -113,19 +107,6 @@ def test_budget_exhaustion_raises():
         find_disjoint_keyrings(p, count=2, keys=1, budget=2)
 
 
-def test_check_witness_rejects_bad_maps():
-    p = triangle_mod2()
-    t = CompleteBipartiteMod2(1)
-    assert check_witness(p, t, {"x0": 0, "y0": 1})
-    assert check_witness(p, t, {"x0": 2, "y0": 0})
-    assert not check_witness(p, t, {"x0": 0})
-    assert not check_witness(p, t, {"x0": 0, "y0": 0})
-    assert not check_witness(p, t, {"x0": 0, "y0": 9})
-    assert not check_witness(p, t, {"x0": 0, "y0": 3})  # even edge
-    assert not check_witness(p, t, {"x0": 0, "wrong": 1})
-    assert not check_witness(p, CompleteBipartiteMod2(2), {"x0": 0, "x1": 1, "y0": 2, "y1": 3})
-
-
 # ---------------------------------------------------------------------------
 # keyring packing
 
@@ -183,16 +164,3 @@ def test_star_found_iff_degree_reaches(p, k):
         assert sorted(witness) == sorted(["center"] + [f"k{i}" for i in range(k)])
         assert len(set(keys)) == k and witness["center"] not in keys
         assert set(keys) <= p.mod2_neighbors(witness["center"])
-
-
-@settings(max_examples=60)
-@given(small_pattern, st.data())
-def test_bipartite_witness_verifies(p, data):
-    # check_witness against the definition on random maps of the 4 slots
-    t = CompleteBipartiteMod2(2)
-    vals = data.draw(st.lists(st.integers(0, p.n - 1), min_size=4, max_size=4))
-    witness = dict(zip(["x0", "x1", "y0", "y1"], vals))
-    want = len(set(vals)) == 4 and all(
-        p.weight(witness[a], witness[b]) % 2 == 1 for a in ("x0", "x1") for b in ("y0", "y1")
-    )
-    assert check_witness(p, t, witness) == want
