@@ -136,22 +136,6 @@ class ParameterError(DilinkError):
     """A command rejected its parameters: a usage error (exit 2)."""
 
 
-# gen's shared flags: option -> (dest, parser, value when the flag is not given)
-_GEN_FLAGS = {
-    "--p": ("p", int, 2),
-    "--q": ("q", int, 2),
-    "--r": ("r", int, 6),
-    "--rings": ("rings", int, 1),
-    "--keys": ("keys", int, 3),
-    "--wrap": ("wrap", int, 5),
-    "--word": ("word", str, "1"),
-    "--seed": ("seed", int, 0),
-    "--lambda": ("lam", int, 1),
-    "--delta": ("delta", int, 1),
-    "--n": ("n", int, 1),
-    "--m": ("m", int, 1),
-}
-
 # gen --kind: the params each kind records, in report order, each read from
 # the flag of the same dest (braid's strands from --p, and its word parsed
 # into a list), and its builder, called with exactly those values in that
@@ -183,14 +167,16 @@ def _cmd_gen(args, rep: dict) -> None:
     params = rep["params"]
     params["kind"] = args.kind
     dests = ["p" if name == "strands" else name for name in names]
-    unread = [opt for opt, (dest, _, _) in _GEN_FLAGS.items()
+    # dest -> (flag, default) of each gen flag
+    flags = {_FLAGS[flag][0]: (flag, default)
+             for flag, (default, _) in _COMMANDS["gen"][2].items()}
+    unread = [flag for dest, (flag, _) in flags.items()
               if dest not in dests and getattr(args, dest) is not None]
     if unread:
         raise ParameterError(f"{args.kind} does not read {', '.join(unread)}")
-    default = {dest: value for dest, _, value in _GEN_FLAGS.values()}
     for name, dest in zip(names, dests):
         value = getattr(args, dest)
-        params[name] = default[dest] if value is None else value
+        params[name] = flags[dest][1] if value is None else value
     try:
         if "word" in params:
             params["word"] = [int(w) for w in params["word"].split(",") if w.strip()]
@@ -476,20 +462,53 @@ def _cmd_cgtest(args, rep: dict) -> None:
 # wiring
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=0)
-    if "lam" in names:
-        p.add_argument("--lambda", dest="lam", type=int, default=1)
-    if "delta" in names:
-        p.add_argument("--delta", type=int, default=1)
-    if "n" in names:
-        p.add_argument("--n", type=int, default=1)
-    if "m" in names:
-        p.add_argument("--m", type=int, default=0)
-    if "budget" in names:
-        p.add_argument("--budget", type=int, default=500_000)
-    p.add_argument("--out", default=None)
+# every option flag: its dest and its type
+_FLAGS = {
+    "--p": ("p", int), "--q": ("q", int), "--r": ("r", int), "--rings": ("rings", int),
+    "--keys": ("keys", int), "--wrap": ("wrap", int), "--word": ("word", str),
+    "--seed": ("seed", int), "--lambda": ("lam", int), "--delta": ("delta", int),
+    "--n": ("n", int), "--m": ("m", int), "--budget": ("budget", int),
+    "--alpha": ("alpha", int), "--count": ("count", int),
+}
+
+# every subcommand, in help order: its help, whether it reads a file, and
+# its flags as {flag: (default, least value)}; a default of None makes the
+# flag required, a least value of None leaves it unbounded.  Under gen the
+# parser's default is None, so _cmd_gen can tell a flag that was given.
+_COMMANDS = {
+    "gen": ("generate an instance file", False, {
+        "--p": (2, None), "--q": (2, None), "--r": (6, None), "--rings": (1, None),
+        "--keys": (3, None), "--wrap": (5, None), "--word": ("1", None),
+        "--seed": (0, None), "--lambda": (1, None), "--delta": (1, None),
+        "--n": (1, None), "--m": (1, None),
+    }),
+    "validate": ("check general position of a file", True, {}),
+    "invariants": ("linking and knotting measures", True, {}),
+    "pattern": ("weighted linking pattern of a file", True, {}),
+    "lemma1": ("find odd-linked triangle pairs", True, {"--m": (0, 0)}),
+    "bigz": ("build a cycle linking at least n/2 of 2n targets", True,
+             {"--delta": (1, None)}),
+    "bipar": ("build a cycle past a linking threshold", True, {
+        "--r": (0, 0), "--lambda": (1, 0), "--delta": (1, None),
+        "--n": (1, 1), "--m": (1, 1),
+    }),
+    "prop1": ("keyring rounds toward a parity pattern", True, {
+        "--delta": (1, None), "--n": (1, 1), "--budget": (500_000, 1),
+    }),
+    "thm1-step": ("grow a witness by one singleton", True, {
+        "--lambda": (1, 0), "--delta": (1, None), "--m": (1, 1),
+    }),
+    "verify-l6": ("check all surgery combinations", True, {"--lambda": (1, 1)}),
+    "search-l7": ("bounded search for a knotted cycle", True, {
+        "--lambda": (1, 1), "--budget": (64, 1),
+    }),
+    "thm2-params": ("threshold and start size", False, {
+        "--alpha": (None, 1), "--n": (1, 1),
+    }),
+    "cgtest": ("parity sweep over random embeddings", False, {
+        "--count": (10, 1), "--seed": (0, None),
+    }),
+}
 
 
 @functools.cache
@@ -501,86 +520,27 @@ def build_parser() -> argparse.ArgumentParser:
         "spatial graphs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("--kind", required=True, choices=list(GENERATORS))
-    for opt, (dest, parse, _) in _GEN_FLAGS.items():
-        g.add_argument(opt, dest=dest, type=parse, default=None)
-    g.add_argument("--out", required=True)
-
-    v = sub.add_parser("validate", help="check general position of a file")
-    v.add_argument("file")
-    _add_common(v)
-
-    iv = sub.add_parser("invariants", help="linking and knotting measures")
-    iv.add_argument("file")
-    _add_common(iv)
-
-    pt = sub.add_parser("pattern", help="weighted linking pattern of a file")
-    pt.add_argument("file")
-    pt.add_argument("--with-knots", action="store_true")
-    _add_common(pt)
-
-    l1 = sub.add_parser("lemma1", help="find odd-linked triangle pairs")
-    l1.add_argument("file")
-    _add_common(l1, "m")
-
-    bz = sub.add_parser("bigz", help="build a cycle linking at least n/2 of 2n targets")
-    bz.add_argument("file")
-    _add_common(bz, "delta")
-
-    bp = sub.add_parser("bipar", help="build a cycle past a linking threshold")
-    bp.add_argument("file")
-    bp.add_argument("--r", type=int, default=0)
-    _add_common(bp, "m", "n", "lam", "delta")
-    bp.set_defaults(m=1, n=1)
-
-    p1 = sub.add_parser("prop1", help="keyring rounds toward a parity pattern")
-    p1.add_argument("file")
-    _add_common(p1, "n", "delta", "budget")
-
-    t1 = sub.add_parser("thm1-step", help="grow a witness by one singleton")
-    t1.add_argument("file")
-    _add_common(t1, "m", "lam", "delta")
-    t1.set_defaults(m=1)
-
-    v6 = sub.add_parser("verify-l6", help="check all surgery combinations")
-    v6.add_argument("file")
-    _add_common(v6, "lam")
-
-    s7 = sub.add_parser("search-l7", help="bounded search for a knotted cycle")
-    s7.add_argument("file")
-    _add_common(s7, "lam", "budget")
-    s7.set_defaults(budget=64)
-
-    tp = sub.add_parser("thm2-params", help="threshold and start size")
-    tp.add_argument("--alpha", type=int, required=True)
-    _add_common(tp, "n")
-
-    cg = sub.add_parser("cgtest", help="parity sweep over random embeddings")
-    cg.add_argument("--count", type=int, default=10)
-    _add_common(cg, "seed")
-
+    for command, (help_text, reads_file, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if reads_file:
+            p.add_argument("file")
+        if command == "gen":
+            p.add_argument("--kind", required=True, choices=list(GENERATORS))
+        if command == "pattern":
+            p.add_argument("--with-knots", action="store_true")
+        for flag, (default, _) in flags.items():
+            dest, parse = _FLAGS[flag]
+            p.add_argument(flag, dest=dest, type=parse, required=default is None,
+                           default=None if command == "gen" else default)
+        p.add_argument("--out", required=command == "gen", default=None)
     return ap
 
 
-# per command: the options (flag -> dest) whose value must be at least 1
-_POSITIVE = {
-    "bipar": {"--m": "m", "--n": "n"},
-    "prop1": {"--n": "n", "--budget": "budget"},
-    "thm1-step": {"--m": "m"},
-    "verify-l6": {"--lambda": "lam"},
-    "search-l7": {"--lambda": "lam", "--budget": "budget"},
-    "thm2-params": {"--alpha": "alpha", "--n": "n"},
-    "cgtest": {"--count": "count"},
-}
-
-
-def _check_positive(args) -> None:
-    for flag, dest in _POSITIVE.get(args.command, {}).items():
-        value = getattr(args, dest)
-        if value < 1:
-            raise ParameterError(f"{flag} must be at least 1, got {value}")
+def _check_least(args) -> None:
+    for flag, (_, least) in _COMMANDS[args.command][2].items():
+        value = getattr(args, _FLAGS[flag][0])
+        if least is not None and value < least:
+            raise ParameterError(f"{flag} must be at least {least}, got {value}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -596,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     usage_error = False
     t0 = time.perf_counter()
     try:
-        _check_positive(args)
+        _check_least(args)
         # looked up by name at each call, so a handler replaced on the
         # module after the parser was built is the one that runs
         globals()["_cmd_" + args.command.replace("-", "_")](args, rep)

@@ -127,6 +127,11 @@ MUTANTS = [
      "if len(js) < 2 or len(js) % 2 or len(js) != len(xs):",
      "if len(js) < 2 or len(js) % 2:",
      ("tests/test_engine.py",)),
+    # the CLI's bound check lets a value one below a flag's least value through
+    ("cli-least-bound", "src/dilink/workbench/cli.py",
+     "value < least:",
+     "value < least - 1:",
+     ("tests/test_workbench.py",)),
 ]
 
 

@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from dilink.workbench.cli import _POSITIVE, GENERATORS, build_parser, main
+from dilink.workbench.cli import _COMMANDS, GENERATORS, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -50,12 +50,18 @@ def test_subcommand_table_matches_the_parser():
 
 
 def test_exit_code_paragraph_names_every_positive_flag():
-    # each "`--flag` and `--flag` of `command`" clause of the exit-code
-    # paragraph, against the flags the CLI requires to be at least 1
+    # each "a value below N for ..." clause of the exit-code paragraph, read
+    # as its "`--flag` and `--flag` of `command`" parts, against the least
+    # values of the CLI's option table
     (para,) = re.findall(r"Exit codes:.*?\n\n", README, flags=re.S)
     para = " ".join(para.split())
-    named = {
-        command: set(re.findall(r"`(--[\w-]+)`", flags))
-        for flags, command in re.findall(r"((?:`--[\w-]+`(?: and )?)+) of `([\w-]+)`", para)
-    }
-    assert named == {command: set(flags) for command, flags in _POSITIVE.items()}
+    named = {}
+    for least, clause in re.findall(r"a value below (\d+) for (.*?)(?=, or a value|, reported)", para):
+        for flags, command in re.findall(r"((?:`--[\w-]+`(?: and )?)+) of `([\w-]+)`", clause):
+            named.setdefault(int(least), {})[command] = set(re.findall(r"`(--[\w-]+)`", flags))
+    bounds = {}
+    for command, (_, _, flags) in _COMMANDS.items():
+        for flag, (_, least) in flags.items():
+            if least is not None:
+                bounds.setdefault(least, {}).setdefault(command, set()).add(flag)
+    assert named == bounds

@@ -1038,6 +1038,35 @@ class TestCliFailureShapes:
         assert rep["error"] == {"type": "ParameterError", "message": message}
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "command,flag,least",
+        [
+            (command, flag, least)
+            for command, (_, _, flags) in cli._COMMANDS.items()
+            for flag, (_, least) in flags.items()
+            if least is not None
+        ],
+    )
+    def test_every_bounded_flag_refuses_one_below_its_least(
+        self, capsys, tmp_path, command, flag, least
+    ):
+        # the bound is checked before the file is read, so the file need
+        # not exist; a required flag other than the one tested gets its least
+        _, reads_file, flags = cli._COMMANDS[command]
+        argv = [command, str(tmp_path / "unread.json")] if reads_file else [command]
+        for other, (default, other_least) in flags.items():
+            if default is None and other != flag:
+                argv += [other, str(other_least)]
+        code = main([*argv, flag, str(least - 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        rep = json.loads(captured.out)  # exactly one JSON object
+        assert rep["command"] == command and rep["ok"] is False
+        assert rep["error"] == {
+            "type": "ParameterError",
+            "message": f"{flag} must be at least {least}, got {least - 1}",
+        }
+
     def test_gen_theorem1_rejects_oversized_lattice_at_once(self, capsys, tmp_path):
         # m=2, lambda=2, n=1 asks for s = 1802 rings and as many keys
         path = tmp_path / "t1.json"
