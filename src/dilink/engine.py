@@ -1005,8 +1005,7 @@ def search_lemma7_knot(
                 raise HypothesisViolated(
                     f"|lk(A_{h}, B_{i})| = {abs(v)} < {lam}"
                 )
-    for i, j in combinations(range(len(b_cycles)), 2):
-        v = table.lk(b_cycles[i], b_cycles[j])
+    for i, j, v in table.lk_pairs(b_cycles):
         if abs(v) < lam:
             raise HypothesisViolated(f"|lk(B_{i}, B_{j})| = {abs(v)} < {lam}")
 

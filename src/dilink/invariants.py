@@ -16,7 +16,8 @@ kept as a test oracle for small diagrams.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from itertools import combinations
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .digraph import DiCycle, OrientedLoop, realize
 from .errors import DegenerateProjection, DisjointnessViolated, Impossible, TooLarge
@@ -170,9 +171,6 @@ class LinkTable:
             self._cycles[c] = got
         return got
 
-    def loop(self, c: DiCycle) -> OrientedLoop:
-        return self._cycle(c)[0]
-
     def diagram(self, c: DiCycle) -> LinkDiagram:
         """c's one-loop diagram: from the crossings of its self-check when
         the unsheared projection is generic, else from project_with_retry."""
@@ -206,7 +204,7 @@ class LinkTable:
             self._placed[c] = got
         return got
 
-    def _sum(self, a: DiCycle, b: DiCycle) -> int:
+    def _sum(self, a: DiCycle, b: DiCycle, keep: Optional[set]) -> int:
         """Sum of sigma_A(e) * sigma_B(f) * S(e, f) over the arc pairs whose
         xy boxes meet, visited e over A, f over B, so a query raises what
         the full product of arc pairs would raise first."""
@@ -225,20 +223,38 @@ class LinkTable:
                 key = (e, f) if e < f else (f, e)
                 s = pairs.get(key)
                 if s is None:
-                    s = pairs[key] = arc_pair_crossings(se, sf)
+                    s = arc_pair_crossings(se, sf)
+                    if keep is None or e in keep or f in keep:
+                        pairs[key] = s
                 total += sa * sb * s
         return total
 
     def lk(self, a: DiCycle, b: DiCycle) -> int:
-        shared = a.vertex_set() & b.vertex_set()
-        if shared:
-            raise DisjointnessViolated(f"cycles share vertices {sorted(shared)}")
-        # realize and self-check both cycles before any arc is projected
-        self._cycle(a)
-        self._cycle(b)
+        return self._lk(a, a.vertex_set(), b, b.vertex_set(), None)
+
+    def lk_pairs(self, cycles: Sequence[DiCycle]) -> Iterator[tuple[int, int, int]]:
+        """(i, j, lk) of every pair i < j in combinations order, each cycle
+        realized and self-checked first.  Keeps an arc pair's count only if
+        one of its arcs lies on two or more of the cycles."""
+        seen, keep = set(), set()
+        for c in cycles:
+            for key, _ in self._cycle(c)[1]:
+                (keep if key in seen else seen).add(key)
+        verts = [c.vertex_set() for c in cycles]
+        for (i, a), (j, b) in combinations(enumerate(cycles), 2):
+            yield i, j, self._lk(a, verts[i], b, verts[j], keep)
+
+    def _lk(self, a: DiCycle, va: frozenset, b: DiCycle, vb: frozenset, keep) -> int:
+        """lk(a, b), storing a new arc-pair count if keep is None or holds an arc."""
+        if va & vb:
+            raise DisjointnessViolated(f"cycles share vertices {sorted(va & vb)}")
+        if keep is None:
+            # realize and self-check both before any arc (lk_pairs did all)
+            self._cycle(a)
+            self._cycle(b)
         while True:
             try:
-                total = self._sum(a, b)
+                total = self._sum(a, b, keep)
                 break
             except DegenerateProjection as ex:
                 self._next_shear(ex)

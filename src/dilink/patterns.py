@@ -86,14 +86,7 @@ def compute_pattern(
     ``with_knotting`` is set, each cycle also gets |a2|, read off one
     projection by the pair-count and the Alexander route, which must agree.
     """
-    # every cycle realized and self-checked before any lk query
-    for c in cycles:
-        table.loop(c)
-    edges = {}
-    for i, j in combinations(range(len(cycles)), 2):
-        v = table.lk(cycles[i], cycles[j])
-        if v:
-            edges[(i, j)] = abs(v)
+    edges = {(i, j): abs(v) for i, j, v in table.lk_pairs(cycles) if v}
     knot_weights = None
     if with_knotting:
         knot_weights = {}

@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from itertools import combinations
 from typing import Optional, Sequence
 
 from dilink import __version__
@@ -228,11 +227,8 @@ def _cmd_invariants(args, rep: dict) -> None:
         raise FormatError("instance file stores no cycles to measure")
     cycles, signs = inst.cycles, inst.orientations
     table = LinkTable(inst.embedding)
-    linking = []
-    for i, j in combinations(range(len(cycles)), 2):
-        v = signs[i] * signs[j] * table.lk(cycles[i], cycles[j])
-        if v:
-            linking.append([i, j, v])
+    linking = [[i, j, signs[i] * signs[j] * v]
+               for i, j, v in table.lk_pairs(cycles) if v]
     deltas = [directionality(c) for c in cycles]
     rep["delta"] = deltas
     rep["linking"] = linking

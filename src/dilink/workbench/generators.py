@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
 
 from dilink.digraph import (
@@ -504,11 +503,8 @@ def _verify_grid_pattern(inst: GeneratedInstance) -> None:
     """Recompute every pairwise linking number and check it against intent
     as it comes, keeping none."""
     rings = inst.cycles["rings"]
-    cycles = rings + inst.cycles["keys"]
-    links = LinkTable(inst.embedding)
     nr = len(rings)
-    for i, j in combinations(range(len(cycles)), 2):
-        lk = links.lk(cycles[i], cycles[j])
+    for i, j, lk in LinkTable(inst.embedding).lk_pairs(rings + inst.cycles["keys"]):
         # only a key that threads ring i links it, and once
         want = 0
         if i < nr <= j:

@@ -26,6 +26,18 @@ def test_checker_imports_only_the_stdlib_errors_and_digraph():
     ), names
 
 
+def test_src_holds_no_assert():
+    # result guards raise, so they survive python -O
+    src = Path(checks.__file__).parent
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_big_z_entries():
     assert checks.big_z([1, 0, 1, 1], (0, 2, 3), 2, 4, 4) == [
         {"name": "coverage", "passed": True, "detail": "linked 3 of 4 targets"},

@@ -531,6 +531,30 @@ def test_triple_points_are_reported_once_at_their_first_crossings():
         assert [(v.where, v.detail) for v in triples] == [(where, f"at (Fraction{point})")]
 
 
+@pytest.mark.parametrize("far_y,triple", [(2, False), (1, True)])
+def test_crossings_whose_parameters_round_to_one_float(far_y, triple):
+    # crossings on one segment are grouped by their exact parameter, not
+    # by its float.  f runs along the diagonal of the whole box; g crosses
+    # it at (1, 1)/(k - 1), and h from (1, 0) to (3 - k, far_y) crosses it
+    # at (2, 2)/k when far_y = 2, or through g's crossing when far_y = 1.
+    # Both parameters along f are 1/2 plus less than 2**-59, so they round
+    # to one float whether or not they are equal.
+    b, k = 2**30, 2**29
+    ends = [(P(-b, -b, 0), P(b, b, 0)), (P(0, -1, 1), P(1, k - 1, 1)),
+            (P(1, 0, 2), P(3 - k, far_y, 2))]
+    emb = SpatialEmbedding(
+        {v: p for v, p in enumerate(p for end in ends for p in end)},
+        {(2 * i, 2 * i + 1): PolyLine(end) for i, end in enumerate(ends)},
+        box=b,
+    )
+    t_g = (Fraction(1, k - 1) + b) / (2 * b)
+    t_h = t_g if triple else (Fraction(2, k) + b) / (2 * b)
+    assert float(t_g) == float(t_h) == 0.5
+    report = validate_general_position(emb)
+    assert report == validate_reference(emb)
+    assert report.kinds() == (("triple-point",) if triple else ())
+
+
 def _weave(k: int) -> SpatialEmbedding:
     """k arcs running along x above k arcs running along y, each tilted by
     one step so that no segment is axis-parallel: every pair crosses once

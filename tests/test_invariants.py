@@ -249,7 +249,7 @@ def test_table_diagram_is_the_projected_diagram(kx, ky):
         table = LinkTable(shear(inst.embedding, kx, ky))
         (c,) = inst.role("components")
         diagram = table.diagram(c)
-        assert diagram == project_with_retry([table.loop(c)]).diagram, word
+        assert diagram == project_with_retry([realize(c, table.emb)]).diagram, word
         assert a2_routes(diagram) == (expected, expected), word
 
 
@@ -263,9 +263,9 @@ def test_table_diagram_shears_past_a_vertical_segment():
     pts.insert(1, Point3(pts[0].x, pts[0].y, pts[0].z + 1))
     arcs = {**inst.embedding.arcs, c.arc(0): PolyLine(pts)}
     table = LinkTable(SpatialEmbedding(inst.embedding.vertices, arcs, box=inst.embedding.box))
-    assert check_loops_disjoint([table.loop(c).points]) is None
+    assert check_loops_disjoint([realize(c, table.emb).points]) is None
     diagram = table.diagram(c)
-    assert diagram == project_with_retry([table.loop(c)]).diagram
+    assert diagram == project_with_retry([realize(c, table.emb)]).diagram
     assert a2_routes(diagram) == (-1, -1)
 
 

@@ -7,10 +7,13 @@ where vertical segments, touches and overlaps in projection, arcs that
 meet in space and shared vertices are common.  Each query must give the
 same lk, or the same exception with the same message, and leave the same
 shear; an lk must also equal the one ``linking_number`` reads off the
-realized loops whenever that succeeds.
+realized loops whenever that succeeds.  ``LinkTable.lk_pairs`` must answer
+like the full-product table's loop of lk calls, and keep only the arc
+pairs it can read again.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,8 @@ from dilink.engine import big_z, replay_certificate
 from dilink.errors import DilinkError, DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding
 from dilink.invariants import LinkTable, linking_number
-from dilink.workbench.generators import big_z_instance
+from dilink.patterns import compute_pattern
+from dilink.workbench.generators import big_z_instance, grid_link, random_complete
 
 from linktable_reference import LinkTable as ReferenceTable
 
@@ -194,21 +198,30 @@ def test_boxes_that_only_touch_are_still_visited(z, want):
         assert got[0][0] == want and got[1] == (0, 0)
 
 
-def test_big_z_fills_only_pairs_whose_boxes_meet(monkeypatch):
-    tables, calls = [], []
-    init, crossings = LinkTable.__init__, invariants.arc_pair_crossings
-
-    def recording_init(self, emb):
-        tables.append(self)
-        init(self, emb)
+def _counting(monkeypatch):
+    """The arc pairs of every arc_pair_crossings call from now on."""
+    calls = []
+    crossings = invariants.arc_pair_crossings
 
     def counted(a, b):
         calls.append((a[0], b[0]))
         return crossings(a, b)
 
+    monkeypatch.setattr(invariants, "arc_pair_crossings", counted)
+    return calls
+
+
+def test_big_z_fills_only_pairs_whose_boxes_meet(monkeypatch):
+    tables = []
+    init = LinkTable.__init__
+
+    def recording_init(self, emb):
+        tables.append(self)
+        init(self, emb)
+
     inst = big_z_instance(16, seed=5)
     monkeypatch.setattr(LinkTable, "__init__", recording_init)
-    monkeypatch.setattr(invariants, "arc_pair_crossings", counted)
+    calls = _counting(monkeypatch)
     res = big_z(inst.role("keys"), inst.role("rings"), LinkTable(inst.embedding))
     replay_certificate(res.certificate, LinkTable(inst.embedding))
 
@@ -222,3 +235,62 @@ def test_big_z_fills_only_pairs_whose_boxes_meet(monkeypatch):
             ex0, ey0, ex1, ey1 = t._arcs[e][2]
             fx0, fy0, fx1, fy1 = t._arcs[f][2]
             assert ex0 <= fx1 and fx0 <= ex1 and ey0 <= fy1 and fy0 <= ey1
+
+
+def _answers(pairs, table):
+    """The (i, j, lk) a pair iterator gives up to its first error, that
+    error's type and message, and the table's shear after it."""
+    out = []
+    try:
+        for got in pairs:
+            out.append(got)
+    except DilinkError as ex:
+        out.append((type(ex).__name__, str(ex)))
+    return out, table.shear
+
+
+def _lk_loop(table, cycles):
+    for c in cycles:
+        table.loop(c)
+    for i, j in combinations(range(len(cycles)), 2):
+        yield i, j, table.lk(cycles[i], cycles[j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_lk_pairs_answers_like_a_loop_of_lk(seed):
+    # the three cycles in a drawn order, each maybe reversed; the third
+    # shares arcs with the others in some draws
+    emb, cycles, _ = tangle(seed)
+    rng = random.Random(seed)
+    order = [c.reversed() if rng.random() < 0.5 else c for c in rng.sample(cycles, 3)]
+    table, reference = LinkTable(emb), ReferenceTable(emb)
+    got = _answers(table.lk_pairs(order), table)
+    assert got == _answers(_lk_loop(reference, order), reference)
+
+
+def test_lk_pairs_keeps_no_pair_of_vertex_disjoint_lattice_cycles(monkeypatch):
+    inst = grid_link(3, [(0, 1), (1, 2), (0, 2)])
+    calls = _counting(monkeypatch)
+    table = LinkTable(inst.embedding)
+    compute_pattern(inst.role("rings") + inst.role("keys"), table)
+    assert calls and table._pairs == {}
+
+
+def test_lk_pairs_reads_a_shared_arc_pair_again_from_the_table(monkeypatch):
+    # tri_b and tri_c share the arcs (3, 4) and (4, 5); the pattern reads
+    # their pairs with tri_a's arcs twice, then fails on the pair (b, c)
+    emb = random_complete(6, seed=0).embedding
+    tri_a = DiCycle((0, 1, 2), (True, True, True))
+    tri_b = DiCycle((3, 4, 5), (True, True, True))
+    tri_c = DiCycle((3, 4, 5), (True, True, False))
+    shared = {(3, 4), (4, 5)}
+    calls = _counting(monkeypatch)
+    table = LinkTable(emb)
+    for run in range(2):
+        with pytest.raises(DisjointnessViolated, match="share vertices"):
+            compute_pattern([tri_a, tri_b, tri_c], table)
+        on_shared = [p for p in calls if shared & set(p)]
+        assert bool(on_shared) == (run == 0)
+        assert all(shared & set(p) for p in table._pairs)
+        calls.clear()
