@@ -1,12 +1,12 @@
 """What each construction promises, written once: one function per kind
 holds the comparisons of its guarantee and nothing else.  It takes values
-its caller already holds (the construction's final guard, and replay after
-recomputing them through its table), raises ConstructionFailed on the
-first that fails, and otherwise returns the report's check entries, which
-the construction's result carries.  ``theorem1_step`` has no function of
-its own: its new weights and δ are its ``bipar_z`` step's, already checked
-by :func:`bipar_z`.  It reads no geometry and asks for no linking
-number."""
+its caller already holds (the construction's final guard, which replay
+reaches by running the construction again), raises ConstructionFailed on
+the first that fails, and otherwise returns the report's check entries,
+which the construction's result carries.  ``theorem1_step`` has no
+function of its own: its new weights and δ are its ``bipar_z`` step's,
+already checked by :func:`bipar_z`.  It reads no geometry and asks for no
+linking number."""
 
 from dilink.errors import ConstructionFailed
 

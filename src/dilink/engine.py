@@ -6,14 +6,14 @@ together with a certificate: a JSON-compatible record of the inputs, every
 choice made, the outputs, and a recomputed table proving the claimed
 inequalities.  The module never trusts its own bookkeeping; each
 postcondition is re-derived from the embedding before a result is
-returned, and :func:`replay_certificate` re-executes any certificate's
-recorded choices bit-exactly.
+returned, and :func:`replay_certificate` runs a certificate's construction
+again on its recorded inputs and requires the same certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence
 
@@ -30,10 +30,8 @@ from dilink.errors import (
     ConstructionFailed,
     HypothesisViolated,
     Impossible,
-    MonotonicityBroken,
     NotACycle,
     NotEnoughKeyrings,
-    NoValidColumn,
     SurgeryFailed,
 )
 from dilink.invariants import LinkTable, a2_routes
@@ -69,10 +67,11 @@ __all__ = [
 class ConstructionCertificate:
     """Auditable record of one construction run.
 
+    ``inputs`` hold every argument of the construction but its table;
     ``inputs`` and ``outputs`` store cycles in their JSON form; ``choices``
     records every decision (discards, reversals, surgery rows, ladder
     indices); ``checks`` is the recomputed invariant table.  All values are
-    JSON-compatible.
+    JSON-compatible, with lists where the construction holds tuples.
     """
 
     kind: str
@@ -83,10 +82,6 @@ class ConstructionCertificate:
 
     def to_json(self) -> dict:
         return dict(vars(self))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConstructionCertificate":
-        return cls(*(obj[f.name] for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +218,6 @@ class BigZResult:
     checks: list[dict]
 
 
-def _big_z_hypotheses(js: list[DiCycle], xs: list[DiCycle], table: LinkTable) -> int:
-    """Raise HypothesisViolated unless big_z's hypotheses hold: 2n chained
-    cycles and 2n targets with n >= 1, every chained cycle 2-directional,
-    and ω(J_i, X_i) = 1 for i < n (n lk queries).  Returns n."""
-    if len(js) < 2 or len(js) % 2 or len(js) != len(xs):
-        raise HypothesisViolated("need 2n chained cycles and 2n targets")
-    n = len(js) // 2
-    for i, j in enumerate(js):
-        if directionality(j) != 2:
-            raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
-    for i in range(n):
-        if table.omega(js[i], xs[i]) != 1:
-            raise HypothesisViolated(
-                f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
-            )
-    return n
-
-
 def big_z(
     js: Sequence[DiCycle],
     xs: Sequence[DiCycle],
@@ -264,7 +241,17 @@ def big_z(
     """
     js = list(js)
     xs = list(xs)
-    n = _big_z_hypotheses(js, xs, table)
+    if len(js) < 2 or len(js) % 2 or len(js) != len(xs):
+        raise HypothesisViolated("need 2n chained cycles and 2n targets")
+    n = len(js) // 2
+    for i, j in enumerate(js):
+        if directionality(j) != 2:
+            raise HypothesisViolated(f"chained cycle {i} is not 2-directional")
+    for i in range(n):
+        if table.omega(js[i], xs[i]) != 1:
+            raise HypothesisViolated(
+                f"diagonal parity fails at index {i}: ω(J_{i}, X_{i}) = 0"
+            )
     connector = connector_cycle(js, target_delta, extra_vertices=extra_vertices)
     c_parities = [table.omega(connector, x) for x in xs]
     shortcut = 2 * sum(c_parities) >= n
@@ -308,36 +295,6 @@ def big_z(
         checks={"z_parities": z_parities, "delta": d},
     )
     return BigZResult(z=z, index_set=index_set, certificate=cert, checks=entries)
-
-
-def _replay_big_z(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
-    ins, ch = cert.inputs, cert.choices
-    js = _cycles_from_json(ins["js"])
-    xs = _cycles_from_json(ins["xs"])
-    # big_z's hypotheses first (the connector refuses a J that is not
-    # 2-directional); its guarantee once the cycle is rebuilt
-    try:
-        n = _big_z_hypotheses(js, xs, cache)
-    except HypothesisViolated as ex:
-        raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
-    z = connector_cycle(
-        js,
-        ins["target_delta"],
-        q_policy=ins["q_policy"],
-        extra_vertices=ins["extra_vertices"],
-    )
-    if not ch["shortcut"]:
-        z = _surgery_chain(z, [js[i] for i in ch["witness_rows"]])
-    if z.to_json() != cert.outputs["z"]:
-        raise ConstructionFailed("replay produced a different cycle")
-    parities = [cache.omega(z, x) for x in xs]
-    if parities != cert.checks["z_parities"]:
-        raise ConstructionFailed("replay parity table differs")
-    d = directionality(z)
-    if d != cert.checks["delta"]:
-        raise ConstructionFailed("replay directionality differs")
-    checks.big_z(parities, cert.outputs["index_set"], n, d, ins["target_delta"])
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +468,7 @@ def bipar_z(
             inc = a_matrix[a][s + 1] - a_matrix[a][s]
             want = sign_x[a] * lk_jx[(kept_j[s], a)]
             if inc != want or inc < 1:
-                raise MonotonicityBroken(
+                raise ConstructionFailed(
                     f"J ladder step {s} moved lk against X_{a} by {inc}, "
                     f"expected +{want}"
                 )
@@ -524,7 +481,7 @@ def bipar_z(
         None,
     )
     if s_star is None:
-        raise NoValidColumn(
+        raise ConstructionFailed(
             "no J-ladder column exceeds the threshold for every X; the "
             "pigeonhole bound rules this out for valid inputs"
         )
@@ -553,7 +510,7 @@ def bipar_z(
         for t in range(keep_l_count):
             inc = b_matrix[rix][t + 1] - b_matrix[rix][t]
             if inc < 1:
-                raise MonotonicityBroken(
+                raise ConstructionFailed(
                     f"L ladder step {t} moved lk against {kind}_{idx} by {inc}"
                 )
     t_star = next(
@@ -565,7 +522,7 @@ def bipar_z(
         None,
     )
     if t_star is None:
-        raise NoValidColumn(
+        raise ConstructionFailed(
             "no L-ladder column exceeds the threshold for every tracked target"
         )
     z = ladder_d[t_star]
@@ -619,37 +576,6 @@ def bipar_z(
         },
     )
     return BiparResult(z=z, certificate=cert, checks=entries)
-
-
-def _replay_bipar(cert: ConstructionCertificate, cache: LinkTable) -> DiCycle:
-    ins, ch = cert.inputs, cert.choices
-    js = _cycles_from_json(ins["js"])
-    ls = _cycles_from_json(ins["ls"])
-    xs = _cycles_from_json(ins["xs"])
-    ys = _cycles_from_json(ins["ys"])
-    try:
-        _bipar_hypotheses(js, ls, xs, ys, cache, ins["lam"])
-    except HypothesisViolated as ex:
-        raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
-    chain = [js[i] for i in ch["kept_j"]] + [ls[j] for j in ch["kept_l"]]
-    z = connector_cycle(
-        chain,
-        ins["target_delta"],
-        q_policy="opposite",
-        extra_vertices=ins["extra_vertices"],
-    )
-    z = _surgery_chain(z, [js[i] for i in ch["kept_j"][: ch["s_star"]]])
-    z = _surgery_chain(z, [ls[j] for j in ch["kept_l"][: ch["t_star"]]])
-    if z.to_json() != cert.outputs["z"]:
-        raise ConstructionFailed("replay produced a different cycle")
-    final_x = [cache.lk(z, x) for x in xs]
-    final_y = [cache.lk(z, y) for y in ys]
-    if final_x != cert.checks["final_x"] or final_y != cert.checks["final_y"]:
-        raise ConstructionFailed("replay linking table differs")
-    if directionality(z) != cert.checks["delta"]:
-        raise ConstructionFailed("replay directionality differs")
-    checks.bipar_z(final_x, final_y, ins["lam"], cert.checks["delta"], ins["target_delta"])
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +656,8 @@ def prop1_step(
             "candidates": _cycles_json(candidates),
             "n": n,
             "target_delta": target_delta,
+            "extra_sets": [list(e) for e in extra_sets],
+            "budget": budget,
             "q_policy": "lex",
         },
         choices={
@@ -864,6 +792,7 @@ def theorem1_step(
             "m": m,
             "lam": lam,
             "target_delta": target_delta,
+            "extra_vertices": list(extra_vertices),
             "candidates": _cycles_json(candidates),
         },
         choices={"bipar": sub.certificate.to_json()},
@@ -1118,19 +1047,66 @@ def theorem2_params(alpha: int, n: int) -> tuple[int, int]:
 # certificate replay
 
 
-def replay_certificate(cert: ConstructionCertificate | dict, table: LinkTable) -> DiCycle:
-    """Re-execute a certificate's recorded choices and re-verify its checks.
+# each certificate kind's construction, called on the certificate's inputs
+# and the caller's table
+_REPLAYS = {
+    "lemma1": lambda ins, table: lemma1_find_odd_links(table, ins["m"]),
+    "big_z": lambda ins, table: big_z(
+        _cycles_from_json(ins["js"]), _cycles_from_json(ins["xs"]), table,
+        ins["target_delta"], ins["extra_vertices"],
+    ),
+    "bipar_z": lambda ins, table: bipar_z(
+        *(_cycles_from_json(ins[k]) for k in ("js", "ls", "xs", "ys")), table,
+        ins["lam"], ins["target_delta"], ins["extra_vertices"],
+    ),
+    "prop1": lambda ins, table: prop1_step(
+        table, _cycles_from_json(ins["candidates"]), ins["n"], ins["target_delta"],
+        ins["extra_sets"], ins["budget"],
+    ),
+    "theorem1": lambda ins, table: theorem1_step(
+        table, _cycles_from_json(ins["candidates"]), ins["witness"], ins["m"],
+        ins["lam"], ins["target_delta"], ins["extra_vertices"],
+    ),
+}
 
-    Returns the reconstructed output cycle; any divergence from the
-    recorded output or invariant table raises ConstructionFailed.  Every
-    linking number is recomputed through ``table``, so the construction's
-    own table can serve: it memoizes only geometry, never a certificate's
-    claims.
+
+def _differing_path(again: dict, given: dict) -> list[str]:
+    """The keys leading to the first field in which two unequal
+    certificate dicts differ, descending while both sides are dicts."""
+    for key in [*again, *(k for k in given if k not in again)]:
+        if key not in again or key not in given:
+            return [key]
+        a, g = again[key], given[key]
+        if a != g:
+            if isinstance(a, dict) and isinstance(g, dict):
+                return [key, *_differing_path(a, g)]
+            return [key]
+    return []
+
+
+def replay_certificate(
+    cert: ConstructionCertificate | dict, table: LinkTable
+) -> Lemma1Result | BigZResult | BiparResult | Prop1Result | Theorem1Result:
+    """Run a certificate's construction again on its recorded inputs and
+    require the same certificate.
+
+    The constructions are deterministic, so every recorded choice, output
+    and check must come out again; the first field that does not raises
+    ConstructionFailed naming its path, and a hypothesis that fails on the
+    recorded inputs raises ConstructionFailed too.  Returns the
+    construction's result.  Every linking number is recomputed through
+    ``table``, so the construction's own table can serve: it memoizes only
+    geometry, never a certificate's claims.
     """
-    if isinstance(cert, dict):
-        cert = ConstructionCertificate.from_json(cert)
-    if cert.kind == "big_z":
-        return _replay_big_z(cert, table)
-    if cert.kind == "bipar_z":
-        return _replay_bipar(cert, table)
-    raise ValueError(f"certificate kind {cert.kind!r} has no replay flow")
+    given = cert.to_json() if isinstance(cert, ConstructionCertificate) else cert
+    run = _REPLAYS.get(given["kind"])
+    if run is None:
+        raise ValueError(f"certificate kind {given['kind']!r} has no replay flow")
+    try:
+        res = run(given["inputs"], table)
+    except HypothesisViolated as ex:
+        raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
+    again = res.certificate.to_json()
+    if again != given:
+        raise ConstructionFailed(f"replay differs at {'.'.join(_differing_path(again, given))}")
+    return res

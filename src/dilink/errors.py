@@ -17,8 +17,6 @@ __all__ = [
     "Impossible",
     "HypothesisViolated",
     "SurgeryFailed",
-    "MonotonicityBroken",
-    "NoValidColumn",
     "NotEnoughKeyrings",
     "ConstructionFailed",
     "GenerationFailed",
@@ -101,14 +99,6 @@ class HypothesisViolated(DilinkError):
 
 class SurgeryFailed(DilinkError):
     """A cycle surgery step could not be applied to the recorded pair."""
-
-
-class MonotonicityBroken(DilinkError):
-    """A surgery ladder failed its strict linking-number growth check."""
-
-
-class NoValidColumn(DilinkError):
-    """No ladder column satisfied the selection bound (internal bug guard)."""
 
 
 class NotEnoughKeyrings(DilinkError):

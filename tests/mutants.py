@@ -105,11 +105,12 @@ MUTANTS = [
      "if weight((x ^ row) & fresh) > weight(x & fresh):",
      "if weight((x ^ row) & fresh) >= weight(x & fresh):",
      ("tests/test_z2linalg.py", "tests/test_engine.py")),
-    # big_z's checker, which its replay calls, no longer checks the bound
-    ("replay-bound", "src/dilink/checks.py",
+    # big_z's checker no longer checks the bound; only the checker's own
+    # tests see it, since replay refuses a forged shortcut by comparison
+    ("check-big-z-bound", "src/dilink/checks.py",
      "if 2 * len(odd) < n:",
      "if False:",
-     ("tests/test_engine.py",)),
+     ("tests/test_checks.py", "tests/test_engine.py")),
     # bipar_z's checker lets a linking number of exactly lam through
     ("check-bipar-threshold", "src/dilink/checks.py",
      "if abs(v) <= lam:",
@@ -125,17 +126,23 @@ MUTANTS = [
      "if len(index_set) < n:",
      "if len(index_set) < n - 1:",
      ("tests/test_checks.py",)),
-    # big_z's hypothesis check, which its replay calls, no longer checks
-    # the diagonal
+    # big_z's hypothesis check, which replay runs by running big_z again,
+    # no longer checks the diagonal
     ("replay-diagonal", "src/dilink/engine.py",
      "if table.omega(js[i], xs[i]) != 1:",
      "if False:",
      ("tests/test_engine.py",)),
-    # big_z's hypothesis check, which its replay calls, no longer compares
-    # the family sizes
+    # big_z's hypothesis check, which replay runs by running big_z again,
+    # no longer compares the family sizes
     ("replay-family-size", "src/dilink/engine.py",
      "if len(js) < 2 or len(js) % 2 or len(js) != len(xs):",
      "if len(js) < 2 or len(js) % 2:",
+     ("tests/test_engine.py",)),
+    # replay compares only the outputs, so a tampered choice that yields
+    # the same output passes
+    ("replay-compare", "src/dilink/engine.py",
+     "if again != given:",
+     'if again["outputs"] != given["outputs"]:',
      ("tests/test_engine.py",)),
     # the CLI's bound check lets a value one below a flag's least value through
     ("cli-least-bound", "src/dilink/workbench/cli.py",

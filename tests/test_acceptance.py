@@ -202,7 +202,7 @@ def test_criterion_5_big_z_matrix_of_instances():
                     xi = list(inst.role("rings"))[i]
                     assert linking_number(zl, realize(xi, inst.embedding)) & 1 == 1
                 again = replay_certificate(res.certificate.to_json(), LinkTable(inst.embedding))
-                assert again.to_json() == res.z.to_json()
+                assert again.z.to_json() == res.z.to_json()
                 runs += 1
     assert runs == 54
     passline(5, f"{runs} instances, coverage/directionality/replay all verified")

@@ -13,7 +13,6 @@ import pytest
 from dilink.digraph import DiCycle, connector_cycle, directionality, realize
 from dilink.engine import (
     ArithmeticOverflow,
-    ConstructionCertificate,
     ConstructionFailed,
     HypothesisViolated,
     NotEnoughKeyrings,
@@ -35,6 +34,7 @@ from dilink.geom import Point3, PolyLine, SpatialEmbedding
 from dilink.invariants import LinkTable, linking_number
 from dilink.workbench.generators import (
     big_z_instance,
+    bipar_instance,
     grid_link,
     lemma1_dk6m,
     prop1_instance,
@@ -161,13 +161,6 @@ class TestFindOddLinks:
             la, lb = loops_of(inst.embedding, a, b)
             assert linking_number(la, lb) & 1 == 1
 
-    def test_certificate_survives_json(self):
-        inst = lemma1_dk6m(1, seed=5)
-        res = lemma1_find_odd_links(LinkTable(inst.embedding), 1)
-        cert = res.certificate
-        assert ConstructionCertificate.from_json(cert.to_json()) == cert
-        json.dumps(cert.to_json())  # must be plain data
-
     def test_rejects_wrong_vertex_count(self):
         inst = random_complete(6, seed=0)
         with pytest.raises(HypothesisViolated, match="6\\*m"):
@@ -239,12 +232,12 @@ class TestBigZ:
             assert linking_number(zl, realize(xs[i], inst.embedding)) & 1 == 1
 
     @pytest.mark.parametrize("intervals,queries", [
-        # n diagonal, 2n connector, 2n replay and n replay diagonal
-        # queries: the shortcut's z is the connector, whose parities are
-        # already known
-        (None, 6 * 2),
+        # replay runs big_z again, so each count is twice big_z's: n
+        # diagonal and 2n connector queries, the shortcut's z being the
+        # connector, whose parities are already known
+        (None, 2 * (2 + 4)),
         # the heavy path adds the (2n)^2 parity matrix and 2n for its z
-        ([(0, 1), (0, 1), (2, 3), (2, 3)], 8 * 2 + 16),
+        ([(0, 1), (0, 1), (2, 3), (2, 3)], 2 * (6 + 4 + 16)),
     ], ids=["shortcut", "heavy"])
     def test_lk_queries_of_a_command(self, monkeypatch, intervals, queries):
         inst = big_z_instance(2, intervals=intervals)
@@ -295,7 +288,7 @@ class TestBigZ:
         res = big_z(js, xs, LinkTable(bigz_n2.embedding))
         cert = res.certificate.to_json()
         again = replay_certificate(cert, LinkTable(bigz_n2.embedding))
-        assert again.to_json() == res.z.to_json()
+        assert again.z.to_json() == res.z.to_json()
 
     def test_replay_catches_tampered_output(self, bigz_n2):
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
@@ -303,7 +296,7 @@ class TestBigZ:
         cert = json.loads(json.dumps(res.certificate.to_json()))
         verts = cert["outputs"]["z"]["vertices"]
         cert["outputs"]["z"]["vertices"] = verts[1:] + verts[:1]
-        with pytest.raises(ConstructionFailed, match="different cycle"):
+        with pytest.raises(ConstructionFailed, match="replay differs at outputs.z"):
             replay_certificate(cert, LinkTable(bigz_n2.embedding))
 
     @pytest.mark.parametrize("n,seed", [(4, 3), (8, 5), (16, 11)])
@@ -323,7 +316,7 @@ class TestBigZ:
         assert cert.choices["connector_parities"] == [0] * (2 * n)
         assert cert.choices["shortcut"] is False
         assert len(res.index_set) >= n
-        assert replay_certificate(cert, table) == res.z
+        assert replay_certificate(cert, table).z == res.z
 
     @pytest.mark.parametrize("n,seed", [(2, 8), (4, 9), (8, 2)])
     def test_replay_rejects_a_forged_shortcut(self, n, seed):
@@ -342,7 +335,7 @@ class TestBigZ:
             "index_set": [i for i, w in enumerate(parities) if w],
         }
         cert["checks"]["z_parities"] = parities
-        with pytest.raises(ConstructionFailed, match=f"linked .* of {2 * n} targets, below {n}/2"):
+        with pytest.raises(ConstructionFailed, match="replay differs at choices.shortcut"):
             replay_certificate(cert, table)
 
     @pytest.mark.parametrize("hypothesis", ["diagonal", "directionality"])
@@ -393,9 +386,9 @@ class TestBigZ:
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
-            ("checks", "z_parities", [1, 1, 1, 0], "replay parity table differs"),
-            ("outputs", "index_set", [0, 1, 2], r"index set \[0, 1, 2\] is not the odd parities"),
-            ("checks", "delta", 2, "replay directionality differs"),
+            ("checks", "z_parities", [1, 1, 1, 0], "replay differs at checks.z_parities"),
+            ("outputs", "index_set", [0, 1, 2], "replay differs at outputs.index_set"),
+            ("checks", "delta", 2, "replay differs at checks.delta"),
         ],
         ids=["z_parities", "index_set", "delta"],
     )
@@ -405,7 +398,7 @@ class TestBigZ:
         js, xs = list(bigz_n2.role("keys")), list(bigz_n2.role("rings"))
         table = LinkTable(bigz_n2.embedding)
         res = big_z(js, xs, table)
-        assert replay_certificate(res.certificate, table) == res.z
+        assert replay_certificate(res.certificate, table).z == res.z
         cert = json.loads(json.dumps(res.certificate.to_json()))
         assert cert[section][key] != value
         cert[section][key] = value
@@ -413,7 +406,7 @@ class TestBigZ:
             replay_certificate(cert, table if warm else LinkTable(bigz_n2.embedding))
 
     def test_replay_rejects_unknown_kind(self, bigz_n2):
-        stub = {"kind": "lemma1", "inputs": {}, "choices": {}, "outputs": {}, "checks": {}}
+        stub = {"kind": "lemma9", "inputs": {}, "choices": {}, "outputs": {}, "checks": {}}
         with pytest.raises(ValueError, match="no replay flow"):
             replay_certificate(stub, LinkTable(bigz_n2.embedding))
 
@@ -463,7 +456,7 @@ class TestBiparZ:
         js, ls, xs, ys = self.families(bipar111)
         res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
         cert = res.certificate.to_json()
-        assert replay_certificate(cert, LinkTable(bipar111.embedding)).to_json() == res.z.to_json()
+        assert replay_certificate(cert, LinkTable(bipar111.embedding)).z.to_json() == res.z.to_json()
         bad = json.loads(json.dumps(cert))
         bad["choices"]["kept_j"] = [3, 4, 5]
         with pytest.raises(ConstructionFailed):
@@ -472,9 +465,9 @@ class TestBiparZ:
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
-            ("checks", "final_x", [3], "replay linking table differs"),
+            ("checks", "final_x", [3], "replay differs at checks.final_x"),
             ("inputs", "lam", 2, "replay hypothesis fails: r = 6 < 10 chained cycles"),
-            ("checks", "delta", 2, "replay directionality differs"),
+            ("checks", "delta", 2, "replay differs at checks.delta"),
         ],
         ids=["final_x", "lam", "delta"],
     )
@@ -484,7 +477,7 @@ class TestBiparZ:
         js, ls, xs, ys = self.families(bipar111)
         table = LinkTable(bipar111.embedding)
         res = bipar_z(js, ls, xs, ys, table, lam=1)
-        assert replay_certificate(res.certificate, table) == res.z
+        assert replay_certificate(res.certificate, table).z == res.z
         cert = json.loads(json.dumps(res.certificate.to_json()))
         assert cert[section][key] != value
         cert[section][key] = value
@@ -523,7 +516,7 @@ class TestBiparZ:
             final_y=[table.lk(z, y) for y in ys],
             delta=directionality(z),
         )
-        with pytest.raises(ConstructionFailed, match=r"\|lk\(Z, X_0\)\| = 0 <= 1"):
+        with pytest.raises(ConstructionFailed, match="replay differs at choices.s_star"):
             replay_certificate(cert, table)
 
     def test_rejects_undersized_first_family(self, bipar111):
@@ -708,6 +701,109 @@ class TestTheorem1Step:
             match=r"singleton weight \|lk\| = 0 <= 0 between components 37 and 0",
         ):
             theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=0)
+
+
+# certificate replay over every kind
+
+
+def _lemma1():
+    inst = lemma1_dk6m(2, seed=3)
+    return inst, lemma1_find_odd_links(LinkTable(inst.embedding), 2)
+
+
+def _big_z():
+    inst = big_z_instance(2)
+    return inst, big_z(inst.role("keys"), inst.role("rings"), LinkTable(inst.embedding))
+
+
+def _bipar_z():
+    # the README's bipar file
+    inst = bipar_instance(1, 1, 1, 6, 36)
+    rings, keys = inst.role("rings"), inst.role("keys")
+    return inst, bipar_z(
+        keys[:6], keys[6:], rings[:1], rings[1:], LinkTable(inst.embedding), lam=1
+    )
+
+
+def _prop1():
+    inst = prop1_instance(2)
+    cands = list(inst.role("rings")) + list(inst.role("keys"))
+    return inst, prop1_step(LinkTable(inst.embedding), cands, n=2)
+
+
+def _theorem1():
+    inst = theorem1_instance(1, 1, n=0)
+    cands = list(inst.role("keys")) + list(inst.role("rings"))
+    s = len(inst.role("keys"))
+    witness = {"P1": list(range(s, 2 * s)), "P2": list(range(s)), "Q": []}
+    return inst, theorem1_step(LinkTable(inst.embedding), cands, witness, m=1, lam=1)
+
+
+def _rotated(cycle):
+    return {"vertices": cycle["vertices"][1:] + cycle["vertices"][:1],
+            "edge_choices": cycle["edge_choices"][1:] + cycle["edge_choices"][:1]}
+
+
+# per kind: the construction run, then three tamperings of its JSON
+# certificate, each a key path, an edit of the value there and the message
+# replay must refuse it with: a flipped choice, an edited output and an
+# input that breaks a hypothesis
+REPLAYED_KINDS = {
+    "lemma1": (_lemma1, [
+        (("choices", "blocks", 0, "chosen"), lambda v: v[::-1],
+         "replay differs at choices.blocks"),
+        (("outputs", "pairs"), lambda v: v[::-1], "replay differs at outputs.pairs"),
+        (("inputs", "m"), lambda v: v + 1,
+         r"replay hypothesis fails: need exactly 6\*m vertices, got 12 for m=3"),
+    ]),
+    "big_z": (_big_z, [
+        (("choices", "shortcut"), lambda v: not v, "replay differs at choices.shortcut"),
+        (("outputs", "z"), _rotated, "replay differs at outputs.z.vertices"),
+        (("inputs", "xs"), lambda v: v[::-1],
+         "replay hypothesis fails: diagonal parity fails at index 0"),
+    ]),
+    "bipar_z": (_bipar_z, [
+        (("choices", "s_star"), lambda v: v + 1, "replay differs at choices.s_star"),
+        (("outputs", "z"), _rotated, "replay differs at outputs.z.vertices"),
+        (("inputs", "lam"), lambda v: v + 1,
+         "replay hypothesis fails: r = 6 < 10 chained cycles"),
+    ]),
+    "prop1": (_prop1, [
+        (("choices", "centers"), lambda v: v[::-1], "replay differs at choices.centers"),
+        (("outputs", "witness", "x0"), lambda v: v + 1,
+         "replay differs at outputs.witness.x0"),
+        (("inputs", "extra_sets"), lambda v: [[]],
+         "replay hypothesis fails: one extra-vertex set per round, or none"),
+    ]),
+    "theorem1": (_theorem1, [
+        (("choices", "bipar", "choices", "t_star"), lambda v: v - 1,
+         "replay differs at choices.bipar.choices.t_star"),
+        (("outputs", "witness", "P1"), lambda v: v + [0],
+         "replay differs at outputs.witness.P1"),
+        (("inputs", "lam"), lambda v: v + 1,
+         r"replay hypothesis fails: class size 37 = m \+ 36, expected m \+ 60"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", REPLAYED_KINDS)
+def test_certificate_survives_json(kind):
+    build, tamperings = REPLAYED_KINDS[kind]
+    inst, res = build()
+    assert res.certificate.kind == kind
+    # a tuple anywhere in the certificate would come back as a list
+    cert = json.loads(json.dumps(res.certificate.to_json()))
+    again = replay_certificate(cert, LinkTable(inst.embedding))
+    assert again.certificate.to_json() == cert == res.certificate.to_json()
+    for (*head, last), edit, message in tamperings:
+        bad = json.loads(json.dumps(cert))
+        node = bad
+        for key in head:
+            node = node[key]
+        assert edit(node[last]) != node[last]
+        node[last] = edit(node[last])
+        with pytest.raises(ConstructionFailed, match=message):
+            replay_certificate(bad, LinkTable(inst.embedding))
 
 
 # sign-pattern verification over a wrapped connector
