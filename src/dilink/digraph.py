@@ -403,9 +403,6 @@ class OrientedLoop:
     cycle: DiCycle
     points: tuple[Point3, ...]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def realize(c: DiCycle, emb: SpatialEmbedding) -> OrientedLoop:
     """Concatenate the embedded arcs of a cycle into a closed polyline."""

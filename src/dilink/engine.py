@@ -1092,11 +1092,12 @@ def replay_certificate(
 
     The constructions are deterministic, so every recorded choice, output
     and check must come out again; the first field that does not raises
-    ConstructionFailed naming its path, and a hypothesis that fails on the
-    recorded inputs raises ConstructionFailed too.  Returns the
-    construction's result.  Every linking number is recomputed through
-    ``table``, so the construction's own table can serve: it memoizes only
-    geometry, never a certificate's claims.
+    ConstructionFailed naming its path.  A hypothesis that fails on the
+    recorded inputs, or inputs that are missing, mistyped or no cycle,
+    raise ConstructionFailed too.  Returns the construction's result.
+    Every linking number is recomputed through ``table``, so the
+    construction's own table can serve: it memoizes only geometry, never
+    a certificate's claims.
     """
     given = cert.to_json() if isinstance(cert, ConstructionCertificate) else cert
     run = _REPLAYS.get(given["kind"])
@@ -1106,6 +1107,11 @@ def replay_certificate(
         res = run(given["inputs"], table)
     except HypothesisViolated as ex:
         raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
+    except (LookupError, TypeError, ValueError, NotACycle) as ex:
+        # an input missing, of the wrong type or not a cycle
+        raise ConstructionFailed(
+            f"replay inputs are malformed: {type(ex).__name__}: {ex}"
+        ) from ex
     again = res.certificate.to_json()
     if again != given:
         raise ConstructionFailed(f"replay differs at {'.'.join(_differing_path(again, given))}")

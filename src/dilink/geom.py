@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CoordinateOverflow,
@@ -87,12 +87,6 @@ class PolyLine:
 
     def __repr__(self) -> str:
         return f"PolyLine({list(self.points)!r})"
-
-    def reversed(self) -> "PolyLine":
-        return PolyLine(self.points[::-1])
-
-    def segments(self) -> Iterator[tuple[Point3, Point3]]:
-        return zip(self.points, self.points[1:])
 
 
 @dataclass(frozen=True)

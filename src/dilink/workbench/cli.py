@@ -45,7 +45,7 @@ from dilink.patterns import compute_pattern
 from dilink.workbench import generators as gens
 from dilink.workbench.serialization import (
     FORMAT_VERSION,
-    ParsedInstance,
+    Instance,
     load_instance,
     save_instance,
 )
@@ -83,15 +83,15 @@ def _emit(rep: dict, out: Optional[str]) -> int:
     return 0 if rep["ok"] else 1
 
 
-def _role_or(inst: ParsedInstance, name: str, alt: str = "") -> tuple[DiCycle, ...]:
+def _role_or(inst: Instance, name: str, alt: str = "") -> tuple[DiCycle, ...]:
     if name in inst.roles:
-        return inst.role_cycles(name)
+        return inst.role(name)
     if alt and alt in inst.roles:
-        return inst.role_cycles(alt)
+        return inst.role(alt)
     raise FormatError(f"instance file lacks a {name!r} role")
 
 
-def _free_vertices(inst: ParsedInstance) -> list[int]:
+def _free_vertices(inst: Instance) -> list[int]:
     # chain spacer vertices belong to no stored cycle; connector closures
     # for directionality >= 4 consume them in ascending id order
     used: set[int] = set()
@@ -101,7 +101,7 @@ def _free_vertices(inst: ParsedInstance) -> list[int]:
 
 
 def _extras_for_delta(
-    inst: ParsedInstance, delta: int, rounds: int = 1
+    inst: Instance, delta: int, rounds: int = 1
 ) -> list[list[int]]:
     # one group of extra vertices per connector closure, in the order the
     # generators laid the closures out
@@ -119,18 +119,6 @@ def _extras_for_delta(
 # generation
 
 
-def _instance_roles(inst: gens.GeneratedInstance) -> tuple[list[DiCycle], dict]:
-    cycles: list[DiCycle] = []
-    roles: dict[str, list[int]] = {}
-    for name in sorted(inst.cycles):
-        idxs = []
-        for c in inst.cycles[name]:
-            idxs.append(len(cycles))
-            cycles.append(c)
-        roles[name] = idxs
-    return cycles, roles
-
-
 class ParameterError(DilinkError):
     """A command rejected its parameters: a usage error (exit 2)."""
 
@@ -142,7 +130,6 @@ class ParameterError(DilinkError):
 GENERATORS = {
     "random_complete": (("seed", "p"), lambda seed, p: gens.random_complete(p, seed)),
     "lemma1_dk6m": (("seed", "m"), lambda seed, m: gens.lemma1_dk6m(m, seed)),
-    "torus_style": (("p", "q"), gens.torus_style),
     "braid": (("word", "strands"), gens.braid_instance),
     "grid_link": (("rings", "keys"),
                   lambda rings, keys: gens.grid_link(rings, [(0, rings - 1)] * keys)),
@@ -183,19 +170,15 @@ def _cmd_gen(args, rep: dict) -> None:
     except (ValueError, HypothesisViolated) as ex:
         raise ParameterError(f"{args.kind}: {ex}") from ex
 
-    cycles, roles = _instance_roles(inst)
-    save_instance(args.out, inst.embedding, cycles, roles=roles)
+    save_instance(args.out, inst)
     rep["out"] = args.out
     rep["resamples"] = inst.resamples
     rep["stats"] = {
         "vertices": len(inst.embedding.vertices),
         "edges": len(inst.embedding.arcs),
-        "cycles": len(cycles),
-        "roles": {k: len(v) for k, v in roles.items()},
-        "spare_vertices": sorted(
-            set(inst.embedding.vertices)
-            - set().union(*(c.vertex_set() for c in cycles))
-        ) if cycles else [],
+        "cycles": len(inst.cycles),
+        "roles": {k: len(v) for k, v in inst.roles.items()},
+        "spare_vertices": _free_vertices(inst) if inst.cycles else [],
     }
     _check(rep, "generated", True, f"{args.kind} written to {args.out}")
 
@@ -311,7 +294,7 @@ def _cmd_bipar(args, rep: dict) -> None:
     _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
-def _prop1_candidates(inst: ParsedInstance) -> list[int]:
+def _prop1_candidates(inst: Instance) -> list[int]:
     # ring cycles must come first: the keyring finder walks candidates in
     # ascending order and junction arcs only exist along the stored chains
     if "rings" in inst.roles and "keys" in inst.roles:
@@ -385,7 +368,7 @@ def _cmd_verify_l6(args, rep: dict) -> None:
     c_cycles = _role_or(inst, "keys")
     a_cycles = _role_or(inst, "targets", "rings")
     if "base" in inst.roles:
-        base = inst.role_cycles("base")[0]
+        base = inst.role("base")[0]
     elif len(c_cycles) >= 2:
         # the closed walk the surgery family starts from: the connector
         # over the surgery cycles, taking each one's path against its loop

@@ -1,10 +1,12 @@
 """Builders for embedded instances the rest of the package operates on.
 
-Every generator returns a :class:`GeneratedInstance` whose embedding has
-passed :func:`dilink.geom.validate_general_position` once, when it was
-finished, so downstream code never needs to re-check genericity before
-projecting.  A ring/key lattice, with the chain arcs its connector cycles
-close through, is built by one :func:`grid_link` call.  Structured
+Every generator returns the :class:`~dilink.workbench.serialization.Instance`
+that loading its file gives back: its cycles are each role's cycles in
+role-name order, every one oriented +1.  Its embedding has passed
+:func:`dilink.geom.validate_general_position` once, when it was finished,
+so downstream code never needs to re-check genericity before projecting.
+A ring/key lattice, with the chain arcs its connector cycles close
+through, is built by one :func:`grid_link` call.  Structured
 builders (stacked ring/key lattices, braid closures) are deterministic;
 the random ones consume a 64-bit seed that is split per purpose with
 labeled hashing so adding a new draw never shifts an existing one.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from dilink.digraph import (
@@ -33,9 +35,9 @@ from dilink.geom import (
     validate_general_position,
 )
 from dilink.invariants import LinkTable
+from dilink.workbench.serialization import Instance
 
 __all__ = [
-    "GeneratedInstance",
     "big_z_instance",
     "bipar_instance",
     "braid_closure",
@@ -48,7 +50,6 @@ __all__ = [
     "ring_wrap_instance",
     "split_seed",
     "theorem1_instance",
-    "torus_style",
 ]
 
 MAX_RESAMPLES = 64
@@ -68,17 +69,15 @@ def split_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-@dataclass
-class GeneratedInstance:
-    """A validated embedding plus the role-tagged cycles built into it."""
-
-    embedding: SpatialEmbedding
-    cycles: dict[str, tuple[DiCycle, ...]]
-    resamples: int
-    meta: dict = field(default_factory=dict)
-
-    def role(self, name: str) -> tuple[DiCycle, ...]:
-        return self.cycles[name]
+def _instance(emb: SpatialEmbedding, by_role: dict[str, Sequence[DiCycle]]) -> Instance:
+    """The instance that stores each role's cycles, role after role in
+    sorted name order, every cycle oriented +1."""
+    cycles: list[DiCycle] = []
+    roles: dict[str, tuple[int, ...]] = {}
+    for name in sorted(by_role):
+        roles[name] = tuple(range(len(cycles), len(cycles) + len(by_role[name])))
+        cycles += by_role[name]
+    return Instance(emb, tuple(cycles), (1,) * len(cycles), roles)
 
 
 def _validated_or_raise(emb: SpatialEmbedding, what: str) -> None:
@@ -97,7 +96,7 @@ def _validated_or_raise(emb: SpatialEmbedding, what: str) -> None:
 # random complete symmetric digraphs
 
 
-def random_complete(p: int, seed: int, box: int = 2**20) -> GeneratedInstance:
+def random_complete(p: int, seed: int, box: int = 2**20) -> Instance:
     """Random generic embedding of the doubled complete digraph on p vertices.
 
     Every ordered pair gets its own arc with one random interior bend, so
@@ -146,12 +145,7 @@ def random_complete(p: int, seed: int, box: int = 2**20) -> GeneratedInstance:
         emb = SpatialEmbedding(vertices, arcs, box=2 * box)
         report = validate_general_position(emb)
         if report.ok:
-            return GeneratedInstance(
-                embedding=emb,
-                cycles={},
-                resamples=attempt,
-                meta={"kind": "random_complete", "p": p, "box": box},
-            )
+            return Instance(emb, resamples=attempt)
         last_report = report
     raise GenerationFailed(
         f"random_complete(p={p}): still degenerate after {MAX_RESAMPLES} "
@@ -159,13 +153,11 @@ def random_complete(p: int, seed: int, box: int = 2**20) -> GeneratedInstance:
     )
 
 
-def lemma1_dk6m(m: int, seed: int, box: int = 2**20) -> GeneratedInstance:
+def lemma1_dk6m(m: int, seed: int, box: int = 2**20) -> Instance:
     """Random embedding sized for the odd-pair search: 6m vertices."""
     if m < 1:
         raise ValueError("m must be positive")
-    inst = random_complete(6 * m, seed, box=box)
-    inst.meta = {"kind": "lemma1_dk6m", "m": m, "box": box}
-    return inst
+    return random_complete(6 * m, seed, box=box)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +247,13 @@ def braid_closure(word: Sequence[int], strands: int) -> list[tuple[Point3, ...]]
     return loops
 
 
-def _loops_to_instance(
-    loops: list[tuple[Point3, ...]], role: str, meta: dict
-) -> GeneratedInstance:
-    """Promote closed point loops to an embedding with 3 vertices per loop."""
+def braid_instance(word: Sequence[int], strands: int) -> Instance:
+    """Embedding of a braid closure, one 3-vertex cycle per component."""
     vertices: dict[int, Point3] = {}
     arcs: dict[tuple[int, int], PolyLine] = {}
     cycles: list[DiCycle] = []
     base = 0
-    for pts in loops:
+    for pts in braid_closure(word, strands):
         n = len(pts)
         if n < 3:
             raise GenerationFailed("loop too short to promote to a cycle")
@@ -281,39 +271,8 @@ def _loops_to_instance(
         cycles.append(DiCycle(ids, (True, True, True)))
         base += 3
     emb = SpatialEmbedding(vertices, arcs)
-    _validated_or_raise(emb, meta.get("kind", role))
-    return GeneratedInstance(
-        embedding=emb,
-        cycles={role: tuple(cycles)},
-        resamples=0,
-        meta=meta,
-    )
-
-
-def braid_instance(word: Sequence[int], strands: int) -> GeneratedInstance:
-    """Embedding of an arbitrary braid closure, one cycle per component."""
-    loops = braid_closure(word, strands)
-    return _loops_to_instance(
-        loops,
-        "components",
-        {"kind": "braid", "word": tuple(word), "strands": strands},
-    )
-
-
-def torus_style(p: int, q: int) -> GeneratedInstance:
-    """Deterministic embedding of a (p,q) torus-braid closure, p in {2,3}."""
-    if p == 2:
-        word = [1] * q
-    elif p == 3:
-        word = [1, 2] * q
-    else:
-        raise ValueError("only 2- and 3-strand families are built here")
-    if q < 1:
-        raise ValueError("q must be positive")
-    loops = braid_closure(word, p)
-    return _loops_to_instance(
-        loops, "components", {"kind": "torus_style", "p": p, "q": q}
-    )
+    _validated_or_raise(emb, "braid")
+    return _instance(emb, {"components": cycles})
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +363,14 @@ def grid_link(
     rings: int,
     keys: Sequence[tuple[int, int]],
     chains: Sequence[tuple[Sequence[tuple[str, int]], int, int]] = (),
-) -> GeneratedInstance:
+) -> Instance:
     """Stacked rings, keys threading contiguous ring intervals, and the
     arcs of connector cycles chained over them.
 
     ``keys[k] = (lo, hi)`` makes key k link exactly rings lo..hi, each with
     absolute linking number 1; every other pair of built cycles is unlinked.
-    The returned table of pairwise linking numbers is recomputed from the
-    embedding, not assumed.
+    Every pairwise linking number is recomputed from the embedding and
+    checked against the intervals, not assumed.
 
     Each chain ``(order, delta, wrap_turns)`` adds the arcs a connector
     cycle of directionality ``delta`` over ``order``, a list of
@@ -445,10 +404,9 @@ def grid_link(
         key_cycles.append(cyc)
         vertices.update(vs)
         arcs.update(ars)
-    cycles = {"rings": tuple(ring_cycles), "keys": tuple(key_cycles)}
+    cycles = {"rings": ring_cycles, "keys": key_cycles}
 
     router = _ChainRouter(fr)
-    records = []
     extras_laid = 0
     for order, delta, wrap_turns in chains:
         if len(order) < 2:
@@ -476,39 +434,24 @@ def grid_link(
             # only a delta 1 chain wraps, and its closing arc comes last
             wrap = wrap_turns if k == len(new_arcs) - 1 else 0
             arcs[(tail, head)] = router.route(tail, head, corners, wrap)
-        records.append(
-            {
-                "order": tuple((r, i) for r, i in order),
-                "delta": delta,
-                "extras": tuple(extras),
-                "wrap_turns": wrap_turns,
-                "junctions": tuple(junctions),
-                "arcs": tuple(new_arcs),
-            }
-        )
 
     emb = SpatialEmbedding(vertices, arcs)
     _validated_or_raise(emb, "grid_link")
-    inst = GeneratedInstance(
-        embedding=emb,
-        cycles=cycles,
-        resamples=0,
-        meta={"kind": "grid_link", "threading": tuple(keys), "chains": records},
-    )
-    _verify_grid_pattern(inst)
+    inst = _instance(emb, cycles)
+    _verify_grid_pattern(inst, keys)
     return inst
 
 
-def _verify_grid_pattern(inst: GeneratedInstance) -> None:
-    """Recompute every pairwise linking number and check it against intent
-    as it comes, keeping none."""
-    rings = inst.cycles["rings"]
+def _verify_grid_pattern(inst: Instance, keys: Sequence[tuple[int, int]]) -> None:
+    """Recompute every pairwise linking number and check it against the
+    key intervals as it comes, keeping none."""
+    rings = inst.role("rings")
     nr = len(rings)
-    for i, j, lk in LinkTable(inst.embedding).lk_pairs(rings + inst.cycles["keys"]):
+    for i, j, lk in LinkTable(inst.embedding).lk_pairs(rings + inst.role("keys")):
         # only a key that threads ring i links it, and once
         want = 0
         if i < nr <= j:
-            lo, hi = inst.meta["threading"][j - nr]
+            lo, hi = keys[j - nr]
             want = 1 if lo <= i <= hi else 0
         if abs(lk) != want:
             raise GenerationFailed(
@@ -643,7 +586,7 @@ class _ChainRouter:
 
 
 def _chain_corner_map(
-    cycles: dict[str, tuple[DiCycle, ...]],
+    cycles: dict[str, list[DiCycle]],
     vertices: dict[int, Point3],
     order: Sequence[tuple[str, int]],
 ) -> tuple[list[tuple[int, int]], dict[int, tuple[str, Point3, dict]]]:
@@ -674,7 +617,7 @@ def big_z_instance(
     target_delta: int = 1,
     intervals: Optional[Sequence[tuple[int, int]]] = None,
     seed: Optional[int] = None,
-) -> GeneratedInstance:
+) -> Instance:
     """2n rings and 2n chained keys; key i always threads its own ring i.
 
     Without explicit intervals (and with a seed) each key threads a random
@@ -697,12 +640,9 @@ def big_z_instance(
         not lo <= i <= hi for i, (lo, hi) in enumerate(intervals)
     ):
         raise ValueError("need one interval per key, each containing its index")
-    inst = grid_link(
+    return grid_link(
         count, intervals, [([("key", i) for i in range(count)], target_delta, 0)]
     )
-    inst.meta["target_delta"] = target_delta
-    inst.meta["n"] = n
-    return inst
 
 
 def bipar_instance(
@@ -712,7 +652,7 @@ def bipar_instance(
     r: int,
     q: int,
     target_delta: int = 1,
-) -> GeneratedInstance:
+) -> Instance:
     """m+n rings; r keys thread all the first m, q keys thread the last n.
 
     Chain arcs are laid for the post-discard prefixes (m(2lam+1) of the
@@ -727,14 +667,10 @@ def bipar_instance(
     intervals = [(0, m - 1)] * r + [(m, m + n - 1)] * q
     order = [("key", i) for i in range(keep_j)]
     order += [("key", r + j) for j in range(keep_l)]
-    inst = grid_link(m + n, intervals, [(order, target_delta, 0)])
-    inst.meta.update(
-        {"m": m, "n": n, "lam": lam, "r": r, "q": q, "target_delta": target_delta}
-    )
-    return inst
+    return grid_link(m + n, intervals, [(order, target_delta, 0)])
 
 
-def prop1_instance(n: int, target_delta: int = 1) -> GeneratedInstance:
+def prop1_instance(n: int, target_delta: int = 1) -> Instance:
     """2n disjoint keyrings of n keys each, chains laid per round, as
     ``prop1_step`` with n rounds needs.
 
@@ -751,12 +687,10 @@ def prop1_instance(n: int, target_delta: int = 1) -> GeneratedInstance:
         ([("key", j * rings + i) for i in range(rings)], target_delta, 0)
         for j in range(n)
     ]
-    inst = grid_link(rings, intervals, chains)
-    inst.meta.update({"rounds": n, "target_delta": target_delta})
-    return inst
+    return grid_link(rings, intervals, chains)
 
 
-def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> GeneratedInstance:
+def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Instance:
     """Complete bipartite ring/key lattice sized for one induction step.
 
     Builds s rings and s keys with s = m + q and q = (2m+n)(2lam+1)3^m 2^(m+n),
@@ -776,16 +710,12 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> Ge
     # the second (ring 0..m-1 and key 0..m-1 are the X and Y cycles).
     order = [("key", m + i) for i in range(keep_j)]
     order += [("ring", m + j) for j in range(keep_l)]
-    inst = grid_link(s, [(0, s - 1)] * s, [(order, target_delta, 0)])
-    inst.meta.update(
-        {"m": m, "n": n, "lam": lam, "q": q, "target_delta": target_delta}
-    )
-    return inst
+    return grid_link(s, [(0, s - 1)] * s, [(order, target_delta, 0)])
 
 
 def ring_wrap_instance(
     key_count: int = 4, wrap_turns: int = 5
-) -> GeneratedInstance:
+) -> Instance:
     """One ring, ``key_count`` chained keys, closure wrapping the hole.
 
     The connector cycle over the keys (short-path policy) then links the
@@ -795,16 +725,14 @@ def ring_wrap_instance(
     if key_count < 2 or wrap_turns < 1:
         raise ValueError("need at least two keys and one wrap")
     order = [("key", k) for k in range(key_count)]
-    inst = grid_link(1, [(0, 0)] * key_count, [(order, 1, wrap_turns)])
-    inst.meta["wrap_turns"] = wrap_turns
-    return inst
+    return grid_link(1, [(0, 0)] * key_count, [(order, 1, wrap_turns)])
 
 
 # ---------------------------------------------------------------------------
 # braid pair with an encircling coil (search fixture)
 
 
-def coiled_braid_pair(lam: int = 4) -> GeneratedInstance:
+def coiled_braid_pair(lam: int = 4) -> Instance:
     """Two braid-closure loops linking lam times, coiled by a lam-turn target.
 
     The two components of a (2, 2*lam) torus-style closure get junction arcs
@@ -897,9 +825,4 @@ def coiled_braid_pair(lam: int = 4) -> GeneratedInstance:
 
     emb = SpatialEmbedding(vertices, arcs)
     _validated_or_raise(emb, "coiled_braid_pair")
-    return GeneratedInstance(
-        embedding=emb,
-        cycles={"targets": (coil,), "loops": tuple(comps)},
-        resamples=0,
-        meta={"kind": "coiled_braid_pair", "lam": lam},
-    )
+    return _instance(emb, {"targets": [coil], "loops": comps})

@@ -1,17 +1,20 @@
-"""Canonical JSON file format for embeddings, cycles, and role tags.
+"""Canonical JSON file format for instances: an embedding, its cycles and
+their role tags.
 
-One UTF-8 JSON document per instance: integer coordinates only, vertex ids
+:class:`Instance` is the one instance type: every generator returns one,
+``save_instance`` writes it, and ``load_instance`` gives it back.  One
+UTF-8 JSON document per instance: integer coordinates only, vertex ids
 implicit in list position, keys sorted, compact separators, trailing
 newline.  Writing the same instance twice yields identical bytes, and
-``parse_instance(serialize_instance(x))`` reproduces every field bit for
-bit.
+``parse_instance(serialize_instance(x)) == x`` for every field the file
+stores.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from dilink.digraph import DiCycle
 from dilink.errors import CoordinateOverflow, FormatError, NotACycle
@@ -19,7 +22,7 @@ from dilink.geom import Point3, PolyLine, SpatialEmbedding
 
 __all__ = [
     "FORMAT_VERSION",
-    "ParsedInstance",
+    "Instance",
     "load_instance",
     "parse_instance",
     "save_instance",
@@ -30,15 +33,21 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ParsedInstance:
-    """An embedding plus the cycles and role tags stored alongside it."""
+class Instance:
+    """An embedding, the cycles stored on it with their orientations, and
+    role tags naming cycles by index.
+
+    ``resamples`` counts the degenerate draws a random generator threw away;
+    the file does not store it, so it takes no part in equality.
+    """
 
     embedding: SpatialEmbedding
     cycles: tuple[DiCycle, ...] = ()
     orientations: tuple[int, ...] = ()
     roles: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    resamples: int = field(default=0, compare=False)
 
-    def role_cycles(self, name: str) -> tuple[DiCycle, ...]:
+    def role(self, name: str) -> tuple[DiCycle, ...]:
         return tuple(self.cycles[i] for i in self.roles[name])
 
 
@@ -46,29 +55,23 @@ def _int3(p) -> list[int]:
     return [int(p.x), int(p.y), int(p.z)]
 
 
-def serialize_instance(
-    emb: SpatialEmbedding,
-    cycles: Sequence[DiCycle] = (),
-    orientations: Optional[Sequence[int]] = None,
-    roles: Optional[dict[str, Sequence[int]]] = None,
-) -> str:
+def serialize_instance(inst: Instance) -> str:
     """Render an instance to its canonical JSON text.
 
     Vertex ids must be exactly 0..n-1 (the format stores positions by
-    index).  ``orientations`` defaults to +1 per cycle; ``roles`` maps a
-    name to cycle indices.
+    index), every cycle needs an orientation of +1 or -1, and every role
+    index must name a cycle.
     """
+    emb, cycles = inst.embedding, inst.cycles
     ids = sorted(emb.vertices)
     if ids != list(range(len(ids))):
         raise FormatError("vertex ids must be dense 0..n-1 for serialization")
-    if orientations is None:
-        orientations = [1] * len(cycles)
-    orientations = [int(o) for o in orientations]
+    orientations = [int(o) for o in inst.orientations]
     if len(orientations) != len(cycles):
         raise FormatError("one orientation per cycle is required")
     if any(o not in (-1, 1) for o in orientations):
         raise FormatError("orientations must be +1 or -1")
-    roles = {k: [int(i) for i in v] for k, v in (roles or {}).items()}
+    roles = {k: [int(i) for i in v] for k, v in inst.roles.items()}
     for name, idxs in roles.items():
         if any(not 0 <= i < len(cycles) for i in idxs):
             raise FormatError(f"role {name!r} references a missing cycle")
@@ -108,7 +111,7 @@ def _point(obj) -> Optional[Point3]:
     return None
 
 
-def parse_instance(text: str) -> ParsedInstance:
+def parse_instance(text: str) -> Instance:
     """Parse canonical JSON text back into an instance.
 
     Structural problems (bad JSON, wrong version, missing fields,
@@ -211,7 +214,7 @@ def parse_instance(text: str) -> ParsedInstance:
             raise FormatError(f"role {name!r} must list cycle indices")
         roles[str(name)] = tuple(idxs)
 
-    return ParsedInstance(
+    return Instance(
         embedding=emb,
         cycles=tuple(cycles),
         orientations=tuple(orientations),
@@ -219,18 +222,12 @@ def parse_instance(text: str) -> ParsedInstance:
     )
 
 
-def save_instance(
-    path: str,
-    emb: SpatialEmbedding,
-    cycles: Sequence[DiCycle] = (),
-    orientations: Optional[Sequence[int]] = None,
-    roles: Optional[dict[str, Sequence[int]]] = None,
-) -> None:
+def save_instance(path: str, inst: Instance) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(emb, cycles, orientations, roles))
+        fh.write(serialize_instance(inst))
 
 
-def load_instance(path: str) -> ParsedInstance:
+def load_instance(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_instance(fh.read())

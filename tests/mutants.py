@@ -144,6 +144,12 @@ MUTANTS = [
      "if again != given:",
      'if again["outputs"] != given["outputs"]:',
      ("tests/test_engine.py",)),
+    # generators store the roles in the order they name them, not sorted,
+    # so the cycles a file lists move
+    ("instance-role-order", "src/dilink/workbench/generators.py",
+     "for name in sorted(by_role):",
+     "for name in by_role:",
+     ("tests/test_workbench.py",)),
     # the CLI's bound check lets a value one below a flag's least value through
     ("cli-least-bound", "src/dilink/workbench/cli.py",
      "value < least:",

@@ -32,6 +32,7 @@ from dilink.engine import (
 from dilink.errors import DisjointnessViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding
 from dilink.invariants import LinkTable, linking_number
+from dilink.workbench.cli import _free_vertices
 from dilink.workbench.generators import (
     big_z_instance,
     bipar_instance,
@@ -203,7 +204,7 @@ class TestBigZ:
 
     def test_four_directional_target_needs_extras(self):
         inst = big_z_instance(2, target_delta=4)
-        extras = inst.meta["chains"][0]["extras"]
+        extras = _free_vertices(inst)
         assert len(extras) == 2
         js, xs = list(inst.role("keys")), list(inst.role("rings"))
         res = big_z(js, xs, LinkTable(inst.embedding), target_delta=4, extra_vertices=extras)
@@ -452,6 +453,23 @@ class TestBiparZ:
         assert cert.choices["kept_j"] == [0, 1, 2]
         assert cert.checks["final_x"] == [2]
 
+    @pytest.mark.parametrize("target", ["x", "y"])
+    def test_majority_vote_flips_a_reversed_target(self, bipar111, target):
+        # every chained cycle links the reversed target negatively: its sign
+        # flips, and the ladder climbs it to -(lam + 1)
+        js, ls, xs, ys = self.families(bipar111)
+        if target == "x":
+            xs = [xs[0].reversed()]
+        else:
+            ys = [ys[0].reversed()]
+        res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
+        cert = res.certificate
+        phase = "phase1" if target == "x" else "phase2"
+        assert cert.choices[f"sign_{target}"] == [-1]
+        assert [step["flipped"] for step in cert.choices[phase]] == [True]
+        assert cert.checks[f"final_{target}"] == [-2]
+        assert replay_certificate(cert, LinkTable(bipar111.embedding)).z == res.z
+
     def test_replay_and_tamper(self, bipar111):
         js, ls, xs, ys = self.families(bipar111)
         res = bipar_z(js, ls, xs, ys, LinkTable(bipar111.embedding), lam=1)
@@ -574,8 +592,7 @@ class TestBiparZ:
         assert bipar_counts(2, 3, 2) == (10, 25, 40, 25 * 9 * 8)
         # theorem1's big classes are m + q with q the bound over m + n Y's
         inst = theorem1_instance(1, 1)
-        assert inst.meta["q"] == bipar_counts(1, 1, 1).min_q
-        assert len(inst.role("rings")) == 1 + inst.meta["q"]
+        assert len(inst.role("rings")) == 1 + bipar_counts(1, 1, 1).min_q
 
 
 # keyring propagation
@@ -804,6 +821,25 @@ def test_certificate_survives_json(kind):
         node[last] = edit(node[last])
         with pytest.raises(ConstructionFailed, match=message):
             replay_certificate(bad, LinkTable(inst.embedding))
+
+
+# per case: the kind, an edit of its JSON certificate's inputs and the
+# exception the construction raises on the edited inputs
+MALFORMED_INPUTS = {
+    "missing-input": ("prop1", lambda ins: ins.pop("extra_sets"), "KeyError: 'extra_sets'"),
+    "cycle-vertex-too-many": ("big_z", lambda ins: ins["js"][0]["vertices"].append(99),
+                              "NotACycle: one edge choice per step is required"),
+    "string-delta": ("big_z", lambda ins: ins.update(target_delta="1"), "TypeError: "),
+}
+
+
+@pytest.mark.parametrize("kind,edit,cause", MALFORMED_INPUTS.values(), ids=list(MALFORMED_INPUTS))
+def test_malformed_inputs_fail_replay_as_a_construction_failure(kind, edit, cause):
+    inst, res = REPLAYED_KINDS[kind][0]()
+    cert = json.loads(json.dumps(res.certificate.to_json()))
+    edit(cert["inputs"])
+    with pytest.raises(ConstructionFailed, match=f"^replay inputs are malformed: {cause}"):
+        replay_certificate(cert, LinkTable(inst.embedding))
 
 
 # sign-pattern verification over a wrapped connector

@@ -41,7 +41,6 @@ from dilink.workbench.generators import (
     grid_link,
     prop1_instance,
     ring_wrap_instance,
-    torus_style,
 )
 
 from conftest import hand_hopf, square_loop
@@ -81,7 +80,7 @@ def test_split_pair_unlinked():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_two_strand_torus_links(k):
-    inst = torus_style(2, 2 * k)
+    inst = braid_instance([1] * (2 * k), 2)
     loops = [realize(c, inst.embedding) for c in inst.role("components")]
     assert len(loops) == 2
     assert abs(linking_number(loops[0], loops[1])) == k
@@ -133,7 +132,7 @@ STORED_CYCLE_FILES = {
 @pytest.mark.parametrize("kind", sorted(STORED_CYCLE_FILES))
 def test_table_matches_linking_table_on_stored_cycles(kind):
     inst = STORED_CYCLE_FILES[kind]()
-    cycles = [c for role in inst.cycles.values() for c in role]
+    cycles = inst.cycles
     for kx, ky in [(0, 0), (1, 2), (-3, 1)]:
         emb = shear(inst.embedding, kx, ky)
         want = linking_table([realize(c, emb) for c in cycles])
@@ -308,7 +307,7 @@ def test_conway_respects_crossing_bound(trefoil_points):
 
 def test_conway_of_two_strand_torus_links():
     # the (2,4) torus link has Conway polynomial z^3 + 2z
-    inst = torus_style(2, 4)
+    inst = braid_instance([1] * 4, 2)
     loops = [realize(c, inst.embedding) for c in inst.role("components")]
     poly = conway(loops)
     assert set(poly) <= {1, 3}

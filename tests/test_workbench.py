@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dilink
-from dilink.digraph import DiCycle, connector_cycle, directionality, realize
+from dilink.digraph import (
+    DiCycle,
+    connector_cycle,
+    direction_change_vertices,
+    directionality,
+    realize,
+)
 from dilink.errors import FormatError, GenerationFailed, HypothesisViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
 from dilink.invariants import LinkTable
@@ -30,10 +37,10 @@ from dilink.workbench.generators import (
     ring_wrap_instance,
     split_seed,
     theorem1_instance,
-    torus_style,
 )
 from dilink.workbench.serialization import (
     FORMAT_VERSION,
+    Instance,
     load_instance,
     parse_instance,
     save_instance,
@@ -84,16 +91,17 @@ class TestOtherBuilders:
         inst = lemma1_dk6m(2, seed=0)
         assert len(inst.embedding.vertices) == 12
         assert len(inst.embedding.arcs) == 12 * 11
-        assert inst.meta["kind"] == "lemma1_dk6m"
+        assert (inst.cycles, inst.roles) == ((), {})
         assert validate_general_position(inst.embedding).ok
 
     def test_torus_and_braid_components(self):
-        t = torus_style(2, 3)
+        t = braid_instance([1, 1, 1], 2)
         assert len(t.role("components")) == 1
-        assert t.meta == {"kind": "torus_style", "p": 2, "q": 3}
+        hopf = braid_instance([1, 1], 2)
+        assert hopf.roles == {"components": (0, 1)}
+        assert hopf.orientations == (1, 1)
         b = braid_instance([1, -2, 1, -2], 3)
         assert len(b.role("components")) == 1
-        assert b.meta == {"kind": "braid", "word": (1, -2, 1, -2), "strands": 3}
         assert validate_general_position(b.embedding).ok
 
     def test_grid_rejects_bad_intervals(self):
@@ -111,23 +119,25 @@ class TestWithChain:
     @pytest.mark.parametrize("delta", [1, 2, 4])
     def test_closures_reach_their_directionality(self, delta):
         inst = grid_link(1, [(0, 0)] * 3, [(self.KEYS3, delta, 0)])
-        (rec,) = inst.meta["chains"]
-        assert rec["junctions"] == ((4, 7), (8, 11), (12, 15))
-        assert len(rec["extras"]) == max(delta - 2, 0)
+        keys = inst.role("keys")
+        assert [direction_change_vertices(k) for k in keys] == [[4, 7], [8, 11], [12, 15]]
+        extras = cli._free_vertices(inst)
+        assert len(extras) == max(delta - 2, 0)
         assert validate_general_position(inst.embedding).ok
-        c = connector_cycle(list(inst.role("keys")), delta, extra_vertices=rec["extras"])
+        c = connector_cycle(list(keys), delta, extra_vertices=extras)
         assert directionality(c) == delta
 
     @pytest.mark.parametrize("delta", [1, 2, 4, 6])
     def test_lays_the_arcs_the_connector_steps_through(self, delta):
+        # the connector's joining and closing arcs are exactly the arcs
+        # the instance's cycles do not run
         inst = grid_link(1, [(0, 0)] * 3, [(self.KEYS3, delta, 0)])
-        (rec,) = inst.meta["chains"]
         keys = list(inst.role("keys"))
-        c = connector_cycle(keys, delta, extra_vertices=rec["extras"])
+        c = connector_cycle(keys, delta, extra_vertices=cli._free_vertices(inst))
         own = set().union(*(k.arc_multiset() for k in keys))
-        between = [c.arc(i) for i in range(len(c)) if c.arc(i) not in own]
-        start = between.index(rec["arcs"][0])
-        assert between[start:] + between[:start] == list(rec["arcs"])
+        between = {c.arc(i) for i in range(len(c)) if c.arc(i) not in own}
+        stored = set().union(*(cyc.arc_multiset() for cyc in inst.cycles))
+        assert between == set(inst.embedding.arcs) - stored
         assert realize(c, inst.embedding).points
 
     def test_validation_branches(self):
@@ -155,11 +165,11 @@ class TestWithChain:
             lambda: bipar_instance(1, 1, 1, 6, 36),
             lambda: theorem1_instance(1, 1),
             lambda: ring_wrap_instance(),
-            lambda: torus_style(2, 3),
+            lambda: braid_instance([1, 1, 1], 2),
             lambda: coiled_braid_pair(2),
         ],
         ids=["big_z", "big_z-d4", "prop1", "bipar", "theorem1", "ring_wrap",
-             "torus_style", "coiled_braid"],
+             "braid", "coiled_braid"],
     )
     def test_each_instance_is_validated_once(self, monkeypatch, build):
         calls = []
@@ -228,29 +238,28 @@ _MALFORMED = {
 
 
 class TestSerialization:
-    def roundtrip(self, inst, cycles=(), orientations=None, roles=None):
-        text = serialize_instance(inst.embedding, cycles, orientations, roles)
+    def roundtrip(self, inst):
+        text = serialize_instance(inst)
         parsed = parse_instance(text)
-        again = serialize_instance(
-            parsed.embedding, parsed.cycles, parsed.orientations, parsed.roles
-        )
-        return text, parsed, again
+        return text, parsed, serialize_instance(parsed)
 
     def test_bit_exact_roundtrip_with_roles(self, grid13):
-        cycles = list(grid13.role("keys")) + list(grid13.role("rings"))
-        roles = {"keys": [0, 1, 2], "rings": [3]}
-        text, parsed, again = self.roundtrip(grid13, cycles, None, roles)
+        cycles = grid13.role("keys") + grid13.role("rings")
+        inst = Instance(grid13.embedding, cycles, (1, 1, 1, 1),
+                        {"keys": (0, 1, 2), "rings": (3,)})
+        text, parsed, again = self.roundtrip(inst)
         assert text == again
         assert text.endswith("\n")
+        assert parsed == inst
         assert parsed.embedding == grid13.embedding
-        assert list(parsed.cycles) == cycles
+        assert parsed.cycles == cycles
         assert parsed.orientations == (1, 1, 1, 1)
         assert parsed.roles == {"keys": (0, 1, 2), "rings": (3,)}
-        assert parsed.role_cycles("rings") == tuple(grid13.role("rings"))
+        assert parsed.role("rings") == grid13.role("rings")
 
     def test_orientations_survive(self, grid13):
-        cycles = list(grid13.role("keys"))
-        text, parsed, again = self.roundtrip(grid13, cycles, [-1, 1, -1], None)
+        inst = Instance(grid13.embedding, grid13.role("keys"), (-1, 1, -1))
+        text, parsed, again = self.roundtrip(inst)
         assert parsed.orientations == (-1, 1, -1)
         assert text == again
 
@@ -262,19 +271,18 @@ class TestSerialization:
             box=emb.box,
         )
         with pytest.raises(FormatError, match="dense 0..n-1"):
-            serialize_instance(sparse)
+            serialize_instance(Instance(sparse))
 
     def test_serialize_rejects_bad_orientations(self, grid13):
-        cycles = list(grid13.role("keys"))
+        cycles = grid13.role("keys")
         with pytest.raises(FormatError, match="one orientation per cycle"):
-            serialize_instance(grid13.embedding, cycles, [1])
+            serialize_instance(Instance(grid13.embedding, cycles, (1,)))
         with pytest.raises(FormatError, match=r"\+1 or -1"):
-            serialize_instance(grid13.embedding, cycles, [1, 2, 1])
+            serialize_instance(Instance(grid13.embedding, cycles, (1, 2, 1)))
 
     def test_serialize_rejects_dangling_role(self, grid13):
-        cycles = list(grid13.role("keys"))
         with pytest.raises(FormatError, match="missing cycle"):
-            serialize_instance(grid13.embedding, cycles, roles={"keys": [0, 9]})
+            serialize_instance(dataclasses.replace(grid13, roles={"keys": (0, 9)}))
 
     @pytest.mark.parametrize(
         "mangle,msg",
@@ -329,12 +337,12 @@ class TestSerialization:
         ],
     )
     def test_parse_rejects_malformed_documents(self, grid13, mangle, msg):
-        doc = json.loads(serialize_instance(grid13.embedding))
+        doc = json.loads(serialize_instance(Instance(grid13.embedding)))
         with pytest.raises(FormatError, match=msg):
             parse_instance(mangle(doc))
 
     def test_parse_rejects_cycle_without_arcs(self, grid13):
-        doc = json.loads(serialize_instance(grid13.embedding))
+        doc = json.loads(serialize_instance(Instance(grid13.embedding)))
         # vertices 0 and 5 live on different loops: no stored arc joins them
         doc["cycles"] = [
             {"vertices": [0, 5, 10], "edge_choices": [1, 1, 1], "orientation": 1}
@@ -343,7 +351,7 @@ class TestSerialization:
             parse_instance(json.dumps(doc))
 
     def test_parse_rejects_degenerate_cycle(self, grid13):
-        doc = json.loads(serialize_instance(grid13.embedding))
+        doc = json.loads(serialize_instance(Instance(grid13.embedding)))
         doc["cycles"] = [
             {"vertices": [0, 0], "edge_choices": [1, 1], "orientation": 1}
         ]
@@ -352,8 +360,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("path,value,error", _MALFORMED.values(), ids=list(_MALFORMED))
     def test_parse_error_messages_are_exact(self, grid13, path, value, error):
-        cycles, roles = cli._instance_roles(grid13)
-        doc = json.loads(serialize_instance(grid13.embedding, cycles, roles=roles))
+        doc = json.loads(serialize_instance(grid13))
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -373,9 +380,10 @@ class TestSerialization:
 
     def test_save_and_load(self, grid13, tmp_path):
         path = tmp_path / "inst.json"
-        cycles = list(grid13.role("keys")) + list(grid13.role("rings"))
-        save_instance(str(path), grid13.embedding, cycles, roles={"keys": [0, 1, 2]})
+        inst = dataclasses.replace(grid13, roles={"keys": (0, 1, 2)})
+        save_instance(str(path), inst)
         parsed = load_instance(str(path))
+        assert parsed == inst
         assert parsed.embedding == grid13.embedding
         assert parsed.roles == {"keys": (0, 1, 2)}
 
@@ -387,10 +395,11 @@ class TestSerialization:
     @settings(max_examples=15, deadline=None)
     def test_random_embeddings_roundtrip(self, seed):
         inst = random_complete(4, seed=seed)
-        text = serialize_instance(inst.embedding)
+        text = serialize_instance(inst)
         parsed = parse_instance(text)
+        assert parsed == inst
         assert parsed.embedding == inst.embedding
-        assert serialize_instance(parsed.embedding) == text
+        assert serialize_instance(parsed) == text
 
 
 # command-line harness
@@ -406,13 +415,7 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-def _coiled_braid_doc():
-    inst = coiled_braid_pair(1)
-    cycles, roles = cli._instance_roles(inst)
-    return json.loads(serialize_instance(inst.embedding, cycles, roles=roles))
-
-
-_COILED_DOC = _coiled_braid_doc()
+_COILED_DOC = json.loads(serialize_instance(coiled_braid_pair(1)))
 _DELETE = object()
 
 
@@ -456,6 +459,33 @@ def test_chained_gen_files_match_their_digests(capsys, tmp_path, kind, digest):
     code, _ = run_cli(capsys, "gen", "--kind", *kind, "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# gen flags that build each kind small
+SMALL_KINDS = {
+    "random_complete": ["--p", "4"],
+    "lemma1_dk6m": [],
+    "braid": ["--word", "1,-2,1,-2", "--p", "3"],
+    "grid_link": ["--rings", "2"],
+    "big_z": ["--n", "2", "--delta", "4"],
+    "bipar": ["--lambda", "1", "--q", "36"],
+    "prop1": ["--n", "1"],
+    "theorem1": ["--n", "0"],
+    "ring_wrap": [],
+    "coiled_braid": ["--lambda", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", list(cli.GENERATORS))
+def test_every_kind_builds_the_instance_its_file_holds(capsys, tmp_path, kind):
+    path = tmp_path / "gen.json"
+    code, rep = run_cli(capsys, "gen", "--kind", kind, *SMALL_KINDS[kind], "--out", str(path))
+    assert code == 0
+    names, build = cli.GENERATORS[kind]
+    inst = build(*(rep["params"][name] for name in names))
+    assert type(inst) is Instance
+    assert parse_instance(serialize_instance(inst)) == inst
+    assert load_instance(str(path)) == inst
 
 
 # sha256 of each command's report with timing_s removed, the commands run
@@ -722,13 +752,12 @@ class TestCliPipelines:
     def test_verify_l6_derives_a_missing_base(self, capsys, tmp_path):
         # files written before the base was derived store it as a role
         inst = ring_wrap_instance(key_count=4, wrap_turns=5)
-        keys, rings = inst.role("keys"), inst.role("rings")
-        base = connector_cycle(keys, q_policy="opposite")
+        assert inst.roles == {"keys": (0, 1, 2, 3), "rings": (4,)}
+        base = connector_cycle(inst.role("keys"), q_policy="opposite")
         stored, bare = str(tmp_path / "stored.json"), str(tmp_path / "bare.json")
-        save_instance(stored, inst.embedding, [*keys, *rings, base],
-                      roles={"keys": [0, 1, 2, 3], "rings": [4], "base": [5]})
-        save_instance(bare, inst.embedding, [*keys, *rings],
-                      roles={"keys": [0, 1, 2, 3], "rings": [4]})
+        save_instance(stored, Instance(inst.embedding, (*inst.cycles, base), (1,) * 6,
+                                       {**inst.roles, "base": (5,)}))
+        save_instance(bare, inst)
         code, with_base = run_cli(capsys, "verify-l6", stored, "--lambda", "1")
         assert code == 0
         code, derived = run_cli(capsys, "verify-l6", bare, "--lambda", "1")
@@ -741,8 +770,8 @@ class TestCliPipelines:
         # js/xs and surgeries are not role names any generator writes
         inst = ring_wrap_instance(key_count=4, wrap_turns=5)
         path = str(tmp_path / "aliased.json")
-        save_instance(path, inst.embedding, [*inst.role("keys"), *inst.role("rings")],
-                      roles={"js": [0, 1, 2, 3], "surgeries": [0, 1, 2, 3], "xs": [4]})
+        save_instance(path, dataclasses.replace(
+            inst, roles={"js": (0, 1, 2, 3), "surgeries": (0, 1, 2, 3), "xs": (4,)}))
         code, rep = run_cli(capsys, command, path)
         assert code == 1
         assert rep["error"] == {"type": "FormatError",
@@ -750,9 +779,9 @@ class TestCliPipelines:
 
     def test_verify_l6_without_base_needs_two_surgery_cycles(self, capsys, tmp_path):
         inst = grid_link(1, [(0, 0)])
+        assert inst.roles == {"keys": (0,), "rings": (1,)}
         path = str(tmp_path / "one_key.json")
-        save_instance(path, inst.embedding, [*inst.role("keys"), *inst.role("rings")],
-                      roles={"keys": [0], "rings": [1]})
+        save_instance(path, inst)
         code, rep = run_cli(capsys, "verify-l6", path)
         assert code == 1
         assert rep["error"]["type"] == "FormatError"
@@ -786,8 +815,8 @@ class TestCliPipelines:
         # keys first, then the ring every key threads; reversing one key
         # and the ring flips the sign of each pair that has one of them
         path = str(tmp_path / "oriented.json")
-        cycles = list(grid13.role("keys")) + list(grid13.role("rings"))
-        save_instance(path, grid13.embedding, cycles, orientations=[-1, 1, 1, -1])
+        assert grid13.cycles == grid13.role("keys") + grid13.role("rings")
+        save_instance(path, Instance(grid13.embedding, grid13.cycles, (-1, 1, 1, -1)))
         code, rep = run_cli(capsys, "invariants", path)
         assert code == 0
         assert rep["linking"] == [[0, 3, 1], [1, 3, -1], [2, 3, -1]]
@@ -877,7 +906,7 @@ class TestCliFailureShapes:
 
     def test_instance_without_cycles_is_an_error(self, capsys, tmp_path, grid13):
         path = str(tmp_path / "bare.json")
-        save_instance(path, grid13.embedding)
+        save_instance(path, Instance(grid13.embedding))
         code, rep = run_cli(capsys, "invariants", path)
         assert code == 1
         assert rep["error"]["type"] == "FormatError"
@@ -887,7 +916,7 @@ class TestCliFailureShapes:
     def test_cycles_sharing_a_vertex_are_an_error(self, capsys, tmp_path, command):
         path = str(tmp_path / "shared.json")
         cycles = [DiCycle((0, 1, 2), (True, True, False)), DiCycle((0, 3, 4), (True, True, False))]
-        save_instance(path, random_complete(6, seed=0).embedding, cycles)
+        save_instance(path, Instance(random_complete(6, seed=0).embedding, tuple(cycles), (1, 1)))
         code, rep = run_cli(capsys, command, path)
         assert code == 1 and rep["ok"] is False
         assert rep["error"] == {
@@ -901,7 +930,7 @@ class TestCliFailureShapes:
         arcs = dict(emb.arcs)
         arcs[(1, 2)] = PolyLine([Point3(10, 0, 0), Point3(2, 4, 1), Point3(3, 0, 0), Point3(0, 10, 0)])
         path = str(tmp_path / "self.json")
-        save_instance(path, SpatialEmbedding(emb.vertices, arcs, box=64), [tri_a])
+        save_instance(path, Instance(SpatialEmbedding(emb.vertices, arcs, box=64), (tri_a,), (1,)))
         code, rep = run_cli(capsys, "pattern", path)
         assert code == 1
         assert rep["error"]["type"] == "DisjointnessViolated"
@@ -1118,7 +1147,7 @@ class TestCliFailureShapes:
         [
             (["--kind", "coiled_braid", "--wrap", "4"], "--wrap"),
             (["--kind", "ring_wrap", "--rings", "4"], "--rings"),
-            (["--kind", "torus_style", "--seed", "1"], "--seed"),
+            (["--kind", "braid", "--seed", "1"], "--seed"),
             (["--kind", "braid", "--lambda", "1"], "--lambda"),
         ],
     )
@@ -1137,8 +1166,8 @@ class TestCliFailureShapes:
         assert rep["params"] == {"kind": "random_complete", "seed": 0, "p": 4}
         _, rep = run_cli(capsys, "gen", "--kind", "big_z", "--seed", "3", "--out", path)
         assert rep["params"] == {"kind": "big_z", "seed": 3, "n": 1, "delta": 1}
-        _, rep = run_cli(capsys, "gen", "--kind", "torus_style", "--out", path)
-        assert rep["params"] == {"kind": "torus_style", "p": 2, "q": 2}
+        _, rep = run_cli(capsys, "gen", "--kind", "braid", "--out", path)
+        assert rep["params"] == {"kind": "braid", "word": [1], "strands": 2}
 
     def test_gen_word_may_start_with_a_minus(self, capsys, tmp_path):
         glued, spaced = tmp_path / "glued.json", tmp_path / "spaced.json"
@@ -1159,6 +1188,11 @@ class TestCliFailureShapes:
             main(["gen", "--kind", "nope", "--out", "/tmp/x.json"])
         assert exc.value.code == 2
         capsys.readouterr()
+        # no torus_style kind: braid builds those closures (--word 1,1,1 --p 2 is the (2,3))
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "torus_style", "--out", "/tmp/x.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'torus_style'" in capsys.readouterr().err
 
     def test_one_parser_serves_every_call(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "g.json")
