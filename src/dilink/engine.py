@@ -42,6 +42,7 @@ __all__ = [
     "BigZResult",
     "BiparCounts",
     "BiparResult",
+    "CONSTRUCTIONS",
     "ConstructionCertificate",
     "Lemma1Result",
     "Prop1Result",
@@ -90,10 +91,6 @@ class ConstructionCertificate:
 
 def _cycles_json(cycles: Sequence[DiCycle]) -> list[dict]:
     return [c.to_json() for c in cycles]
-
-
-def _cycles_from_json(objs: Sequence[dict]) -> list[DiCycle]:
-    return [DiCycle.from_json(o) for o in objs]
 
 
 def _surgery_chain(base: DiCycle, pieces: Sequence[DiCycle]) -> DiCycle:
@@ -1044,30 +1041,33 @@ def theorem2_params(alpha: int, n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# certificate replay
+# the construction table and certificate replay
 
 
-# each certificate kind's construction, called on the certificate's inputs
-# and the caller's table
-_REPLAYS = {
-    "lemma1": lambda ins, table: lemma1_find_odd_links(table, ins["m"]),
-    "big_z": lambda ins, table: big_z(
-        _cycles_from_json(ins["js"]), _cycles_from_json(ins["xs"]), table,
+# each certificate kind's construction, called with the caller's table and
+# the inputs its certificate records, their cycles as DiCycle: the CLI runs
+# a construction through this table, and replay_certificate runs it again
+CONSTRUCTIONS = {
+    "lemma1": lambda table, ins: lemma1_find_odd_links(table, ins["m"]),
+    "big_z": lambda table, ins: big_z(
+        ins["js"], ins["xs"], table, ins["target_delta"], ins["extra_vertices"],
+    ),
+    "bipar_z": lambda table, ins: bipar_z(
+        ins["js"], ins["ls"], ins["xs"], ins["ys"], table, ins["lam"],
         ins["target_delta"], ins["extra_vertices"],
     ),
-    "bipar_z": lambda ins, table: bipar_z(
-        *(_cycles_from_json(ins[k]) for k in ("js", "ls", "xs", "ys")), table,
-        ins["lam"], ins["target_delta"], ins["extra_vertices"],
+    "prop1": lambda table, ins: prop1_step(
+        table, ins["candidates"], ins["n"], ins["target_delta"], ins["extra_sets"],
+        ins["budget"],
     ),
-    "prop1": lambda ins, table: prop1_step(
-        table, _cycles_from_json(ins["candidates"]), ins["n"], ins["target_delta"],
-        ins["extra_sets"], ins["budget"],
-    ),
-    "theorem1": lambda ins, table: theorem1_step(
-        table, _cycles_from_json(ins["candidates"]), ins["witness"], ins["m"],
-        ins["lam"], ins["target_delta"], ins["extra_vertices"],
+    "theorem1": lambda table, ins: theorem1_step(
+        table, ins["candidates"], ins["witness"], ins["m"], ins["lam"],
+        ins["target_delta"], ins["extra_vertices"],
     ),
 }
+
+# the inputs a certificate records as lists of cycles
+_CYCLE_INPUTS = {"js", "ls", "xs", "ys", "candidates"}
 
 
 def _differing_path(again: dict, given: dict) -> list[str]:
@@ -1092,19 +1092,23 @@ def replay_certificate(
 
     The constructions are deterministic, so every recorded choice, output
     and check must come out again; the first field that does not raises
-    ConstructionFailed naming its path.  A hypothesis that fails on the
-    recorded inputs, or inputs that are missing, mistyped or no cycle,
-    raise ConstructionFailed too.  Returns the construction's result.
+    ConstructionFailed naming its path.  A certificate of no kind in
+    CONSTRUCTIONS, a hypothesis that fails on the recorded inputs, or
+    inputs that are missing, mistyped or no cycle raise ConstructionFailed
+    too.  Returns the construction's result.
     Every linking number is recomputed through ``table``, so the
     construction's own table can serve: it memoizes only geometry, never
     a certificate's claims.
     """
     given = cert.to_json() if isinstance(cert, ConstructionCertificate) else cert
-    run = _REPLAYS.get(given["kind"])
-    if run is None:
-        raise ValueError(f"certificate kind {given['kind']!r} has no replay flow")
+    kind = given.get("kind") if isinstance(given, dict) else None
+    if not isinstance(kind, str) or kind not in CONSTRUCTIONS:
+        raise ConstructionFailed(f"no construction has the kind {kind!r}")
     try:
-        res = run(given["inputs"], table)
+        ins = dict(given["inputs"])
+        for key in _CYCLE_INPUTS & ins.keys():
+            ins[key] = [DiCycle.from_json(o) for o in ins[key]]
+        res = CONSTRUCTIONS[kind](table, ins)
     except HypothesisViolated as ex:
         raise ConstructionFailed(f"replay hypothesis fails: {ex}") from ex
     except (LookupError, TypeError, ValueError, NotACycle) as ex:

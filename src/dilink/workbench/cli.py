@@ -4,9 +4,11 @@ Every subcommand wraps one library operation.  ``main`` runs it and emits
 its RunReport as JSON (stdout by default, ``--out`` to a file; ``gen`` uses
 ``--out`` for the generated instance instead).  A handler only fills the
 report's ``params`` and body; ``main`` owns the envelope, the timer, the
-output and the exit status.  Exit status 0 means every check in the report
-passed; domain failures exit 1 with a structured error object added to the
-report, usage errors exit 2.
+output and the exit status.  The five construction commands share one
+handler, which runs each through ``engine.CONSTRUCTIONS``, the table that
+replay runs certificates through.  Exit status 0 means every check in the
+report passed; domain failures exit 1 with a structured error object added
+to the report, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ from dilink.digraph import (
     extra_count,
 )
 from dilink.engine import (
-    big_z,
+    CONSTRUCTIONS,
     bipar_counts,
-    bipar_z,
     conway_gordon_parity,
-    lemma1_find_odd_links,
-    prop1_step,
     replay_certificate,
     search_lemma7_knot,
-    theorem1_step,
     theorem2_params,
     verify_lemma6_conclusion,
 )
@@ -163,6 +161,10 @@ def _cmd_gen(args, rep: dict) -> None:
     for name, dest in zip(names, dests):
         value = getattr(args, dest)
         params[name] = flags[dest][1] if value is None else value
+    if args.kind == "theorem1" and args.n is None:
+        # thm1-step reads only a file without singletons, so theorem1
+        # lays none unless --n asks
+        params["n"] = 0
     try:
         if "word" in params:
             params["word"] = [int(w) for w in params["word"].split(",") if w.strip()]
@@ -239,33 +241,26 @@ def _cmd_pattern(args, rep: dict) -> None:
 # constructions
 
 
-def _cmd_lemma1(args, rep: dict) -> None:
-    inst = load_instance(args.file)
-    m = args.m or len(inst.embedding.vertices) // 6
-    rep["params"]["m"] = m
-    res = lemma1_find_odd_links(LinkTable(inst.embedding), m)
-    rep["certificates"] = [res.certificate.to_json()]
-    rep["checks"] += res.checks
+# A construction command's reader records the params it takes from its
+# flags and the loaded file, and returns the construction's inputs, their
+# cycles as DiCycle, and the report fields written before the certificate.
 
 
-def _cmd_bigz(args, rep: dict) -> None:
-    inst = load_instance(args.file)
+def _lemma1_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
+    params["m"] = args.m or len(inst.embedding.vertices) // 6
+    return {"m": params["m"]}, {}
+
+
+def _bigz_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
     js = _role_or(inst, "keys")
     xs = _role_or(inst, "rings")
-    rep["params"].update(delta=args.delta, q_policy="lex")
-    (extras,) = _extras_for_delta(inst, args.delta)
-    rep["params"]["extras"] = extras
-    table = LinkTable(inst.embedding)
-    res = big_z(js, xs, table, target_delta=args.delta, extra_vertices=extras)
-    rep["certificates"] = [res.certificate.to_json()]
-    rep["index_set"] = list(res.index_set)
-    rep["checks"] += res.checks
-    replay_certificate(res.certificate, table)
-    _check(rep, "replay", True, "certificate re-executed bit-exactly")
+    params.update(delta=args.delta, q_policy="lex")
+    (params["extras"],) = _extras_for_delta(inst, args.delta)
+    return {"js": js, "xs": xs, "target_delta": args.delta,
+            "extra_vertices": params["extras"]}, {}
 
 
-def _cmd_bipar(args, rep: dict) -> None:
-    inst = load_instance(args.file)
+def _bipar_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
     keys = _role_or(inst, "keys")
     rings = _role_or(inst, "rings")
     m, n, lam = args.m, args.n, args.lam
@@ -274,38 +269,14 @@ def _cmd_bipar(args, rep: dict) -> None:
         raise FormatError(f"need {m + n} rings, file has {len(rings)}")
     if len(keys) <= r:
         raise FormatError(f"need more than {r} keys, file has {len(keys)}")
-    rep["params"].update(m=m, n=n, lam=lam, r=r, q=len(keys) - r, delta=args.delta)
-    (extras,) = _extras_for_delta(inst, args.delta)
-    rep["params"]["extras"] = extras
-    table = LinkTable(inst.embedding)
-    res = bipar_z(
-        keys[:r],
-        keys[r:],
-        rings[:m],
-        rings[m:],
-        table,
-        lam,
-        target_delta=args.delta,
-        extra_vertices=extras,
-    )
-    rep["certificates"] = [res.certificate.to_json()]
-    rep["checks"] += res.checks
-    replay_certificate(res.certificate, table)
-    _check(rep, "replay", True, "certificate re-executed bit-exactly")
+    params.update(m=m, n=n, lam=lam, r=r, q=len(keys) - r, delta=args.delta)
+    (params["extras"],) = _extras_for_delta(inst, args.delta)
+    return {"js": keys[:r], "ls": keys[r:], "xs": rings[:m], "ys": rings[m:],
+            "lam": lam, "target_delta": args.delta,
+            "extra_vertices": params["extras"]}, {}
 
 
-def _prop1_candidates(inst: Instance) -> list[int]:
-    # ring cycles must come first: the keyring finder walks candidates in
-    # ascending order and junction arcs only exist along the stored chains
-    if "rings" in inst.roles and "keys" in inst.roles:
-        head = list(inst.roles["rings"]) + list(inst.roles["keys"])
-        return head + [i for i in range(len(inst.cycles)) if i not in set(head)]
-    return list(range(len(inst.cycles)))
-
-
-def _cmd_prop1(args, rep: dict) -> None:
-    rep["params"].update(n=args.n, delta=args.delta, budget=args.budget)
-    inst = load_instance(args.file)
+def _prop1_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
     rings = inst.roles.get("rings")
     if rings is not None and len(rings) != 2 * args.n:
         raise FormatError(
@@ -313,27 +284,19 @@ def _cmd_prop1(args, rep: dict) -> None:
         )
     if not inst.cycles:
         raise FormatError("instance file stores no cycles")
-    extra_sets = _extras_for_delta(inst, args.delta, rounds=args.n)
-    rep["params"]["extras"] = extra_sets
-    order = _prop1_candidates(inst)
-    res = prop1_step(
-        LinkTable(inst.embedding),
-        [inst.cycles[i] for i in order],
-        args.n,
-        target_delta=args.delta,
-        extra_sets=extra_sets,
-        budget=args.budget,
-    )
-    rep["candidate_order"] = order
-    rep["certificates"] = [res.certificate.to_json()]
-    rep["index_set"] = list(res.index_set)
-    rep["witness"] = res.witness
-    rep["checks"] += res.checks
+    params["extras"] = _extras_for_delta(inst, args.delta, rounds=args.n)
+    # ring cycles must come first: the keyring finder walks candidates in
+    # ascending order and junction arcs only exist along the stored chains
+    order = list(range(len(inst.cycles)))
+    if "rings" in inst.roles and "keys" in inst.roles:
+        head = [*inst.roles["rings"], *inst.roles["keys"]]
+        order = head + sorted(set(order) - set(head))
+    return {"candidates": [inst.cycles[i] for i in order], "n": args.n,
+            "target_delta": args.delta, "extra_sets": params["extras"],
+            "budget": args.budget}, {"candidate_order": order}
 
 
-def _cmd_thm1_step(args, rep: dict) -> None:
-    rep["params"].update(m=args.m, lam=args.lam, delta=args.delta)
-    inst = load_instance(args.file)
+def _thm1_step_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
     p1 = list(inst.roles.get("P1", inst.roles.get("rings", ())))
     p2 = list(inst.roles.get("P2", inst.roles.get("keys", ())))
     qs = list(inst.roles.get("Q", ()))
@@ -348,18 +311,40 @@ def _cmd_thm1_step(args, rep: dict) -> None:
                 f"thm1-step --m {m} --lambda {lam} needs {s} {name} with {n} "
                 f"singletons, file has {len(cls)}"
             )
-    res = theorem1_step(
-        LinkTable(inst.embedding),
-        inst.cycles,
-        {"P1": p1, "P2": p2, "Q": qs},
-        args.m,
-        args.lam,
-        target_delta=args.delta,
-        extra_vertices=_extras_for_delta(inst, args.delta)[0],
-    )
+    return {"candidates": inst.cycles, "witness": {"P1": p1, "P2": p2, "Q": qs},
+            "m": m, "lam": lam, "target_delta": args.delta,
+            "extra_vertices": _extras_for_delta(inst, args.delta)[0]}, {}
+
+
+# each construction command: the certificate kind it runs, the flags it
+# records in params before it reads the file, its reader, and whether it
+# replays its certificate before reporting
+_CONSTRUCTION_COMMANDS = {
+    "lemma1": ("lemma1", (), _lemma1_inputs, False),
+    "bigz": ("big_z", (), _bigz_inputs, True),
+    "bipar": ("bipar_z", (), _bipar_inputs, True),
+    "prop1": ("prop1", ("n", "delta", "budget"), _prop1_inputs, False),
+    "thm1-step": ("theorem1", ("m", "lam", "delta"), _thm1_step_inputs, False),
+}
+
+
+def _construct(args, rep: dict) -> None:
+    kind, early, read, replays = _CONSTRUCTION_COMMANDS[args.command]
+    params = rep["params"]
+    params.update((dest, getattr(args, dest)) for dest in early)
+    inst = load_instance(args.file)
+    inputs, head = read(args, params, inst)
+    table = LinkTable(inst.embedding)
+    res = CONSTRUCTIONS[kind](table, inputs)
+    rep.update(head)
     rep["certificates"] = [res.certificate.to_json()]
-    rep["witness"] = res.witness
+    for field in ("index_set", "witness"):
+        if hasattr(res, field):
+            rep[field] = getattr(res, field)
     rep["checks"] += res.checks
+    if replays:
+        replay_certificate(res.certificate, table)
+        _check(rep, "replay", True, "certificate re-executed bit-exactly")
 
 
 def _cmd_verify_l6(args, rep: dict) -> None:
@@ -536,9 +521,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         _check_least(args)
-        # looked up by name at each call, so a handler replaced on the
-        # module after the parser was built is the one that runs
-        globals()["_cmd_" + args.command.replace("-", "_")](args, rep)
+        if args.command in _CONSTRUCTION_COMMANDS:
+            _construct(args, rep)
+        else:
+            # looked up by name at each call, so a handler replaced on the
+            # module after the parser was built is the one that runs
+            globals()["_cmd_" + args.command.replace("-", "_")](args, rep)
     except (DilinkError, MemoryError) as ex:
         rep["ok"] = False
         message = "out of memory" if isinstance(ex, MemoryError) else str(ex)

@@ -150,6 +150,11 @@ MUTANTS = [
      "for name in sorted(by_role):",
      "for name in by_role:",
      ("tests/test_workbench.py",)),
+    # the construction wrapper replays bigz certificates but not bipar ones
+    ("cli-replay-bipar", "src/dilink/workbench/cli.py",
+     '"bipar": ("bipar_z", (), _bipar_inputs, True),',
+     '"bipar": ("bipar_z", (), _bipar_inputs, False),',
+     ("tests/test_workbench.py",)),
     # the CLI's bound check lets a value one below a flag's least value through
     ("cli-least-bound", "src/dilink/workbench/cli.py",
      "value < least:",

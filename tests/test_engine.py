@@ -408,8 +408,21 @@ class TestBigZ:
 
     def test_replay_rejects_unknown_kind(self, bigz_n2):
         stub = {"kind": "lemma9", "inputs": {}, "choices": {}, "outputs": {}, "checks": {}}
-        with pytest.raises(ValueError, match="no replay flow"):
+        with pytest.raises(ConstructionFailed, match="no construction has the kind 'lemma9'"):
             replay_certificate(stub, LinkTable(bigz_n2.embedding))
+
+    def test_replay_refuses_malformed_certificates(self, bigz_n2):
+        # a certificate read from a file is refused, never a crash
+        table = LinkTable(bigz_n2.embedding)
+        for cert, message in [
+            ({}, "no construction has the kind None"),
+            ({"kind": "nope", "inputs": {}}, "no construction has the kind 'nope'"),
+            ({"kind": ["x"], "inputs": {}}, r"no construction has the kind \['x'\]"),
+            ([], "no construction has the kind None"),
+            ({"kind": "big_z", "inputs": [1]}, "replay inputs are malformed: TypeError"),
+        ]:
+            with pytest.raises(ConstructionFailed, match=message):
+                replay_certificate(cert, table)
 
 
 # bipartite ladder

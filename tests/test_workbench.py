@@ -20,6 +20,7 @@ from dilink.digraph import (
     directionality,
     realize,
 )
+from dilink.engine import CONSTRUCTIONS
 from dilink.errors import FormatError, GenerationFailed, HypothesisViolated
 from dilink.geom import Point3, PolyLine, SpatialEmbedding, validate_general_position
 from dilink.invariants import LinkTable
@@ -515,6 +516,18 @@ REPORT_GOLDEN = {
     "search-l7": ([["gen", "--kind", "coiled_braid", "--lambda", "3", "--out", "cb.json"],
                    ["search-l7", "cb.json", "--lambda", "3"]],
                   "fd95cb92b5fd1fa0b932cfecbf03908aefffebab5715f779568d0b3609e06aa2"),
+    "bipar": ([["gen", "--kind", "bipar", "--lambda", "1", "--q", "36", "--out", "bp.json"],
+               ["bipar", "bp.json", "--lambda", "1"]],
+              "542b097c0194394752c1a67fcfc59a0a75929ee018710cfb96c269e4b0902d02"),
+    "prop1-d1": ([["gen", "--kind", "prop1", "--n", "2", "--out", "p1.json"],
+                  ["prop1", "p1.json", "--n", "2"]],
+                 "0bf00323749174b95461899904f0e7ad4424b3b9ecf0307cf32e87cca5f116b1"),
+    "prop1-d4": ([["gen", "--kind", "prop1", "--n", "2", "--delta", "4", "--out", "p4.json"],
+                  ["prop1", "p4.json", "--n", "2", "--delta", "4"]],
+                 "ddf01d7021e4f7d92256c76d2fac43f5998788b7f4ebfcef490ca45a009e433e"),
+    "thm1-step": ([["gen", "--kind", "theorem1", "--n", "0", "--out", "t1.json"],
+                   ["thm1-step", "t1.json"]],
+                  "dd351d97889b379b89a0ff88cf3630012ba5c3bd8a967e259474887dc3404f25"),
 }
 
 
@@ -718,6 +731,29 @@ class TestCliPipelines:
         assert (code, rep["ok"]) == (0, True)
         assert len(built) == 1
 
+    def test_gen_theorem1_and_thm1_step_on_their_defaults(self, capsys, tmp_path):
+        path = str(tmp_path / "t1.json")
+        code, rep = run_cli(capsys, "gen", "--kind", "theorem1", "--out", path)
+        assert code == 0
+        assert rep["params"] == {"kind": "theorem1", "m": 1, "lam": 1, "n": 0, "delta": 1}
+        code, rep = run_cli(capsys, "thm1-step", path)
+        assert (code, rep["ok"]) == (0, True), rep.get("error")
+        assert rep["witness"] == {"P1": [37], "P2": [0], "Q": ["new"]}
+
+    def test_command_and_replay_run_one_table_entry(self, capsys, tmp_path, monkeypatch):
+        kinds = [kind for kind, *_ in cli._CONSTRUCTION_COMMANDS.values()]
+        assert sorted(kinds) == sorted(CONSTRUCTIONS)
+        path = str(tmp_path / "bz.json")
+        assert run_cli(capsys, "gen", "--kind", "big_z", "--n", "2", "--out", path)[0] == 0
+        tables = []
+        run = CONSTRUCTIONS["big_z"]
+        monkeypatch.setitem(CONSTRUCTIONS, "big_z",
+                            lambda table, ins: tables.append(table) or run(table, ins))
+        code, rep = run_cli(capsys, "bigz", path)
+        assert (code, rep["checks"][-1]["name"]) == (0, "replay")
+        # the construction, then its self-replay on the same table
+        assert len(tables) == 2 and tables[0] is tables[1]
+
     def test_theorem1_size_mismatch_reported(self, capsys, tmp_path):
         # the n=1 file is larger than an empty-Q witness allows
         path = str(tmp_path / "t1n1.json")
@@ -903,6 +939,21 @@ class TestCliFailureShapes:
         assert rep["ok"] is False
         assert rep["error"]["type"] == "FormatError"
         assert rep["error"]["message"].startswith("cannot read")
+
+    def test_construction_missing_file_reports_keep_their_params(self, capsys, monkeypatch, tmp_path):
+        # prop1 and thm1-step record their flags before reading the file;
+        # bigz records its own only after reading the roles they apply to
+        monkeypatch.chdir(tmp_path)
+        for argv, params in [
+            (["prop1", "missing.json", "--n", "2"],
+             {"file": "missing.json", "n": 2, "delta": 1, "budget": 500_000}),
+            (["thm1-step", "missing.json"],
+             {"file": "missing.json", "m": 1, "lam": 1, "delta": 1}),
+            (["bigz", "missing.json"], {"file": "missing.json"}),
+        ]:
+            code, rep = run_cli(capsys, *argv)
+            assert (code, rep["error"]["type"]) == (1, "FormatError"), argv
+            assert list(rep["params"].items()) == list(params.items()), argv
 
     def test_instance_without_cycles_is_an_error(self, capsys, tmp_path, grid13):
         path = str(tmp_path / "bare.json")
