@@ -12,7 +12,7 @@ cycle's directionality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DisjointnessViolated,
@@ -26,7 +26,6 @@ from .geom import Point3, SpatialEmbedding
 
 __all__ = [
     "DiCycle",
-    "OrientedLoop",
     "directionality",
     "direction_change_vertices",
     "u_to_w_paths",
@@ -211,17 +210,14 @@ def _shared_path_or_raise(
     return shared
 
 
-def nabla(j: DiCycle, l: Optional[DiCycle]) -> DiCycle:
+def nabla(j: DiCycle, l: DiCycle) -> DiCycle:
     """Closure of the symmetric difference of two cycles sharing one path.
 
-    The second argument may be None, in which case the first is returned
-    unchanged.  The two cycles must share exactly one nonempty contiguous
+    The two cycles must share exactly one nonempty contiguous
     run of arcs (the same directed arcs in both); the result walks the
     remaining arcs, traversed so that the first argument's orientation is
     preserved on the arcs it contributed.
     """
-    if l is None:
-        return j
     j_arcs = j.arc_multiset()
     l_arcs = l.arc_multiset()
     shared = _shared_path_or_raise(j_arcs, l_arcs)
@@ -273,7 +269,7 @@ def nabla(j: DiCycle, l: Optional[DiCycle]) -> DiCycle:
     return out
 
 
-def nabla_eps(j: DiCycle, l: Optional[DiCycle], eps: int) -> DiCycle:
+def nabla_eps(j: DiCycle, l: DiCycle, eps: int) -> DiCycle:
     """nabla(j, l) when eps is 1, j unchanged when eps is 0."""
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
@@ -392,20 +388,10 @@ def connector_cycle(
 # geometric realization
 
 
-@dataclass(frozen=True)
-class OrientedLoop:
-    """A cycle's closed polyline in a specific embedding.
-
-    ``points`` is the closed traversal (last point joins the first) in the
-    cycle's traversal order, the direction invariants use.
-    """
-
-    cycle: DiCycle
-    points: tuple[Point3, ...]
-
-
-def realize(c: DiCycle, emb: SpatialEmbedding) -> OrientedLoop:
-    """Concatenate the embedded arcs of a cycle into a closed polyline."""
+def realize(c: DiCycle, emb: SpatialEmbedding) -> tuple[Point3, ...]:
+    """Concatenate the embedded arcs of a cycle into a closed polyline: its
+    points in the cycle's traversal order, the direction invariants use,
+    the last joining the first."""
     pts: list[Point3] = []
     for i in range(len(c)):
         key = c.arc(i)
@@ -417,4 +403,4 @@ def realize(c: DiCycle, emb: SpatialEmbedding) -> OrientedLoop:
         if seq[0] != emb.vertices[a]:
             raise ValueError(f"arc of {key} does not join its endpoints")
         pts.extend(seq[:-1])
-    return OrientedLoop(cycle=c, points=tuple(pts))
+    return tuple(pts)

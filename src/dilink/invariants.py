@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .digraph import DiCycle, OrientedLoop, realize
+from .digraph import DiCycle, realize
 from .errors import DegenerateProjection, DisjointnessViolated, Impossible, TooLarge
 from .geom import (
     LinkDiagram,
@@ -45,12 +45,6 @@ __all__ = [
     "a2_skein",
     "conway_from_diagram",
 ]
-
-
-def _loop_points(obj) -> tuple[Point3, ...]:
-    # accepts anything with .points (realized cycles) or a bare sequence
-    pts = getattr(obj, "points", obj)
-    return tuple(pts)
 
 
 class ProjectionResult(NamedTuple):
@@ -88,7 +82,7 @@ def project_with_retry(loops: Sequence) -> ProjectionResult:
     projections are retried; intersections in space are real errors and
     propagate immediately.
     """
-    point_lists = [_loop_points(l) for l in loops]
+    point_lists = [tuple(l) for l in loops]
     if not point_lists:
         raise ValueError("need at least one loop")
     last: DegenerateProjection | None = None
@@ -113,14 +107,15 @@ def project_with_retry(loops: Sequence) -> ProjectionResult:
 
 class LinkTable:
     """Linking numbers of cycles in one embedding, read from a table of
-    arc-pair crossing counts that is filled in on first use.
+    arc-pair crossing counts that lk fills in on first use.
 
     lk(A, B) = 1/2 * sum over arcs e of A and f of B of
     sigma_A(e) * sigma_B(f) * S(e, f).  Here sigma is +1 where the cycle
     runs along the arc and -1 where it runs against it, and S(e, f) is the
     signed count of crossings between arcs e and f, each run tail to head,
     in the projection under the table's current shear.  Only pairs whose
-    xy boxes meet can cross, so only those are visited and remembered.  A
+    xy boxes meet can cross, so only those are visited, and lk remembers
+    them; lk_pairs, whose pairs are never read again, remembers none.  A
     touch or overlap in projection between arcs of the two cycles, a
     vertical segment whose point lies on the other cycle's projection
     included, moves the whole table to the next shear and redoes the
@@ -138,9 +133,9 @@ class LinkTable:
     def __init__(self, emb: SpatialEmbedding):
         self.emb = emb
         self._shears = iter(_SHEARS)
-        # per cycle: its loop, (arc, sign) per step, and its self-check's
-        # crossing records, None when its projection is not generic
-        self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple, Optional[list]]] = {}
+        # per cycle: its closed points, (arc, sign) per step, and its
+        # self-check's crossing records, None when its projection is not generic
+        self._cycles: dict[DiCycle, tuple[tuple[Point3, ...], tuple, Optional[list]]] = {}
         self._next_shear(None)
 
     def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
@@ -159,25 +154,25 @@ class LinkTable:
         # (e, f) with e < f and meeting xy boxes -> S(e, f)
         self._pairs: dict[tuple, int] = {}
 
-    def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple, Optional[list]]:
+    def _cycle(self, c: DiCycle) -> tuple[tuple[Point3, ...], tuple, Optional[list]]:
         got = self._cycles.get(c)
         if got is None:
-            loop = realize(c, self.emb)
-            crossings = check_loops_disjoint([loop.points])
+            points = realize(c, self.emb)
+            crossings = check_loops_disjoint([points])
             signed = tuple(
                 (c.arc(i), 1 if along else -1) for i, along in enumerate(c.edge_choices)
             )
-            got = (loop, signed, crossings)
+            got = (points, signed, crossings)
             self._cycles[c] = got
         return got
 
     def diagram(self, c: DiCycle) -> LinkDiagram:
         """c's one-loop diagram: from the crossings of its self-check when
         the unsheared projection is generic, else from project_with_retry."""
-        loop, _, crossings = self._cycle(c)
+        points, _, crossings = self._cycle(c)
         if crossings is None:
-            return project_with_retry([loop]).diagram
-        return gauss_diagram([0] * len(loop.points), crossings)
+            return project_with_retry([points]).diagram
+        return gauss_diagram([0] * len(points), crossings)
 
     def _arc(self, key: tuple[int, int]) -> tuple:
         got = self._arcs.get(key)
@@ -204,10 +199,11 @@ class LinkTable:
             self._placed[c] = got
         return got
 
-    def _sum(self, a: DiCycle, b: DiCycle, keep: Optional[set]) -> int:
+    def _sum(self, a: DiCycle, b: DiCycle, store: bool) -> int:
         """Sum of sigma_A(e) * sigma_B(f) * S(e, f) over the arc pairs whose
         xy boxes meet, visited e over A, f over B, so a query raises what
-        the full product of arc pairs would raise first."""
+        the full product of arc pairs would raise first.  Stores each new
+        arc-pair count if store is set."""
         arcs_a, (ax0, ay0, ax1, ay1) = self._place(a)
         arcs_b, (bx0, by0, bx1, by1) = self._place(b)
         if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
@@ -224,37 +220,37 @@ class LinkTable:
                 s = pairs.get(key)
                 if s is None:
                     s = arc_pair_crossings(se, sf)
-                    if keep is None or e in keep or f in keep:
+                    if store:
                         pairs[key] = s
                 total += sa * sb * s
         return total
 
     def lk(self, a: DiCycle, b: DiCycle) -> int:
-        return self._lk(a, a.vertex_set(), b, b.vertex_set(), None)
+        return self._lk(a, a.vertex_set(), b, b.vertex_set(), True)
 
     def lk_pairs(self, cycles: Sequence[DiCycle]) -> Iterator[tuple[int, int, int]]:
         """(i, j, lk) of every pair i < j in combinations order, each cycle
-        realized and self-checked first.  Keeps an arc pair's count only if
-        one of its arcs lies on two or more of the cycles."""
-        seen, keep = set(), set()
+        realized and self-checked first.  Stores no arc-pair count: an arc
+        on two of the cycles puts both its ends on both, so their pair
+        raises DisjointnessViolated, and no other pair is read again."""
         for c in cycles:
-            for key, _ in self._cycle(c)[1]:
-                (keep if key in seen else seen).add(key)
+            self._cycle(c)
         verts = [c.vertex_set() for c in cycles]
         for (i, a), (j, b) in combinations(enumerate(cycles), 2):
-            yield i, j, self._lk(a, verts[i], b, verts[j], keep)
+            yield i, j, self._lk(a, verts[i], b, verts[j], False)
 
-    def _lk(self, a: DiCycle, va: frozenset, b: DiCycle, vb: frozenset, keep) -> int:
-        """lk(a, b), storing a new arc-pair count if keep is None or holds an arc."""
+    def _lk(self, a: DiCycle, va: frozenset, b: DiCycle, vb: frozenset, lone: bool) -> int:
+        """lk(a, b).  A lone query (lk) realizes and self-checks both cycles
+        before any arc and stores every new arc-pair count; lk_pairs did
+        the first for all its cycles and stores none."""
         if va & vb:
             raise DisjointnessViolated(f"cycles share vertices {sorted(va & vb)}")
-        if keep is None:
-            # realize and self-check both before any arc (lk_pairs did all)
+        if lone:
             self._cycle(a)
             self._cycle(b)
         while True:
             try:
-                total = self._sum(a, b, keep)
+                total = self._sum(a, b, lone)
                 break
             except DegenerateProjection as ex:
                 self._next_shear(ex)

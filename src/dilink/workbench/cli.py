@@ -140,8 +140,7 @@ GENERATORS = {
     "theorem1": (("m", "lam", "n", "delta"),
                  lambda m, lam, n, delta: gens.theorem1_instance(
                      m, lam, n=n, target_delta=delta)),
-    "ring_wrap": (("keys", "wrap"),
-                  lambda keys, wrap: gens.ring_wrap_instance(key_count=keys, wrap_turns=wrap)),
+    "ring_wrap": (("keys", "wrap"), gens.ring_wrap_instance),
     "coiled_braid": (("lam",), gens.coiled_braid_pair),
 }
 
@@ -311,9 +310,10 @@ def _thm1_step_inputs(args, params: dict, inst: Instance) -> tuple[dict, dict]:
                 f"thm1-step --m {m} --lambda {lam} needs {s} {name} with {n} "
                 f"singletons, file has {len(cls)}"
             )
+    (params["extras"],) = _extras_for_delta(inst, args.delta)
     return {"candidates": inst.cycles, "witness": {"P1": p1, "P2": p2, "Q": qs},
             "m": m, "lam": lam, "target_delta": args.delta,
-            "extra_vertices": _extras_for_delta(inst, args.delta)[0]}, {}
+            "extra_vertices": params["extras"]}, {}
 
 
 # each construction command: the certificate kind it runs, the flags it

@@ -713,9 +713,7 @@ def theorem1_instance(m: int, lam: int, n: int = 0, target_delta: int = 1) -> In
     return grid_link(s, [(0, s - 1)] * s, [(order, target_delta, 0)])
 
 
-def ring_wrap_instance(
-    key_count: int = 4, wrap_turns: int = 5
-) -> Instance:
+def ring_wrap_instance(key_count: int, wrap_turns: int) -> Instance:
     """One ring, ``key_count`` chained keys, closure wrapping the hole.
 
     The connector cycle over the keys (short-path policy) then links the
@@ -732,7 +730,7 @@ def ring_wrap_instance(
 # braid pair with an encircling coil (search fixture)
 
 
-def coiled_braid_pair(lam: int = 4) -> Instance:
+def coiled_braid_pair(lam: int) -> Instance:
     """Two braid-closure loops linking lam times, coiled by a lam-turn target.
 
     The two components of a (2, 2*lam) torus-style closure get junction arcs

@@ -11,9 +11,10 @@ shear.
 
 from typing import Optional
 
-from dilink.digraph import DiCycle, OrientedLoop, realize
+from dilink.digraph import DiCycle, realize
 from dilink.errors import DegenerateProjection, DisjointnessViolated, Impossible
 from dilink.geom import (
+    Point3,
     SpatialEmbedding,
     arc_pair_crossings,
     arc_strands,
@@ -43,7 +44,7 @@ class LinkTable:
     def __init__(self, emb: SpatialEmbedding):
         self.emb = emb
         self._shears = iter(shear_schedule(SHEAR_TRIES))
-        self._cycles: dict[DiCycle, tuple[OrientedLoop, tuple]] = {}
+        self._cycles: dict[DiCycle, tuple[tuple[Point3, ...], tuple]] = {}
         self._next_shear(None)
 
     def _next_shear(self, cause: Optional[DegenerateProjection]) -> None:
@@ -59,11 +60,11 @@ class LinkTable:
         # (e, f) with e < f -> S(e, f)
         self._pairs: dict[tuple, int] = {}
 
-    def _cycle(self, c: DiCycle) -> tuple[OrientedLoop, tuple]:
+    def _cycle(self, c: DiCycle) -> tuple[tuple[Point3, ...], tuple]:
         got = self._cycles.get(c)
         if got is None:
             loop = realize(c, self.emb)
-            check_loops_disjoint([loop.points])
+            check_loops_disjoint([loop])
             signed = tuple(
                 (c.arc(i), 1 if along else -1) for i, along in enumerate(c.edge_choices)
             )
@@ -71,7 +72,7 @@ class LinkTable:
             self._cycles[c] = got
         return got
 
-    def loop(self, c: DiCycle) -> OrientedLoop:
+    def loop(self, c: DiCycle) -> tuple[Point3, ...]:
         return self._cycle(c)[0]
 
     def _arc(self, key: tuple[int, int]) -> tuple:

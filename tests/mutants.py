@@ -85,15 +85,15 @@ MUTANTS = [
      "if ex0 > fx1",
      "if ex0 >= fx1",
      ("tests/test_linktable.py",)),
-    # lk_pairs keeps no arc pair whose shared arc is on the second cycle
-    ("lk-pairs-keep", "src/dilink/invariants.py",
-     "if keep is None or e in keep or f in keep:",
-     "if keep is None or e in keep:",
+    # lk_pairs stores the arc pairs it reads, as a lone lk query does
+    ("lk-pairs-store", "src/dilink/invariants.py",
+     "yield i, j, self._lk(a, verts[i], b, verts[j], False)",
+     "yield i, j, self._lk(a, verts[i], b, verts[j], True)",
      ("tests/test_linktable.py",)),
     # lk_pairs realizes each cycle at its first query, not all before the first
     ("lk-pairs-order", "src/dilink/invariants.py",
-     "for key, _ in self._cycle(c)[1]:",
-     "for key in c.arcs():",
+     "            self._cycle(c)\n        verts = ",
+     "            pass\n        verts = ",
      ("tests/test_linktable.py",)),
     # the heavy-vector walk ignores the offset it was given
     ("heavy-from-zero", "src/dilink/z2linalg.py",

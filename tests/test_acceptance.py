@@ -171,7 +171,7 @@ def test_criterion_4_invariants_agree_and_survive_shears():
     for k in (1, 2, 3, 4):
         inst = braid_instance([1] * (2 * k), 2)
         la, lb = (
-            realize(c, inst.embedding).points for c in inst.role("components")
+            realize(c, inst.embedding) for c in inst.role("components")
         )
         assert abs(linking_number(la, lb)) == k
         for kx, ky in shears():

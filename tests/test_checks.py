@@ -38,6 +38,65 @@ def test_src_holds_no_assert():
     assert found == []
 
 
+# every parameter with a default in src/, as (module, function, parameter)
+# in source order; a default added or dropped shows up here
+DEFAULTS = [
+    ("digraph", "connector_cycle", "delta"),
+    ("digraph", "connector_cycle", "q_policy"),
+    ("digraph", "connector_cycle", "extra_vertices"),
+    ("engine", "big_z", "target_delta"),
+    ("engine", "big_z", "extra_vertices"),
+    ("engine", "bipar_z", "target_delta"),
+    ("engine", "bipar_z", "extra_vertices"),
+    ("engine", "prop1_step", "target_delta"),
+    ("engine", "prop1_step", "extra_sets"),
+    ("engine", "prop1_step", "budget"),
+    ("engine", "theorem1_step", "target_delta"),
+    ("engine", "theorem1_step", "extra_vertices"),
+    ("engine", "search_lemma7_knot", "budget"),
+    ("errors", "__init__", "violations"),
+    ("errors", "__init__", "table"),
+    ("geom", "shear_points", "ky"),
+    ("invariants", "conway_from_diagram", "max_crossings"),
+    ("invariants", "a2_skein", "max_crossings"),
+    ("patterns", "compute_pattern", "with_knotting"),
+    ("patterns", "find_disjoint_keyrings", "budget"),
+    ("workbench.cli", "_check", "detail"),
+    ("workbench.cli", "_role_or", "alt"),
+    ("workbench.cli", "_extras_for_delta", "rounds"),
+    ("workbench.cli", "main", "argv"),
+    ("workbench.generators", "random_complete", "box"),
+    ("workbench.generators", "lemma1_dk6m", "box"),
+    ("workbench.generators", "grid_link", "chains"),
+    ("workbench.generators", "big_z_instance", "target_delta"),
+    ("workbench.generators", "big_z_instance", "intervals"),
+    ("workbench.generators", "big_z_instance", "seed"),
+    ("workbench.generators", "bipar_instance", "target_delta"),
+    ("workbench.generators", "prop1_instance", "target_delta"),
+    ("workbench.generators", "theorem1_instance", "n"),
+    ("workbench.generators", "theorem1_instance", "target_delta"),
+    ("z2linalg", "from_lists", "ncols"),
+]
+
+
+def test_src_defaults_are_the_listed_ones():
+    # over every function and lambda, positional and keyword-only alike
+    src = Path(checks.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        funcs = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        for node in sorted(funcs, key=lambda n: (n.lineno, n.col_offset)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = getattr(node, "name", "<lambda>")
+            found += [(module, name, a.arg) for a in named]
+    assert found == DEFAULTS
+
+
 def test_big_z_entries():
     assert checks.big_z([1, 0, 1, 1], (0, 2, 3), 2, 4, 4) == [
         {"name": "coverage", "passed": True, "detail": "linked 3 of 4 targets"},

@@ -114,9 +114,8 @@ def test_nabla_square_with_triangle():
     assert directionality(out) == 2
 
 
-def test_nabla_none_is_identity():
+def test_nabla_eps_zero_is_identity():
     j = cyc((0, 1, 2), (T, T, F))
-    assert nabla(j, None) is j
     assert nabla_eps(j, cyc((3, 4, 5), (T, T, T)), 0) is j
 
 
@@ -274,11 +273,11 @@ def test_realize_concatenates_arcs(grid13):
     emb = grid13.embedding
     ring = grid13.role("rings")[0]
     loop = realize(ring, emb)
-    assert loop.points[0] == emb.vertices[ring.vertices[0]]
-    assert len(loop.points) == sum(
+    assert loop[0] == emb.vertices[ring.vertices[0]]
+    assert len(loop) == sum(
         len(emb.arcs[ring.arc(i)]) - 1 for i in range(len(ring))
     )
-    assert loop.points[0] != loop.points[-1]  # closed implicitly, not repeated
+    assert loop[0] != loop[-1]  # closed implicitly, not repeated
 
 
 def test_realize_missing_arc(grid13):

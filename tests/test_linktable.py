@@ -8,8 +8,7 @@ meet in space and shared vertices are common.  Each query must give the
 same lk, or the same exception with the same message, and leave the same
 shear; an lk must also equal the one ``linking_number`` reads off the
 realized loops whenever that succeeds.  ``LinkTable.lk_pairs`` must answer
-like the full-product table's loop of lk calls, and keep only the arc
-pairs it can read again.
+like the full-product table's loop of lk calls, and keep no arc pair.
 """
 
 import random
@@ -267,6 +266,8 @@ def test_lk_pairs_answers_like_a_loop_of_lk(seed):
     table, reference = LinkTable(emb), ReferenceTable(emb)
     got = _answers(table.lk_pairs(order), table)
     assert got == _answers(_lk_loop(reference, order), reference)
+    # finished or not, the call stored no arc pair
+    assert table._pairs == {}
 
 
 def test_lk_pairs_keeps_no_pair_of_vertex_disjoint_lattice_cycles(monkeypatch):
@@ -277,9 +278,10 @@ def test_lk_pairs_keeps_no_pair_of_vertex_disjoint_lattice_cycles(monkeypatch):
     assert calls and table._pairs == {}
 
 
-def test_lk_pairs_reads_a_shared_arc_pair_again_from_the_table(monkeypatch):
+def test_lk_pairs_stores_no_pair_of_cycles_that_share_arcs(monkeypatch):
     # tri_b and tri_c share the arcs (3, 4) and (4, 5); the pattern reads
-    # their pairs with tri_a's arcs twice, then fails on the pair (b, c)
+    # their pairs with tri_a's arcs twice, then fails on the pair (b, c),
+    # which shares the arcs' ends, and keeps none of the pairs it read
     emb = random_complete(6, seed=0).embedding
     tri_a = DiCycle((0, 1, 2), (True, True, True))
     tri_b = DiCycle((3, 4, 5), (True, True, True))
@@ -290,7 +292,6 @@ def test_lk_pairs_reads_a_shared_arc_pair_again_from_the_table(monkeypatch):
     for run in range(2):
         with pytest.raises(DisjointnessViolated, match="share vertices"):
             compute_pattern([tri_a, tri_b, tri_c], table)
-        on_shared = [p for p in calls if shared & set(p)]
-        assert bool(on_shared) == (run == 0)
-        assert all(shared & set(p) for p in table._pairs)
+        assert any(shared & set(p) for p in calls), run
+        assert table._pairs == {}, run
         calls.clear()
